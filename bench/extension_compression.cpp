@@ -66,7 +66,6 @@ int main() {
       bfs.aggregate_io = true;          // merged ranges through the cache
       bfs.chunk_cache_bytes = 2 << 20;  // fills move whole chunks; decode
                                         // happens once per fill
-      bfs.chunk_format = format;
       const BenchmarkRun run = run_graph500_bfs_phase(
           instance, bfs, config.env.roots, /*validate=*/false, 0xbf5);
 

@@ -1,25 +1,14 @@
-// Extension: the vertex-program engine vs the bespoke BFS driver, plus
-// whole-graph analytics timings.
+// Extension: whole-graph analytics on the vertex-program engine.
 //
-// PR-7 extracts the per-level loop out of BfsSession into a generic
-// ProgramSession driving VertexPrograms (src/engine). BFS re-expressed as
-// a program delegates every superstep to the SAME PR-4 kernels, so the
-// refactor's acceptance bar is *parity*: engine-BFS median step time
-// within 10% of the session path on the same roots (any more would mean
-// the abstraction taxes the hot loop).
-//
-// The payoff rows are the programs BFS machinery could not serve before:
+// ProgramSession (src/engine) is the level loop every BFS runs on; the
+// same loop serves programs the BFS machinery alone could not:
 // label-propagation connected components, synchronous PageRank, and
 // triangle counting — each timed over the DRAM and semi-external
 // (pcie_flash) scenarios through the identical IoScheduler/ChunkCache
 // path the paper's BFS uses.
-#include <algorithm>
 #include <cstdio>
-#include <memory>
-#include <vector>
 
 #include "bench_common.hpp"
-#include "engine/bfs_program.hpp"
 #include "engine/components_program.hpp"
 #include "engine/pagerank_program.hpp"
 #include "engine/program_session.hpp"
@@ -29,12 +18,6 @@ using namespace sembfs;
 using namespace sembfs::bench;
 
 namespace {
-
-double median(std::vector<double> values) {
-  if (values.empty()) return 0.0;
-  std::sort(values.begin(), values.end());
-  return values[values.size() / 2];
-}
 
 struct AnalyticsRow {
   double seconds = 0.0;
@@ -59,55 +42,20 @@ AnalyticsRow run_program(engine::VertexProgram& program,
 
 int main() {
   BenchConfig config = BenchConfig::resolve();
-  print_header(config,
-               "Extension — vertex-program engine (BFS parity + analytics)",
-               "engine-driven BFS must match the bespoke session within "
-               "10% median step time; CC / PageRank / triangle counting "
-               "then run over the same semi-external storage path");
+  print_header(config, "Extension — vertex-program engine analytics",
+               "CC / PageRank / triangle counting run over the same "
+               "semi-external storage path as the BFS");
 
   ThreadPool pool{static_cast<std::size_t>(config.env.threads)};
-  const int roots = static_cast<int>(env_int("SEMBFS_ENGINE_ROOTS", 8));
 
-  AsciiTable parity({"scenario", "session ms/step", "engine ms/step",
-                     "engine/session"});
   CsvWriter csv({"scenario", "program", "seconds", "supersteps",
                  "ms_per_step", "nvm_requests"});
 
   for (const Scenario& scenario :
        {Scenario::dram_only(), Scenario::dram_pcie_flash()}) {
     Graph500Instance instance = make_instance(config, scenario, pool);
-    BfsConfig bfs;
+    const BfsConfig bfs;
 
-    // --- BFS parity: same roots through both drivers ---
-    const std::vector<Vertex> root_set =
-        instance.select_roots(roots, config.env.seed);
-    HybridBfsRunner runner{instance.storage(), instance.topology(), pool};
-    std::vector<double> session_step_ms;
-    std::vector<double> engine_step_ms;
-    for (const Vertex root : root_set) {
-      const BfsResult result = runner.run(root, bfs);
-      if (result.depth > 0)
-        session_step_ms.push_back(result.seconds * 1e3 / result.depth);
-
-      engine::BfsProgram program{root};
-      engine::ProgramSession session{program, instance.storage(),
-                                     instance.topology(), pool, bfs};
-      session.run();
-      if (session.supersteps_executed() > 0)
-        engine_step_ms.push_back(session.seconds() * 1e3 /
-                                 session.supersteps_executed());
-    }
-    const double session_ms = median(session_step_ms);
-    const double engine_ms = median(engine_step_ms);
-    const double ratio = session_ms > 0.0 ? engine_ms / session_ms : 0.0;
-    parity.add_row({scenario.name, format_fixed(session_ms, 3),
-                    format_fixed(engine_ms, 3), format_fixed(ratio, 3)});
-    csv.add_row({scenario.name, "bfs_session", format_fixed(session_ms, 4),
-                 "0", format_fixed(session_ms, 4), "0"});
-    csv.add_row({scenario.name, "bfs_engine", format_fixed(engine_ms, 4),
-                 "0", format_fixed(engine_ms, 4), "0"});
-
-    // --- whole-graph analytics through the engine ---
     engine::ComponentsProgram cc;
     const AnalyticsRow cc_row = run_program(cc, instance, pool, bfs);
     engine::PageRankProgram pagerank{engine::PageRankOptions{}};
@@ -133,11 +81,6 @@ int main() {
                 tc_row.supersteps);
   }
 
-  std::printf("\nengine vs session BFS (median ms per level, %d roots):\n",
-              roots);
-  parity.print();
-  std::printf("acceptance: engine/session <= 1.10 — the program "
-              "abstraction may not tax the kernel hot loop.\n");
   maybe_write_csv(config, "extension_engine", csv);
   return 0;
 }

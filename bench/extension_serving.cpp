@@ -5,8 +5,8 @@
 // resident graph. This bench drives the serving engine (src/serve) with a
 // seeded closed-loop load generator and sweeps the MS-BFS batch width:
 //
-//  - batch 1: every query runs as its own slot-pooled BfsSession, levels
-//    interleaved one per dispatcher tick (fairness baseline),
+//  - batch 1: every query runs as its own slot-pooled program session,
+//    levels interleaved one per dispatcher tick (fairness baseline),
 //  - batch 8 / 64: batchable queries share one multi-source traversal —
 //    per-vertex uint64 lane words on the word-parallel bottom-up kernel,
 //    so up to 64 queries pay roughly one sweep's memory traffic.

@@ -200,7 +200,6 @@ int main(int argc, char** argv) {
     return 1;
   }
   config.instance.chunk_format = *chunk_format;
-  config.bfs.chunk_format = *chunk_format;
   config.bfs.verify_chunk_checksums = options.get_flag("verify-checksums");
   config.bfs.io_error_budget =
       static_cast<std::uint64_t>(options.get_int("io-error-budget"));

@@ -1,12 +1,14 @@
-// k-hop neighborhood queries via the level-stepped BfsSession API: run the
-// hybrid BFS only as deep as the question requires ("who is within 3 hops
-// of this account?") and stop — on an offloaded graph this also stops
-// paying NVM reads the moment the answer is complete.
+// k-hop neighborhood queries via the level-stepped engine API (a
+// BfsProgram under a ProgramSession): run the hybrid BFS only as deep as
+// the question requires ("who is within 3 hops of this account?") and
+// stop — on an offloaded graph this also stops paying NVM reads the
+// moment the answer is complete.
 //
 //   ./khop_query --scale 17 --hops 3 [--scenario pcie_flash]
 #include <cstdio>
 
-#include "bfs/session.hpp"
+#include "engine/bfs_program.hpp"
+#include "engine/program_session.hpp"
 #include "graph500/instance.hpp"
 #include "util/format.hpp"
 #include "util/options.hpp"
@@ -15,7 +17,8 @@
 using namespace sembfs;
 
 int main(int argc, char** argv) {
-  OptionParser options{"khop_query — bounded-depth BFS with BfsSession"};
+  OptionParser options{
+      "khop_query — bounded-depth BFS with ProgramSession"};
   options.add_int("scale", 17, "log2 of the vertex count");
   options.add_int("edge-factor", 16, "edges per vertex");
   options.add_int("hops", 3, "neighborhood radius");
@@ -52,11 +55,12 @@ int main(int argc, char** argv) {
   GraphStorage storage = instance.storage();
   BfsStatus status{instance.vertex_count()};
   for (const Vertex source : sources) {
-    BfsSession session{storage, instance.topology(), pool, status, source,
-                       BfsConfig{}};
+    engine::BfsProgram program{status, source};
+    engine::ProgramSession session{program, storage, instance.topology(),
+                                   pool, BfsConfig{}};
     for (std::int32_t i = 0; i < hops && session.step(); ++i) {
     }
-    const BfsResult result = session.snapshot_result();
+    const BfsResult result = program.snapshot_result(session);
     table.add_row(
         {std::to_string(source),
          format_count(static_cast<std::uint64_t>(result.visited)),

@@ -1,7 +1,5 @@
 #include "analytics/distances.hpp"
 
-#include "engine/bfs_program.hpp"
-#include "engine/program_session.hpp"
 #include "util/contracts.hpp"
 
 namespace sembfs {
@@ -55,22 +53,10 @@ DistanceStats summarize_histogram(std::vector<std::int64_t> histogram,
 DistanceStats sample_distances(HybridBfsRunner& runner,
                                std::span<const Vertex> sources,
                                const BfsConfig& config) {
-  return sample_distances(runner.storage(), runner.topology(), runner.pool(),
-                          sources, config);
-}
-
-DistanceStats sample_distances(const GraphStorage& storage,
-                               const NumaTopology& topology, ThreadPool& pool,
-                               std::span<const Vertex> sources,
-                               const BfsConfig& config) {
   SEMBFS_EXPECTS(!sources.empty());
   std::vector<std::int64_t> histogram;
-  for (const Vertex source : sources) {
-    engine::BfsProgram program{source};
-    engine::ProgramSession session{program, storage, topology, pool, config};
-    session.run();
-    accumulate_levels(program.status().levels(), histogram);
-  }
+  for (const Vertex source : sources)
+    accumulate_levels(runner.run(source, config).level, histogram);
   return summarize_histogram(std::move(histogram),
                              static_cast<std::int64_t>(sources.size()));
 }

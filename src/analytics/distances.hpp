@@ -6,7 +6,7 @@
 #include <cstdint>
 #include <vector>
 
-#include "bfs/hybrid_bfs.hpp"
+#include "engine/bfs_program.hpp"
 #include "graph/types.hpp"
 
 namespace sembfs {
@@ -27,14 +27,6 @@ struct DistanceStats {
 
 /// Runs one BFS per source through `runner` and accumulates the histogram.
 DistanceStats sample_distances(HybridBfsRunner& runner,
-                               std::span<const Vertex> sources,
-                               const BfsConfig& config = {});
-
-/// Same sampling loop expressed over the vertex-program engine: one
-/// BfsProgram session per source against `storage`. The runner overload
-/// delegates here.
-DistanceStats sample_distances(const GraphStorage& storage,
-                               const NumaTopology& topology, ThreadPool& pool,
                                std::span<const Vertex> sources,
                                const BfsConfig& config = {});
 

@@ -2,10 +2,10 @@
 //
 // A CancelToken is the one-way channel from a query's owner (a client
 // thread, the serving engine's admission logic) to the search executing it.
-// The search never blocks on the token: BfsSession::step() — and the
-// serving engine between MS-BFS levels — polls should_stop() at level
-// granularity and winds down cleanly, leaving the partial BFS state valid
-// for snapshot_result(). Level granularity is deliberate: a level is the
+// The search never blocks on the token: engine::ProgramSession::step() —
+// and the serving engine between MS-BFS levels — polls should_stop() at
+// level granularity and winds down cleanly, leaving the partial BFS state
+// valid for BfsProgram::snapshot_result(). Level granularity is deliberate: a level is the
 // natural preemption point of the level-synchronous driver, and checking
 // any finer would put an atomic load inside the per-edge hot loops.
 //
@@ -23,7 +23,7 @@
 
 namespace sembfs {
 
-/// Why a polling search stopped early (BfsSession::stop_reason()).
+/// Why a polling search stopped early (ProgramSession::stop_reason()).
 enum class StopReason {
   None,       ///< not stopped — the search ran to exhaustion
   Cancelled,  ///< request_cancel() was observed

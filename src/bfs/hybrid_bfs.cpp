@@ -1,8 +1,5 @@
 #include "bfs/hybrid_bfs.hpp"
 
-#include <cstdio>
-
-#include "bfs/session.hpp"
 #include "util/contracts.hpp"
 
 namespace sembfs {
@@ -81,37 +78,6 @@ ExternalTopDownOptions external_step_options(ExternalForwardGraph& external,
   options.scheduler = external.io_scheduler();
   options.io_error_budget = config.io_error_budget;
   return options;
-}
-
-HybridBfsRunner::HybridBfsRunner(GraphStorage storage, NumaTopology topology,
-                                 ThreadPool& pool)
-    : storage_(storage),
-      topology_(topology),
-      pool_(pool),
-      status_(storage.vertex_count()) {
-  const int forwards = (storage_.forward_dram != nullptr) +
-                       (storage_.forward_external != nullptr) +
-                       (storage_.forward_tiered != nullptr);
-  const bool one_backward = (storage_.backward_dram != nullptr) !=
-                            (storage_.backward_hybrid != nullptr);
-  if (forwards != 1 || !one_backward) {
-    std::fprintf(
-        stderr,
-        "HybridBfsRunner: storage must name exactly one forward and one "
-        "backward graph; got forward_dram=%d forward_external=%d "
-        "forward_tiered=%d backward_dram=%d backward_hybrid=%d\n",
-        storage_.forward_dram != nullptr, storage_.forward_external != nullptr,
-        storage_.forward_tiered != nullptr, storage_.backward_dram != nullptr,
-        storage_.backward_hybrid != nullptr);
-  }
-  SEMBFS_EXPECTS(forwards == 1 && one_backward);
-}
-
-BfsResult HybridBfsRunner::run(Vertex root, const BfsConfig& config) {
-  BfsSession session{storage_, topology_, pool_, status_, root, config};
-  while (session.step()) {
-  }
-  return session.snapshot_result();
 }
 
 }  // namespace sembfs

@@ -1,14 +1,17 @@
-// The hybrid (direction-optimizing) BFS driver — the paper's core
-// algorithm, generic over where each graph side lives:
+// The hybrid (direction-optimizing) BFS's configuration, storage view and
+// result types — the paper's core algorithm, generic over where each
+// graph side lives:
 //
 //   forward graph:  DRAM (ForwardGraph) or simulated NVM
 //                   (ExternalForwardGraph) — the paper's key offload
 //   backward graph: DRAM (BackwardGraph) or partially offloaded
 //                   (HybridBackwardGraph, Section VI-E)
 //
-// The driver runs level-synchronous steps, switching direction per the
-// configured SwitchPolicy, and records per-level statistics for the
-// analysis benches (Figures 10-14).
+// The level loop that runs the level-synchronous steps, switches direction
+// per the configured SwitchPolicy and records per-level statistics for the
+// analysis benches (Figures 10-14) is engine::ProgramSession stepping an
+// engine::BfsProgram; HybridBfsRunner (engine/bfs_program.hpp) wraps it
+// for whole traversals.
 #pragma once
 
 #include <cstdint>
@@ -21,7 +24,6 @@
 #include "bfs/policy.hpp"
 #include "bfs/top_down.hpp"
 #include "numa/topology.hpp"
-#include "nvm/chunk_format.hpp"
 #include "parallel/thread_pool.hpp"
 
 namespace sembfs::obs {
@@ -88,22 +90,18 @@ struct BfsConfig {
   /// re-fetching corrupted chunks. Off by default so the fault-free
   /// benchmark path pays no checksum cost.
   bool verify_chunk_checksums = false;
-  /// On-NVM adjacency layout this run expects its external storage to use
-  /// (informational plumbing: offload format is fixed at graph
-  /// construction; serving/bench configs carry it here so engines and
-  /// reports can label and build storage consistently).
-  ChunkFormat chunk_format = ChunkFormat::kRaw;
   /// When non-null, the session appends one obs::TraceSpan per executed
   /// level (LevelStats + the PolicyInput the switch policy saw + its
   /// decision). The log must outlive every session using it. nullptr (the
   /// default) records nothing and costs nothing.
   obs::TraceLog* trace = nullptr;
-  /// Cooperative cancellation/deadline token, polled by BfsSession::step()
-  /// before each level (see cancel.hpp). When the token fires the session
-  /// stops cleanly — done() flips, stop_reason() reports why, and
-  /// snapshot_result() still returns the valid partial traversal. The
-  /// token must outlive every session using it. nullptr (the default)
-  /// never stops early and costs nothing.
+  /// Cooperative cancellation/deadline token, polled by
+  /// engine::ProgramSession::step() before each level (see cancel.hpp).
+  /// When the token fires the session stops cleanly — done() flips,
+  /// stop_reason() reports why, and BfsProgram::snapshot_result() still
+  /// returns the valid partial traversal. The token must outlive every
+  /// session using it. nullptr (the default) never stops early and costs
+  /// nothing.
   const CancelToken* cancel = nullptr;
 };
 
@@ -137,13 +135,13 @@ struct GraphStorage {
 /// top-down (push) level: ensures the chunk cache (plus checksum
 /// verification when requested) and the async I/O scheduler exist, and
 /// resets the scheduler's error budget so a previous level's failures
-/// cannot poison this one. Idempotent — both the session and the
-/// vertex-program engine call it every push level.
+/// cannot poison this one. Idempotent — the engine session calls it every
+/// push level.
 void prepare_external_storage(ExternalForwardGraph& external,
                               const BfsConfig& config);
 
-/// Builds the per-level options top_down_step_external (and the engine's
-/// generic scatter) consume from `config`, resolving the scheduler from
+/// Builds the per-level options top_down_step_external and the engine's
+/// generic scatter consume from `config`, resolving the scheduler from
 /// the graph's current state.
 [[nodiscard]] ExternalTopDownOptions external_step_options(
     ExternalForwardGraph& external, const BfsConfig& config);
@@ -173,34 +171,6 @@ struct BfsResult {
   [[nodiscard]] std::int64_t scanned_edges_total() const noexcept {
     return scanned_edges_top_down + scanned_edges_bottom_up;
   }
-};
-
-class HybridBfsRunner {
- public:
-  HybridBfsRunner(GraphStorage storage, NumaTopology topology,
-                  ThreadPool& pool);
-
-  /// Runs one BFS from `root`. Reusable across roots (status is reset).
-  BfsResult run(Vertex root, const BfsConfig& config);
-
-  [[nodiscard]] const BfsStatus& status() const noexcept { return status_; }
-  [[nodiscard]] std::uint64_t status_byte_size() const noexcept {
-    return status_.byte_size();
-  }
-
-  [[nodiscard]] const GraphStorage& storage() const noexcept {
-    return storage_;
-  }
-  [[nodiscard]] const NumaTopology& topology() const noexcept {
-    return topology_;
-  }
-  [[nodiscard]] ThreadPool& pool() const noexcept { return pool_; }
-
- private:
-  GraphStorage storage_;
-  NumaTopology topology_;
-  ThreadPool& pool_;
-  BfsStatus status_;
 };
 
 }  // namespace sembfs

@@ -1,17 +1,18 @@
 #include "engine/bfs_program.hpp"
 
+#include <cstdio>
 #include <string>
 #include <utility>
 
+#include "engine/program_session.hpp"
+#include "parallel/parallel_for.hpp"
 #include "util/contracts.hpp"
 
 namespace sembfs::engine {
 
 void BfsProgram::init(EngineContext& ctx) {
-  const Vertex n = ctx.vertex_count();
-  SEMBFS_EXPECTS(root_ >= 0 && root_ < n);
-  if (!status_.has_value() || status_->vertex_count() != n)
-    status_.emplace(n);
+  SEMBFS_EXPECTS(root_ >= 0 && root_ < ctx.vertex_count());
+  SEMBFS_EXPECTS(status_->vertex_count() == ctx.vertex_count());
   status_->reset(root_);
 }
 
@@ -48,7 +49,7 @@ StepResult BfsProgram::step(EngineContext& ctx, Direction direction) {
 
 bool BfsProgram::converged(const EngineContext& ctx) const {
   (void)ctx;
-  return status_.has_value() && status_->frontier_size() == 0;
+  return status_->frontier_size() == 0;
 }
 
 StepResult BfsProgram::degrade(EngineContext& ctx) {
@@ -59,10 +60,11 @@ StepResult BfsProgram::degrade(EngineContext& ctx) {
         " exceeded its I/O error budget and no backward graph is attached "
         "for a degraded bottom-up retry");
   }
-  // Same protocol as BfsSession::degrade_level: the partial top-down
-  // claims are valid, the bottom-up sweep skips them via the visited
-  // bitmap, and the redo stays on Queue output so its next list can be
-  // merged with the partial top-down list saved here.
+  // The partial top-down claims are valid (each vertex was CAS-claimed
+  // with a correct parent at this level); the bottom-up sweep skips them
+  // via the visited bitmap and claims the rest. The redo stays on Queue
+  // output (regardless of frontier_mode) so its next list can be merged
+  // with the partial top-down list saved here.
   std::vector<Vertex> partial = std::move(status_->next());
   status_->set_next({});
   StepResult redo;
@@ -82,4 +84,71 @@ StepResult BfsProgram::degrade(EngineContext& ctx) {
   return redo;
 }
 
+BfsResult BfsProgram::snapshot_result(const ProgramSession& session) const {
+  const GraphStorage& storage = session.context().storage;
+  BfsResult result;
+  result.root = root_;
+  result.seconds = session.seconds();
+  result.depth = session.supersteps_executed();
+  result.visited = status_->visited_count();
+  result.scanned_edges_top_down = session.scanned_edges_push();
+  result.scanned_edges_bottom_up = session.scanned_edges_pull();
+  result.nvm_requests = session.nvm_requests();
+  result.io_failures = session.io_failures();
+  result.degraded_levels = session.degraded_supersteps();
+  result.degraded = result.degraded_levels > 0;
+  result.levels = session.supersteps();
+  result.parent = status_->parent_snapshot();
+  result.level = status_->levels();
+
+  result.teps_edge_count =
+      parallel_reduce<std::int64_t>(
+          *session.context().pool, 0, storage.vertex_count(), 0,
+          [&](std::int64_t& acc, std::int64_t v) {
+            if (status_->is_visited(v)) acc += storage.degree(v);
+          },
+          [](std::int64_t a, std::int64_t b) { return a + b; }) /
+      2;
+  result.teps = result.seconds > 0.0
+                    ? static_cast<double>(result.teps_edge_count) /
+                          result.seconds
+                    : 0.0;
+  return result;
+}
+
 }  // namespace sembfs::engine
+
+namespace sembfs {
+
+HybridBfsRunner::HybridBfsRunner(GraphStorage storage, NumaTopology topology,
+                                 ThreadPool& pool)
+    : storage_(storage),
+      topology_(topology),
+      pool_(pool),
+      status_(storage.vertex_count()) {
+  const int forwards = (storage_.forward_dram != nullptr) +
+                       (storage_.forward_external != nullptr) +
+                       (storage_.forward_tiered != nullptr);
+  const bool one_backward = (storage_.backward_dram != nullptr) !=
+                            (storage_.backward_hybrid != nullptr);
+  if (forwards != 1 || !one_backward) {
+    std::fprintf(
+        stderr,
+        "HybridBfsRunner: storage must name exactly one forward and one "
+        "backward graph; got forward_dram=%d forward_external=%d "
+        "forward_tiered=%d backward_dram=%d backward_hybrid=%d\n",
+        storage_.forward_dram != nullptr, storage_.forward_external != nullptr,
+        storage_.forward_tiered != nullptr, storage_.backward_dram != nullptr,
+        storage_.backward_hybrid != nullptr);
+  }
+  SEMBFS_EXPECTS(forwards == 1 && one_backward);
+}
+
+BfsResult HybridBfsRunner::run(Vertex root, const BfsConfig& config) {
+  engine::BfsProgram program{status_, root};
+  engine::ProgramSession session{program, storage_, topology_, pool_, config};
+  session.run();
+  return program.snapshot_result(session);
+}
+
+}  // namespace sembfs

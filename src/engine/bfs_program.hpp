@@ -1,29 +1,33 @@
-// BFS re-expressed as a vertex program.
+// BFS as a vertex program — the library's one single-root traversal.
 //
-// The program delegates every superstep to the PR-4 kernels
-// (top_down_step / top_down_step_tiered / top_down_step_external,
-// bottom_up_step / bottom_up_step_hybrid) over a regular BfsStatus, so an
-// engine-driven BFS is reference-exact against BfsSession by construction
-// — same claims, same frontier representation, same degrade path. What
-// moves into the engine is the loop around the kernels (ProgramSession).
+// Graph500 runs, serving sessions, k-hop queries and distance sampling all
+// run a BfsProgram stepped by engine::ProgramSession. The program
+// delegates every superstep to the level kernels (top_down_step /
+// top_down_step_tiered / top_down_step_external, bottom_up_step /
+// bottom_up_step_hybrid) over a caller-owned BfsStatus; the loop around
+// the kernels (cancel polls, frontier conversion, I/O prep, degradation,
+// the switch policy, LevelStats, metrics and trace spans) is the
+// session's. HybridBfsRunner below is the whole-traversal convenience:
+// one reused status, one program + session per root.
 #pragma once
-
-#include <optional>
-#include <string>
-#include <vector>
 
 #include "bfs/bfs_status.hpp"
 #include "engine/vertex_program.hpp"
 
 namespace sembfs::engine {
 
+class ProgramSession;
+
 class BfsProgram final : public VertexProgram {
  public:
-  explicit BfsProgram(Vertex root) : root_(root) {}
+  /// Borrows `status` (init() resets it to `root`); the caller keeps
+  /// ownership, so one status block serves many searches — the runner's,
+  /// or a serving-engine slot. One search at a time per status.
+  BfsProgram(BfsStatus& status, Vertex root) : status_(&status), root_(root) {}
 
   [[nodiscard]] const char* name() const noexcept override { return "bfs"; }
-  /// "bfs" on purpose: the engine then emits the exact bfs.* counter names
-  /// the obs CI job asserts, whichever driver ran the search.
+  /// "bfs" on purpose: the session then emits the exact bfs.* counter
+  /// names the obs CI job asserts.
   [[nodiscard]] const char* metric_prefix() const noexcept override {
     return "bfs";
   }
@@ -40,13 +44,36 @@ class BfsProgram final : public VertexProgram {
   }
   StepResult degrade(EngineContext& ctx) override;
 
-  /// The traversal state (valid after the session constructor ran init()).
-  [[nodiscard]] const BfsStatus& status() const noexcept { return *status_; }
-  [[nodiscard]] BfsStatus& status() noexcept { return *status_; }
+  /// Assembles the BfsResult for whatever `session` (the session driving
+  /// this program) has traversed so far — valid both after completion and
+  /// mid-search (k-hop truncation). `seconds` covers step() work only.
+  [[nodiscard]] BfsResult snapshot_result(const ProgramSession& session) const;
 
  private:
+  BfsStatus* status_;
   Vertex root_;
-  std::optional<BfsStatus> status_;
 };
 
 }  // namespace sembfs::engine
+
+namespace sembfs {
+
+/// Whole traversals over one storage view: each run() steps a BfsProgram
+/// to completion under a ProgramSession, reusing one BfsStatus across
+/// roots.
+class HybridBfsRunner {
+ public:
+  HybridBfsRunner(GraphStorage storage, NumaTopology topology,
+                  ThreadPool& pool);
+
+  /// Runs one BFS from `root`. Reusable across roots (status is reset).
+  BfsResult run(Vertex root, const BfsConfig& config);
+
+ private:
+  GraphStorage storage_;
+  NumaTopology topology_;
+  ThreadPool& pool_;
+  BfsStatus status_;
+};
+
+}  // namespace sembfs

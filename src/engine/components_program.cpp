@@ -75,13 +75,7 @@ StepResult ComponentsProgram::step(EngineContext& ctx, Direction direction) {
                              delta);
   } else {
     ExternalForwardGraph& external = *ctx.storage.forward_external;
-    ScatterIoOptions io;
-    io.batch_size = config.batch_size;
-    io.aggregate_io = config.aggregate_io;
-    io.merge_gap_bytes = config.aggregate_merge_gap;
-    io.max_request_bytes = config.aggregate_max_request;
-    io.scheduler = external.io_scheduler();
-    io.io_error_budget = config.io_error_budget;
+    ExternalTopDownOptions io = external_step_options(external, config);
     io.delta = delta;
     scatter = scatter_active(external, queue, *ctx.topology, pool, io,
                              edge_fn);

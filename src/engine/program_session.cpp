@@ -132,6 +132,9 @@ BottomUpOutput ProgramSession::pull_output(
     case FrontierMode::Auto:
       break;
   }
+  // Density proxy: the current set averages >= 1 vertex per bitmap word,
+  // so the next one (typically wider or comparable mid-search) is worth
+  // the O(n/64)-per-worker merge.
   return cur_active >= ctx_.vertex_count() / 64 ? BottomUpOutput::Bitmap
                                                 : BottomUpOutput::Queue;
 }

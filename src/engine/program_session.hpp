@@ -1,10 +1,10 @@
-// The engine's superstep loop: BfsSession's level loop generalized to any
-// VertexProgram. One session runs one program over one GraphStorage to
-// convergence (or cancellation), reproducing the BFS session's duties
-// superstep by superstep:
+// The engine's superstep loop. One session runs one VertexProgram over one
+// GraphStorage to convergence (or cancellation); every single-root BFS —
+// Graph500 runs, serving sessions, k-hop queries — is a BfsProgram under
+// this loop. Superstep by superstep it does:
 //
-//   - cancel/deadline poll at superstep granularity (the same preemption
-//     point the serving engine relies on),
+//   - cancel/deadline poll at superstep granularity (the preemption point
+//     the serving engine relies on),
 //   - bitmap->queue conversion of the active set before push supersteps,
 //   - semi-external storage prep (chunk cache, checksums, I/O scheduler
 //     with a fresh error budget) before push supersteps,
@@ -14,10 +14,6 @@
 //   - per-superstep LevelStats, switch-policy evaluation, obs metrics
 //     under the program's prefix plus engine-wide aggregates, and trace
 //     spans.
-//
-// BfsSession remains the dedicated BFS fast path; ProgramSession running
-// a BfsProgram executes the same kernels over the same BfsStatus and is
-// reference-exact against it (tests/test_differential_sweep.cpp).
 #pragma once
 
 #include <cstdint>

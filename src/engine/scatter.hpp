@@ -13,8 +13,8 @@
 //  - ForwardGraph:         DRAM adjacency spans, no I/O.
 //  - ExternalForwardGraph: semi-external; per-vertex chunked reads, or
 //    aggregated batch reads, or double-buffered async reads against an
-//    IoScheduler — selected by ScatterIoOptions exactly like
-//    ExternalTopDownOptions selects them for BFS. Failed fetches are
+//    IoScheduler — selected by the same ExternalTopDownOptions (built by
+//    external_step_options()) that selects them for BFS. Failed fetches are
 //    contained (never thrown across the pool): counted, and past the
 //    error budget every worker stops claiming batches.
 //  - TieredForwardGraph:   DRAM short lists + NVM hubs; first hard
@@ -35,6 +35,7 @@
 #include <span>
 #include <vector>
 
+#include "bfs/top_down.hpp"
 #include "graph/delta_buffer.hpp"
 #include "graph/external_csr.hpp"
 #include "graph/forward_graph.hpp"
@@ -58,21 +59,6 @@ struct ScatterStats {
   [[nodiscard]] bool io_failed() const noexcept {
     return io_failures > 0 || aborted;
   }
-};
-
-/// Semi-external knobs, mirroring ExternalTopDownOptions (the BFS session
-/// builds that struct from the same BfsConfig fields this one is built
-/// from — see external_step_options()).
-struct ScatterIoOptions {
-  int batch_size = 64;
-  bool aggregate_io = false;
-  std::uint32_t merge_gap_bytes = 4096;
-  std::uint32_t max_request_bytes = 1 << 20;
-  IoScheduler* scheduler = nullptr;
-  std::uint64_t io_error_budget = 0;
-  /// Mutation overlay: when non-null, adjacency is delivered through the
-  /// merged view (base minus tombstones plus destination-filtered inserts).
-  const DeltaBuffer* delta = nullptr;
 };
 
 namespace detail {
@@ -165,7 +151,7 @@ template <typename EdgeFn>
 ScatterStats scatter_active(ExternalForwardGraph& forward,
                             std::span<const Vertex> active,
                             const NumaTopology& topology, ThreadPool& pool,
-                            const ScatterIoOptions& options,
+                            const ExternalTopDownOptions& options,
                             EdgeFn&& edge_fn) {
   SEMBFS_EXPECTS(options.batch_size >= 1);
   const int batch_size = options.batch_size;

@@ -23,8 +23,8 @@
 //                       fallback: a backward-graph pull)
 //
 // Direction selection generalizes the BFS switch policy: in Hybrid mode
-// the session builds the same PolicyInput the BFS session builds (active
-// counts standing in for frontier counts) and asks choose_direction();
+// the session builds the BFS PolicyInput (active counts standing in for
+// frontier counts) and asks choose_direction();
 // the default defers to the configured SwitchPolicy, and push-only
 // programs simply pin TopDown. Forced modes in BfsConfig bypass the hook.
 //

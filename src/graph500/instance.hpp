@@ -17,7 +17,7 @@
 #include <string>
 #include <vector>
 
-#include "bfs/hybrid_bfs.hpp"
+#include "engine/bfs_program.hpp"
 #include "bfs/reference_bfs.hpp"
 #include "bfs/validate.hpp"
 #include "graph/backward_graph.hpp"

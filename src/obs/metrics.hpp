@@ -1,6 +1,6 @@
 // Low-overhead metrics registry: named counters, gauges and latency
 // histograms shared by every instrumented subsystem (NVM device, I/O
-// scheduler, chunk cache, BFS session, thread pool).
+// scheduler, chunk cache, engine session, thread pool).
 //
 // Design constraints (the FlashGraph/Graphyti lesson — a semi-external
 // engine lives or dies by its I/O stack, so the instrumentation must be

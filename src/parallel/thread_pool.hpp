@@ -16,7 +16,7 @@
 // no-recursive-regions assertion, or serialize behind the first in a way
 // the kernels' per-region cursors don't expect). Every layer above
 // therefore treats the pool as an exclusively-held resource per parallel
-// region: the BFS session runs its level kernels one at a time, and the
+// region: an engine session runs its level kernels one at a time, and the
 // serving engine (src/serve) funnels ALL pool work — every query's levels,
 // batched or not — through its single dispatcher thread. While a
 // QueryEngine is running, the pool belongs to it; other threads must not
@@ -59,7 +59,7 @@ class ThreadPool {
   /// region is timed into the per-node histogram `pool.node<k>.step_us`
   /// (unlabeled workers record into `pool.step_us`). Workers beyond
   /// `node_of_worker.size()` stay unlabeled. Must not be called while a
-  /// region is running; typically set once per BFS session from its
+  /// region is running; typically set once per engine session from its
   /// NumaTopology. A call with the labels already in effect is a cheap
   /// no-op (one vector compare, no registry traffic) — the serving engine
   /// constructs a session per query on a fixed topology, so the rebind

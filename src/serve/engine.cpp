@@ -7,7 +7,7 @@
 #include <utility>
 
 #include "bfs/repair.hpp"
-#include "bfs/session.hpp"
+#include "engine/bfs_program.hpp"
 #include "engine/components_program.hpp"
 #include "engine/program_session.hpp"
 #include "nvm/fault_plan.hpp"
@@ -37,27 +37,19 @@ QueryState state_for(StopReason reason) noexcept {
 
 }  // namespace
 
-/// One in-flight analytics query: its vertex program (which owns the
-/// per-vertex state — labels, ranks, cursor) plus the engine session
-/// driving it one superstep per tick (dispatcher-local).
-struct QueryEngine::ActiveAnalytics {
+/// One in-flight non-batched query (dispatcher-local): its vertex program
+/// plus the engine session driving it one superstep per tick. A BFS
+/// program borrows a pooled status slot; an analytics program owns its
+/// per-vertex state (labels, ranks, cursor).
+struct QueryEngine::ActiveProgram {
   QueryRef query;
   /// Snapshot pinned at admission (null on sealed-storage engines): the
   /// whole program runs on this one merged view.
   std::shared_ptr<const GraphSnapshot> pinned;
+  std::uint64_t cache_generation = 0;  ///< for the generation-checked insert
+  BfsStatus* slot = nullptr;  ///< borrowed from the pool (BFS only)
   std::unique_ptr<engine::VertexProgram> program;
   std::unique_ptr<engine::ProgramSession> session;
-  Clock::time_point started{};
-  double queue_wait_ms = 0.0;
-};
-
-/// One in-flight single-query session (dispatcher-local).
-struct QueryEngine::ActiveSession {
-  QueryRef query;
-  std::shared_ptr<const GraphSnapshot> pinned;  ///< view at admission
-  std::uint64_t cache_generation = 0;  ///< for the generation-checked insert
-  BfsStatus* slot = nullptr;  ///< borrowed from the pool
-  std::unique_ptr<BfsSession> session;
   Clock::time_point started{};
   double queue_wait_ms = 0.0;
 };
@@ -489,20 +481,36 @@ void QueryEngine::cull_queued(std::deque<QueryRef>& queued) {
   queued.resize(kept);
 }
 
-void QueryEngine::admit_analytics(std::deque<QueryRef>& queued,
-                                  std::vector<ActiveAnalytics>& analytics) {
-  while (!queued.empty() && analytics.size() < config_.analytics_slots) {
-    QueryRef query = std::move(queued.front());
-    queued.pop_front();
+void QueryEngine::admit_programs(std::deque<QueryRef>& queued,
+                                 std::vector<ActiveProgram>& programs) {
+  while (!queued.empty()) {
+    const QueryKind kind = queued.front()->options().kind;
+    BfsStatus* slot = nullptr;
+    if (kind == QueryKind::Bfs) {
+      slot = slots_.try_acquire();
+      if (slot == nullptr) return;  // all slots busy: backpressure
+    } else {
+      const auto analytics = std::count_if(
+          programs.begin(), programs.end(), [](const ActiveProgram& p) {
+            return p.query->options().kind != QueryKind::Bfs;
+          });
+      if (static_cast<std::size_t>(analytics) >= config_.analytics_slots)
+        return;
+    }
 
-    ActiveAnalytics active;
-    active.query = std::move(query);
+    ActiveProgram active;
+    active.query = std::move(queued.front());
+    queued.pop_front();
+    active.slot = slot;
     active.started = Clock::now();
     active.queue_wait_ms = ms_since(active.query->submitted_at_);
-    std::uint64_t cache_generation = 0;  // analytics are never cached
     const GraphStorage storage =
-        resolve_storage(active.pinned, cache_generation);
-    switch (active.query->options().kind) {
+        resolve_storage(active.pinned, active.cache_generation);
+    switch (kind) {
+      case QueryKind::Bfs:
+        active.program = std::make_unique<engine::BfsProgram>(
+            *slot, active.query->root());
+        break;
       case QueryKind::Components:
         active.program = std::make_unique<engine::ComponentsProgram>();
         break;
@@ -514,35 +522,35 @@ void QueryEngine::admit_analytics(std::deque<QueryRef>& queued,
         active.program =
             std::make_unique<engine::TriangleProgram>(config_.triangles);
         break;
-      case QueryKind::Bfs:
-        SEMBFS_ASSERT(false && "Bfs query routed to the analytics path");
-        break;
     }
     BfsConfig bfs = config_.bfs;
     bfs.cancel = &active.query->token_;
     active.session = std::make_unique<engine::ProgramSession>(
         *active.program, storage, topology_, pool_, bfs);
     active.query->mark_running();
-    analytics.push_back(std::move(active));
+    programs.push_back(std::move(active));
     {
       const std::lock_guard<std::mutex> lock{mutex_};
-      ++stats_.analytics_queries;
+      ++(kind == QueryKind::Bfs ? stats_.session_queries
+                                : stats_.analytics_queries);
     }
-    if (obs::enabled()) obs_analytics_queries_->add(1);
+    if (obs::enabled())
+      (kind == QueryKind::Bfs ? obs_session_queries_ : obs_analytics_queries_)
+          ->add(1);
   }
 }
 
-void QueryEngine::step_analytics(std::vector<ActiveAnalytics>& analytics) {
-  for (std::size_t i = 0; i < analytics.size();) {
-    ActiveAnalytics& active = analytics[i];
+void QueryEngine::step_programs(std::vector<ActiveProgram>& programs) {
+  for (std::size_t i = 0; i < programs.size();) {
+    ActiveProgram& active = programs[i];
     bool more = false;
     bool io_failed = false;
     std::string error;
     try {
       more = active.session->step();
     } catch (const NvmIoError& e) {
-      // Same per-query containment as BFS sessions: an analytics query
-      // whose program cannot degrade past its I/O budget fails alone.
+      // Per-query fault containment: this query fails alone; the graph,
+      // pool and every neighbor query keep running.
       io_failed = true;
       error = e.what();
     }
@@ -551,17 +559,20 @@ void QueryEngine::step_analytics(std::vector<ActiveAnalytics>& analytics) {
     const bool hit_cap = !io_failed && more && max_levels > 0 &&
                          executed >= max_levels;
     if (!io_failed && more && !hit_cap) {
-      ++i;  // next superstep on a later tick
+      ++i;  // still running: next superstep on a later tick
       continue;
     }
 
     const QueryKind kind = active.query->options().kind;
     QueryResult result;
+    result.root = active.query->root();
     result.kind = kind;
     result.queue_wait_ms = active.queue_wait_ms;
     result.exec_ms = ms_since(active.started);
-    result.supersteps = executed;
+    if (kind != QueryKind::Bfs) result.supersteps = executed;
     if (io_failed) {
+      // No snapshot: the step unwound mid-superstep, so only the error and
+      // the fatal failure count are reported.
       result.state = QueryState::Failed;
       result.error = std::move(error);
       result.io_failures = 1;
@@ -572,6 +583,16 @@ void QueryEngine::step_analytics(std::vector<ActiveAnalytics>& analytics) {
       result.degraded_levels = active.session->degraded_supersteps();
       result.degraded = result.degraded_levels > 0;
       switch (kind) {
+        case QueryKind::Bfs: {
+          BfsResult bfs =
+              static_cast<engine::BfsProgram&>(*active.program)
+                  .snapshot_result(*active.session);
+          result.depth = bfs.depth;
+          result.visited = bfs.visited;
+          result.level = std::move(bfs.level);
+          result.parent = std::move(bfs.parent);
+          break;
+        }
         case QueryKind::Components: {
           auto& program =
               static_cast<engine::ComponentsProgram&>(*active.program);
@@ -600,41 +621,12 @@ void QueryEngine::step_analytics(std::vector<ActiveAnalytics>& analytics) {
           result.triangles = program.triangles();
           break;
         }
-        case QueryKind::Bfs:
-          break;
       }
     }
-    finalize_query(active.query, std::move(result), 0);  // never cached
-    analytics.erase(analytics.begin() + static_cast<std::ptrdiff_t>(i));
-  }
-}
-
-void QueryEngine::admit_sessions(std::deque<QueryRef>& queued,
-                                 std::vector<ActiveSession>& sessions) {
-  while (!queued.empty()) {
-    BfsStatus* slot = slots_.try_acquire();
-    if (slot == nullptr) return;  // all slots busy: backpressure
-    QueryRef query = std::move(queued.front());
-    queued.pop_front();
-
-    ActiveSession active;
-    active.query = std::move(query);
-    active.slot = slot;
-    active.started = Clock::now();
-    active.queue_wait_ms = ms_since(active.query->submitted_at_);
-    const GraphStorage storage =
-        resolve_storage(active.pinned, active.cache_generation);
-    BfsConfig bfs = config_.bfs;
-    bfs.cancel = &active.query->token_;
-    active.session = std::make_unique<BfsSession>(
-        storage, topology_, pool_, *slot, active.query->root(), bfs);
-    active.query->mark_running();
-    sessions.push_back(std::move(active));
-    {
-      const std::lock_guard<std::mutex> lock{mutex_};
-      ++stats_.session_queries;
-    }
-    if (obs::enabled()) obs_session_queries_->add(1);
+    if (active.slot != nullptr) slots_.release(active.slot);
+    // Only Done BFS answers are cached (finalize_query checks the kind).
+    finalize_query(active.query, std::move(result), active.cache_generation);
+    programs.erase(programs.begin() + static_cast<std::ptrdiff_t>(i));
   }
 }
 
@@ -716,57 +708,6 @@ std::unique_ptr<QueryEngine::ActiveBatch> QueryEngine::make_batch(
   return active;
 }
 
-void QueryEngine::step_sessions(std::vector<ActiveSession>& sessions) {
-  for (std::size_t i = 0; i < sessions.size();) {
-    ActiveSession& active = sessions[i];
-    bool more = false;
-    bool io_failed = false;
-    std::string error;
-    try {
-      more = active.session->step();
-    } catch (const NvmIoError& e) {
-      // Per-query fault containment: this query fails alone; the graph,
-      // pool and every neighbor query keep running.
-      io_failed = true;
-      error = e.what();
-    }
-    const std::int32_t executed = active.session->next_level() - 1;
-    const std::int32_t max_levels = active.query->options().max_levels;
-    const bool hit_cap = !io_failed && more && max_levels > 0 &&
-                         executed >= max_levels;
-    if (!io_failed && more && !hit_cap) {
-      ++i;  // still running: next level on a later tick
-      continue;
-    }
-
-    QueryResult result;
-    result.root = active.query->root();
-    result.queue_wait_ms = active.queue_wait_ms;
-    result.exec_ms = ms_since(active.started);
-    if (io_failed) {
-      // No snapshot: the step unwound mid-level, so only the error and the
-      // fatal failure count are reported.
-      result.state = QueryState::Failed;
-      result.error = std::move(error);
-      result.io_failures = 1;
-    } else {
-      BfsResult bfs = active.session->snapshot_result();
-      result.state =
-          hit_cap ? QueryState::Done : state_for(active.session->stop_reason());
-      result.depth = bfs.depth;
-      result.visited = bfs.visited;
-      result.degraded = bfs.degraded;
-      result.degraded_levels = bfs.degraded_levels;
-      result.io_failures = bfs.io_failures;
-      result.level = std::move(bfs.level);
-      result.parent = std::move(bfs.parent);
-    }
-    slots_.release(active.slot);
-    finalize_query(active.query, std::move(result), active.cache_generation);
-    sessions.erase(sessions.begin() + static_cast<std::ptrdiff_t>(i));
-  }
-}
-
 bool QueryEngine::tick_batch(ActiveBatch& active) {
   MsBfsBatch& batch = *active.batch;
 
@@ -840,17 +781,15 @@ void QueryEngine::dispatcher_loop() {
   std::deque<QueryRef> unbatch_high;
   std::deque<QueryRef> unbatch_normal;
   std::deque<QueryRef> analytics_queued;
-  std::vector<ActiveSession> sessions;
-  std::vector<ActiveAnalytics> analytics;
+  std::vector<ActiveProgram> programs;
   std::unique_ptr<ActiveBatch> batch;
 
   for (;;) {
     {
       std::unique_lock<std::mutex> lock{mutex_};
-      const bool idle = sessions.empty() && batch == nullptr &&
-                        analytics.empty() && batchable.empty() &&
-                        unbatch_high.empty() && unbatch_normal.empty() &&
-                        analytics_queued.empty();
+      const bool idle = programs.empty() && batch == nullptr &&
+                        batchable.empty() && unbatch_high.empty() &&
+                        unbatch_normal.empty() && analytics_queued.empty();
       if (idle)
         work_cv_.wait(lock, [&] { return stop_ || !queue_.empty(); });
       for (QueryRef& query : queue_) {
@@ -865,8 +804,8 @@ void QueryEngine::dispatcher_loop() {
       }
       queue_.clear();
       if (obs::enabled()) obs_queue_depth_->set(0);
-      if (stop_ && queue_.empty() && sessions.empty() && batch == nullptr &&
-          analytics.empty() && batchable.empty() && unbatch_high.empty() &&
+      if (stop_ && queue_.empty() && programs.empty() && batch == nullptr &&
+          batchable.empty() && unbatch_high.empty() &&
           unbatch_normal.empty() && analytics_queued.empty())
         return;  // drained shutdown
     }
@@ -879,16 +818,15 @@ void QueryEngine::dispatcher_loop() {
 
     // High lane drains into the slot pool before normal — when slots are
     // the bottleneck, priority decides who waits.
-    admit_sessions(unbatch_high, sessions);
-    admit_sessions(unbatch_normal, sessions);
-    admit_analytics(analytics_queued, analytics);
+    admit_programs(unbatch_high, programs);
+    admit_programs(unbatch_normal, programs);
+    admit_programs(analytics_queued, programs);
     if (batch == nullptr && !batchable.empty()) batch = make_batch(batchable);
 
     // One level of everything per tick — the interleaving that makes the
     // engine concurrent while the pool stays single-tenant. Analytics
     // supersteps interleave with BFS levels the same way.
-    step_sessions(sessions);
-    step_analytics(analytics);
+    step_programs(programs);
     if (batch != nullptr && tick_batch(*batch)) batch.reset();
   }
 }

@@ -10,10 +10,11 @@
 //                 ├── tenant quota / bounded queue ──> reject
 //                 └──> admission deque ──> dispatcher ──> ThreadPool
 //                                             │
-//                                             ├─ single-query sessions
-//                                             │  (slot-pooled BfsSession,
-//                                             │   one level per tick,
-//                                             │   high lane admitted first)
+//                                             ├─ program sessions
+//                                             │  (BFS on a pooled status
+//                                             │   slot, or analytics; one
+//                                             │   superstep per tick, high
+//                                             │   lane admitted first)
 //                                             └─ one MS-BFS batch
 //                                                (≤64 lanes, one level
 //                                                 per tick, cost-aware
@@ -28,8 +29,9 @@
 // entries first, then by laxity (slack minus predicted cost), so a cheap
 // near-deadline query jumps ahead of an expensive slack one
 // (serve/batch_planner.hpp, serve/cost_model.hpp). Non-batchable queries
-// each get a BfsSession borrowing a status slot (serve/slot_pool.hpp),
-// the high lane admitted before the normal one. Concurrency-of-service is
+// each get an engine::ProgramSession over a BfsProgram borrowing a status
+// slot (serve/slot_pool.hpp), the high lane admitted before the normal
+// one; analytics queries run through the same session loop. Concurrency-of-service is
 // level interleaving: every active query advances one level per
 // dispatcher tick, so a deep search cannot starve short ones, and each
 // level still uses the whole pool.
@@ -108,7 +110,7 @@ struct EngineConfig {
   /// capacity - high_reserve, so a burst cannot starve the high lane of
   /// admission. 0 = no reserved headroom.
   std::size_t high_reserve = 0;
-  /// BfsStatus slots = concurrent single-query sessions.
+  /// BfsStatus slots = concurrent non-batched BFS queries.
   std::size_t session_slots = 4;
   /// Concurrent analytics queries (each owns its program state — DRAM for
   /// labels/ranks — so the cap bounds memory, not status slots).
@@ -138,7 +140,8 @@ struct EngineConfig {
   /// Start the dispatcher in the constructor. false = deferred start for
   /// deterministic trace replay: submit everything, then start().
   bool autostart = true;
-  /// Template for single-query sessions (cancel is overwritten per query).
+  /// Template for program sessions, BFS and analytics (cancel is
+  /// overwritten per query).
   BfsConfig bfs;
   /// MS-BFS kernel knobs shared by every batch.
   MsBfsConfig msbfs;
@@ -159,10 +162,10 @@ struct EngineStats {
   std::uint64_t cancelled = 0;
   std::uint64_t deadline_expired = 0;
   std::uint64_t high_deadline_expired = 0;  ///< subset: Priority::High
-  std::uint64_t session_queries = 0;  ///< served by a BfsSession
+  std::uint64_t session_queries = 0;  ///< BFS served by a program session
   std::uint64_t batched_queries = 0;  ///< served by an MS-BFS lane
   std::uint64_t batches = 0;
-  std::uint64_t analytics_queries = 0;  ///< served by a ProgramSession
+  std::uint64_t analytics_queries = 0;  ///< analytics program sessions
   std::uint64_t cache_hits = 0;         ///< served from the result cache
   // Mutable-graph integration (zero without an attached MutableGraph).
   std::uint64_t snapshots_published = 0;     ///< publish-hook invocations
@@ -227,9 +230,8 @@ class QueryEngine {
   }
 
  private:
-  struct ActiveSession;
+  struct ActiveProgram;
   struct ActiveBatch;
-  struct ActiveAnalytics;
   /// Per-tenant admission state: the quota count plus the lazily resolved
   /// serve.tenant.<id>.* counters.
   struct TenantState {
@@ -244,14 +246,15 @@ class QueryEngine {
   QueryRef submit_impl(Vertex root, QueryOptions options);
   /// Finalizes queued queries whose token fired before execution started.
   void cull_queued(std::deque<QueryRef>& queued);
-  void admit_sessions(std::deque<QueryRef>& queued,
-                      std::vector<ActiveSession>& sessions);
-  void admit_analytics(std::deque<QueryRef>& queued,
-                       std::vector<ActiveAnalytics>& analytics);
-  void step_analytics(std::vector<ActiveAnalytics>& analytics);
+  /// Starts a program session for each queued query while capacity lasts:
+  /// a free status slot for BFS, an analytics slot otherwise.
+  void admit_programs(std::deque<QueryRef>& queued,
+                      std::vector<ActiveProgram>& programs);
+  /// One superstep of every program session; finalizes finished queries
+  /// and returns their status slots to the pool.
+  void step_programs(std::vector<ActiveProgram>& programs);
   [[nodiscard]] std::unique_ptr<ActiveBatch> make_batch(
       std::deque<QueryRef>& queued);
-  void step_sessions(std::vector<ActiveSession>& sessions);
   /// One batch tick: cull fired riders, run one level, finalize finished
   /// riders. True when the batch is finished and should be dropped.
   bool tick_batch(ActiveBatch& batch);

@@ -85,7 +85,7 @@ struct QueryOptions {
   std::int32_t max_levels = 0;
   /// May this query be packed into an MS-BFS batch? Batched queries share
   /// one traversal (and its fault blast radius) with up to 63 others; a
-  /// non-batchable query always gets its own BfsSession.
+  /// non-batchable query always gets its own program session.
   bool batchable = true;
   /// Admission lane (see Priority above).
   Priority priority = Priority::Normal;

@@ -53,12 +53,13 @@ void check_engine_matches_references(const EdgeList& edges,
   Vertex hub = 0;
   for (Vertex v = 1; v < n; ++v)
     if (full.degree(v) > full.degree(hub)) hub = v;
+  BfsStatus status{n};
   for (const Vertex root : {Vertex{0}, n - 1, hub}) {
-    engine::BfsProgram program{root};
+    engine::BfsProgram program{status, root};
     engine::ProgramSession session{program, storage, topology, pool, config};
     session.run();
     const ReferenceBfsResult ref = reference_bfs(full, root);
-    const std::vector<std::int32_t>& levels = program.status().levels();
+    const std::vector<std::int32_t>& levels = status.levels();
     for (Vertex v = 0; v < n; ++v)
       ASSERT_EQ(levels[v], ref.level[v]) << "bfs root " << root << " v " << v;
   }

@@ -7,8 +7,8 @@
 
 #include <filesystem>
 
-#include "bfs/hybrid_bfs.hpp"
-#include "bfs/session.hpp"
+#include "engine/bfs_program.hpp"
+#include "engine/program_session.hpp"
 #include "graph_fixtures.hpp"
 #include "nvm/external_array.hpp"
 #include "test_util.hpp"
@@ -126,8 +126,9 @@ TEST_F(FaultInjectionTest, ParallelBfsDegradesOnDeviceErrorAndRecovers) {
 TEST_F(FaultInjectionTest, DegradationWithoutBackwardGraphThrows) {
   // With no backward graph attached there is nothing to degrade to; the
   // failure must still surface instead of returning a truncated tree. The
-  // runner refuses forward-only storage outright, so drive a BfsSession —
-  // the one entry point that accepts it (k-hop use).
+  // runner refuses forward-only storage outright, so drive a BfsProgram
+  // under a ProgramSession directly — the entry point that accepts it
+  // (k-hop use).
   const EdgeList edges =
       generate_kronecker(fixtures::small_kronecker(9, 8, 205), pool_);
   const VertexPartition partition{edges.vertex_count(), 2};
@@ -147,15 +148,20 @@ TEST_F(FaultInjectionTest, DegradationWithoutBackwardGraphThrows) {
   config.mode = BfsMode::TopDownOnly;
 
   BfsStatus healthy_status{edges.vertex_count()};
-  BfsSession healthy{storage, topology, pool_, healthy_status, root, config};
+  engine::BfsProgram healthy_program{healthy_status, root};
+  engine::ProgramSession healthy{healthy_program, storage, topology, pool_,
+                                 config};
   while (healthy.step()) {
   }
-  const std::uint64_t requests = healthy.snapshot_result().nvm_requests;
+  const std::uint64_t requests =
+      healthy_program.snapshot_result(healthy).nvm_requests;
   ASSERT_GT(requests, 20u);
 
   device_->inject_failure_after(requests / 2);
   BfsStatus faulted_status{edges.vertex_count()};
-  BfsSession faulted{storage, topology, pool_, faulted_status, root, config};
+  engine::BfsProgram faulted_program{faulted_status, root};
+  engine::ProgramSession faulted{faulted_program, storage, topology, pool_,
+                                 config};
   EXPECT_THROW(
       while (faulted.step()) {}, NvmIoError);
 }

@@ -1,7 +1,7 @@
 // The central correctness property: whatever the mode, policy, thread
 // count, or NUMA partitioning, the hybrid BFS must assign exactly the same
 // level to every vertex as the serial reference BFS.
-#include "bfs/hybrid_bfs.hpp"
+#include "engine/bfs_program.hpp"
 
 #include <gtest/gtest.h>
 

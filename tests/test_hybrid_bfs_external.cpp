@@ -2,7 +2,7 @@
 // device (and/or the backward graph partially offloaded) must produce
 // exactly the reference levels, while generating device traffic only in
 // top-down levels (resp. bottom-up overflow reads).
-#include "bfs/hybrid_bfs.hpp"
+#include "engine/bfs_program.hpp"
 
 #include <gtest/gtest.h>
 

@@ -4,8 +4,8 @@
 // own sweep here.
 #include <gtest/gtest.h>
 
-#include "bfs/hybrid_bfs.hpp"
 #include "bfs/reference_bfs.hpp"
+#include "engine/bfs_program.hpp"
 #include "graph/uniform.hpp"
 
 namespace sembfs {

@@ -4,8 +4,8 @@
 
 #include <filesystem>
 
-#include "bfs/hybrid_bfs.hpp"
 #include "bfs/reference_bfs.hpp"
+#include "engine/bfs_program.hpp"
 #include "graph_fixtures.hpp"
 #include "test_util.hpp"
 

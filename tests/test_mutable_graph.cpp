@@ -9,8 +9,8 @@
 #include <filesystem>
 #include <vector>
 
-#include "bfs/hybrid_bfs.hpp"
 #include "bfs/reference_bfs.hpp"
+#include "engine/bfs_program.hpp"
 #include "graph/compaction.hpp"
 #include "graph/csr.hpp"
 #include "graph_fixtures.hpp"

@@ -16,8 +16,8 @@
 #include <thread>
 #include <vector>
 
-#include "bfs/hybrid_bfs.hpp"
 #include "bfs/reference_bfs.hpp"
+#include "engine/bfs_program.hpp"
 #include "graph/csr.hpp"
 #include "graph/mutable_graph.hpp"
 #include "graph_fixtures.hpp"

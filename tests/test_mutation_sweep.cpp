@@ -15,9 +15,9 @@
 #include <random>
 #include <vector>
 
-#include "bfs/hybrid_bfs.hpp"
 #include "bfs/reference_bfs.hpp"
 #include "bfs/validate.hpp"
+#include "engine/bfs_program.hpp"
 #include "graph/csr.hpp"
 #include "graph/kronecker.hpp"
 #include "graph/mutable_graph.hpp"
@@ -126,8 +126,7 @@ TEST_P(MutationSweep, MergedViewMatchesRebuiltReference) {
   plan.read_error_rate = c.read_error_rate;
   if (plan.enabled()) device->set_fault_plan(plan);
 
-  BfsConfig bfs;
-  bfs.chunk_format = c.chunk_format;
+  const BfsConfig bfs;
 
   Vertex root = 0;
   {

@@ -1,13 +1,20 @@
-#include "bfs/session.hpp"
+// The level-stepped BFS: a BfsProgram driven one superstep at a time by
+// engine::ProgramSession — the loop behind HybridBfsRunner::run(), the
+// serving engine's sessions and k-hop queries.
+#include "engine/bfs_program.hpp"
 
 #include <gtest/gtest.h>
 
 #include "bfs/reference_bfs.hpp"
+#include "engine/program_session.hpp"
 #include "graph_fixtures.hpp"
 #include "obs/trace.hpp"
 
 namespace sembfs {
 namespace {
+
+using engine::BfsProgram;
+using engine::ProgramSession;
 
 class SessionTest : public ::testing::Test {
  protected:
@@ -38,12 +45,12 @@ class SessionTest : public ::testing::Test {
 
 TEST_F(SessionTest, SteppedToCompletionMatchesRunner) {
   BfsStatus status{edges_.vertex_count()};
-  BfsSession session{storage_, topology_, pool_, status, root_,
-                     BfsConfig{}};
+  BfsProgram program{status, root_};
+  ProgramSession session{program, storage_, topology_, pool_, BfsConfig{}};
   int steps = 0;
   while (session.step()) ++steps;
   EXPECT_TRUE(session.done());
-  const BfsResult stepped = session.snapshot_result();
+  const BfsResult stepped = program.snapshot_result(session);
 
   HybridBfsRunner runner{storage_, topology_, pool_};
   const BfsResult direct = runner.run(root_, BfsConfig{});
@@ -58,11 +65,11 @@ TEST_F(SessionTest, SteppedToCompletionMatchesRunner) {
 TEST_F(SessionTest, KHopTruncationYieldsExactlyKHopNeighborhood) {
   constexpr std::int32_t kHops = 2;
   BfsStatus status{edges_.vertex_count()};
-  BfsSession session{storage_, topology_, pool_, status, root_,
-                     BfsConfig{}};
+  BfsProgram program{status, root_};
+  ProgramSession session{program, storage_, topology_, pool_, BfsConfig{}};
   for (std::int32_t i = 0; i < kHops && session.step(); ++i) {
   }
-  const BfsResult partial = session.snapshot_result();
+  const BfsResult partial = program.snapshot_result(session);
 
   const ReferenceBfsResult ref = reference_bfs(full_, root_);
   for (Vertex v = 0; v < edges_.vertex_count(); ++v) {
@@ -82,11 +89,12 @@ TEST_F(SessionTest, NextLevelAndDirectionObservable) {
   Vertex hub = root_;
   for (Vertex v = 0; v < edges_.vertex_count(); ++v)
     if (full_.degree(v) > full_.degree(hub)) hub = v;
-  BfsSession session{storage_, topology_, pool_, status, hub, config};
-  EXPECT_EQ(session.next_level(), 1);
+  BfsProgram program{status, hub};
+  ProgramSession session{program, storage_, topology_, pool_, config};
+  EXPECT_EQ(session.next_superstep(), 1);
   EXPECT_EQ(session.next_direction(), Direction::TopDown);
   ASSERT_TRUE(session.step());
-  EXPECT_EQ(session.next_level(), 2);
+  EXPECT_EQ(session.next_superstep(), 2);
   EXPECT_EQ(session.next_direction(), Direction::BottomUp);
 }
 
@@ -101,23 +109,23 @@ TEST_F(SessionTest, StepAfterDoneIsNoop) {
   GraphStorage storage;
   storage.forward_dram = &fg;
   storage.backward_dram = &bg;
-  BfsSession session{storage, topology_, pool_, status, 7,  // isolated
-                     BfsConfig{}};
+  BfsProgram program{status, 7};  // isolated
+  ProgramSession session{program, storage, topology_, pool_, BfsConfig{}};
   EXPECT_FALSE(session.step());  // level 1 finds nothing
   EXPECT_TRUE(session.done());
-  const std::size_t levels_before = session.levels().size();
+  const std::size_t levels_before = session.supersteps().size();
   EXPECT_FALSE(session.step());
-  EXPECT_EQ(session.levels().size(), levels_before);
+  EXPECT_EQ(session.supersteps().size(), levels_before);
 }
 
 TEST_F(SessionTest, PerLevelStatsAccumulateIncrementally) {
   BfsStatus status{edges_.vertex_count()};
-  BfsSession session{storage_, topology_, pool_, status, root_,
-                     BfsConfig{}};
+  BfsProgram program{status, root_};
+  ProgramSession session{program, storage_, topology_, pool_, BfsConfig{}};
   std::size_t expected = 0;
   while (session.step()) {
     ++expected;
-    EXPECT_EQ(session.levels().size(), expected);
+    EXPECT_EQ(session.supersteps().size(), expected);
   }
 }
 
@@ -126,14 +134,15 @@ TEST_F(SessionTest, TraceSpansMatchLevelStats) {
   BfsStatus status{edges_.vertex_count()};
   BfsConfig config;
   config.trace = &trace;
-  BfsSession session{storage_, topology_, pool_, status, root_, config};
+  BfsProgram program{status, root_};
+  ProgramSession session{program, storage_, topology_, pool_, config};
   std::vector<Direction> decisions;
   while (true) {
     const bool more = session.step();
     decisions.push_back(session.next_direction());
     if (!more) break;
   }
-  const std::vector<LevelStats>& stats = session.levels();
+  const std::vector<LevelStats>& stats = session.supersteps();
   const std::vector<obs::TraceSpan> spans = trace.spans();
   ASSERT_EQ(spans.size(), stats.size());
   double prev_start = -1.0;
@@ -167,7 +176,8 @@ TEST_F(SessionTest, TraceAssignsRunIdsPerSession) {
   config.trace = &trace;
   for (int run = 0; run < 2; ++run) {
     BfsStatus status{edges_.vertex_count()};
-    BfsSession session{storage_, topology_, pool_, status, root_, config};
+    BfsProgram program{status, root_};
+    ProgramSession session{program, storage_, topology_, pool_, config};
     while (session.step()) {
     }
   }
@@ -183,7 +193,8 @@ TEST_F(SessionTest, ForcedModeRecordsUnevaluatedPolicy) {
   config.mode = BfsMode::TopDownOnly;
   config.trace = &trace;
   BfsStatus status{edges_.vertex_count()};
-  BfsSession session{storage_, topology_, pool_, status, root_, config};
+  BfsProgram program{status, root_};
+  ProgramSession session{program, storage_, topology_, pool_, config};
   while (session.step()) {
   }
   for (const obs::TraceSpan& span : trace.spans()) {
@@ -195,15 +206,15 @@ TEST_F(SessionTest, ForcedModeRecordsUnevaluatedPolicy) {
 
 TEST_F(SessionTest, SnapshotMidSearchCountsOnlyElapsedWork) {
   BfsStatus status{edges_.vertex_count()};
-  BfsSession session{storage_, topology_, pool_, status, root_,
-                     BfsConfig{}};
+  BfsProgram program{status, root_};
+  ProgramSession session{program, storage_, topology_, pool_, BfsConfig{}};
   session.step();
-  const BfsResult after_one = session.snapshot_result();
+  const BfsResult after_one = program.snapshot_result(session);
   EXPECT_EQ(after_one.depth, 1);
   EXPECT_EQ(after_one.levels.size(), 1u);
   while (session.step()) {
   }
-  const BfsResult full = session.snapshot_result();
+  const BfsResult full = program.snapshot_result(session);
   EXPECT_GT(full.visited, after_one.visited);
   EXPECT_GE(full.seconds, after_one.seconds);
 }

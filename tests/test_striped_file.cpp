@@ -5,8 +5,8 @@
 #include <filesystem>
 #include <numeric>
 
-#include "bfs/hybrid_bfs.hpp"
 #include "bfs/reference_bfs.hpp"
+#include "engine/bfs_program.hpp"
 #include "graph/external_csr.hpp"
 #include "graph_fixtures.hpp"
 #include "util/timer.hpp"

@@ -5,8 +5,8 @@
 #include <filesystem>
 #include <set>
 
-#include "bfs/hybrid_bfs.hpp"
 #include "bfs/reference_bfs.hpp"
+#include "engine/bfs_program.hpp"
 #include "graph_fixtures.hpp"
 #include "test_util.hpp"
 
