@@ -5,7 +5,9 @@
 //  1. Capacity — the external CSR is split across shards, so the largest
 //     per-shard NVM footprint shrinks ~linearly with the shard count: a
 //     SCALE whose block store exceeds one emulated node's budget fits
-//     once sharded.
+//     once sharded. Each shard also keeps its block resident in DRAM for
+//     the bottom-up sweep ("max shard DRAM"), as the single-node path
+//     keeps the backward graph.
 //  2. Communication — top-down sends one claim per cut edge while
 //     bottom-up only exchanges frontier membership, so the hybrid switch
 //     collapses per-level remote bytes (the multi-node analogue of the
@@ -62,8 +64,8 @@ int main() {
 
   // TEPS and footprint vs shard count, both chunk formats.
   AsciiTable table({"shards", "grid", "format", "median TEPS",
-                    "remote bytes/BFS", "max shard NVM", "total NVM",
-                    "depth"});
+                    "remote bytes/BFS", "max shard NVM", "max shard DRAM",
+                    "total NVM", "depth"});
   for (const ChunkFormat format :
        {ChunkFormat::kRaw, ChunkFormat::kVarint}) {
     for (const std::size_t shards : shard_counts) {
@@ -92,6 +94,7 @@ int main() {
            format_teps(compute_stats(std::move(teps)).median),
            format_bytes(bytes / static_cast<std::uint64_t>(roots)),
            format_bytes(bfs.max_shard_nvm_byte_size()),
+           format_bytes(bfs.max_shard_dram_byte_size()),
            format_bytes(bfs.nvm_byte_size()),
            std::to_string(depth)});
     }

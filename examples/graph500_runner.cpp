@@ -305,12 +305,14 @@ int main(int argc, char** argv) {
     std::printf(
         "dist_shards: %lld\ndist_grid: %zux%zu\ndist_format: %s\n"
         "dist_frontier_encoding: %s\ndist_total_nvm_bytes: %llu\n"
-        "dist_max_shard_nvm_bytes: %llu\ndist_roots: %d\n",
+        "dist_max_shard_nvm_bytes: %llu\ndist_max_shard_dram_bytes: %llu\n"
+        "dist_roots: %d\n",
         static_cast<long long>(shards), grid.rows(), grid.cols(),
         std::string(to_string(*shard_format)).c_str(),
         shard::encoding_choice_name(encoding),
         static_cast<unsigned long long>(sharded.nvm_byte_size()),
         static_cast<unsigned long long>(sharded.max_shard_nvm_byte_size()),
+        static_cast<unsigned long long>(sharded.max_shard_dram_byte_size()),
         config.num_roots);
 
     std::vector<double> teps;
@@ -350,7 +352,8 @@ int main(int argc, char** argv) {
           std::printf(
               "dist_level_%d: direction=%s frontier=%lld claimed=%lld "
               "frontier_bytes=%llu membership_bytes=%llu "
-              "claim_bytes=%llu remote_bytes=%llu messages=%llu\n",
+              "claim_bytes=%llu remote_bytes=%llu messages=%llu "
+              "nvm_requests=%llu\n",
               ls.level, direction_name(ls.direction),
               static_cast<long long>(ls.frontier_vertices),
               static_cast<long long>(ls.claimed_vertices),
@@ -358,7 +361,8 @@ int main(int argc, char** argv) {
               static_cast<unsigned long long>(ls.membership_bytes),
               static_cast<unsigned long long>(ls.claim_bytes),
               static_cast<unsigned long long>(ls.remote_bytes),
-              static_cast<unsigned long long>(ls.remote_messages));
+              static_cast<unsigned long long>(ls.remote_messages),
+              static_cast<unsigned long long>(ls.nvm_requests));
         double exchange_s = 0.0;
         double compute_s = 0.0;
         for (const shard::ShardLevelStats& ls : result.levels) {

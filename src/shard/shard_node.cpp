@@ -1,11 +1,13 @@
 #include "shard/shard_node.hpp"
 
+#include <utility>
+
 namespace sembfs::shard {
 
-ShardNode::ShardNode(const Csr& block, const DeviceProfile& profile,
+ShardNode::ShardNode(Csr block, const DeviceProfile& profile,
                      const std::string& dir, std::size_t shard_id,
                      const ShardNodeConfig& config)
-    : shard_id_(shard_id), config_(config) {
+    : shard_id_(shard_id), config_(config), block_(std::move(block)) {
   SEMBFS_EXPECTS(config.devices_per_shard >= 1);
   SEMBFS_EXPECTS(!config.verify_checksums || config.cache_bytes > 0);
 
@@ -16,11 +18,11 @@ ShardNode::ShardNode(const Csr& block, const DeviceProfile& profile,
   checksums_ = std::make_unique<ChunkChecksums>(config.chunk_bytes);
   if (devices_.size() == 1) {
     external_ = std::make_unique<ExternalCsrPartition>(
-        block, devices_.front(), dir, shard_id, config.chunk_bytes,
+        block_, devices_.front(), dir, shard_id, config.chunk_bytes,
         checksums_.get(), config.format);
   } else {
     external_ = std::make_unique<ExternalCsrPartition>(
-        block, devices_, dir, shard_id, config.chunk_bytes,
+        block_, devices_, dir, shard_id, config.chunk_bytes,
         checksums_.get(), config.format);
   }
 
@@ -40,14 +42,6 @@ ShardNode::ShardNode(const Csr& block, const DeviceProfile& profile,
     scheduler_ = std::make_unique<IoScheduler>(config.io_queue_depth,
                                                scheduler_config);
   }
-
-  const VertexRange sources = block.source_range();
-  degree_.resize(static_cast<std::size_t>(sources.size()), 0);
-  for (Vertex v = sources.begin; v < sources.end; ++v)
-    degree_[static_cast<std::size_t>(v - sources.begin)] =
-        static_cast<std::int32_t>(block.degree(v));
-
-  if (config.dram_fallback) dram_fallback_ = block;
 }
 
 void ShardNode::set_fault_plan(const FaultPlan& plan) {
@@ -90,7 +84,7 @@ ShardNode::FetchOutcome ShardNode::fetch_neighbors_batch(
     }
   }
 
-  if (!dram_fallback_.has_value())
+  if (!config_.dram_fallback)
     throw NvmIoError("shard " + std::to_string(shard_id_) +
                      ": batch fetch failed after retries "
                      "(DRAM fallback disabled)");
@@ -100,7 +94,7 @@ ShardNode::FetchOutcome ShardNode::fetch_neighbors_batch(
   outcome.fell_back = true;
   out.resize(batch.size());
   for (std::size_t i = 0; i < batch.size(); ++i) {
-    const auto neighbors = dram_fallback_->neighbors(batch[i]);
+    const auto neighbors = block_.neighbors(batch[i]);
     out[i].assign(neighbors.begin(), neighbors.end());
   }
   return outcome;

@@ -1,41 +1,42 @@
 // One emulated node of the sharded BFS: its edge block and its private
 // storage stack.
 //
-// Each shard owns the full I/O stack PRs 1-6 built for the single-node
-// path, instantiated privately so nothing is shared across emulated
-// nodes:
-//   - one or more NvmDevices with the scenario's profile (several devices
-//     are striped through StripedNvmFile via ExternalCsrPartition's
-//     striped constructor),
-//   - an ExternalCsrPartition of the 2D edge block (raw or varint chunk
-//     format) with its own ChunkChecksums registry,
-//   - optionally a private ChunkCache (with CRC verification against the
-//     shard's checksums) and a private IoScheduler for aggregated
-//     asynchronous fetches,
-//   - a per-shard FaultPlan armed on every device of this shard and
-//     nothing else — fault injection is the per-node failure domain.
+// Each shard keeps the paper's two views of its 2D edge block:
+//   - the NVM copy, on the same I/O stack the single-node path uses,
+//     instantiated privately so nothing is shared across emulated nodes:
+//       - one or more NvmDevices with the scenario's profile (several
+//         devices are striped through StripedNvmFile via
+//         ExternalCsrPartition's striped constructor),
+//       - an ExternalCsrPartition of the block (raw or varint chunk
+//         format) with its own ChunkChecksums registry,
+//       - optionally a private ChunkCache (with CRC verification against
+//         the shard's checksums) and a private IoScheduler for aggregated
+//         asynchronous fetches,
+//       - a per-shard FaultPlan armed on every device of this shard and
+//         nothing else — fault injection is the per-node failure domain.
+//     Only top-down expansion reads it (fetch_neighbors_batch), as only
+//     the single-node top-down step reads the offloaded forward graph.
+//   - the DRAM copy, always resident, as the single-node backward graph
+//     is: the bottom-up sweep probes it directly (local_neighbors), and
+//     has_local_edges()/local_degree() read its index, so top-down
+//     expansion skips sources with no edges in this block without a
+//     device round-trip (2D blocks are sparse — most vertices have no
+//     edges in any given block).
+// Within the semi-external model a shard's DRAM therefore holds O(n)
+// vertex state plus its block, and its NVM holds the block.
 //
-// Fault containment: a fetch that still fails after
+// Fault containment: a top-down fetch that still fails after
 // RetryPolicy.max_attempts whole-batch retries (each retry consumes fresh
-// fault-sequence indices, so transient injected errors clear) falls back
-// to the shard's DRAM copy of the block. The shard reports the failure
-// and the degraded level through FetchOutcome; the BFS result stays
+// fault-sequence indices, so transient injected errors clear) is served
+// from the DRAM copy when ShardNodeConfig::dram_fallback is set, and
+// rethrown as NvmIoError otherwise. The shard reports the failure and the
+// degraded level through FetchOutcome; the BFS result stays
 // reference-exact and no other shard observes anything — degraded, not
 // poisoned.
-//
-// DRAM-resident vertex state (all within the semi-external model, which
-// keeps O(n) vertex state in memory and only the O(m) adjacency on NVM):
-//   - has_local_edges(): one bit per source vertex of the block, so the
-//     sweep and the expansion skip sources with no edges in this block
-//     without a device round-trip (2D blocks are sparse — most vertices
-//     have no edges in any given block),
-//   - the DRAM fallback copy of the block (optional, on by default; turn
-//     it off to make fetch failures fatal instead of degrading).
 #pragma once
 
 #include <cstdint>
 #include <memory>
-#include <optional>
 #include <span>
 #include <string>
 #include <vector>
@@ -49,7 +50,6 @@
 #include "nvm/fault_plan.hpp"
 #include "nvm/io_scheduler.hpp"
 #include "nvm/nvm_device.hpp"
-#include "util/bitmap.hpp"
 
 namespace sembfs::shard {
 
@@ -66,16 +66,18 @@ struct ShardNodeConfig {
   std::size_t io_queue_depth = 0;
   /// Whole-batch retry allowance before the DRAM fallback kicks in.
   RetryPolicy retry;
-  /// Keep the DRAM copy of the block for fault degradation. Without it a
-  /// fetch failure that survives the retries propagates as NvmIoError.
+  /// Serve a top-down fetch that fails after the retries from the DRAM
+  /// copy (a degraded level). Without it the failure propagates as
+  /// NvmIoError. The DRAM copy is resident either way.
   bool dram_fallback = true;
 };
 
 class ShardNode {
  public:
   /// Offloads `block` (one 2D edge block) to this shard's private devices
-  /// under `dir`. The block's source/destination ranges are preserved.
-  ShardNode(const Csr& block, const DeviceProfile& profile,
+  /// under `dir` and keeps it as the DRAM copy. The block's
+  /// source/destination ranges are preserved.
+  ShardNode(Csr block, const DeviceProfile& profile,
             const std::string& dir, std::size_t shard_id,
             const ShardNodeConfig& config);
 
@@ -93,14 +95,25 @@ class ShardNode {
   [[nodiscard]] std::uint64_t raw_byte_size() const noexcept {
     return external_->raw_byte_size();
   }
+  /// DRAM bytes of this shard's resident block copy.
+  [[nodiscard]] std::uint64_t dram_byte_size() const noexcept {
+    return block_.byte_size();
+  }
 
   /// Degree of source v within this block (DRAM, no device traffic).
   [[nodiscard]] std::int64_t local_degree(Vertex v) const noexcept {
-    return degree_[local_index(v)];
+    SEMBFS_ASSERT(block_.covers_source(v));
+    return block_.degree(v);
   }
   /// True iff source v has at least one edge in this block.
   [[nodiscard]] bool has_local_edges(Vertex v) const noexcept {
-    return degree_[local_index(v)] > 0;
+    return local_degree(v) > 0;
+  }
+  /// Block adjacency of source v from the DRAM copy (no device traffic).
+  [[nodiscard]] std::span<const Vertex> local_neighbors(
+      Vertex v) const noexcept {
+    SEMBFS_ASSERT(block_.covers_source(v));
+    return block_.neighbors(v);
   }
 
   /// Arms `plan` on every device of this shard (and resets their fault
@@ -119,21 +132,15 @@ class ShardNode {
     bool fell_back = false;      ///< served from the DRAM copy
   };
 
-  /// Fetches the block adjacency of every vertex in `batch` into
-  /// out[i] (resized). Retries the whole batch on injected I/O errors,
-  /// then falls back to DRAM (see the containment notes above). Throws
-  /// NvmIoError only when the fallback is disabled and retries are
-  /// exhausted.
+  /// Fetches the block adjacency of every vertex in `batch` from the NVM
+  /// copy into out[i] (resized). Retries the whole batch on injected I/O
+  /// errors, then falls back to the DRAM copy (see the containment notes
+  /// above). Throws NvmIoError only when the fallback is disabled and
+  /// retries are exhausted.
   FetchOutcome fetch_neighbors_batch(std::span<const Vertex> batch,
                                      std::vector<std::vector<Vertex>>& out);
 
  private:
-  [[nodiscard]] std::size_t local_index(Vertex v) const noexcept {
-    const VertexRange sources = external_->source_range();
-    SEMBFS_ASSERT(sources.contains(v));
-    return static_cast<std::size_t>(v - sources.begin);
-  }
-
   std::size_t shard_id_;
   ShardNodeConfig config_;
   std::vector<std::shared_ptr<NvmDevice>> devices_;
@@ -141,8 +148,7 @@ class ShardNode {
   std::unique_ptr<ExternalCsrPartition> external_;
   std::unique_ptr<ChunkCache> cache_;
   std::unique_ptr<IoScheduler> scheduler_;
-  std::vector<std::int32_t> degree_;  ///< per-source block degrees (DRAM)
-  std::optional<Csr> dram_fallback_;
+  Csr block_;  ///< the DRAM copy
 };
 
 }  // namespace sembfs::shard

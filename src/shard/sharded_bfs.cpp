@@ -21,15 +21,16 @@ ShardedBfs::ShardedBfs(const EdgeList& edges, std::size_t shards,
   SEMBFS_EXPECTS(pool.size() >= shards);
   nodes_.reserve(shards);
   // Blocks are built one at a time: build_csr_filtered runs on the pool,
-  // and the pool-exclusivity contract forbids overlapping regions.
+  // and the pool-exclusivity contract forbids overlapping regions. Sorted
+  // adjacency makes the bottom-up first hit, and with it the parents and
+  // claim bytes, independent of the parallel scatter's thread timing.
+  CsrBuildOptions build_options;
+  build_options.sort_neighbors = true;
   for (std::size_t k = 0; k < shards; ++k) {
-    const Csr block =
-        build_csr_filtered(edges, grid_.source_range(k),
-                           grid_.destination_range(k), CsrBuildOptions{},
-                           pool_);
     nodes_.push_back(std::make_unique<ShardNode>(
-        block, profile, workdir + "/shard" + std::to_string(k), k,
-        node_config));
+        build_csr_filtered(edges, grid_.source_range(k),
+                           grid_.destination_range(k), build_options, pool_),
+        profile, workdir + "/shard" + std::to_string(k), k, node_config));
   }
 }
 
@@ -43,6 +44,13 @@ std::uint64_t ShardedBfs::max_shard_nvm_byte_size() const noexcept {
   std::uint64_t max = 0;
   for (const auto& node : nodes_)
     max = std::max(max, node->nvm_byte_size());
+  return max;
+}
+
+std::uint64_t ShardedBfs::max_shard_dram_byte_size() const noexcept {
+  std::uint64_t max = 0;
+  for (const auto& node : nodes_)
+    max = std::max(max, node->dram_byte_size());
   return max;
 }
 
@@ -197,26 +205,28 @@ ShardedBfsResult ShardedBfs::run(Vertex root,
       // Phase C — claim generation against this shard's edge block.
       phase_timer.reset();
       std::vector<Claim> claims;  // children non-decreasing when sent
-      std::vector<Vertex> batch;
-      std::vector<std::vector<Vertex>> adjacency;
       std::uint64_t requests = 0;
       std::uint64_t failures = 0;
       bool fell_back = false;
-      const auto fetch_batched = [&](std::span<const Vertex> vertices,
-                                     const auto& per_vertex) {
+      if (direction == Direction::TopDown) {
+        // One claim per cut edge — the O(frontier edges) traffic the
+        // direction switch exists to collapse. The only phase that reads
+        // the shard's NVM copy, in batches of `fetch_batch` sources.
+        std::vector<std::vector<Vertex>> adjacency;
         try {
-          for (std::size_t base = 0; base < vertices.size();
+          for (std::size_t base = 0; base < row_frontier.size();
                base += fetch_batch) {
-            const std::size_t count =
-                std::min(fetch_batch, vertices.size() - base);
-            const auto slice = vertices.subspan(base, count);
+            const std::span<const Vertex> slice =
+                std::span<const Vertex>{row_frontier}.subspan(
+                    base, std::min(fetch_batch, row_frontier.size() - base));
             const ShardNode::FetchOutcome outcome =
                 node.fetch_neighbors_batch(slice, adjacency);
             requests += outcome.requests;
             failures += outcome.failures;
             fell_back = fell_back || outcome.fell_back;
-            for (std::size_t i = 0; i < count; ++i)
-              per_vertex(slice[i], adjacency[i]);
+            for (std::size_t i = 0; i < slice.size(); ++i)
+              for (const Vertex w : adjacency[i])
+                claims.push_back(Claim{w, slice[i]});
           }
         } catch (...) {
           // Retries exhausted and no DRAM fallback: this shard stops
@@ -226,16 +236,6 @@ ShardedBfsResult ShardedBfs::run(Vertex root,
           if (!error) error = std::current_exception();
           shared.failed.store(true);
         }
-      };
-
-      if (direction == Direction::TopDown) {
-        // One claim per cut edge — the O(frontier edges) traffic the
-        // direction switch exists to collapse.
-        fetch_batched(row_frontier,
-                      [&](Vertex u, const std::vector<Vertex>& adj) {
-                        for (const Vertex w : adj)
-                          claims.push_back(Claim{w, u});
-                      });
         // Sorted by (child, parent): the run-flush below needs children
         // grouped by owner, and the first claim the owner sees for a
         // child is then the smallest parent from the lowest sender rank —
@@ -248,25 +248,20 @@ ShardedBfsResult ShardedBfs::run(Vertex root,
                                               : a.parent < b.parent;
                   });
       } else {
-        // Word-skip sweep of this block's unvisited sources, probing
-        // fetched adjacency against the membership bitmap with first-hit
-        // exit: at most one claim per source — O(new vertices) traffic.
-        std::vector<Vertex> candidates;
+        // Word-skip sweep of this block's unvisited sources, probing the
+        // DRAM copy of the block against the membership bitmap with
+        // first-hit exit: at most one claim per source — O(new vertices)
+        // traffic — and no device I/O.
+        const Bitmap& member = membership[k];
         sweep_unvisited(replica[k], source_range.begin, source_range.end,
                         [&](Vertex w) {
-                          if (node.has_local_edges(w))
-                            candidates.push_back(w);
-                        });
-        const Bitmap& member = membership[k];
-        fetch_batched(candidates,
-                      [&](Vertex w, const std::vector<Vertex>& adj) {
-                        for (const Vertex v : adj) {
-                          if (member.test(static_cast<std::size_t>(v))) {
-                            claims.push_back(Claim{w, v});
-                            break;
+                          for (const Vertex v : node.local_neighbors(w)) {
+                            if (member.test(static_cast<std::size_t>(v))) {
+                              claims.push_back(Claim{w, v});
+                              break;
+                            }
                           }
-                        }
-                      });
+                        });
       }
 
       // Claims are sorted by child and owner blocks are contiguous, so

@@ -1,10 +1,12 @@
 // Emulated multi-node direction-optimizing BFS over 2D-partitioned,
-// semi-external edge blocks (ROADMAP item 3; Buluç & Madduri's 2D
-// decomposition crossed with Beamer's hybrid direction switch, both in
-// PAPERS.md, over the PR 1-6 per-shard NVM stack).
+// semi-external edge blocks (Buluç & Madduri's 2D decomposition crossed
+// with Beamer's hybrid direction switch, both in PAPERS.md, over a
+// per-shard copy of the single-node NVM stack).
 //
-// R shards (ShardGrid) each hold one edge block offloaded to their own
-// private devices (ShardNode) and exchange compressed frontier messages
+// R shards (ShardGrid) each hold one edge block (ShardNode) in the
+// paper's semi-external split: a DRAM copy that the bottom-up sweep reads
+// and an NVM copy on the shard's private devices that only top-down
+// expansion reads. Shards exchange compressed frontier messages
 // (frontier_codec) over the shard::MessageBus. One BFS level runs in
 // three barriered phases on `ranks` pool workers, one worker per shard:
 //
@@ -17,14 +19,17 @@
 //      destination-block membership bitmap the sweep probes.
 //   C. claims —
 //      top-down:   shards expand the published row frontier through
-//                  their block (batched NVM fetches) and send one
-//                  (child, parent) claim per cut edge to the child's
-//                  owner — the communication volume is O(frontier
-//                  edges), which is what the direction switch collapses;
+//                  their block (batched fetches from the NVM copy) and
+//                  send one (child, parent) claim per cut edge to the
+//                  child's owner — the communication volume is
+//                  O(frontier edges), which is what the direction switch
+//                  collapses;
 //      bottom-up:  shards word-skip-sweep the unvisited sources of their
-//                  row block, probe fetched adjacency against the
+//                  row block, probe the DRAM copy's adjacency against the
 //                  membership bitmap with first-hit exit, and propose at
-//                  most one claim per source — O(new vertices) traffic.
+//                  most one claim per source — O(new vertices) traffic
+//                  and no device I/O, so only top-down levels can fail
+//                  over to a degraded read.
 //      Owners drain claims in the bus's fixed sender order, first claim
 //      per child wins, and write parent/level (single-writer: only the
 //      owner ever touches its block's BFS state).
@@ -32,9 +37,10 @@
 // Rank 0 aggregates frontier counts between barriers, snapshots the
 // per-phase byte deltas into ShardLevelStats, and runs the SwitchPolicy
 // on the same PolicyInput the single-node hybrid uses. Every step above
-// is deterministic for a given (graph, root, config, fault seeds):
-// message order, claim resolution and the per-level stats replay
-// bit-for-bit.
+// is deterministic for a given (graph, root, config, fault seeds): the
+// blocks' adjacency is sorted, so message order, claim resolution and
+// the per-level stats replay bit-for-bit across runs, instances and
+// processes, whatever the pool size.
 #pragma once
 
 #include <cstdint>
@@ -80,9 +86,10 @@ struct ShardLevelStats {
   std::uint64_t remote_messages = 0;
   /// Wall seconds summed across shards, split into exchange
   /// (encode/send/drain/decode) and compute (expansion/sweep/claim
-  /// resolution, including simulated device time).
+  /// resolution, including simulated device time on top-down levels).
   double exchange_seconds = 0.0;
   double compute_seconds = 0.0;
+  /// Device requests of the top-down fetches; 0 on bottom-up levels.
   std::uint64_t nvm_requests = 0;
   std::uint64_t io_failures = 0;     ///< contained fetch failures
   std::uint64_t degraded_shards = 0; ///< shards that fell back to DRAM
@@ -130,6 +137,8 @@ class ShardedBfs {
   [[nodiscard]] std::uint64_t nvm_byte_size() const noexcept;
   /// Largest single shard's device bytes (per-node footprint).
   [[nodiscard]] std::uint64_t max_shard_nvm_byte_size() const noexcept;
+  /// Largest single shard's resident DRAM block copy, in bytes.
+  [[nodiscard]] std::uint64_t max_shard_dram_byte_size() const noexcept;
 
   /// Arms per-shard fault plans derived from `base`: shard k draws from
   /// seed base.seed + k, so failure domains are independent and each

@@ -40,9 +40,12 @@ TEST(VarintCodecTest, BlockRoundTripArbitraryValues) {
   std::vector<std::int64_t> values;
   for (int i = 0; i < 2000; ++i) {
     // Mix magnitudes so every varint length from 1 to 10 bytes occurs.
+    // The difference is taken in uint64_t: wrapping there is defined, and
+    // the conversion back keeps both signs and every magnitude.
     const int bits = static_cast<int>(rng() % 64);
-    values.push_back(static_cast<std::int64_t>(rng() >> bits) -
-                     static_cast<std::int64_t>(rng() >> bits));
+    const std::uint64_t a = rng() >> bits;
+    const std::uint64_t b = rng() >> bits;
+    values.push_back(static_cast<std::int64_t>(a - b));
   }
   std::vector<std::byte> encoded;
   encode_adjacency_block(values, encoded);

@@ -69,6 +69,7 @@ TEST_F(IoSchedulerTest, ManyReadsEachLandInTheirOwnBuffer) {
     EXPECT_EQ(futures[i].get().value_or_throw(), 1u);
     expect_bytes(bufs[i], i * 1024);
   }
+  scheduler.drain();  // the counters update after the future resolves
   const IoSchedulerStats stats = scheduler.stats();
   EXPECT_EQ(stats.submitted, kReads);
   EXPECT_EQ(stats.completed, kReads);

@@ -1,7 +1,9 @@
 // Sharded semi-external BFS tests: ShardGrid partition invariants, the
 // reference-exact correctness matrix across shard counts / directions /
-// encodings / chunk formats, per-shard fault containment, and the
-// communication-volume collapse at the direction switch.
+// encodings / chunk formats, replay across independently built instances,
+// per-shard fault containment (top-down reads the NVM copy, bottom-up only
+// the DRAM copy), and the communication-volume collapse at the direction
+// switch.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -238,6 +240,57 @@ INSTANTIATE_TEST_SUITE_P(
       return ::testing::PrintToString(param.param);
     });
 
+// --- replay across instances ----------------------------------------------
+
+void expect_same_level_stats(const ShardLevelStats& a,
+                             const ShardLevelStats& b) {
+  EXPECT_EQ(a.level, b.level);
+  EXPECT_EQ(a.direction, b.direction);
+  EXPECT_EQ(a.frontier_vertices, b.frontier_vertices);
+  EXPECT_EQ(a.claimed_vertices, b.claimed_vertices);
+  EXPECT_EQ(a.remote_bytes, b.remote_bytes);
+  EXPECT_EQ(a.frontier_bytes, b.frontier_bytes);
+  EXPECT_EQ(a.membership_bytes, b.membership_bytes);
+  EXPECT_EQ(a.claim_bytes, b.claim_bytes);
+  EXPECT_EQ(a.remote_messages, b.remote_messages);
+  EXPECT_EQ(a.nvm_requests, b.nvm_requests);
+  EXPECT_EQ(a.io_failures, b.io_failures);
+  EXPECT_EQ(a.degraded_shards, b.degraded_shards);
+}
+
+TEST(ShardedBfsReplay, InstancesOnDifferentPoolsAgree) {
+  // Two instances built from one edge list on pools of different widths:
+  // the blocks' parallel scatter interleaves differently, yet every
+  // bottom-up first hit — and so every parent, claim byte and level stat —
+  // must match, as it would across processes.
+  ScopedTestDir dir{"shardreplay"};
+  ThreadPool narrow{4};
+  ThreadPool wide{8};
+  const EdgeList edges =
+      generate_kronecker(fixtures::small_kronecker(12, 16, kSeed), narrow);
+  const Csr full = build_csr(edges, CsrBuildOptions{}, narrow);
+  ShardedBfs a{edges, 4, narrow, DeviceProfile::dram(), dir.path() + "/a"};
+  ShardedBfs b{edges, 4, wide, DeviceProfile::dram(), dir.path() + "/b"};
+
+  int roots = 0;
+  for (Vertex root = 0; root < edges.vertex_count() && roots < 16;
+       root += 97) {
+    if (full.degree(root) == 0) continue;
+    ++roots;
+    SCOPED_TRACE("root " + std::to_string(root));
+    const ShardedBfsResult ra = a.run(root, ShardedBfsConfig{});
+    const ShardedBfsResult rb = b.run(root, ShardedBfsConfig{});
+    EXPECT_EQ(ra.parent, rb.parent);
+    EXPECT_EQ(ra.level, rb.level);
+    EXPECT_EQ(ra.total_remote_bytes, rb.total_remote_bytes);
+    EXPECT_EQ(ra.total_remote_messages, rb.total_remote_messages);
+    ASSERT_EQ(ra.levels.size(), rb.levels.size());
+    for (std::size_t i = 0; i < ra.levels.size(); ++i)
+      expect_same_level_stats(ra.levels[i], rb.levels[i]);
+  }
+  EXPECT_EQ(roots, 16);
+}
+
 // --- fault containment ----------------------------------------------------
 
 TEST(ShardedBfsFaults, SingleFaultyShardDegradesWithoutPoisoning) {
@@ -254,14 +307,19 @@ TEST(ShardedBfsFaults, SingleFaultyShardDegradesWithoutPoisoning) {
 
   // Only shard 2 fails; a certain read error means every fetch it serves
   // must come from its fallback, and no other shard may be affected.
+  // Top-down only: bottom-up levels never read the device, and the one
+  // top-down level the hybrid runs on this graph fetches nothing from
+  // shard 2.
   FaultPlan plan;
   plan.seed = kSeed;
   plan.read_error_rate = 1.0;
   bfs.set_fault_plan(2, plan);
+  ShardedBfsConfig top_down;
+  top_down.mode = ShardedBfsConfig::Mode::TopDownOnly;
 
   Vertex root = 0;
   while (full.degree(root) == 0) ++root;
-  const ShardedBfsResult result = bfs.run(root, ShardedBfsConfig{});
+  const ShardedBfsResult result = bfs.run(root, top_down);
   const ReferenceBfsResult ref = reference_bfs(full, root);
   expect_reference_exact(edges, bfs, result, ref, root);
   EXPECT_TRUE(result.degraded);
@@ -273,10 +331,41 @@ TEST(ShardedBfsFaults, SingleFaultyShardDegradesWithoutPoisoning) {
   // Clearing the plan restores a clean run.
   FaultPlan off;
   bfs.set_fault_plan(2, off);
-  const ShardedBfsResult clean = bfs.run(root, ShardedBfsConfig{});
+  const ShardedBfsResult clean = bfs.run(root, top_down);
   EXPECT_FALSE(clean.degraded);
   EXPECT_EQ(clean.io_failures, 0u);
   EXPECT_EQ(clean.parent, result.parent);
+}
+
+TEST(ShardedBfsFaults, BottomUpNeverTouchesDevice) {
+  // Bottom-up sweeps the DRAM copy of each block, so certain read errors
+  // on every shard — with no fallback to catch them — change nothing.
+  ScopedTestDir dir{"shardbu"};
+  ThreadPool pool{4};
+  const EdgeList edges =
+      generate_kronecker(fixtures::small_kronecker(10, 8, kSeed), pool);
+  const Csr full = build_csr(edges, CsrBuildOptions{}, pool);
+
+  ShardNodeConfig node_config;
+  node_config.dram_fallback = false;
+  ShardedBfs bfs{edges, 4, pool, DeviceProfile::dram(), dir.path(),
+                 node_config};
+  FaultPlan plan;
+  plan.seed = kSeed;
+  plan.read_error_rate = 1.0;
+  bfs.arm_fault_plans(plan);
+
+  ShardedBfsConfig bottom_up;
+  bottom_up.mode = ShardedBfsConfig::Mode::BottomUpOnly;
+  Vertex root = 0;
+  while (full.degree(root) == 0) ++root;
+  const ShardedBfsResult result = bfs.run(root, bottom_up);
+  const ReferenceBfsResult ref = reference_bfs(full, root);
+  expect_reference_exact(edges, bfs, result, ref, root);
+  EXPECT_FALSE(result.degraded);
+  EXPECT_EQ(result.io_failures, 0u);
+  for (const ShardLevelStats& ls : result.levels)
+    EXPECT_EQ(ls.nvm_requests, 0u) << "level " << ls.level;
 }
 
 TEST(ShardedBfsFaults, ArmedPlansStayExactAndDeterministic) {
