@@ -1,17 +1,16 @@
-// Extension: asynchronous frontier prefetch + chunk caching for the
-// semi-external forward graph.
+// Extension: chunk caching on top of the asynchronous, merged top-down
+// read path of the semi-external forward graph.
 //
 // The paper measures the I/O behaviour of its synchronous 4 KiB read(2)
 // path (Figure 12: avgqu-sz 36-56; Figure 13: avgrq-sz ~10-11 sectors) and
 // concludes that "we may exploit further I/O performance of the devices by
-// aggregating small I/O operations such as libaio". This bench measures the
-// two accelerators built on that observation, with the same iostat-style
-// methodology as Figures 12/13:
+// aggregating small I/O operations such as libaio". Every top-down level
+// now reads that way: merged batch reads posted to the graph's I/O
+// scheduler, whose depth follows the device's channels and the compute
+// workers (Figure 12's queue is reproduced by fig12_io_queue_length). This
+// bench measures the accelerator left to choose, with the same
+// iostat-style methodology as Figures 12/13:
 //
-//  - queue-depth sweep: aggregated batches posted to a background I/O
-//    scheduler (libaio-style). Double-buffering overlaps edge processing
-//    with device service; avgqu-sz shows the scheduler actually deepening
-//    the device queue.
 //  - chunk-cache sweep: a bounded DRAM cache of 4 KiB chunks. Kronecker
 //    degree skew concentrates repeat reads on hub chunks, so even a cache
 //    far smaller than the offloaded graph removes a large share of device
@@ -49,50 +48,8 @@ int main() {
 
   BfsConfig base;
   base.mode = BfsMode::TopDownOnly;  // maximize external-graph traffic
-  base.aggregate_io = true;
 
-  // --- Sweep 1: I/O scheduler queue depth (Figure 12 methodology) -------
-  {
-    AsciiTable table({"queue depth", "requests", "avgqu-sz", "avgrq-sz",
-                      "await (ms)", "sched peak pending"});
-    CsvWriter csv({"queue_depth", "requests", "avgqu_sz", "avgrq_sz",
-                   "await_ms", "peak_pending"});
-    for (const std::size_t depth : {std::size_t{0}, std::size_t{2},
-                                    std::size_t{4}, std::size_t{8},
-                                    std::size_t{16}}) {
-      external->disable_io_scheduler();  // each point starts clean
-      BfsConfig bfs = base;
-      bfs.io_queue_depth = depth;
-      const BenchmarkRun run =
-          run_graph500_bfs_phase(instance, bfs, roots, false, 0xbf5);
-      const IoScheduler* scheduler = external->io_scheduler();
-      const std::uint64_t peak =
-          scheduler != nullptr ? scheduler->stats().peak_pending : 0;
-      const std::string label = depth == 0 ? "sync" : std::to_string(depth);
-      table.add_row({label, format_count(run.nvm_io.requests),
-                     format_fixed(run.nvm_io.avg_queue_length, 2),
-                     format_fixed(run.nvm_io.avg_request_sectors, 2),
-                     format_fixed(run.nvm_io.await_ms, 3),
-                     format_count(peak)});
-      csv.add_row({label, std::to_string(run.nvm_io.requests),
-                   format_fixed(run.nvm_io.avg_queue_length, 3),
-                   format_fixed(run.nvm_io.avg_request_sectors, 2),
-                   format_fixed(run.nvm_io.await_ms, 3),
-                   std::to_string(peak)});
-    }
-    std::printf("\nqueue-depth sweep (aggregated batches, cache off):\n");
-    table.print();
-    std::printf("expected shape: the sync row lets every compute thread "
-                "queue on the device at once (Fig 12's piled-up avgqu-sz); "
-                "the scheduler rows bound device concurrency at the "
-                "configured depth — avgqu-sz grows with depth while compute "
-                "overlaps the in-flight reads — at essentially unchanged "
-                "request counts.\n");
-    maybe_write_csv(config, "extension_async_io_queue_depth", csv);
-    external->disable_io_scheduler();
-  }
-
-  // --- Sweep 2: chunk-cache capacity ------------------------------------
+  // --- Chunk-cache capacity sweep ---------------------------------------
   {
     AsciiTable table({"cache", "requests", "hit rate", "evictions",
                       "avgqu-sz"});
@@ -123,27 +80,29 @@ int main() {
                    std::to_string(stats.evictions),
                    format_fixed(run.nvm_io.avg_queue_length, 3)});
     }
-    std::printf("\nchunk-cache sweep (aggregated batches, scheduler off; "
-                "%d roots share one cache per point):\n", roots);
+    std::printf("\nchunk-cache sweep (%d roots share one cache per "
+                "point):\n", roots);
     table.print();
     std::printf("expected shape: requests fall and hit rate rises with "
                 "capacity; Kronecker hubs make even 1 MiB worthwhile.\n");
     maybe_write_csv(config, "extension_async_io_cache", csv);
   }
 
-  // --- Both accelerators together, with Step-4 validation ---------------
+  // --- Cache on the scheduler-fed path, with Step-4 validation ----------
   {
+    external->disable_chunk_cache();
     BfsConfig bfs = base;
-    bfs.io_queue_depth = 8;
     bfs.chunk_cache_bytes = 16 << 20;
     const BenchmarkRun run =
         run_graph500_bfs_phase(instance, bfs, roots, true, 0xbf5);
     std::size_t valid = 0;
     for (const auto& r : run.runs) valid += r.validated ? 1 : 0;
-    std::printf("\ncombined (depth 8 + 16 MiB cache): %zu/%zu roots "
-                "validated, %llu device requests, avgqu-sz %.2f, cache hit "
-                "rate %.1f %%\n",
-                valid, run.runs.size(),
+    const IoScheduler* scheduler = external->io_scheduler();
+    std::printf("\ncombined (16 MiB cache, scheduler depth %zu): %zu/%zu "
+                "roots validated, %llu device requests, avgqu-sz %.2f, "
+                "cache hit rate %.1f %%\n",
+                scheduler != nullptr ? scheduler->queue_depth() : 0, valid,
+                run.runs.size(),
                 static_cast<unsigned long long>(run.nvm_io.requests),
                 run.nvm_io.avg_queue_length,
                 100.0 * external->chunk_cache()->stats().hit_rate());

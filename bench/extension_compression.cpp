@@ -8,15 +8,14 @@
 // reports the before/after bytes-per-edge, avgrq-sz, and on-device
 // footprint — the acceptance target is a >= 2x bytes-per-edge reduction.
 //
-// The sweep runs the accelerator deployment shape — aggregated fetches
-// through a ChunkCache — because compression trades in whole-chunk
-// currency: a read fetches the blob span covering its logical range and
-// CRC-verifies every blob, so the saving lands where reads already move
-// chunk-sized ranges (cache fills decode each chunk exactly once, then
-// hits serve decoded DRAM). The seed per-vertex chunked path issues
-// partial-chunk requests the raw format serves byte-exact, and there
-// whole-blob fetching can *inflate* traffic for sub-chunk adjacency
-// runs; see the trade-off note in docs/DESIGN.md.
+// The sweep runs the aggregated top-down reads through a ChunkCache,
+// because compression trades in whole-chunk currency: a read fetches the
+// blob span covering its logical range and CRC-verifies every blob, so the
+// saving lands where reads already move chunk-sized ranges (cache fills
+// decode each chunk exactly once, then hits serve decoded DRAM). A
+// per-vertex chunked read issues partial-chunk requests the raw format
+// serves byte-exact, and there whole-blob fetching can *inflate* traffic
+// for sub-chunk adjacency runs; see the trade-off note in docs/DESIGN.md.
 #include <cstdio>
 #include <map>
 
@@ -63,7 +62,6 @@ int main() {
 
       BfsConfig bfs;
       bfs.mode = BfsMode::TopDownOnly;  // every level reads the NVM side
-      bfs.aggregate_io = true;          // merged ranges through the cache
       bfs.chunk_cache_bytes = 2 << 20;  // fills move whole chunks; decode
                                         // happens once per fill
       const BenchmarkRun run = run_graph500_bfs_phase(

@@ -3,9 +3,9 @@
 //
 //   1. I/O aggregation (Figure 13's conclusion: "we may exploit further
 //      I/O performance of the devices by aggregating small I/O operations
-//      such as libaio"): merge a dequeue batch's index/value reads into few
-//      large requests. Expect fewer requests, larger avgrq-sz, higher TEPS
-//      in top-down-heavy runs.
+//      such as libaio"): every external top-down level now merges a
+//      dequeue batch's index/value reads into few large requests posted to
+//      an I/O scheduler, so the full-offload row measures it.
 //   2. Degree-tiered forward placement ("further offloading graph data
 //      especially with small edges"): short adjacency lists in DRAM, hubs
 //      on NVM. Expect the Figure-11 degree~1 pathology to disappear at a
@@ -23,8 +23,8 @@ int main() {
   const BenchConfig config = BenchConfig::resolve();
   print_header(config,
                "Extensions — I/O aggregation + degree-tiered forward graph",
-               "future work of Section VIII implemented; baselines are the "
-               "paper's own 4 KiB-chunk offload");
+               "future work of Section VIII implemented; the tiered layout "
+               "still reads hubs per vertex in 4 KiB chunks");
 
   ThreadPool pool{static_cast<std::size_t>(config.env.threads)};
   const std::string dir = config.env.workdir + "/future";
@@ -61,7 +61,6 @@ int main() {
   struct Variant {
     const char* name;
     GraphStorage storage;
-    bool aggregate;
     std::uint64_t extra_dram;
   };
   GraphStorage ext_storage;
@@ -72,9 +71,8 @@ int main() {
   tiered_storage.backward_dram = &backward;
 
   const Variant variants[] = {
-      {"paper: 4 KiB chunked offload", ext_storage, false, 0},
-      {"+ I/O aggregation (libaio-style)", ext_storage, true, 0},
-      {"tiered forward (deg<=8 in DRAM)", tiered_storage, false,
+      {"full offload, aggregated I/O", ext_storage, 0},
+      {"tiered forward (deg<=8 in DRAM)", tiered_storage,
        tiered.dram_byte_size()},
   };
 
@@ -85,7 +83,6 @@ int main() {
     HybridBfsRunner runner{variant.storage, topology, pool};
     BfsConfig bfs;
     bfs.mode = BfsMode::TopDownOnly;  // stress the forward read path
-    bfs.aggregate_io = variant.aggregate;
 
     std::vector<double> teps;
     std::uint64_t requests = 0;
@@ -106,10 +103,11 @@ int main() {
   table.print();
 
   std::printf(
-      "\nexpected shapes: aggregation cuts requests and raises avgrq-sz "
-      "(the paper's libaio hypothesis); the tiered layout cuts requests "
-      "hardest (degree<=8 vertices dominate the frontier tail) at a small "
-      "DRAM cost.\n");
+      "\nexpected shapes: aggregation gives the full offload few, large "
+      "requests (the paper's libaio hypothesis); the tiered layout "
+      "serves the degree<=8 frontier tail from DRAM at a small DRAM cost, "
+      "but reads each hub per vertex in 4 KiB chunks, so it can issue "
+      "more requests than the aggregated full offload.\n");
   std::filesystem::remove_all(dir);
   return 0;
 }

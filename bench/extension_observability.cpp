@@ -86,8 +86,6 @@ int main() {
     obs::set_enabled(true);
     obs::TraceLog trace;
     BfsConfig bfs;
-    bfs.aggregate_io = true;
-    bfs.io_queue_depth = 4;
     bfs.chunk_cache_bytes = 4 << 20;
     bfs.trace = &trace;
     run_graph500_bfs_phase(instance, bfs, std::max(2, roots / 2), false,

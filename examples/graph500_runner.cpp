@@ -69,10 +69,9 @@ int main(int argc, char** argv) {
   options.add_int("seed", 12345, "generator seed");
   options.add_string("workdir", "/tmp/sembfs", "directory for NVM files");
   options.add_flag("no-validate", "skip Step 4 validation");
-  options.add_flag("aggregate-io",
-                   "merge each dequeue batch's reads into large requests");
   options.add_int("io-queue-depth", 0,
-                  "async I/O workers for batch prefetch (0 = synchronous)");
+                  "--shards mode: async I/O workers per shard for batch "
+                  "prefetch (0 = synchronous)");
   options.add_int("chunk-cache-bytes", 0,
                   "DRAM chunk cache capacity in bytes (0 = no cache)");
   options.add_string("chunk-format", "raw",
@@ -187,9 +186,6 @@ int main(int argc, char** argv) {
   config.validate = !options.get_flag("no-validate");
   config.bfs.policy.alpha = options.get_double("alpha");
   config.bfs.policy.beta = options.get_double("beta");
-  config.bfs.aggregate_io = options.get_flag("aggregate-io");
-  config.bfs.io_queue_depth =
-      static_cast<std::size_t>(options.get_int("io-queue-depth"));
   config.bfs.chunk_cache_bytes =
       static_cast<std::size_t>(options.get_int("chunk-cache-bytes"));
   const auto chunk_format =
@@ -268,7 +264,8 @@ int main(int argc, char** argv) {
 
     shard::ShardNodeConfig node_config;
     node_config.format = *shard_format;
-    node_config.io_queue_depth = config.bfs.io_queue_depth;
+    node_config.io_queue_depth =
+        static_cast<std::size_t>(options.get_int("io-queue-depth"));
     node_config.cache_bytes = config.bfs.chunk_cache_bytes;
     node_config.verify_checksums = config.bfs.verify_chunk_checksums;
     node_config.retry = config.bfs.io_retry;

@@ -58,24 +58,12 @@ void prepare_external_storage(ExternalForwardGraph& external,
     if (config.verify_chunk_checksums)
       external.enable_checksum_verification();
   }
-  if (config.io_queue_depth != 0) {
-    IoSchedulerConfig sched_config;
-    sched_config.retry = config.io_retry;
-    IoScheduler& scheduler =
-        external.enable_io_scheduler(config.io_queue_depth, sched_config);
-    // A previous level's failures must not poison this one.
-    scheduler.reset_error_budget();
-  }
 }
 
-ExternalTopDownOptions external_step_options(ExternalForwardGraph& external,
-                                             const BfsConfig& config) {
+ExternalTopDownOptions external_step_options(const BfsConfig& config) {
   ExternalTopDownOptions options;
   options.batch_size = config.batch_size;
-  options.aggregate_io = config.aggregate_io;
-  options.merge_gap_bytes = config.aggregate_merge_gap;
-  options.max_request_bytes = config.aggregate_max_request;
-  options.scheduler = external.io_scheduler();
+  options.retry = config.io_retry;
   options.io_error_budget = config.io_error_budget;
   return options;
 }

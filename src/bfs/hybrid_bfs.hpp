@@ -60,27 +60,16 @@ struct BfsConfig {
   FrontierMode frontier_mode = FrontierMode::Auto;
   int batch_size = 64;              ///< top-down frontier dequeue batch
   std::int64_t bottom_up_chunk = 1024;  ///< bottom-up sweep chunk
-  /// Semi-external top-down only: merge the index/value reads of a whole
-  /// dequeue batch into few large device requests (libaio-style
-  /// aggregation, the paper's Figure-13 suggestion) instead of per-vertex
-  /// 4 KiB chunked reads.
-  bool aggregate_io = false;
-  std::uint32_t aggregate_merge_gap = 4096;     ///< max gap merged over
-  std::uint32_t aggregate_max_request = 1 << 20;  ///< request size cap
-  /// Semi-external only: when nonzero (and aggregate_io is on), ensures
-  /// the external forward graph has a background I/O scheduler with this
-  /// many workers and double-buffers dequeue batches against it (batch
-  /// k+1's reads overlap batch k's edge processing). 0 leaves the graph's
-  /// current scheduler state untouched.
-  std::size_t io_queue_depth = 0;
   /// Semi-external only: when nonzero, ensures the external forward graph
-  /// carries a DRAM chunk cache of ~this many bytes serving repeated 4 KiB
-  /// chunks (hub index/adjacency blocks). 0 leaves the graph's current
+  /// carries a DRAM chunk cache serving repeated 4 KiB chunks (hub
+  /// index/adjacency blocks). The first traversal to ask sizes it, ~this
+  /// many bytes, for the graph's lifetime; 0 leaves the graph's current
   /// cache state untouched, so a warm cache survives across runs.
   std::size_t chunk_cache_bytes = 0;
-  /// Retry/backoff/deadline policy for the async I/O scheduler's requests
-  /// (only meaningful with io_queue_depth != 0).
-  RetryPolicy io_retry;
+  /// Semi-external only: attempts, backoff and deadline of every top-down
+  /// read. The default is one attempt, so a failed read is contained at
+  /// once and its level redone bottom-up from DRAM.
+  RetryPolicy io_retry{.max_attempts = 1};
   /// Hard adjacency-fetch failures (post-retry) tolerated per top-down
   /// level before the step aborts and the session completes the level via
   /// the DRAM bottom-up direction. 0 = degrade on the first failure.
@@ -131,20 +120,17 @@ struct GraphStorage {
   [[nodiscard]] std::int64_t degree(Vertex v) const;
 };
 
-/// Applies `config`'s semi-external I/O knobs to `external` before a
-/// top-down (push) level: ensures the chunk cache (plus checksum
-/// verification when requested) and the async I/O scheduler exist, and
-/// resets the scheduler's error budget so a previous level's failures
-/// cannot poison this one. Idempotent — the engine session calls it every
-/// push level.
+/// Applies `config`'s chunk-cache knobs to `external` before a top-down
+/// (push) level: ensures the chunk cache exists, plus checksum
+/// verification when requested. Idempotent and safe under concurrent
+/// traversals of one graph — the engine session calls it every push level.
 void prepare_external_storage(ExternalForwardGraph& external,
                               const BfsConfig& config);
 
 /// Builds the per-level options top_down_step_external and the engine's
-/// generic scatter consume from `config`, resolving the scheduler from
-/// the graph's current state.
+/// generic scatter consume from `config`.
 [[nodiscard]] ExternalTopDownOptions external_step_options(
-    ExternalForwardGraph& external, const BfsConfig& config);
+    const BfsConfig& config);
 
 struct BfsResult {
   Vertex root = kNoVertex;

@@ -115,12 +115,11 @@ StepResult top_down_step_external(ExternalForwardGraph& forward,
   const auto frontier_n = static_cast<std::int64_t>(frontier.size());
   const std::size_t workers =
       std::min<std::size_t>(pool.size(), topology.total_threads());
+  IoScheduler& scheduler = forward.io_scheduler(workers);
   TeamState state{topology.node_count(), workers};
 
   pool.run(workers, [&](std::size_t w) {
     auto& out = state.buffers[w];
-    std::vector<Vertex> scratch;                  // per-vertex staging
-    std::vector<std::vector<Vertex>> batch_adj;   // aggregated staging
     std::int64_t local_claimed = 0;
     std::int64_t local_scanned = 0;
     std::uint64_t local_requests = 0;
@@ -135,15 +134,6 @@ StepResult top_down_step_external(ExternalForwardGraph& forward,
 
     for_each_assigned_node(w, workers, forward.node_count(), [&](std::size_t node) {
       ExternalCsrPartition& part = forward.partition(node);
-      const auto process = [&](Vertex v, std::span<const Vertex> adjacency) {
-        if (options.delta == nullptr || !options.delta->touches(v)) {
-          for (const Vertex dst : adjacency) expand(v, dst);
-        } else {
-          options.delta->for_each_merged(
-              v, adjacency, part.destination_range(),
-              [&](Vertex dst) { expand(v, dst); });
-        }
-      };
       auto& cursor = state.cursors[node];
       const auto claim_batch = [&]() -> std::span<const Vertex> {
         if (state.aborted()) return {};  // budget exceeded: stop claiming
@@ -154,69 +144,22 @@ StepResult top_down_step_external(ExternalForwardGraph& forward,
             std::min<std::int64_t>(frontier_n, lo + batch_size);
         return {frontier.data() + lo, static_cast<std::size_t>(hi - lo)};
       };
-      if (options.aggregate_io && options.scheduler != nullptr) {
-        // Double-buffered prefetch: batch k+1's merged value reads are in
-        // flight on the scheduler while batch k's edges are processed. A
-        // failed start (the inline index phase can throw) yields an
-        // invalid pending batch; the batch is skipped and counted.
-        const auto start =
-            [&](std::span<const Vertex> b) -> PendingNeighborsBatch {
-          if (b.empty()) return {};
-          try {
-            return part.start_fetch_neighbors_batch(
-                b, *options.scheduler, options.merge_gap_bytes,
-                options.max_request_bytes);
-          } catch (const std::exception&) {
-            state.contain_failure(options.io_error_budget);
-            return {};
-          }
-        };
-        std::span<const Vertex> batch = claim_batch();
-        PendingNeighborsBatch pending = start(batch);
-        while (!batch.empty()) {
-          const std::span<const Vertex> next = claim_batch();
-          PendingNeighborsBatch next_pending = start(next);
-          if (pending.valid()) {
-            try {
-              local_requests += pending.wait(batch_adj);
-              for (std::size_t i = 0; i < batch.size(); ++i)
-                process(batch[i], batch_adj[i]);
-            } catch (const std::exception&) {
-              state.contain_failure(options.io_error_budget);
-            }
-          }
-          batch = next;
-          pending = std::move(next_pending);
-        }
-      } else if (options.aggregate_io) {
-        for (std::span<const Vertex> batch = claim_batch(); !batch.empty();
-             batch = claim_batch()) {
-          try {
-            local_requests += part.fetch_neighbors_batch(
-                batch, batch_adj, options.merge_gap_bytes,
-                options.max_request_bytes);
-          } catch (const std::exception&) {
-            state.contain_failure(options.io_error_budget);
-            continue;  // batch unexpanded; the level is marked incomplete
-          }
-          for (std::size_t i = 0; i < batch.size(); ++i)
-            process(batch[i], batch_adj[i]);
-        }
-      } else {
-        for (std::span<const Vertex> batch = claim_batch(); !batch.empty();
-             batch = claim_batch()) {
-          for (const Vertex v : batch) {
-            if (state.aborted()) break;
-            try {
-              local_requests += part.fetch_neighbors(v, scratch);
-            } catch (const std::exception&) {
-              state.contain_failure(options.io_error_budget);
-              continue;  // v unexpanded; the level is marked incomplete
-            }
-            process(v, scratch);
+      const auto process = [&](std::span<const Vertex> batch,
+                               const std::vector<std::vector<Vertex>>& adj) {
+        for (std::size_t i = 0; i < batch.size(); ++i) {
+          const Vertex v = batch[i];
+          if (options.delta == nullptr || !options.delta->touches(v)) {
+            for (const Vertex dst : adj[i]) expand(v, dst);
+          } else {
+            options.delta->for_each_merged(
+                v, adj[i], part.destination_range(),
+                [&](Vertex dst) { expand(v, dst); });
           }
         }
-      }
+      };
+      local_requests += part.fetch_batches_pipelined(
+          scheduler, options.retry, claim_batch, process,
+          [&] { state.contain_failure(options.io_error_budget); });
     });
     state.claimed.fetch_add(local_claimed, std::memory_order_relaxed);
     state.scanned.fetch_add(local_scanned, std::memory_order_relaxed);

@@ -7,10 +7,14 @@
 // frontier vertices in fixed batches (64 in the paper) from a per-node
 // cursor.
 //
-// Two variants share the skeleton:
+// Three variants share the skeleton:
 //  - top_down_step:          forward graph in DRAM
-//  - top_down_step_external: forward graph on simulated NVM; per frontier
-//    vertex one 16-byte index read plus <= 4 KiB value-chunk reads.
+//  - top_down_step_external: forward graph on simulated NVM; each dequeue
+//    batch's merged index and value reads go through the graph's
+//    IoScheduler, the next batch's in flight while this one is expanded
+//    (ExternalCsrPartition::fetch_batches_pipelined)
+//  - top_down_step_tiered:   small adjacencies in DRAM, hubs read per
+//    vertex from NVM.
 #pragma once
 
 #include "bfs/bfs_status.hpp"
@@ -46,22 +50,15 @@ StepResult top_down_step(const ForwardGraph& forward, BfsStatus& status,
 
 struct ExternalTopDownOptions {
   int batch_size = 64;
-  /// Merge the whole dequeue batch's reads into few large device requests
-  /// (libaio-style aggregation, paper Figure 13's conclusion).
-  bool aggregate_io = false;
-  std::uint32_t merge_gap_bytes = 4096;
-  std::uint32_t max_request_bytes = 1 << 20;
-  /// When set (and aggregate_io is on), workers double-buffer: batch k+1's
-  /// merged value reads are posted to this scheduler while batch k's edges
-  /// are processed, overlapping device I/O with claim work. nullptr keeps
-  /// the synchronous path.
-  IoScheduler* scheduler = nullptr;
-  /// Failed adjacency fetches (after the scheduler's own retries) the step
-  /// tolerates before every worker stops claiming batches. A failure never
-  /// propagates as an exception — it is contained, counted in
-  /// StepResult::io_failures, and the affected vertices are simply not
-  /// expanded, leaving the level incomplete (StepResult::io_failed()).
-  /// 0 = abort the level on the first hard failure.
+  /// Attempts, backoff and deadline of every read the step posts. The
+  /// default is one attempt: a failed read is contained at once.
+  RetryPolicy retry{.max_attempts = 1};
+  /// Failed batch fetches (after `retry`) the step tolerates before every
+  /// worker stops claiming batches. A failure never propagates as an
+  /// exception — it is contained, counted in StepResult::io_failures, and
+  /// the affected vertices are simply not expanded, leaving the level
+  /// incomplete (StepResult::io_failed()). 0 = abort the level on the
+  /// first hard failure.
   std::uint64_t io_error_budget = 0;
   /// Merged-view overlay: when non-null, every expanded vertex reads its
   /// adjacency through the delta buffer (tombstoned base entries hidden,

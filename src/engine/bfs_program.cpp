@@ -32,7 +32,7 @@ StepResult BfsProgram::step(EngineContext& ctx, Direction direction) {
     }
     ExternalForwardGraph& external = *ctx.storage.forward_external;
     // The session already ran prepare_external_storage().
-    ExternalTopDownOptions options = external_step_options(external, config);
+    ExternalTopDownOptions options = external_step_options(config);
     options.delta = delta;
     return top_down_step_external(external, *status_, ctx.superstep,
                                   *ctx.topology, *ctx.pool, options);

@@ -75,7 +75,7 @@ StepResult ComponentsProgram::step(EngineContext& ctx, Direction direction) {
                              delta);
   } else {
     ExternalForwardGraph& external = *ctx.storage.forward_external;
-    ExternalTopDownOptions io = external_step_options(external, config);
+    ExternalTopDownOptions io = external_step_options(config);
     io.delta = delta;
     scatter = scatter_active(external, queue, *ctx.topology, pool, io,
                              edge_fn);

@@ -94,7 +94,7 @@ StepResult PageRankProgram::step(EngineContext& ctx, Direction direction) {
                              pool, config.batch_size, edge_fn, delta);
   } else {
     ExternalForwardGraph& external = *ctx.storage.forward_external;
-    ExternalTopDownOptions io = external_step_options(external, config);
+    ExternalTopDownOptions io = external_step_options(config);
     io.delta = delta;
     scatter = scatter_active(external, all_, *ctx.topology, pool, io,
                              edge_fn);

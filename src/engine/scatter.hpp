@@ -11,12 +11,11 @@
 //
 // Three overloads cover the three forward storages:
 //  - ForwardGraph:         DRAM adjacency spans, no I/O.
-//  - ExternalForwardGraph: semi-external; per-vertex chunked reads, or
-//    aggregated batch reads, or double-buffered async reads against an
-//    IoScheduler — selected by the same ExternalTopDownOptions (built by
-//    external_step_options()) that selects them for BFS. Failed fetches are
-//    contained (never thrown across the pool): counted, and past the
-//    error budget every worker stops claiming batches.
+//  - ExternalForwardGraph: semi-external; the BFS step's read loop
+//    (ExternalCsrPartition::fetch_batches_pipelined) under the same
+//    ExternalTopDownOptions (built by external_step_options()). Failed
+//    fetches are contained (never thrown across the pool): counted, and
+//    past the error budget every worker stops claiming batches.
 //  - TieredForwardGraph:   DRAM short lists + NVM hubs; first hard
 //    failure aborts, as in top_down_step_tiered.
 //
@@ -144,9 +143,8 @@ ScatterStats scatter_active(const ForwardGraph& forward,
   return team.stats();
 }
 
-/// Semi-external scatter: synchronous chunked, aggregated, or
-/// double-buffered async depending on `options` — the same three I/O modes
-/// as top_down_step_external, with the same containment.
+/// Semi-external scatter: the same pipelined batch reads and containment as
+/// top_down_step_external.
 template <typename EdgeFn>
 ScatterStats scatter_active(ExternalForwardGraph& forward,
                             std::span<const Vertex> active,
@@ -158,28 +156,13 @@ ScatterStats scatter_active(ExternalForwardGraph& forward,
   const auto active_n = static_cast<std::int64_t>(active.size());
   const std::size_t workers =
       std::min<std::size_t>(pool.size(), topology.total_threads());
+  IoScheduler& scheduler = forward.io_scheduler(workers);
   detail::ScatterTeam team{topology.node_count()};
 
   pool.run(workers, [&](std::size_t w) {
-    std::vector<Vertex> scratch;                 // per-vertex staging
-    std::vector<std::vector<Vertex>> batch_adj;  // aggregated staging
-    std::vector<Vertex> merged;                  // merged-view staging
+    std::vector<Vertex> merged;  // merged-view staging (delta only)
     std::int64_t local_scanned = 0;
     std::uint64_t local_requests = 0;
-
-    const auto deliver = [&](std::size_t node, Vertex u,
-                             std::span<const Vertex> adj) {
-      const DeltaBuffer* const delta = options.delta;
-      if (delta != nullptr && delta->touches(u)) {
-        merged.clear();
-        delta->for_each_merged(u, adj,
-                               forward.partition(node).destination_range(),
-                               [&](Vertex x) { merged.push_back(x); });
-        adj = std::span<const Vertex>{merged};
-      }
-      local_scanned += static_cast<std::int64_t>(adj.size());
-      edge_fn(w, node, u, adj);
-    };
 
     for_each_assigned_node(w, workers, forward.node_count(),
                            [&](std::size_t node) {
@@ -195,67 +178,25 @@ ScatterStats scatter_active(ExternalForwardGraph& forward,
         return active.subspan(static_cast<std::size_t>(lo),
                               static_cast<std::size_t>(hi - lo));
       };
-      if (options.aggregate_io && options.scheduler != nullptr) {
-        // Double-buffered prefetch: batch k+1's merged value reads are in
-        // flight while batch k's edges are processed.
-        const auto start =
-            [&](std::span<const Vertex> b) -> PendingNeighborsBatch {
-          if (b.empty()) return {};
-          try {
-            return part.start_fetch_neighbors_batch(
-                b, *options.scheduler, options.merge_gap_bytes,
-                options.max_request_bytes);
-          } catch (const std::exception&) {
-            team.contain_failure(options.io_error_budget);
-            return {};
+      const auto deliver = [&](std::span<const Vertex> batch,
+                               const std::vector<std::vector<Vertex>>& adjs) {
+        for (std::size_t i = 0; i < batch.size(); ++i) {
+          const Vertex u = batch[i];
+          std::span<const Vertex> adj{adjs[i]};
+          const DeltaBuffer* const delta = options.delta;
+          if (delta != nullptr && delta->touches(u)) {
+            merged.clear();
+            delta->for_each_merged(u, adj, part.destination_range(),
+                                   [&](Vertex x) { merged.push_back(x); });
+            adj = std::span<const Vertex>{merged};
           }
-        };
-        std::span<const Vertex> batch = claim_batch();
-        PendingNeighborsBatch pending = start(batch);
-        while (!batch.empty()) {
-          const std::span<const Vertex> next = claim_batch();
-          PendingNeighborsBatch next_pending = start(next);
-          if (pending.valid()) {
-            try {
-              local_requests += pending.wait(batch_adj);
-              for (std::size_t i = 0; i < batch.size(); ++i)
-                deliver(node, batch[i], batch_adj[i]);
-            } catch (const std::exception&) {
-              team.contain_failure(options.io_error_budget);
-            }
-          }
-          batch = next;
-          pending = std::move(next_pending);
+          local_scanned += static_cast<std::int64_t>(adj.size());
+          edge_fn(w, node, u, adj);
         }
-      } else if (options.aggregate_io) {
-        for (std::span<const Vertex> batch = claim_batch(); !batch.empty();
-             batch = claim_batch()) {
-          try {
-            local_requests += part.fetch_neighbors_batch(
-                batch, batch_adj, options.merge_gap_bytes,
-                options.max_request_bytes);
-          } catch (const std::exception&) {
-            team.contain_failure(options.io_error_budget);
-            continue;  // batch undelivered; the superstep is incomplete
-          }
-          for (std::size_t i = 0; i < batch.size(); ++i)
-            deliver(node, batch[i], batch_adj[i]);
-        }
-      } else {
-        for (std::span<const Vertex> batch = claim_batch(); !batch.empty();
-             batch = claim_batch()) {
-          for (const Vertex u : batch) {
-            if (team.aborted()) break;
-            try {
-              local_requests += part.fetch_neighbors(u, scratch);
-            } catch (const std::exception&) {
-              team.contain_failure(options.io_error_budget);
-              continue;  // u undelivered; the superstep is incomplete
-            }
-            deliver(node, u, scratch);
-          }
-        }
-      }
+      };
+      local_requests += part.fetch_batches_pipelined(
+          scheduler, options.retry, claim_batch, deliver,
+          [&] { team.contain_failure(options.io_error_budget); });
     });
     team.scanned.fetch_add(local_scanned, std::memory_order_relaxed);
     team.nvm_requests.fetch_add(local_requests, std::memory_order_relaxed);

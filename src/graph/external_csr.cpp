@@ -126,9 +126,9 @@ std::uint64_t ExternalCsrPartition::raw_byte_size() const noexcept {
 
 void ExternalCsrPartition::attach_cache(ChunkCache* cache) {
   SEMBFS_EXPECTS(cache == nullptr || cache->chunk_bytes() == chunk_bytes_);
-  cache_ = cache;
   index_->set_cache(cache);
   values_->set_cache(cache);
+  cache_.store(cache, std::memory_order_release);
 }
 
 std::pair<std::int64_t, std::int64_t> ExternalCsrPartition::fetch_bounds(
@@ -211,6 +211,41 @@ std::uint64_t value_end_bytes(const SlotBounds& s) {
   return static_cast<std::uint64_t>(s.end) * sizeof(Vertex);
 }
 
+/// Posts one read per merged range of `file` (range offsets relative to
+/// `base`) to `scheduler`, each into its own staging buffer.
+std::vector<ScheduledRead> post_reads(NvmBackingFile& file,
+                                      std::uint64_t base,
+                                      const std::vector<MergedRange>& ranges,
+                                      IoScheduler& scheduler,
+                                      ChunkCache* cache,
+                                      std::uint32_t max_request_bytes,
+                                      const RetryPolicy* retry) {
+  std::vector<ScheduledRead> reads;
+  reads.reserve(ranges.size());
+  for (const MergedRange& range : ranges) {
+    ScheduledRead& read = reads.emplace_back();
+    read.begin = range.begin;
+    read.end = range.end;
+    read.staging.resize(range.end - range.begin);
+    read.done = scheduler.submit_read(file, base + range.begin,
+                                      std::span<std::byte>{read.staging},
+                                      cache, max_request_bytes, retry);
+  }
+  return reads;
+}
+
+/// Waits for every read and returns the device requests they issued. All
+/// reads land before the first failure is rethrown, so none is left
+/// writing into staging its caller is about to free.
+std::uint64_t wait_all(std::vector<ScheduledRead>& reads) {
+  std::vector<IoResult> results;
+  results.reserve(reads.size());
+  for (ScheduledRead& read : reads) results.push_back(read.done.get());
+  std::uint64_t requests = 0;
+  for (const IoResult& result : results) requests += result.value_or_throw();
+  return requests;
+}
+
 /// Delivers adjacencies out of one fetched value range: consumes bounds
 /// (starting at `cursor`) whose byte range lies within
 /// [range_begin, range_end) — empty adjacencies are cleared in passing.
@@ -240,8 +275,8 @@ void deliver_values(std::span<const SlotBounds> bounds, std::size_t& cursor,
 std::uint64_t ExternalCsrPartition::read_merged(
     NvmBackingFile& file, std::uint64_t offset, std::span<std::byte> staging,
     std::uint32_t max_request_bytes) {
-  if (cache_ != nullptr)
-    return cache_->read(file, offset, staging, max_request_bytes);
+  if (ChunkCache* const cache = this->cache(); cache != nullptr)
+    return cache->read(file, offset, staging, max_request_bytes);
   // One aggregated request per merged range (libaio-style) — except that a
   // single adjacency run longer than the cap (a hub vertex) must still be
   // issued in max_request_bytes slices: merge_ranges never splits a run
@@ -262,7 +297,8 @@ std::uint64_t ExternalCsrPartition::read_merged(
 
 std::vector<SlotBounds> ExternalCsrPartition::batch_bounds(
     std::span<const Vertex> batch, std::uint32_t merge_gap_bytes,
-    std::uint32_t max_request_bytes, std::uint64_t& requests) {
+    std::uint32_t max_request_bytes, IoScheduler* scheduler,
+    const RetryPolicy* retry, std::uint64_t& requests) {
   // Sort batch slots by vertex so index reads for nearby vertices merge.
   std::vector<std::size_t> sorted_slots(batch.size());
   for (std::size_t i = 0; i < sorted_slots.size(); ++i) sorted_slots[i] = i;
@@ -283,22 +319,36 @@ std::vector<SlotBounds> ExternalCsrPartition::batch_bounds(
       merge_gap_bytes, max_request_bytes);
 
   std::vector<SlotBounds> bounds(batch.size());
-  std::vector<std::byte> staging;
   std::size_t cursor = 0;
-  for (const MergedRange& range : merged) {
-    staging.resize(range.end - range.begin);
-    requests += read_merged(*index_file_, index_->base_offset() + range.begin,
-                            std::span<std::byte>{staging}, max_request_bytes);
-    // Deliver bounds to every slot whose index pair lies in this range.
+  // Delivers bounds to every slot whose index pair lies in `range`.
+  const auto deliver = [&](const MergedRange& range, const std::byte* data) {
     while (cursor < sorted_slots.size()) {
       const std::size_t slot = sorted_slots[cursor];
       const auto [b, e] = index_byte_range(slot);
       if (b < range.begin || e > range.end) break;
       std::int64_t pair[2];
-      std::memcpy(pair, staging.data() + (b - range.begin), sizeof pair);
+      std::memcpy(pair, data + (b - range.begin), sizeof pair);
       bounds[cursor] = {slot, pair[0], pair[1]};
       ++cursor;
     }
+  };
+  if (scheduler == nullptr) {
+    std::vector<std::byte> staging;
+    for (const MergedRange& range : merged) {
+      staging.resize(range.end - range.begin);
+      requests += read_merged(*index_file_,
+                              index_->base_offset() + range.begin,
+                              std::span<std::byte>{staging},
+                              max_request_bytes);
+      deliver(range, staging.data());
+    }
+  } else {
+    std::vector<ScheduledRead> reads =
+        post_reads(*index_file_, index_->base_offset(), merged, *scheduler,
+                   cache(), max_request_bytes, retry);
+    requests += wait_all(reads);
+    for (std::size_t i = 0; i < merged.size(); ++i)
+      deliver(merged[i], reads[i].staging.data());
   }
   SEMBFS_ASSERT(cursor == sorted_slots.size());
 
@@ -317,8 +367,8 @@ std::uint64_t ExternalCsrPartition::fetch_neighbors_batch(
   if (batch.empty()) return 0;
   std::uint64_t requests = 0;
 
-  const std::vector<SlotBounds> bounds =
-      batch_bounds(batch, merge_gap_bytes, max_request_bytes, requests);
+  const std::vector<SlotBounds> bounds = batch_bounds(
+      batch, merge_gap_bytes, max_request_bytes, nullptr, nullptr, requests);
   const auto merged =
       merge_ranges(bounds.begin(), bounds.end(), value_begin_bytes,
                    value_end_bytes, merge_gap_bytes, max_request_bytes);
@@ -343,60 +393,35 @@ std::uint64_t ExternalCsrPartition::fetch_neighbors_batch(
 
 PendingNeighborsBatch ExternalCsrPartition::start_fetch_neighbors_batch(
     std::span<const Vertex> batch, IoScheduler& scheduler,
-    std::uint32_t merge_gap_bytes, std::uint32_t max_request_bytes) {
+    std::uint32_t merge_gap_bytes, std::uint32_t max_request_bytes,
+    const RetryPolicy* retry) {
   PendingNeighborsBatch pending;
   pending.valid_ = true;
   pending.batch_size_ = batch.size();
   if (batch.empty()) return pending;
 
-  // Index phase inline: it is tiny (16 B per vertex, heavily merged and
-  // cache-friendly) and the value ranges depend on it.
-  pending.bounds_ = batch_bounds(batch, merge_gap_bytes, max_request_bytes,
-                                 pending.index_requests_);
+  pending.bounds_ =
+      batch_bounds(batch, merge_gap_bytes, max_request_bytes, &scheduler,
+                   retry, pending.index_requests_);
   const auto merged =
       merge_ranges(pending.bounds_.begin(), pending.bounds_.end(),
                    value_begin_bytes, value_end_bytes, merge_gap_bytes,
                    max_request_bytes);
-
-  // Value phase in flight: one scheduler job per merged range.
-  pending.reads_.reserve(merged.size());
-  for (const MergedRange& range : merged) {
-    PendingNeighborsBatch::ValueRead read;
-    read.begin = range.begin;
-    read.end = range.end;
-    read.staging.resize(range.end - range.begin);
-    read.done = scheduler.submit_read(
-        *value_file_, values_->base_offset() + range.begin,
-        std::span<std::byte>{read.staging}, cache_, max_request_bytes);
-    pending.reads_.push_back(std::move(read));
-  }
+  pending.reads_ = post_reads(*value_file_, values_->base_offset(), merged,
+                              scheduler, cache(), max_request_bytes, retry);
   return pending;
 }
 
 std::uint64_t PendingNeighborsBatch::wait(
     std::vector<std::vector<Vertex>>& out) {
   SEMBFS_EXPECTS(valid_);
-  out.resize(batch_size_);
-  // Collect every completion before touching any staging buffer: if one
-  // range failed, the others must still land before their staging can be
-  // released, and only then is the failure rethrown.
-  std::vector<IoResult> results;
-  results.reserve(reads_.size());
-  for (ValueRead& read : reads_) results.push_back(read.done.get());
   valid_ = false;
-  for (const IoResult& result : results) {
-    if (!result.ok) {
-      reads_.clear();
-      bounds_.clear();
-      result.value_or_throw();
-    }
-  }
-  std::uint64_t requests = index_requests_;
+  out.resize(batch_size_);
+  const std::uint64_t requests = index_requests_ + wait_all(reads_);
   std::size_t cursor = 0;
-  for (std::size_t i = 0; i < reads_.size(); ++i) {
-    requests += results[i].requests;
-    deliver_values(bounds_, cursor, reads_[i].begin, reads_[i].end,
-                   reads_[i].staging.data(), out);
+  for (const ScheduledRead& read : reads_) {
+    deliver_values(bounds_, cursor, read.begin, read.end,
+                   read.staging.data(), out);
   }
   for (; cursor < bounds_.size(); ++cursor) {
     SEMBFS_ASSERT(bounds_[cursor].begin == bounds_[cursor].end);
@@ -406,30 +431,6 @@ std::uint64_t PendingNeighborsBatch::wait(
   bounds_.clear();
   return requests;
 }
-
-void PendingNeighborsBatch::abandon() noexcept {
-  for (ValueRead& read : reads_) {
-    if (read.done.valid()) read.done.wait();
-  }
-  reads_.clear();
-  bounds_.clear();
-  valid_ = false;
-}
-
-PendingNeighborsBatch& PendingNeighborsBatch::operator=(
-    PendingNeighborsBatch&& other) noexcept {
-  if (this != &other) {
-    abandon();  // our own reads still reference our staging buffers
-    valid_ = std::exchange(other.valid_, false);
-    batch_size_ = other.batch_size_;
-    index_requests_ = other.index_requests_;
-    bounds_ = std::move(other.bounds_);
-    reads_ = std::move(other.reads_);
-  }
-  return *this;
-}
-
-PendingNeighborsBatch::~PendingNeighborsBatch() { abandon(); }
 
 ExternalForwardGraph::ExternalForwardGraph(const ForwardGraph& forward,
                                            std::shared_ptr<NvmDevice> device,
@@ -442,6 +443,7 @@ ExternalForwardGraph::ExternalForwardGraph(const ForwardGraph& forward,
       format_(format),
       checksums_(std::make_unique<ChunkChecksums>(chunk_bytes)) {
   SEMBFS_EXPECTS(device_ != nullptr);
+  device_channels_ = device_->profile().channels;
   partitions_.reserve(forward.node_count());
   for (std::size_t k = 0; k < forward.node_count(); ++k) {
     partitions_.push_back(std::make_unique<ExternalCsrPartition>(
@@ -460,6 +462,12 @@ ExternalForwardGraph::ExternalForwardGraph(
       format_(format),
       checksums_(std::make_unique<ChunkChecksums>(chunk_bytes)) {
   SEMBFS_EXPECTS(!devices.empty());
+  std::vector<NvmDevice*> distinct;
+  for (const auto& d : devices) distinct.push_back(d.get());
+  std::sort(distinct.begin(), distinct.end());
+  distinct.erase(std::unique(distinct.begin(), distinct.end()),
+                 distinct.end());
+  for (const NvmDevice* d : distinct) device_channels_ += d->profile().channels;
   partitions_.reserve(forward.node_count());
   for (std::size_t k = 0; k < forward.node_count(); ++k) {
     partitions_.push_back(std::make_unique<ExternalCsrPartition>(
@@ -489,8 +497,8 @@ std::int64_t ExternalForwardGraph::entry_count() const noexcept {
 ChunkCache& ExternalForwardGraph::enable_chunk_cache(
     std::size_t capacity_bytes) {
   SEMBFS_EXPECTS(capacity_bytes > 0);
-  if (cache_ == nullptr || cache_->capacity_bytes() != capacity_bytes) {
-    for (auto& p : partitions_) p->attach_cache(nullptr);
+  const std::lock_guard<std::mutex> lock{mutex_};
+  if (cache_ == nullptr) {
     cache_ = std::make_unique<ChunkCache>(capacity_bytes, chunk_bytes_);
     if (verify_checksums_)
       cache_->set_checksums(checksums_.get(), checksum_max_refetches_);
@@ -500,12 +508,20 @@ ChunkCache& ExternalForwardGraph::enable_chunk_cache(
 }
 
 void ExternalForwardGraph::disable_chunk_cache() {
+  const std::lock_guard<std::mutex> lock{mutex_};
   for (auto& p : partitions_) p->attach_cache(nullptr);
   cache_.reset();
 }
 
+ChunkCache* ExternalForwardGraph::chunk_cache() noexcept {
+  const std::lock_guard<std::mutex> lock{mutex_};
+  return cache_.get();
+}
+
 void ExternalForwardGraph::enable_checksum_verification(int max_refetches) {
+  const std::lock_guard<std::mutex> lock{mutex_};
   SEMBFS_EXPECTS(cache_ != nullptr);
+  if (verify_checksums_ && checksum_max_refetches_ == max_refetches) return;
   verify_checksums_ = true;
   checksum_max_refetches_ = max_refetches;
   cache_->set_checksums(checksums_.get(), max_refetches);
@@ -515,19 +531,24 @@ void ExternalForwardGraph::enable_checksum_verification(int max_refetches) {
 }
 
 void ExternalForwardGraph::disable_checksum_verification() {
+  const std::lock_guard<std::mutex> lock{mutex_};
   verify_checksums_ = false;
   if (cache_ != nullptr) cache_->set_checksums(nullptr);
 }
 
-IoScheduler& ExternalForwardGraph::enable_io_scheduler(
-    std::size_t queue_depth, IoSchedulerConfig config) {
-  SEMBFS_EXPECTS(queue_depth >= 1);
-  if (scheduler_ == nullptr || scheduler_->queue_depth() != queue_depth ||
-      !(scheduler_->config() == config))
-    scheduler_ = std::make_unique<IoScheduler>(queue_depth, config);
+IoScheduler& ExternalForwardGraph::io_scheduler(std::size_t compute_workers) {
+  const std::size_t depth = std::max(device_channels_, compute_workers);
+  const std::lock_guard<std::mutex> lock{mutex_};
+  if (scheduler_ == nullptr)
+    scheduler_ = std::make_unique<IoScheduler>(depth);
+  else
+    scheduler_->grow(depth);
   return *scheduler_;
 }
 
-void ExternalForwardGraph::disable_io_scheduler() { scheduler_.reset(); }
+IoScheduler* ExternalForwardGraph::io_scheduler() noexcept {
+  const std::lock_guard<std::mutex> lock{mutex_};
+  return scheduler_.get();
+}
 
 }  // namespace sembfs

@@ -4,25 +4,32 @@
 //
 // Per partition there are two files — the "array file" (index) and the
 // "value file" — exactly as the paper describes ("our approach actually
-// requires twice as many files as the number of NUMA nodes"). The BFS read
-// path per frontier vertex v is:
-//   1. read index[v] and index[v+1] from the array file (one 16-byte
-//      device request),
-//   2. read values[index[v] .. index[v+1]) from the value file in <= 4 KiB
-//      chunks.
+// requires twice as many files as the number of NUMA nodes"). Top-down
+// levels read them one dequeue batch of frontier vertices at a time:
+//   1. the batch's index entries, nearby entries merged into one request,
+//   2. the batch's adjacency ranges, nearby ranges merged into requests of
+//      at most kMaxRequestBytes (the libaio-style aggregation the paper's
+//      Figure 13 concludes would get more out of the device).
+// Both phases are posted to the graph's IoScheduler, and
+// fetch_batches_pipelined keeps the next batch's reads in flight while the
+// current batch is processed, so the device sees as many requests at once
+// as the scheduler is deep (ExternalForwardGraph::io_scheduler).
 //
-// Two optional I/O accelerators sit on top (both off by default, keeping
-// the seed read path bit-for-bit):
-//   - a ChunkCache shared by all partitions serves repeated 4 KiB chunks
-//     (hub index entries and hub adjacency prefixes) from DRAM, and
-//   - an IoScheduler lets the top-down step prefetch the next dequeue
-//     batch's merged ranges asynchronously while the current batch's edges
-//     are processed (start_fetch_neighbors_batch / PendingNeighborsBatch).
+// The per-vertex primitive fetch_neighbors (one 16-byte index read, then
+// <= 4 KiB value chunks: the paper's own read(2) discipline) serves degree
+// lookups, triangle counting and the tests' request-count baselines.
+//
+// A ChunkCache shared by all partitions can serve repeated 4 KiB chunks
+// (hub index entries and hub adjacency prefixes) from DRAM.
 #pragma once
 
+#include <atomic>
 #include <cstdint>
+#include <exception>
 #include <future>
 #include <memory>
+#include <mutex>
+#include <span>
 #include <string>
 #include <vector>
 
@@ -39,22 +46,37 @@
 
 namespace sembfs {
 
+/// Batched fetches merge two reads when the gap between them is at most
+/// this many bytes...
+inline constexpr std::uint32_t kMergeGapBytes = 4096;
+/// ...and the merged request stays within this cap. A single adjacency
+/// longer than the cap is issued in cap-sized slices.
+inline constexpr std::uint32_t kMaxRequestBytes = 1 << 20;
+
+/// One merged byte range read posted to an IoScheduler. Destroying it waits
+/// for the read to land, since the read writes into `staging`.
+struct ScheduledRead {
+  ScheduledRead() = default;
+  ScheduledRead(ScheduledRead&&) noexcept = default;
+  ScheduledRead& operator=(ScheduledRead&&) = delete;
+  ~ScheduledRead() {
+    if (done.valid()) done.wait();
+  }
+
+  std::uint64_t begin = 0;  // byte offsets within the file's array
+  std::uint64_t end = 0;
+  std::vector<std::byte> staging;
+  std::future<IoResult> done;
+};
+
 /// An aggregated adjacency fetch whose merged value-range reads are in
 /// flight on an IoScheduler. Obtained from
 /// ExternalCsrPartition::start_fetch_neighbors_batch; wait() blocks until
 /// every posted range completes and scatters the per-vertex adjacencies.
-/// Move-only; must be waited (or destroyed, which waits) before the
-/// frontier span or partition it references goes away.
+/// Move-only; destroying or overwriting it waits for its reads, and it must
+/// go before the partition it references.
 class PendingNeighborsBatch {
  public:
-  PendingNeighborsBatch() = default;
-  PendingNeighborsBatch(PendingNeighborsBatch&&) = default;
-  PendingNeighborsBatch& operator=(PendingNeighborsBatch&& other) noexcept;
-  /// Blocks until every still-in-flight read completes: the reads hold
-  /// spans into this object's staging buffers, so letting the futures go
-  /// out of scope without waiting would be a use-after-free.
-  ~PendingNeighborsBatch();
-
   /// False for a default-constructed (empty) pending batch.
   [[nodiscard]] bool valid() const noexcept { return valid_; }
 
@@ -75,21 +97,11 @@ class PendingNeighborsBatch {
  private:
   friend class ExternalCsrPartition;
 
-  struct ValueRead {
-    std::uint64_t begin = 0;  // byte offsets within the value array
-    std::uint64_t end = 0;
-    std::vector<std::byte> staging;
-    std::future<IoResult> done;
-  };
-
-  /// Waits out any unconsumed futures, discarding their results.
-  void abandon() noexcept;
-
   bool valid_ = false;
   std::size_t batch_size_ = 0;
   std::uint64_t index_requests_ = 0;
   std::vector<SlotBounds> bounds_;  // sorted by value-range begin
-  std::vector<ValueRead> reads_;
+  std::vector<ScheduledRead> reads_;
 };
 
 class ExternalCsrPartition {
@@ -147,7 +159,9 @@ class ExternalCsrPartition {
   /// (nullptr detaches). The cache's chunk size must match this
   /// partition's.
   void attach_cache(ChunkCache* cache);
-  [[nodiscard]] ChunkCache* cache() const noexcept { return cache_; }
+  [[nodiscard]] ChunkCache* cache() const noexcept {
+    return cache_.load(std::memory_order_acquire);
+  }
 
   /// The registry holding this partition's offload-time chunk CRC32s
   /// (shared or private — see the constructors).
@@ -173,37 +187,55 @@ class ExternalCsrPartition {
   /// Batched, request-merging fetch (the paper's Figure-13 conclusion:
   /// "we may exploit further I/O performance of the devices by aggregating
   /// small I/O operations such as libaio"). Fetches the adjacency of every
-  /// vertex in `batch` at once: index reads for nearby vertices and value
-  /// reads for nearby ranges are merged into single device requests when
-  /// the gap between them is <= `merge_gap_bytes` and the merged request
-  /// stays <= `max_request_bytes`. Results land in out[i] for batch[i].
-  /// Returns the number of device requests issued.
-  std::uint64_t fetch_neighbors_batch(std::span<const Vertex> batch,
-                                      std::vector<std::vector<Vertex>>& out,
-                                      std::uint32_t merge_gap_bytes = 4096,
-                                      std::uint32_t max_request_bytes =
-                                          1 << 20);
+  /// vertex in `batch` at once, inline on the calling thread: index reads
+  /// for nearby vertices and value reads for nearby ranges are merged into
+  /// single device requests when the gap between them is
+  /// <= `merge_gap_bytes` and the merged request stays
+  /// <= `max_request_bytes`. Results land in out[i] for batch[i]. Returns
+  /// the number of device requests issued.
+  std::uint64_t fetch_neighbors_batch(
+      std::span<const Vertex> batch, std::vector<std::vector<Vertex>>& out,
+      std::uint32_t merge_gap_bytes = kMergeGapBytes,
+      std::uint32_t max_request_bytes = kMaxRequestBytes);
 
-  /// Asynchronous variant: performs the (small) index phase inline, then
-  /// posts the merged value-range reads to `scheduler` and returns
-  /// immediately. The caller overlaps edge processing with the in-flight
-  /// reads and collects results via PendingNeighborsBatch::wait.
+  /// Asynchronous variant: posts the merged index reads to `scheduler` and
+  /// waits for them (the value ranges depend on them), then posts the
+  /// merged value-range reads and returns without waiting. The caller
+  /// overlaps edge processing with the in-flight reads and collects results
+  /// via PendingNeighborsBatch::wait. `retry` governs every read posted
+  /// (nullptr: the scheduler's own policy). An index-phase failure throws
+  /// NvmIoError once all of the batch's index reads have landed.
   PendingNeighborsBatch start_fetch_neighbors_batch(
       std::span<const Vertex> batch, IoScheduler& scheduler,
-      std::uint32_t merge_gap_bytes = 4096,
-      std::uint32_t max_request_bytes = 1 << 20);
+      std::uint32_t merge_gap_bytes = kMergeGapBytes,
+      std::uint32_t max_request_bytes = kMaxRequestBytes,
+      const RetryPolicy* retry = nullptr);
+
+  /// The semi-external top-down read loop that the BFS step and the
+  /// engine's scatter share. Pulls dequeue batches from `next_batch()`
+  /// until it returns an empty span and hands each one to
+  /// `visit(batch, adjacencies)`, keeping the next batch's reads in flight
+  /// on `scheduler` while the current one is visited. A batch whose fetch
+  /// fails is not visited: `on_failure()` is told instead, and nothing
+  /// throws. Returns the device requests issued.
+  template <typename NextBatch, typename Visit, typename OnFailure>
+  std::uint64_t fetch_batches_pipelined(IoScheduler& scheduler,
+                                        const RetryPolicy& retry,
+                                        NextBatch&& next_batch, Visit&& visit,
+                                        OnFailure&& on_failure);
 
  private:
   void offload(const Csr& csr, std::uint32_t chunk_bytes);
   /// Replaces value_file_ with a CompressedBlockFile built from the DRAM
   /// values (kVarint offload path).
   void compress_values(const Csr& csr, std::uint32_t chunk_bytes);
-  /// Index phase of a batched fetch: merged index reads producing per-slot
-  /// value bounds sorted by value-range begin. Adds issued requests to
-  /// `requests`.
+  /// Index phase of a batched fetch: merged index reads (inline, or
+  /// through `scheduler` when non-null) producing per-slot value bounds
+  /// sorted by value-range begin. Adds issued requests to `requests`.
   std::vector<PendingNeighborsBatch::SlotBounds> batch_bounds(
       std::span<const Vertex> batch, std::uint32_t merge_gap_bytes,
-      std::uint32_t max_request_bytes, std::uint64_t& requests);
+      std::uint32_t max_request_bytes, IoScheduler* scheduler,
+      const RetryPolicy* retry, std::uint64_t& requests);
   /// One aggregated (possibly multi-chunk) read at `offset` bytes into
   /// `file`, through the cache when attached. Returns requests issued.
   std::uint64_t read_merged(NvmBackingFile& file, std::uint64_t offset,
@@ -224,11 +256,53 @@ class ExternalCsrPartition {
   std::unique_ptr<ExternalArray<Vertex>> values_;
   std::unique_ptr<ChunkChecksums> owned_checksums_;  // when none was shared
   ChunkChecksums* checksums_ = nullptr;
-  ChunkCache* cache_ = nullptr;
+  // Published atomically: a cache may be attached while another traversal
+  // reads (ExternalForwardGraph::enable_chunk_cache).
+  std::atomic<ChunkCache*> cache_{nullptr};
 };
 
+template <typename NextBatch, typename Visit, typename OnFailure>
+std::uint64_t ExternalCsrPartition::fetch_batches_pipelined(
+    IoScheduler& scheduler, const RetryPolicy& retry, NextBatch&& next_batch,
+    Visit&& visit, OnFailure&& on_failure) {
+  const auto start = [&](std::span<const Vertex> batch) {
+    if (batch.empty()) return PendingNeighborsBatch{};
+    try {
+      return start_fetch_neighbors_batch(batch, scheduler, kMergeGapBytes,
+                                         kMaxRequestBytes, &retry);
+    } catch (const std::exception&) {
+      on_failure();
+      return PendingNeighborsBatch{};
+    }
+  };
+  std::vector<std::vector<Vertex>> adjacencies;
+  std::uint64_t requests = 0;
+  std::span<const Vertex> batch = next_batch();
+  PendingNeighborsBatch pending = start(batch);
+  while (!batch.empty()) {
+    const std::span<const Vertex> next = next_batch();
+    PendingNeighborsBatch next_pending = start(next);
+    if (pending.valid()) {
+      bool fetched = true;
+      try {
+        requests += pending.wait(adjacencies);
+      } catch (const std::exception&) {
+        fetched = false;
+        on_failure();
+      }
+      if (fetched) visit(batch, adjacencies);
+    }
+    batch = next;
+    pending = std::move(next_pending);
+  }
+  return requests;
+}
+
 /// The full semi-external forward graph: one ExternalCsrPartition per node,
-/// all sharing one physical NVM device.
+/// all sharing one physical NVM device (or one stripe set). Concurrent
+/// traversals may share it: the chunk cache and the I/O scheduler are each
+/// created once, under a lock, and never replaced while the graph lives
+/// (disable_chunk_cache aside, which must not race a traversal).
 class ExternalForwardGraph {
  public:
   /// Offloads an in-DRAM forward graph; the DRAM copy may be discarded
@@ -268,22 +342,24 @@ class ExternalForwardGraph {
   [[nodiscard]] std::int64_t entry_count() const noexcept;
 
   /// Creates a chunk cache of ~`capacity_bytes` shared by every partition
-  /// and attaches it to all index/value read paths. Idempotent for an
-  /// unchanged capacity (the warm cache survives across BFS runs — that is
-  /// the point); a different capacity rebuilds the cache cold.
+  /// and attaches it to all index/value read paths, or returns the cache
+  /// already there, whatever its capacity: a warm cache survives across
+  /// BFS runs, and a cache is never replaced under a reader.
   ChunkCache& enable_chunk_cache(std::size_t capacity_bytes);
+  /// Detaches and frees the cache, so the next enable_chunk_cache starts
+  /// cold. Must not run while a traversal reads the graph.
   void disable_chunk_cache();
-  [[nodiscard]] ChunkCache* chunk_cache() noexcept { return cache_.get(); }
+  [[nodiscard]] ChunkCache* chunk_cache() noexcept;
 
-  /// Spawns (or resizes) the background I/O worker pool used by the async
-  /// top-down prefetch. Idempotent for an unchanged queue depth and
-  /// config; a change rebuilds the pool (after draining the old one).
-  IoScheduler& enable_io_scheduler(std::size_t queue_depth,
-                                   IoSchedulerConfig config = {});
-  void disable_io_scheduler();
-  [[nodiscard]] IoScheduler* io_scheduler() noexcept {
-    return scheduler_.get();
-  }
+  /// The graph's one I/O scheduler, which every semi-external top-down
+  /// level reads through. Created on first use with a depth of the summed
+  /// service channels of the graph's devices, so every channel can be
+  /// busy, or `compute_workers` when that is larger, so there are never
+  /// fewer reads in flight than workers; a later call with more workers
+  /// grows it in place. Kept for the graph's lifetime.
+  IoScheduler& io_scheduler(std::size_t compute_workers);
+  /// The scheduler, or nullptr before the first top-down level.
+  [[nodiscard]] IoScheduler* io_scheduler() noexcept;
 
   /// The shared registry of offload-time chunk CRC32s covering every
   /// partition's index and value file.
@@ -296,19 +372,24 @@ class ExternalForwardGraph {
   /// with up to `max_refetches` corrective re-reads per bad chunk.
   /// Requires an enabled chunk cache (verification lives on the miss
   /// path). Off by default — the no-fault benchmark path stays untouched.
+  /// Repeating a call with the same allowance changes nothing.
   void enable_checksum_verification(int max_refetches = 1);
   void disable_checksum_verification();
 
  private:
   VertexPartition vertex_partition_;
   std::shared_ptr<NvmDevice> device_;
+  std::size_t device_channels_ = 0;
   std::uint32_t chunk_bytes_ = 4096;
   ChunkFormat format_ = ChunkFormat::kRaw;
   std::unique_ptr<ChunkChecksums> checksums_;  // before partitions_: they record into it
   std::vector<std::unique_ptr<ExternalCsrPartition>> partitions_;
+  std::mutex mutex_;  // guards the four members below
   std::unique_ptr<ChunkCache> cache_;
+  // Declared after cache_ and partitions_, so it is joined before the files
+  // and cache its requests reference go away.
   std::unique_ptr<IoScheduler> scheduler_;
-  bool verify_checksums_ = false;  // survives a cache rebuild
+  bool verify_checksums_ = false;  // survives disable_chunk_cache
   int checksum_max_refetches_ = 1;
 };
 

@@ -9,17 +9,17 @@ namespace sembfs {
 
 void ChunkReader::set_cache(ChunkCache* cache) noexcept {
   SEMBFS_EXPECTS(cache == nullptr || cache->chunk_bytes() == chunk_bytes_);
-  cache_ = cache;
+  cache_.store(cache, std::memory_order_release);
 }
 
 std::uint64_t ChunkReader::read_range(std::uint64_t offset,
                                       std::span<std::byte> buffer) {
   SEMBFS_EXPECTS(chunk_bytes_ > 0);
   if (buffer.empty()) return 0;
-  if (cache_ != nullptr) {
+  if (ChunkCache* const cache = this->cache(); cache != nullptr) {
     // Read-through; misses are fetched one aligned chunk per request
     // (max_miss_request_bytes = 0), preserving the 4 KiB discipline.
-    return cache_->read(*file_, offset, buffer, 0);
+    return cache->read(*file_, offset, buffer, 0);
   }
   std::uint64_t requests = 0;
   std::size_t done = 0;

@@ -14,6 +14,7 @@
 // DRAM; only misses reach the device.
 #pragma once
 
+#include <atomic>
 #include <cstdint>
 #include <span>
 
@@ -34,9 +35,13 @@ class ChunkReader {
   }
 
   /// Attaches (or detaches, with nullptr) a chunk cache. The cache must use
-  /// the same chunk size so cached blocks align with device chunks.
+  /// the same chunk size so cached blocks align with device chunks. The
+  /// pointer is published atomically, so a cache attached while another
+  /// thread reads is seen either not at all or fully built.
   void set_cache(ChunkCache* cache) noexcept;
-  [[nodiscard]] ChunkCache* cache() const noexcept { return cache_; }
+  [[nodiscard]] ChunkCache* cache() const noexcept {
+    return cache_.load(std::memory_order_acquire);
+  }
 
   /// Reads buffer.size() bytes from `offset`; every device request stays
   /// within one aligned chunk. Returns the number of device requests issued
@@ -46,7 +51,7 @@ class ChunkReader {
  private:
   NvmBackingFile* file_;
   std::uint32_t chunk_bytes_;
-  ChunkCache* cache_;
+  std::atomic<ChunkCache*> cache_;
 };
 
 }  // namespace sembfs

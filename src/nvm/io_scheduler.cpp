@@ -19,10 +19,21 @@ IoScheduler::IoScheduler(std::size_t queue_depth, IoSchedulerConfig config)
           &obs::metrics().counter("io_sched.deadline_expired")),
       obs_budget_rejected_(
           &obs::metrics().counter("io_sched.budget_rejected")) {
-  SEMBFS_EXPECTS(queue_depth >= 1 && queue_depth <= 1024);
+  SEMBFS_EXPECTS(queue_depth >= 1);
   SEMBFS_EXPECTS(config_.retry.max_attempts >= 1);
-  workers_.reserve(queue_depth);
-  for (std::size_t i = 0; i < queue_depth; ++i)
+  grow(queue_depth);
+}
+
+std::size_t IoScheduler::queue_depth() const noexcept {
+  std::lock_guard<std::mutex> lock(mutex_);
+  return workers_.size();
+}
+
+void IoScheduler::grow(std::size_t queue_depth) {
+  SEMBFS_EXPECTS(queue_depth <= 1024);
+  std::lock_guard<std::mutex> lock(mutex_);
+  SEMBFS_EXPECTS(!shutdown_);
+  while (workers_.size() < queue_depth)
     workers_.emplace_back([this] { worker_loop(); });
 }
 
@@ -37,16 +48,30 @@ IoScheduler::~IoScheduler() {
   SEMBFS_ASSERT(queue_.empty() && in_service_ == 0);
 }
 
-std::future<IoResult> IoScheduler::submit_read(
-    NvmBackingFile& file, std::uint64_t offset, std::span<std::byte> dst,
-    ChunkCache* cache, std::uint64_t max_miss_request_bytes) {
+IoScheduler::Job IoScheduler::make_job(NvmBackingFile& file,
+                                       std::uint64_t offset,
+                                       std::span<std::byte> dst,
+                                       ChunkCache* cache,
+                                       std::uint64_t max_miss_request_bytes,
+                                       const RetryPolicy* retry) const {
   Job job;
   job.file = &file;
   job.offset = offset;
   job.dst = dst;
   job.cache = cache;
   job.max_miss_request_bytes = max_miss_request_bytes;
+  job.retry = retry != nullptr ? *retry : config_.retry;
+  SEMBFS_EXPECTS(job.retry.max_attempts >= 1);
   job.submitted_at = std::chrono::steady_clock::now();
+  return job;
+}
+
+std::future<IoResult> IoScheduler::submit_read(
+    NvmBackingFile& file, std::uint64_t offset, std::span<std::byte> dst,
+    ChunkCache* cache, std::uint64_t max_miss_request_bytes,
+    const RetryPolicy* retry) {
+  Job job =
+      make_job(file, offset, dst, cache, max_miss_request_bytes, retry);
   std::future<IoResult> future = job.promise.get_future();
   enqueue(std::move(job));
   return future;
@@ -55,15 +80,10 @@ std::future<IoResult> IoScheduler::submit_read(
 void IoScheduler::submit_read(
     NvmBackingFile& file, std::uint64_t offset, std::span<std::byte> dst,
     std::function<void(const IoResult&)> done, ChunkCache* cache,
-    std::uint64_t max_miss_request_bytes) {
+    std::uint64_t max_miss_request_bytes, const RetryPolicy* retry) {
   SEMBFS_EXPECTS(done != nullptr);
-  Job job;
-  job.file = &file;
-  job.offset = offset;
-  job.dst = dst;
-  job.cache = cache;
-  job.max_miss_request_bytes = max_miss_request_bytes;
-  job.submitted_at = std::chrono::steady_clock::now();
+  Job job =
+      make_job(file, offset, dst, cache, max_miss_request_bytes, retry);
   job.callback = std::move(done);
   enqueue(std::move(job));
 }
@@ -104,7 +124,7 @@ std::uint64_t IoScheduler::execute(Job& job) {
 
 IoResult IoScheduler::run_job(Job& job) {
   IoResult result;
-  const RetryPolicy& retry = config_.retry;
+  const RetryPolicy& retry = job.retry;
 
   const auto deadline_passed = [&] {
     if (retry.deadline_seconds <= 0.0) return false;

@@ -1,15 +1,16 @@
 // Asynchronous I/O scheduler for the simulated NVM devices.
 //
-// The seed read path issues synchronous read(2)-style requests inline on
-// the BFS compute workers, so the device queue never holds more requests
-// than there are compute threads touching the device at that instant — far
+// Synchronous read(2)-style requests issued inline on the BFS compute
+// workers keep at most one request per worker in the device queue — far
 // from the avgqu-sz ~36-56 the paper measures (Figure 12), and with no
-// overlap between edge processing and I/O. This scheduler provides the
-// FlashGraph/libaio-style alternative: a pool of `queue_depth` background
-// I/O workers that accept byte-range read requests and complete them via
-// futures or callbacks. Compute threads post the next dequeue batch's
-// merged ranges and keep processing already-fetched adjacencies while the
-// device services the new requests, keeping the device queue full.
+// overlap between edge processing and I/O. This scheduler is the
+// FlashGraph/libaio-style alternative every semi-external top-down level
+// reads through: a pool of `queue_depth` background I/O workers that accept
+// byte-range read requests and complete them via futures or callbacks.
+// Compute threads post the next dequeue batch's merged ranges and keep
+// processing already-fetched adjacencies while the device services the new
+// requests, keeping the device queue full. ExternalForwardGraph owns one
+// scheduler, sized from its devices' channels and the traversal's workers.
 //
 // Every request still flows through NvmDevice::submit_read, so IoStats'
 // queue-length integral (Figure 12's avgqu-sz) and request-size counters
@@ -17,11 +18,13 @@
 //
 // Failure domain: requests complete with an IoResult VALUE — never by
 // throwing across the worker-thread boundary. A failed attempt is retried
-// with exponential backoff under the configured RetryPolicy; an optional
-// per-request deadline bounds how long a request may be outstanding; and
-// an error budget makes the scheduler fail fast (no device traffic) once
-// too many requests have exhausted their retries, so a dying device does
-// not stall a whole BFS level at full retry cost.
+// with exponential backoff under a RetryPolicy (the scheduler's configured
+// one, or one carried by the request, so traversals with different
+// policies can share one scheduler); an optional per-request deadline
+// bounds how long a request may be outstanding; and an error budget makes
+// the scheduler fail fast (no device traffic) once too many requests have
+// exhausted their retries, so a dying device does not stall a whole BFS
+// level at full retry cost.
 #pragma once
 
 #include <atomic>
@@ -102,9 +105,10 @@ class IoScheduler {
   IoScheduler(const IoScheduler&) = delete;
   IoScheduler& operator=(const IoScheduler&) = delete;
 
-  [[nodiscard]] std::size_t queue_depth() const noexcept {
-    return workers_.size();
-  }
+  [[nodiscard]] std::size_t queue_depth() const noexcept;
+  /// Adds workers until there are at least `queue_depth`; never removes
+  /// any, so it is safe while other threads have requests in flight.
+  void grow(std::size_t queue_depth);
   [[nodiscard]] const IoSchedulerConfig& config() const noexcept {
     return config_;
   }
@@ -114,18 +118,22 @@ class IoScheduler {
   /// yields an IoResult whose `requests` counts device requests issued by
   /// the successful attempt: 1 for a direct read, the miss count when
   /// routed through `cache` (with miss runs merged up to
-  /// `max_miss_request_bytes`, 0 = strict per-chunk requests). The future
-  /// never throws; failures arrive as ok=false.
+  /// `max_miss_request_bytes`, 0 = strict per-chunk requests). `retry`
+  /// (copied) governs this request's attempts, backoff and deadline;
+  /// nullptr uses the configured policy. The future never throws; failures
+  /// arrive as ok=false.
   std::future<IoResult> submit_read(
       NvmBackingFile& file, std::uint64_t offset, std::span<std::byte> dst,
-      ChunkCache* cache = nullptr, std::uint64_t max_miss_request_bytes = 0);
+      ChunkCache* cache = nullptr, std::uint64_t max_miss_request_bytes = 0,
+      const RetryPolicy* retry = nullptr);
 
   /// Callback variant: `done(result)` runs on the I/O worker after the
   /// read finishes (successfully or not).
   void submit_read(
       NvmBackingFile& file, std::uint64_t offset, std::span<std::byte> dst,
       std::function<void(const IoResult&)> done, ChunkCache* cache = nullptr,
-      std::uint64_t max_miss_request_bytes = 0);
+      std::uint64_t max_miss_request_bytes = 0,
+      const RetryPolicy* retry = nullptr);
 
   /// Blocks until every request submitted so far has completed.
   void drain();
@@ -146,11 +154,16 @@ class IoScheduler {
     std::span<std::byte> dst;
     ChunkCache* cache = nullptr;
     std::uint64_t max_miss_request_bytes = 0;
+    RetryPolicy retry;
     std::chrono::steady_clock::time_point submitted_at;
     std::promise<IoResult> promise;
     std::function<void(const IoResult&)> callback;
   };
 
+  Job make_job(NvmBackingFile& file, std::uint64_t offset,
+               std::span<std::byte> dst, ChunkCache* cache,
+               std::uint64_t max_miss_request_bytes,
+               const RetryPolicy* retry) const;
   void enqueue(Job job);
   void worker_loop();
   /// One attempt: the actual device read. Throws on failure.
@@ -158,7 +171,6 @@ class IoScheduler {
   /// The full retry/backoff/deadline/budget state machine for one job.
   IoResult run_job(Job& job);
 
-  std::vector<std::thread> workers_;
   IoSchedulerConfig config_;
 
   // Observability handles (global registry; schedulers aggregate).
@@ -173,6 +185,7 @@ class IoScheduler {
   std::atomic<std::uint64_t> failed_requests_{0};
 
   mutable std::mutex mutex_;
+  std::vector<std::thread> workers_;  // grows under mutex_, never shrinks
   std::condition_variable work_cv_;
   std::condition_variable idle_cv_;
   std::deque<Job> queue_;

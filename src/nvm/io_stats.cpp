@@ -1,5 +1,7 @@
 #include "nvm/io_stats.hpp"
 
+#include <algorithm>
+
 namespace sembfs {
 
 using clock = std::chrono::steady_clock;
@@ -17,6 +19,7 @@ void IoStats::reset() {
   const std::lock_guard<std::mutex> lock{mutex_};
   window_start_ = last_event_ = clock::now();
   in_flight_ = 0;
+  peak_in_flight_ = 0;
   queue_integral_ = 0.0;
   requests_ = 0;
   bytes_ = 0;
@@ -38,6 +41,7 @@ clock::time_point IoStats::on_arrival() {
   const std::lock_guard<std::mutex> lock{mutex_};
   advance_integral_locked(now);
   ++in_flight_;
+  peak_in_flight_ = std::max(peak_in_flight_, in_flight_);
   return now;
 }
 
@@ -88,6 +92,7 @@ IoStatsSnapshot IoStats::snapshot() const {
   s.corruptions = corruptions_.load(std::memory_order_relaxed);
   s.latency_spikes = latency_spikes_.load(std::memory_order_relaxed);
   s.retries = retries_.load(std::memory_order_relaxed);
+  s.peak_in_flight = peak_in_flight_;
   s.queue_integral = integral;
   s.elapsed_seconds =
       std::chrono::duration<double>(now - window_start_).count();

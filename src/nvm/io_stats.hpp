@@ -26,6 +26,9 @@ struct IoStatsSnapshot {
   std::uint64_t corruptions = 0;     ///< injected flipped bytes
   std::uint64_t latency_spikes = 0;  ///< injected service-time spikes
   std::uint64_t retries = 0;         ///< re-issues recorded by retry layers
+  /// Most requests queued or in service at once since the last reset —
+  /// how many reads the callers actually kept in flight.
+  std::uint64_t peak_in_flight = 0;
   double elapsed_seconds = 0.0;     ///< observation window length
   double busy_seconds = 0.0;        ///< summed service time
   double wait_seconds = 0.0;        ///< summed (queue + service) time
@@ -106,6 +109,7 @@ class IoStats {
   std::chrono::steady_clock::time_point window_start_;
   std::chrono::steady_clock::time_point last_event_;
   std::uint64_t in_flight_ = 0;
+  std::uint64_t peak_in_flight_ = 0;
   double queue_integral_ = 0.0;  // sum of queue_len * dt
   std::uint64_t requests_ = 0;
   std::uint64_t bytes_ = 0;

@@ -123,6 +123,41 @@ TEST_F(FaultInjectionTest, ParallelBfsDegradesOnDeviceErrorAndRecovers) {
   EXPECT_EQ(after.level, healthy.level);
 }
 
+TEST_F(FaultInjectionTest, IoRetryHealsTopDownReadFailure) {
+  // BfsConfig::io_retry governs every top-down read: the one-shot failure
+  // that degrades a level under the default single attempt is retried on
+  // the device instead, and no level degrades.
+  const EdgeList edges =
+      generate_kronecker(fixtures::small_kronecker(10, 8, 201), pool_);
+  const VertexPartition partition{edges.vertex_count(), 4};
+  const ForwardGraph forward =
+      ForwardGraph::build(edges, partition, CsrBuildOptions{}, pool_);
+  const BackwardGraph backward =
+      BackwardGraph::build(edges, partition, CsrBuildOptions{}, pool_);
+  ExternalForwardGraph external{forward, device_, dir_.path() + "/fg"};
+
+  GraphStorage storage;
+  storage.forward_external = &external;
+  storage.backward_dram = &backward;
+  HybridBfsRunner runner{storage, NumaTopology{4, 1}, pool_};
+
+  Vertex root = 0;
+  while (backward.neighbors(root).empty()) ++root;
+  BfsConfig config;
+  config.mode = BfsMode::TopDownOnly;
+  config.io_retry.max_attempts = 3;
+  const BfsResult healthy = runner.run(root, config);
+  ASSERT_FALSE(healthy.degraded);
+
+  const std::uint64_t retries_before = device_->stats().retry_count();
+  device_->inject_failure_after(healthy.nvm_requests / 2);
+  const BfsResult retried = runner.run(root, config);
+  EXPECT_FALSE(retried.degraded);
+  EXPECT_EQ(retried.io_failures, 0u);
+  EXPECT_EQ(retried.level, healthy.level);
+  EXPECT_EQ(device_->stats().retry_count(), retries_before + 1);
+}
+
 TEST_F(FaultInjectionTest, DegradationWithoutBackwardGraphThrows) {
   // With no backward graph attached there is nothing to degrade to; the
   // failure must still surface instead of returning a truncated tree. The

@@ -7,6 +7,8 @@
 #include <gtest/gtest.h>
 
 #include <filesystem>
+#include <latch>
+#include <thread>
 
 #include "bfs/reference_bfs.hpp"
 #include "graph_fixtures.hpp"
@@ -185,14 +187,10 @@ TEST_F(ExternalBfsTest, FullyExternalBothSidesStillCorrect) {
 }
 
 TEST_F(ExternalBfsTest, AsyncPrefetchAndChunkCacheMatchReference) {
-  // Every accelerator combination must leave the traversal untouched:
-  // scheduler-only, cache-only, and both together.
+  // The scheduler-fed read path must leave the traversal untouched, with
+  // and without the chunk cache underneath it.
   const ReferenceBfsResult ref = reference_bfs(full_, root_);
-  struct Combo {
-    std::size_t queue_depth;
-    std::size_t cache_bytes;
-  };
-  for (const Combo combo : {Combo{4, 0}, Combo{0, 4 << 20}, Combo{4, 4 << 20}}) {
+  for (const std::size_t cache_bytes : {std::size_t{0}, std::size_t{4} << 20}) {
     auto device = std::make_shared<NvmDevice>(fast_profile("pcie_flash"));
     ExternalForwardGraph external{forward_, device, dir_.aux("a")};
     GraphStorage storage;
@@ -202,14 +200,11 @@ TEST_F(ExternalBfsTest, AsyncPrefetchAndChunkCacheMatchReference) {
 
     BfsConfig config;
     config.mode = BfsMode::TopDownOnly;  // maximize the external path
-    config.aggregate_io = true;
-    config.io_queue_depth = combo.queue_depth;
-    config.chunk_cache_bytes = combo.cache_bytes;
+    config.chunk_cache_bytes = cache_bytes;
     const BfsResult result = runner.run(root_, config);
     for (Vertex v = 0; v < edges_.vertex_count(); ++v)
       ASSERT_EQ(result.level[v], ref.level[v])
-          << "qd=" << combo.queue_depth << " cache=" << combo.cache_bytes
-          << " v=" << v;
+          << "cache=" << cache_bytes << " v=" << v;
   }
 }
 
@@ -223,7 +218,6 @@ TEST_F(ExternalBfsTest, ChunkCacheCutsDeviceRequests) {
 
   BfsConfig off;
   off.mode = BfsMode::TopDownOnly;
-  off.aggregate_io = true;
   const std::uint64_t cache_off = runner.run(root_, off).nvm_requests;
 
   BfsConfig on = off;
@@ -250,16 +244,92 @@ TEST_F(ExternalBfsTest, AsyncPrefetchKeepsRequestAccountingExact) {
 
   BfsConfig config;
   config.mode = BfsMode::TopDownOnly;
-  config.aggregate_io = true;
-  config.io_queue_depth = 8;
   const BfsResult result = runner.run(root_, config);
   EXPECT_GT(result.nvm_requests, 0u);
   EXPECT_EQ(device->stats().request_count(), result.nvm_requests);
   const IoScheduler* scheduler = external.io_scheduler();
   ASSERT_NE(scheduler, nullptr);
+  // Sized from the device: pcie_flash has 32 channels, more than the
+  // 4 compute workers.
+  EXPECT_EQ(scheduler->queue_depth(), 32u);
   const IoSchedulerStats sched_stats = scheduler->stats();
   EXPECT_GT(sched_stats.submitted, 0u);
   EXPECT_EQ(sched_stats.submitted, sched_stats.completed);
+}
+
+// Four compute workers on the 8-channel sata_ssd model: the default read
+// path must keep more than four reads at the device at once. A path with
+// one synchronous read per worker could never queue more than four.
+TEST_F(ExternalBfsTest, DefaultPathKeepsMoreReadsInFlightThanWorkers) {
+  // Full-length service times: every request sleeps (shorter ones spin,
+  // which would compete with the compute workers for the cores).
+  DeviceProfile profile = DeviceProfile::sata_ssd();
+  profile.time_scale = 1.0;
+  ASSERT_EQ(profile.channels, 8u);
+  auto device = std::make_shared<NvmDevice>(profile);
+  ExternalForwardGraph external{forward_, device, dir_.path()};
+  GraphStorage storage;
+  storage.forward_external = &external;
+  storage.backward_dram = &backward_;
+  ASSERT_EQ(pool_.size(), 4u);
+  HybridBfsRunner runner{storage, NumaTopology{4, 1}, pool_};
+
+  Vertex hub = 0;
+  for (Vertex v = 1; v < edges_.vertex_count(); ++v)
+    if (full_.degree(v) > full_.degree(hub)) hub = v;
+  device->stats().reset();
+  BfsConfig config;
+  config.mode = BfsMode::TopDownOnly;
+  const BfsResult result = runner.run(hub, config);
+  EXPECT_GT(device->stats().snapshot().peak_in_flight, 4u);
+  ASSERT_NE(external.io_scheduler(), nullptr);
+  EXPECT_EQ(external.io_scheduler()->queue_depth(), 8u);
+
+  const ReferenceBfsResult ref = reference_bfs(full_, hub);
+  for (Vertex v = 0; v < edges_.vertex_count(); ++v)
+    ASSERT_EQ(result.level[v], ref.level[v]) << "v=" << v;
+}
+
+// Regression: traversals sharing one graph used to race in
+// prepare_external_storage, which replaced the chunk cache (and the I/O
+// scheduler) under the other traversals' reads — a heap-use-after-free in
+// ChunkCache::read under ASan. Both are now created once per graph. Each
+// round starts a fresh graph so every round races on the creation.
+TEST_F(ExternalBfsTest, ConcurrentTraversalsShareOneGraph) {
+  constexpr int kThreads = 3;
+  constexpr int kRounds = 4;
+  const ReferenceBfsResult ref = reference_bfs(full_, root_);
+  BfsConfig config;
+  config.mode = BfsMode::TopDownOnly;
+  config.chunk_cache_bytes = 1 << 20;
+
+  for (int round = 0; round < kRounds; ++round) {
+    auto device = std::make_shared<NvmDevice>(fast_profile("pcie_flash"));
+    ExternalForwardGraph external{forward_, device,
+                                  dir_.aux("c" + std::to_string(round))};
+    GraphStorage storage;
+    storage.forward_external = &external;
+    storage.backward_dram = &backward_;
+
+    std::vector<std::vector<std::int32_t>> levels(kThreads);
+    std::latch start{kThreads};
+    std::vector<std::thread> threads;
+    for (int t = 0; t < kThreads; ++t) {
+      threads.emplace_back([&, t] {
+        ThreadPool pool{2};
+        HybridBfsRunner runner{storage, NumaTopology{4, 1}, pool};
+        start.arrive_and_wait();
+        for (int run = 0; run < 2; ++run)
+          levels[t] = runner.run(root_, config).level;
+      });
+    }
+    for (std::thread& thread : threads) thread.join();
+
+    for (int t = 0; t < kThreads; ++t)
+      for (Vertex v = 0; v < edges_.vertex_count(); ++v)
+        ASSERT_EQ(levels[t][v], ref.level[v])
+            << "round " << round << " thread " << t << " v=" << v;
+  }
 }
 
 // Regression for the EdgeRatio frontier-edge recomputation (now a parallel

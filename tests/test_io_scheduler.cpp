@@ -211,6 +211,44 @@ TEST_F(IoSchedulerTest, AttemptsExhaustedOnPersistentFault) {
   EXPECT_EQ(scheduler.stats().failures, 1u);
 }
 
+TEST_F(IoSchedulerTest, RequestRetryPolicyOverridesConfig) {
+  // Traversals sharing one scheduler carry their own policy per request:
+  // the same one-shot fault is retried under the configured default, and
+  // fails at once under a single-attempt request policy.
+  FaultPlan plan;
+  plan.fail_after_requests = 1;
+  device_->set_fault_plan(plan);
+
+  IoScheduler scheduler{1};
+  ASSERT_EQ(scheduler.config().retry.max_attempts, 3);
+  RetryPolicy single;
+  single.max_attempts = 1;
+  std::vector<std::byte> out(512);
+  const IoResult failed =
+      scheduler.submit_read(*file_, 0, out, nullptr, 0, &single).get();
+  EXPECT_FALSE(failed.ok);
+  EXPECT_EQ(failed.attempts, 1);
+  EXPECT_EQ(scheduler.stats().retries, 0u);
+
+  device_->set_fault_plan(plan);  // re-arm the one-shot fault
+  const IoResult healed = scheduler.submit_read(*file_, 0, out).get();
+  EXPECT_TRUE(healed.ok);
+  EXPECT_EQ(healed.attempts, 2);
+  expect_bytes(out, 0);
+}
+
+TEST_F(IoSchedulerTest, GrowAddsWorkersAndNeverShrinks) {
+  IoScheduler scheduler{2};
+  std::vector<std::byte> out(4096);
+  auto in_flight = scheduler.submit_read(*file_, 0, out);
+  scheduler.grow(6);
+  EXPECT_EQ(scheduler.queue_depth(), 6u);
+  scheduler.grow(3);
+  EXPECT_EQ(scheduler.queue_depth(), 6u);
+  EXPECT_TRUE(in_flight.get().ok);
+  expect_bytes(out, 0);
+}
+
 TEST_F(IoSchedulerTest, BackoffGrowsExponentiallyAndIsCapped) {
   RetryPolicy retry;
   retry.initial_backoff_us = 50.0;

@@ -29,6 +29,21 @@ TEST(IoStats, CountsRequestsAndBytes) {
   EXPECT_DOUBLE_EQ(s.avg_request_sectors, 2.0);
 }
 
+TEST(IoStats, PeakInFlightTracksMostRequestsAtOnce) {
+  IoStats stats;
+  const auto a = stats.on_arrival();
+  const auto b = stats.on_arrival();
+  const auto c = stats.on_arrival();
+  stats.on_completion(a, 512, 0.0);
+  stats.on_completion(b, 512, 0.0);
+  const auto d = stats.on_arrival();  // two in flight again, never three
+  stats.on_completion(c, 512, 0.0);
+  stats.on_completion(d, 512, 0.0);
+  EXPECT_EQ(stats.snapshot().peak_in_flight, 3u);
+  stats.reset();
+  EXPECT_EQ(stats.snapshot().peak_in_flight, 0u);
+}
+
 TEST(IoStats, SectorRoundingUp) {
   IoStats stats;
   const auto t = stats.on_arrival();
