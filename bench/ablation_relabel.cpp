@@ -26,8 +26,8 @@ double hybrid_median_teps(const EdgeList& edges, ThreadPool& pool,
   const BackwardGraph backward =
       BackwardGraph::build(edges, partition, CsrBuildOptions{}, pool);
   GraphStorage storage;
-  storage.forward_dram = &forward;
-  storage.backward_dram = &backward;
+  storage.forward = &forward;
+  storage.backward = &backward;
   HybridBfsRunner runner{
       storage, NumaTopology::with_total_threads(numa_nodes, pool.size()),
       pool};

@@ -34,8 +34,8 @@ WorkloadResult measure(const EdgeList& edges, ThreadPool& pool, int roots,
   const BackwardGraph backward =
       BackwardGraph::build(edges, partition, CsrBuildOptions{}, pool);
   GraphStorage storage;
-  storage.forward_dram = &forward;
-  storage.backward_dram = &backward;
+  storage.forward = &forward;
+  storage.backward = &backward;
   HybridBfsRunner runner{
       storage, NumaTopology::with_total_threads(numa_nodes, pool.size()),
       pool};

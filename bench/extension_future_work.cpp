@@ -64,11 +64,11 @@ int main() {
     std::uint64_t extra_dram;
   };
   GraphStorage ext_storage;
-  ext_storage.forward_external = &external;
-  ext_storage.backward_dram = &backward;
+  ext_storage.forward = &external;
+  ext_storage.backward = &backward;
   GraphStorage tiered_storage;
-  tiered_storage.forward_tiered = &tiered;
-  tiered_storage.backward_dram = &backward;
+  tiered_storage.forward = &tiered;
+  tiered_storage.backward = &backward;
 
   const Variant variants[] = {
       {"full offload, aggregated I/O", ext_storage, 0},

@@ -55,8 +55,8 @@ int main() {
     ExternalForwardGraph striped{
         forward, devices, dir + "/d" + std::to_string(device_count)};
     GraphStorage storage;
-    storage.forward_external = &striped;
-    storage.backward_dram = &backward;
+    storage.forward = &striped;
+    storage.backward = &backward;
     HybridBfsRunner runner{
         storage,
         NumaTopology::with_total_threads(

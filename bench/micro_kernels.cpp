@@ -125,8 +125,8 @@ void BM_TopDownFirstLevels(benchmark::State& state) {
     std::int64_t scanned = 0;
     for (int level = 1; level <= 3 && fx.status.frontier_size() > 0;
          ++level) {
-      scanned += top_down_step(fx.forward, fx.status, level, fx.topology,
-                               fx.pool, 64)
+      scanned += top_down_step(&fx.forward, fx.status, level, fx.topology,
+                               fx.pool)
                      .scanned_edges;
       fx.status.advance();
     }
@@ -140,10 +140,10 @@ void BM_BottomUpSweep(benchmark::State& state) {
   for (auto _ : state) {
     fx.status.reset(fx.root);
     // One top-down level to seed a frontier, then one bottom-up sweep.
-    top_down_step(fx.forward, fx.status, 1, fx.topology, fx.pool, 64);
+    top_down_step(&fx.forward, fx.status, 1, fx.topology, fx.pool);
     fx.status.advance();
     benchmark::DoNotOptimize(
-        bottom_up_step(fx.backward, fx.status, 2, fx.topology, fx.pool,
+        bottom_up_step(&fx.backward, fx.status, 2, fx.topology, fx.pool,
                        1024)
             .scanned_edges);
   }
@@ -157,10 +157,10 @@ void BM_BottomUpSweepBitmap(benchmark::State& state) {
   StepFixtureState fx{static_cast<int>(state.range(0))};
   for (auto _ : state) {
     fx.status.reset(fx.root);
-    top_down_step(fx.forward, fx.status, 1, fx.topology, fx.pool, 64);
+    top_down_step(&fx.forward, fx.status, 1, fx.topology, fx.pool);
     fx.status.advance();
     benchmark::DoNotOptimize(
-        bottom_up_step(fx.backward, fx.status, 2, fx.topology, fx.pool,
+        bottom_up_step(&fx.backward, fx.status, 2, fx.topology, fx.pool,
                        1024, BottomUpOutput::Bitmap)
             .scanned_edges);
     fx.status.advance(fx.pool);
@@ -181,12 +181,12 @@ void BM_BottomUpLateLevel(benchmark::State& state) {
     fx.status.reset(fx.root);
     for (int level = 1; level <= 3 && fx.status.frontier_size() > 0;
          ++level) {
-      top_down_step(fx.forward, fx.status, level, fx.topology, fx.pool, 64);
+      top_down_step(&fx.forward, fx.status, level, fx.topology, fx.pool);
       fx.status.advance();
     }
     state.ResumeTiming();
     benchmark::DoNotOptimize(
-        bottom_up_step(fx.backward, fx.status, 4, fx.topology, fx.pool,
+        bottom_up_step(&fx.backward, fx.status, 4, fx.topology, fx.pool,
                        1024)
             .scanned_edges);
   }

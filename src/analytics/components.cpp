@@ -95,7 +95,7 @@ ComponentsResult components_label_propagation(const Csr& csr,
   // to the components_bfs oracle either way.
   ForwardGraph forward = ForwardGraph::wrap_whole(csr);
   GraphStorage storage;
-  storage.forward_dram = &forward;
+  storage.forward = &forward;
   const NumaTopology topology{1, std::max<std::size_t>(pool.size(), 1)};
   BfsConfig config;
   config.mode = BfsMode::TopDownOnly;

@@ -49,13 +49,11 @@ StepResult finish(TeamState& state, BfsStatus& status, ThreadPool& pool,
   return result;
 }
 
-}  // namespace
-
-StepResult bottom_up_step(const BackwardGraph& backward, BfsStatus& status,
-                          std::int32_t level, const NumaTopology& topology,
-                          ThreadPool& pool, std::int64_t chunk,
-                          BottomUpOutput output, const DeltaBuffer* delta) {
-  SEMBFS_EXPECTS(chunk >= 1);
+template <typename Backward>
+StepResult sweep(Backward& backward, BfsStatus& status, std::int32_t level,
+                 const NumaTopology& topology, ThreadPool& pool,
+                 std::int64_t chunk, BottomUpOutput output,
+                 const DeltaBuffer* delta) {
   const std::size_t workers =
       std::min<std::size_t>(pool.size(), topology.total_threads());
   TeamState state{topology.node_count(), workers};
@@ -66,13 +64,15 @@ StepResult bottom_up_step(const BackwardGraph& backward, BfsStatus& status,
     auto& out = state.buffers[w];
     Bitmap* const out_bits =
         output == BottomUpOutput::Bitmap ? &status.worker_next(w) : nullptr;
+    std::vector<Vertex> scratch;  // NVM chunk staging (hybrid only)
     std::int64_t local_claimed = 0;
     std::int64_t local_scanned = 0;
+    std::uint64_t local_requests = 0;
     std::uint64_t local_swept = 0;
     std::uint64_t local_skipped = 0;
 
     for_each_assigned_node(w, workers, backward.node_count(), [&](std::size_t node) {
-      const Csr& part = backward.partition(node);
+      auto& part = backward.partition(node);
       const VertexRange range = part.source_range();
       auto& cursor = state.cursors[node];
       for (;;) {
@@ -96,7 +96,8 @@ StepResult bottom_up_step(const BackwardGraph& backward, BfsStatus& status,
                 ++local_claimed;
               };
               // Delta-inserted in-neighbors first: DRAM-cheap, and an
-              // early exit here skips the base scan entirely.
+              // early exit here skips the base scan (and any NVM tail)
+              // entirely.
               if (delta != nullptr && delta->has_inserts(vtx)) {
                 for (const Vertex candidate : delta->inserted(vtx)) {
                   ++local_scanned;
@@ -106,15 +107,17 @@ StepResult bottom_up_step(const BackwardGraph& backward, BfsStatus& status,
                   }
                 }
               }
-              for (const Vertex candidate : part.neighbors(vtx)) {
-                ++local_scanned;
-                if (status.in_frontier(candidate) &&
-                    (delta == nullptr ||
-                     !delta->edge_removed(vtx, candidate))) {
-                  claim(candidate);
-                  break;  // bottom-up early exit
-                }
-              }
+              local_requests +=
+                  visit_neighbors(part, vtx, scratch, [&](Vertex candidate) {
+                    ++local_scanned;
+                    if (status.in_frontier(candidate) &&
+                        (delta == nullptr ||
+                         !delta->edge_removed(vtx, candidate))) {
+                      claim(candidate);
+                      return false;  // bottom-up early exit
+                    }
+                    return true;
+                  });
             });
         local_swept += swept;
         local_skipped += skipped;
@@ -122,6 +125,7 @@ StepResult bottom_up_step(const BackwardGraph& backward, BfsStatus& status,
     });
     state.claimed.fetch_add(local_claimed, std::memory_order_relaxed);
     state.scanned.fetch_add(local_scanned, std::memory_order_relaxed);
+    state.nvm_requests.fetch_add(local_requests, std::memory_order_relaxed);
     state.words_swept.fetch_add(local_swept, std::memory_order_relaxed);
     state.words_skipped.fetch_add(local_skipped, std::memory_order_relaxed);
   });
@@ -129,83 +133,16 @@ StepResult bottom_up_step(const BackwardGraph& backward, BfsStatus& status,
   return finish(state, status, pool, output);
 }
 
-StepResult bottom_up_step_hybrid(HybridBackwardGraph& backward,
-                                 BfsStatus& status, std::int32_t level,
-                                 const NumaTopology& topology,
-                                 ThreadPool& pool, std::int64_t chunk,
-                                 BottomUpOutput output,
-                                 const DeltaBuffer* delta) {
+}  // namespace
+
+StepResult bottom_up_step(const BackwardStorage& backward, BfsStatus& status,
+                          std::int32_t level, const NumaTopology& topology,
+                          ThreadPool& pool, std::int64_t chunk,
+                          BottomUpOutput output, const DeltaBuffer* delta) {
   SEMBFS_EXPECTS(chunk >= 1);
-  const std::size_t workers =
-      std::min<std::size_t>(pool.size(), topology.total_threads());
-  TeamState state{topology.node_count(), workers};
-  if (output == BottomUpOutput::Bitmap) status.begin_bitmap_next(workers);
-  const AtomicBitmap& visited = status.visited_bitmap();
-
-  pool.run(workers, [&](std::size_t w) {
-    auto& out = state.buffers[w];
-    Bitmap* const out_bits =
-        output == BottomUpOutput::Bitmap ? &status.worker_next(w) : nullptr;
-    std::vector<Vertex> scratch;  // NVM chunk staging
-    std::int64_t local_claimed = 0;
-    std::int64_t local_scanned = 0;
-    std::uint64_t local_swept = 0;
-    std::uint64_t local_skipped = 0;
-
-    for_each_assigned_node(w, workers, backward.node_count(), [&](std::size_t node) {
-      HybridBackwardPartition& part = backward.partition(node);
-      const VertexRange range = part.source_range();
-      auto& cursor = state.cursors[node];
-      for (;;) {
-        const std::int64_t lo =
-            cursor.fetch_add(chunk, std::memory_order_relaxed);
-        if (lo >= range.size()) break;
-        const std::int64_t hi =
-            std::min<std::int64_t>(range.size(), lo + chunk);
-        const auto [swept, skipped] = sweep_unvisited(
-            visited, range.begin + lo, range.begin + hi, [&](Vertex vtx) {
-              const auto claim = [&](Vertex candidate) {
-                status.claim_bottom_up(vtx, candidate, level);
-                if (out_bits != nullptr) {
-                  out_bits->set(static_cast<std::size_t>(vtx));
-                } else {
-                  out.push_back(vtx);
-                }
-                ++local_claimed;
-              };
-              // Delta-inserted in-neighbors first — DRAM-cheap, and an
-              // early exit here avoids touching the NVM tail at all.
-              if (delta != nullptr && delta->has_inserts(vtx)) {
-                for (const Vertex candidate : delta->inserted(vtx)) {
-                  ++local_scanned;
-                  if (status.in_frontier(candidate)) {
-                    claim(candidate);
-                    return;
-                  }
-                }
-              }
-              part.visit_neighbors(vtx, scratch, [&](Vertex candidate) {
-                ++local_scanned;
-                if (status.in_frontier(candidate) &&
-                    (delta == nullptr ||
-                     !delta->edge_removed(vtx, candidate))) {
-                  claim(candidate);
-                  return false;  // stop scanning this vertex
-                }
-                return true;
-              });
-            });
-        local_swept += swept;
-        local_skipped += skipped;
-      }
-    });
-    state.claimed.fetch_add(local_claimed, std::memory_order_relaxed);
-    state.scanned.fetch_add(local_scanned, std::memory_order_relaxed);
-    state.words_swept.fetch_add(local_swept, std::memory_order_relaxed);
-    state.words_skipped.fetch_add(local_skipped, std::memory_order_relaxed);
+  return visit_graph(backward, [&](auto& graph) {
+    return sweep(graph, status, level, topology, pool, chunk, output, delta);
   });
-
-  return finish(state, status, pool, output);
 }
 
 }  // namespace sembfs

@@ -1,4 +1,4 @@
-// Bottom-up BFS steps (paper Figure 2), NUMA-aware and word-parallel.
+// The bottom-up BFS step (paper Figure 2), NUMA-aware and word-parallel.
 //
 // Each emulated NUMA node's team sweeps the *unvisited* vertices of its own
 // vertex range against its backward partition (complete adjacency lists),
@@ -14,12 +14,13 @@
 // no CAS — because each unvisited vertex is swept by exactly one worker
 // per level.
 //
-// Two variants:
-//  - bottom_up_step:        backward graph fully in DRAM
-//  - bottom_up_step_hybrid: first-k-edges in DRAM, remainder streamed from
-//    simulated NVM (paper Section VI-E / Figure 14)
+// One kernel serves both backward storages: it dispatches on the backward
+// side once per call and reads each vertex's in-neighbors through the
+// partition's visit_neighbors overload (graph/graph_storage.hpp) — a DRAM
+// span, or the first k edges from DRAM and the rest streamed from
+// simulated NVM (paper Section VI-E / Figure 14).
 //
-// Both emit the next frontier in either representation (see
+// It emits the next frontier in either representation (see
 // bfs_status.hpp): Queue (per-worker vectors, merged) or Bitmap
 // (per-worker bitmaps, OR-merged word-wise by advance()). The session
 // picks per level; Bitmap avoids the queue round-trip entirely on the
@@ -28,8 +29,7 @@
 
 #include "bfs/bfs_status.hpp"
 #include "bfs/top_down.hpp"  // StepResult
-#include "graph/backward_graph.hpp"
-#include "graph/hybrid_csr.hpp"
+#include "graph/graph_storage.hpp"
 #include "numa/topology.hpp"
 #include "parallel/thread_pool.hpp"
 
@@ -41,17 +41,10 @@ enum class BottomUpOutput {
   Bitmap,  ///< per-worker bitmaps -> word-wise merge in advance()
 };
 
-StepResult bottom_up_step(const BackwardGraph& backward, BfsStatus& status,
+StepResult bottom_up_step(const BackwardStorage& backward, BfsStatus& status,
                           std::int32_t level, const NumaTopology& topology,
                           ThreadPool& pool, std::int64_t chunk = 1024,
                           BottomUpOutput output = BottomUpOutput::Queue,
                           const DeltaBuffer* delta = nullptr);
-
-StepResult bottom_up_step_hybrid(HybridBackwardGraph& backward,
-                                 BfsStatus& status, std::int32_t level,
-                                 const NumaTopology& topology,
-                                 ThreadPool& pool, std::int64_t chunk = 1024,
-                                 BottomUpOutput output = BottomUpOutput::Queue,
-                                 const DeltaBuffer* delta = nullptr);
 
 }  // namespace sembfs

@@ -1,9 +1,10 @@
-// The hybrid (direction-optimizing) BFS's configuration, storage view and
-// result types — the paper's core algorithm, generic over where each
-// graph side lives:
+// The hybrid (direction-optimizing) BFS's configuration and result types —
+// the paper's core algorithm, generic over where each graph side lives
+// (GraphStorage, graph/graph_storage.hpp):
 //
-//   forward graph:  DRAM (ForwardGraph) or simulated NVM
-//                   (ExternalForwardGraph) — the paper's key offload
+//   forward graph:  DRAM (ForwardGraph), simulated NVM
+//                   (ExternalForwardGraph) — the paper's key offload — or
+//                   degree-tiered (TieredForwardGraph)
 //   backward graph: DRAM (BackwardGraph) or partially offloaded
 //                   (HybridBackwardGraph, Section VI-E)
 //
@@ -23,6 +24,7 @@
 #include "bfs/level_stats.hpp"
 #include "bfs/policy.hpp"
 #include "bfs/top_down.hpp"
+#include "graph/graph_storage.hpp"
 #include "numa/topology.hpp"
 #include "parallel/thread_pool.hpp"
 
@@ -94,32 +96,6 @@ struct BfsConfig {
   const CancelToken* cancel = nullptr;
 };
 
-/// Which concrete storage backs each side of the traversal. Exactly one
-/// forward and one backward source must be non-null.
-struct GraphStorage {
-  const ForwardGraph* forward_dram = nullptr;
-  ExternalForwardGraph* forward_external = nullptr;
-  TieredForwardGraph* forward_tiered = nullptr;
-  const BackwardGraph* backward_dram = nullptr;
-  HybridBackwardGraph* backward_hybrid = nullptr;
-  /// Mutation overlay (docs/MUTATIONS.md): when non-null, every kernel
-  /// reads adjacency through the merged view — base entries minus
-  /// tombstoned pairs, plus inserted neighbors — and degree() applies the
-  /// delta's correction. nullptr (the default) is the sealed-graph path
-  /// and costs nothing. The buffer must outlive every traversal using
-  /// this storage view (snapshots pin it via shared ownership).
-  const DeltaBuffer* delta = nullptr;
-
-  [[nodiscard]] Vertex vertex_count() const noexcept;
-  /// Full degree of v under the merged view (needed for TEPS accounting
-  /// and the EdgeRatio policy). Served from whichever backward graph is
-  /// attached (DRAM, one lookup) plus the delta adjustment; forward-only
-  /// storage falls back to summing the destination-filtered forward
-  /// partition degrees — correct, but it touches every partition and may
-  /// issue device I/O for external and tiered forward graphs.
-  [[nodiscard]] std::int64_t degree(Vertex v) const;
-};
-
 /// Applies `config`'s chunk-cache knobs to `external` before a top-down
 /// (push) level: ensures the chunk cache exists, plus checksum
 /// verification when requested. Idempotent and safe under concurrent
@@ -127,10 +103,9 @@ struct GraphStorage {
 void prepare_external_storage(ExternalForwardGraph& external,
                               const BfsConfig& config);
 
-/// Builds the per-level options top_down_step_external and the engine's
-/// generic scatter consume from `config`.
-[[nodiscard]] ExternalTopDownOptions external_step_options(
-    const BfsConfig& config);
+/// The push options a level over `storage` takes from `config`.
+[[nodiscard]] PushOptions push_options(const BfsConfig& config,
+                                       const GraphStorage& storage);
 
 struct BfsResult {
   Vertex root = kNoVertex;

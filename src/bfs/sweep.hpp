@@ -1,9 +1,9 @@
 // The word-skip unvisited sweep shared by every bottom-up-shaped kernel
-// (single-search bottom_up_step/_hybrid and the serving layer's batched
-// MS-BFS). Workers load 64 vertices' "done" bits at a time and skip
-// saturated words outright — on late levels nearly every word is
-// saturated, so most of a vertex range costs one load + compare per 64
-// vertices — iterating survivors via countr_zero.
+// (single-search bottom_up_step and the serving layer's batched MS-BFS).
+// Workers load 64 vertices' "done" bits at a time and skip saturated
+// words outright — on late levels nearly every word is saturated, so most
+// of a vertex range costs one load + compare per 64 vertices — iterating
+// survivors via countr_zero.
 #pragma once
 
 #include <cstdint>

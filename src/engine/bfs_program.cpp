@@ -1,6 +1,5 @@
 #include "engine/bfs_program.hpp"
 
-#include <cstdio>
 #include <string>
 #include <utility>
 
@@ -18,33 +17,15 @@ void BfsProgram::init(EngineContext& ctx) {
 
 StepResult BfsProgram::step(EngineContext& ctx, Direction direction) {
   const BfsConfig& config = *ctx.config;
-  const DeltaBuffer* const delta = ctx.storage.delta;
   if (direction == Direction::TopDown) {
-    if (ctx.storage.forward_dram != nullptr) {
-      return top_down_step(*ctx.storage.forward_dram, *status_, ctx.superstep,
-                           *ctx.topology, *ctx.pool, config.batch_size,
-                           delta);
-    }
-    if (ctx.storage.forward_tiered != nullptr) {
-      return top_down_step_tiered(*ctx.storage.forward_tiered, *status_,
-                                  ctx.superstep, *ctx.topology, *ctx.pool,
-                                  config.batch_size, delta);
-    }
-    ExternalForwardGraph& external = *ctx.storage.forward_external;
     // The session already ran prepare_external_storage().
-    ExternalTopDownOptions options = external_step_options(config);
-    options.delta = delta;
-    return top_down_step_external(external, *status_, ctx.superstep,
-                                  *ctx.topology, *ctx.pool, options);
+    return top_down_step(ctx.storage.forward, *status_, ctx.superstep,
+                         *ctx.topology, *ctx.pool,
+                         push_options(config, ctx.storage));
   }
-  if (ctx.storage.backward_dram != nullptr) {
-    return bottom_up_step(*ctx.storage.backward_dram, *status_, ctx.superstep,
-                          *ctx.topology, *ctx.pool, config.bottom_up_chunk,
-                          ctx.pull_output, delta);
-  }
-  return bottom_up_step_hybrid(*ctx.storage.backward_hybrid, *status_,
-                               ctx.superstep, *ctx.topology, *ctx.pool,
-                               config.bottom_up_chunk, ctx.pull_output, delta);
+  return bottom_up_step(ctx.storage.backward, *status_, ctx.superstep,
+                        *ctx.topology, *ctx.pool, config.bottom_up_chunk,
+                        ctx.pull_output, ctx.storage.delta);
 }
 
 bool BfsProgram::converged(const EngineContext& ctx) const {
@@ -53,8 +34,7 @@ bool BfsProgram::converged(const EngineContext& ctx) const {
 }
 
 StepResult BfsProgram::degrade(EngineContext& ctx) {
-  if (ctx.storage.backward_dram == nullptr &&
-      ctx.storage.backward_hybrid == nullptr) {
+  if (!attached(ctx.storage.backward)) {
     throw NvmIoError(
         "top-down superstep " + std::to_string(ctx.superstep) +
         " exceeded its I/O error budget and no backward graph is attached "
@@ -67,18 +47,10 @@ StepResult BfsProgram::degrade(EngineContext& ctx) {
   // with the partial top-down list saved here.
   std::vector<Vertex> partial = std::move(status_->next());
   status_->set_next({});
-  StepResult redo;
-  if (ctx.storage.backward_dram != nullptr) {
-    redo = bottom_up_step(*ctx.storage.backward_dram, *status_, ctx.superstep,
-                          *ctx.topology, *ctx.pool,
-                          ctx.config->bottom_up_chunk, BottomUpOutput::Queue,
-                          ctx.storage.delta);
-  } else {
-    redo = bottom_up_step_hybrid(*ctx.storage.backward_hybrid, *status_,
-                                 ctx.superstep, *ctx.topology, *ctx.pool,
-                                 ctx.config->bottom_up_chunk,
-                                 BottomUpOutput::Queue, ctx.storage.delta);
-  }
+  const StepResult redo = bottom_up_step(
+      ctx.storage.backward, *status_, ctx.superstep, *ctx.topology,
+      *ctx.pool, ctx.config->bottom_up_chunk, BottomUpOutput::Queue,
+      ctx.storage.delta);
   std::vector<Vertex>& next = status_->next();
   next.insert(next.end(), partial.begin(), partial.end());
   return redo;
@@ -102,12 +74,15 @@ BfsResult BfsProgram::snapshot_result(const ProgramSession& session) const {
   result.level = status_->levels();
 
   result.teps_edge_count =
-      parallel_reduce<std::int64_t>(
-          *session.context().pool, 0, storage.vertex_count(), 0,
-          [&](std::int64_t& acc, std::int64_t v) {
-            if (status_->is_visited(v)) acc += storage.degree(v);
-          },
-          [](std::int64_t a, std::int64_t b) { return a + b; }) /
+      with_degree(storage,
+                  [&](const auto& degree_of) {
+                    return parallel_reduce<std::int64_t>(
+                        *session.context().pool, 0, storage.vertex_count(), 0,
+                        [&](std::int64_t& acc, std::int64_t v) {
+                          if (status_->is_visited(v)) acc += degree_of(v);
+                        },
+                        [](std::int64_t a, std::int64_t b) { return a + b; });
+                  }) /
       2;
   result.teps = result.seconds > 0.0
                     ? static_cast<double>(result.teps_edge_count) /
@@ -126,22 +101,7 @@ HybridBfsRunner::HybridBfsRunner(GraphStorage storage, NumaTopology topology,
       topology_(topology),
       pool_(pool),
       status_(storage.vertex_count()) {
-  const int forwards = (storage_.forward_dram != nullptr) +
-                       (storage_.forward_external != nullptr) +
-                       (storage_.forward_tiered != nullptr);
-  const bool one_backward = (storage_.backward_dram != nullptr) !=
-                            (storage_.backward_hybrid != nullptr);
-  if (forwards != 1 || !one_backward) {
-    std::fprintf(
-        stderr,
-        "HybridBfsRunner: storage must name exactly one forward and one "
-        "backward graph; got forward_dram=%d forward_external=%d "
-        "forward_tiered=%d backward_dram=%d backward_hybrid=%d\n",
-        storage_.forward_dram != nullptr, storage_.forward_external != nullptr,
-        storage_.forward_tiered != nullptr, storage_.backward_dram != nullptr,
-        storage_.backward_hybrid != nullptr);
-  }
-  SEMBFS_EXPECTS(forwards == 1 && one_backward);
+  SEMBFS_EXPECTS(attached(storage_.forward) && attached(storage_.backward));
 }
 
 BfsResult HybridBfsRunner::run(Vertex root, const BfsConfig& config) {

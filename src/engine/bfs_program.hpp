@@ -2,13 +2,13 @@
 //
 // Graph500 runs, serving sessions, k-hop queries and distance sampling all
 // run a BfsProgram stepped by engine::ProgramSession. The program
-// delegates every superstep to the level kernels (top_down_step /
-// top_down_step_tiered / top_down_step_external, bottom_up_step /
-// bottom_up_step_hybrid) over a caller-owned BfsStatus; the loop around
-// the kernels (cancel polls, frontier conversion, I/O prep, degradation,
-// the switch policy, LevelStats, metrics and trace spans) is the
-// session's. HybridBfsRunner below is the whole-traversal convenience:
-// one reused status, one program + session per root.
+// delegates every superstep to the two level kernels — top_down_step over
+// the forward storage, bottom_up_step over the backward storage — on a
+// caller-owned BfsStatus; the loop around the kernels (cancel polls,
+// frontier conversion, I/O prep, degradation, the switch policy,
+// LevelStats, metrics and trace spans) is the session's. HybridBfsRunner
+// below is the whole-traversal convenience: one reused status, one
+// program + session per root.
 #pragma once
 
 #include "bfs/bfs_status.hpp"
@@ -58,9 +58,9 @@ class BfsProgram final : public VertexProgram {
 
 namespace sembfs {
 
-/// Whole traversals over one storage view: each run() steps a BfsProgram
-/// to completion under a ProgramSession, reusing one BfsStatus across
-/// roots.
+/// Whole traversals over one storage view with both sides attached: each
+/// run() steps a BfsProgram to completion under a ProgramSession, reusing
+/// one BfsStatus across roots.
 class HybridBfsRunner {
  public:
   HybridBfsRunner(GraphStorage storage, NumaTopology topology,

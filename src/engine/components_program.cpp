@@ -3,9 +3,6 @@
 #include <algorithm>
 #include <string>
 
-#include "engine/scatter.hpp"
-#include "graph/backward_graph.hpp"
-#include "graph/hybrid_csr.hpp"
 #include "parallel/atomics.hpp"
 #include "parallel/parallel_for.hpp"
 #include "util/contracts.hpp"
@@ -43,56 +40,32 @@ StepResult ComponentsProgram::step(EngineContext& ctx, Direction direction) {
   if (direction == Direction::BottomUp) return pull_step(ctx);
 
   ThreadPool& pool = *ctx.pool;
-  const BfsConfig& config = *ctx.config;
   active_->begin_bitmap_next(pool.size());
   std::vector<std::int64_t> improved(pool.size(), 0);
 
-  const auto edge_fn = [&](std::size_t w, std::size_t /*node*/, Vertex u,
-                           std::span<const Vertex> adj) {
-    const Vertex lu =
-        labels_[static_cast<std::size_t>(u)].load(std::memory_order_relaxed);
-    Bitmap& next = active_->worker_next(w);
-    for (const Vertex dst : adj) {
-      if (labels_[static_cast<std::size_t>(dst)].load(
-              std::memory_order_relaxed) <= lu)
-        continue;
-      if (atomic_fetch_min(labels_[static_cast<std::size_t>(dst)], lu)) {
-        next.set(static_cast<std::size_t>(dst));
-        ++improved[w];
-      }
-    }
-  };
-
-  const std::span<const Vertex> queue{active_->queue()};
-  const DeltaBuffer* const delta = ctx.storage.delta;
-  ScatterStats scatter;
-  if (ctx.storage.forward_dram != nullptr) {
-    scatter = scatter_active(*ctx.storage.forward_dram, queue, *ctx.topology,
-                             pool, config.batch_size, edge_fn, delta);
-  } else if (ctx.storage.forward_tiered != nullptr) {
-    scatter = scatter_active(*ctx.storage.forward_tiered, queue,
-                             *ctx.topology, pool, config.batch_size, edge_fn,
-                             delta);
-  } else {
-    ExternalForwardGraph& external = *ctx.storage.forward_external;
-    ExternalTopDownOptions io = external_step_options(config);
-    io.delta = delta;
-    scatter = scatter_active(external, queue, *ctx.topology, pool, io,
-                             edge_fn);
-  }
-
-  StepResult result;
-  result.scanned_edges = scatter.scanned_edges;
-  result.nvm_requests = scatter.nvm_requests;
-  result.io_failures = scatter.io_failures;
-  result.aborted = scatter.aborted;
+  StepResult result = scatter_active(
+      ctx.storage.forward, active_->queue(), *ctx.topology, pool,
+      push_options(*ctx.config, ctx.storage),
+      [&](std::size_t w, Vertex u, std::span<const Vertex> adj) {
+        const Vertex lu = labels_[static_cast<std::size_t>(u)].load(
+            std::memory_order_relaxed);
+        Bitmap& next = active_->worker_next(w);
+        for (const Vertex dst : adj) {
+          if (labels_[static_cast<std::size_t>(dst)].load(
+                  std::memory_order_relaxed) <= lu)
+            continue;
+          if (atomic_fetch_min(labels_[static_cast<std::size_t>(dst)], lu)) {
+            next.set(static_cast<std::size_t>(dst));
+            ++improved[w];
+          }
+        }
+      });
   for (const std::int64_t c : improved) result.claimed += c;
   return result;
 }
 
 StepResult ComponentsProgram::pull_step(EngineContext& ctx) {
-  if (ctx.storage.backward_dram == nullptr &&
-      ctx.storage.backward_hybrid == nullptr) {
+  if (!attached(ctx.storage.backward)) {
     throw NvmIoError(
         "components pull superstep " + std::to_string(ctx.superstep) +
         " requires a backward graph and none is attached");
@@ -104,91 +77,56 @@ StepResult ComponentsProgram::pull_step(EngineContext& ctx) {
 
   std::vector<std::int64_t> improved(pool.size(), 0);
   std::vector<std::int64_t> scanned(pool.size(), 0);
-
-  // Merged-view in-neighbors of v beyond the base adjacency: the delta's
-  // inserted copies (undirected — both endpoints carry them).
-  const auto min_over_inserts = [&](Vertex v, Vertex best,
-                                    std::int64_t& scans) -> Vertex {
-    if (delta == nullptr || !delta->has_inserts(v)) return best;
-    for (const Vertex u : delta->inserted(v)) {
-      ++scans;
-      best = std::min(best, labels_[static_cast<std::size_t>(u)].load(
-                                std::memory_order_relaxed));
-    }
-    return best;
+  std::vector<std::uint64_t> requests(pool.size(), 0);
+  const auto label = [&](std::int64_t v) {
+    return labels_[static_cast<std::size_t>(v)].load(
+        std::memory_order_relaxed);
   };
 
   // Full sweep: every vertex recomputes its label from its complete
-  // in-adjacency (single writer per vertex — plain stores suffice, and
-  // the sweep's correctness is independent of the current active set).
-  if (ctx.storage.backward_dram != nullptr) {
-    const BackwardGraph& backward = *ctx.storage.backward_dram;
-    parallel_for_blocked(pool, 0, n,
-                         [&](std::int64_t lo, std::int64_t hi,
-                             std::size_t w) {
-      Bitmap& next = active_->worker_next(w);
-      for (std::int64_t v = lo; v < hi; ++v) {
-        const std::span<const Vertex> adj =
-            backward.neighbors(static_cast<Vertex>(v));
-        scanned[w] += static_cast<std::int64_t>(adj.size());
-        Vertex best = labels_[static_cast<std::size_t>(v)].load(
-            std::memory_order_relaxed);
-        for (const Vertex u : adj) {
-          if (delta != nullptr && delta->edge_removed(v, u)) continue;
-          best = std::min(best, labels_[static_cast<std::size_t>(u)].load(
-                                    std::memory_order_relaxed));
-        }
-        best = min_over_inserts(static_cast<Vertex>(v), best, scanned[w]);
-        if (best < labels_[static_cast<std::size_t>(v)].load(
-                       std::memory_order_relaxed)) {
-          labels_[static_cast<std::size_t>(v)].store(
-              best, std::memory_order_relaxed);
-          next.set(static_cast<std::size_t>(v));
-          ++improved[w];
-        }
-      }
-    });
-  } else {
-    HybridBackwardGraph& backward = *ctx.storage.backward_hybrid;
-    const VertexPartition& partition = backward.vertex_partition();
+  // merged-view in-adjacency (single writer per vertex — plain stores
+  // suffice, and the sweep's correctness is independent of the current
+  // active set). Device faults on a hybrid backward graph propagate as
+  // NvmIoError, exactly like the BFS degrade path's backward reads.
+  visit_graph(ctx.storage.backward, [&](auto& backward) {
     parallel_for_blocked(pool, 0, n,
                          [&](std::int64_t lo, std::int64_t hi,
                              std::size_t w) {
       Bitmap& next = active_->worker_next(w);
       std::vector<Vertex> scratch;
+      std::int64_t local_scanned = 0;
+      std::uint64_t local_requests = 0;
       for (std::int64_t v = lo; v < hi; ++v) {
-        Vertex best = labels_[static_cast<std::size_t>(v)].load(
-            std::memory_order_relaxed);
-        // Device faults here propagate as NvmIoError, exactly like the
-        // BFS degrade path's backward reads.
-        backward.partition(partition.node_of(v))
-            .visit_neighbors(static_cast<Vertex>(v), scratch,
-                             [&](Vertex u) {
-                               ++scanned[w];
-                               if (delta != nullptr &&
-                                   delta->edge_removed(v, u))
-                                 return true;
-                               best = std::min(
-                                   best,
-                                   labels_[static_cast<std::size_t>(u)].load(
-                                       std::memory_order_relaxed));
-                               return true;
-                             });
-        best = min_over_inserts(static_cast<Vertex>(v), best, scanned[w]);
-        if (best < labels_[static_cast<std::size_t>(v)].load(
-                       std::memory_order_relaxed)) {
+        Vertex best = label(v);
+        local_requests += visit_in_neighbors(
+            backward, static_cast<Vertex>(v), scratch, [&](Vertex u) {
+              ++local_scanned;
+              if (delta == nullptr || !delta->edge_removed(v, u))
+                best = std::min(best, label(u));
+              return true;
+            });
+        if (delta != nullptr && delta->has_inserts(v)) {
+          for (const Vertex u : delta->inserted(v)) {
+            ++local_scanned;
+            best = std::min(best, label(u));
+          }
+        }
+        if (best < label(v)) {
           labels_[static_cast<std::size_t>(v)].store(
               best, std::memory_order_relaxed);
           next.set(static_cast<std::size_t>(v));
           ++improved[w];
         }
       }
+      scanned[w] += local_scanned;
+      requests[w] += local_requests;
     });
-  }
+  });
 
   StepResult result;
   for (const std::int64_t c : improved) result.claimed += c;
   for (const std::int64_t s : scanned) result.scanned_edges += s;
+  for (const std::uint64_t r : requests) result.nvm_requests += r;
   return result;
 }
 

@@ -5,9 +5,6 @@
 #include <numeric>
 #include <string>
 
-#include "engine/scatter.hpp"
-#include "graph/backward_graph.hpp"
-#include "graph/hybrid_csr.hpp"
 #include "parallel/parallel_for.hpp"
 #include "util/contracts.hpp"
 
@@ -36,10 +33,12 @@ void PageRankProgram::init(EngineContext& ctx) {
   sums_ = std::vector<std::atomic<double>>(count);
   all_.resize(count);
   std::iota(all_.begin(), all_.end(), Vertex{0});
-  parallel_for(*ctx.pool, 0, n, [&](std::int64_t v) {
-    const std::int64_t deg = ctx.storage.degree(v);
-    inv_degree_[static_cast<std::size_t>(v)] =
-        deg > 0 ? 1.0 / static_cast<double>(deg) : 0.0;
+  with_degree(ctx.storage, [&](const auto& degree_of) {
+    parallel_for(*ctx.pool, 0, n, [&](std::int64_t v) {
+      const std::int64_t deg = degree_of(v);
+      inv_degree_[static_cast<std::size_t>(v)] =
+          deg > 0 ? 1.0 / static_cast<double>(deg) : 0.0;
+    });
   });
   iterations_ = 0;
   last_delta_ = 0.0;
@@ -74,37 +73,16 @@ StepResult PageRankProgram::step(EngineContext& ctx, Direction direction) {
     return result;
   }
 
-  const BfsConfig& config = *ctx.config;
-  const auto edge_fn = [&](std::size_t /*w*/, std::size_t /*node*/, Vertex u,
-                           std::span<const Vertex> adj) {
-    const double contrib = ranks_[static_cast<std::size_t>(u)] *
-                           inv_degree_[static_cast<std::size_t>(u)];
-    if (contrib == 0.0) return;
-    for (const Vertex dst : adj)
-      atomic_add(sums_[static_cast<std::size_t>(dst)], contrib);
-  };
-
-  const DeltaBuffer* const delta = ctx.storage.delta;
-  ScatterStats scatter;
-  if (ctx.storage.forward_dram != nullptr) {
-    scatter = scatter_active(*ctx.storage.forward_dram, all_, *ctx.topology,
-                             pool, config.batch_size, edge_fn, delta);
-  } else if (ctx.storage.forward_tiered != nullptr) {
-    scatter = scatter_active(*ctx.storage.forward_tiered, all_, *ctx.topology,
-                             pool, config.batch_size, edge_fn, delta);
-  } else {
-    ExternalForwardGraph& external = *ctx.storage.forward_external;
-    ExternalTopDownOptions io = external_step_options(config);
-    io.delta = delta;
-    scatter = scatter_active(external, all_, *ctx.topology, pool, io,
-                             edge_fn);
-  }
-
-  StepResult result;
-  result.scanned_edges = scatter.scanned_edges;
-  result.nvm_requests = scatter.nvm_requests;
-  result.io_failures = scatter.io_failures;
-  result.aborted = scatter.aborted;
+  StepResult result = scatter_active(
+      ctx.storage.forward, all_, *ctx.topology, pool,
+      push_options(*ctx.config, ctx.storage),
+      [&](std::size_t /*w*/, Vertex u, std::span<const Vertex> adj) {
+        const double contrib = ranks_[static_cast<std::size_t>(u)] *
+                               inv_degree_[static_cast<std::size_t>(u)];
+        if (contrib == 0.0) return;
+        for (const Vertex dst : adj)
+          atomic_add(sums_[static_cast<std::size_t>(dst)], contrib);
+      });
   if (result.io_failed()) {
     // Incomplete accumulation — the session will call degrade(), which
     // recomputes this iteration from scratch. Do NOT finalize here.
@@ -116,8 +94,7 @@ StepResult PageRankProgram::step(EngineContext& ctx, Direction direction) {
 }
 
 StepResult PageRankProgram::accumulate_pull(EngineContext& ctx) {
-  if (ctx.storage.backward_dram == nullptr &&
-      ctx.storage.backward_hybrid == nullptr) {
+  if (!attached(ctx.storage.backward)) {
     throw NvmIoError(
         "pagerank pull superstep " + std::to_string(ctx.superstep) +
         " requires a backward graph and none is attached");
@@ -126,67 +103,46 @@ StepResult PageRankProgram::accumulate_pull(EngineContext& ctx) {
   const Vertex n = ctx.vertex_count();
   const DeltaBuffer* const delta = ctx.storage.delta;
   std::vector<std::int64_t> scanned(pool.size(), 0);
-
-  // Merged-view extension of v's in-adjacency: the delta's inserted copies.
-  const auto sum_over_inserts = [&](Vertex v, double sum,
-                                    std::int64_t& scans) -> double {
-    if (delta == nullptr || !delta->has_inserts(v)) return sum;
-    for (const Vertex u : delta->inserted(v)) {
-      ++scans;
-      sum += ranks_[static_cast<std::size_t>(u)] *
-             inv_degree_[static_cast<std::size_t>(u)];
-    }
-    return sum;
+  std::vector<std::uint64_t> requests(pool.size(), 0);
+  const auto contribution = [&](Vertex u) {
+    return ranks_[static_cast<std::size_t>(u)] *
+           inv_degree_[static_cast<std::size_t>(u)];
   };
 
-  if (ctx.storage.backward_dram != nullptr) {
-    const BackwardGraph& backward = *ctx.storage.backward_dram;
-    parallel_for_blocked(pool, 0, n,
-                         [&](std::int64_t lo, std::int64_t hi,
-                             std::size_t w) {
-      for (std::int64_t v = lo; v < hi; ++v) {
-        const std::span<const Vertex> adj =
-            backward.neighbors(static_cast<Vertex>(v));
-        scanned[w] += static_cast<std::int64_t>(adj.size());
-        double sum = 0.0;
-        for (const Vertex u : adj) {
-          if (delta != nullptr && delta->edge_removed(v, u)) continue;
-          sum += ranks_[static_cast<std::size_t>(u)] *
-                 inv_degree_[static_cast<std::size_t>(u)];
-        }
-        sum = sum_over_inserts(static_cast<Vertex>(v), sum, scanned[w]);
-        sums_[static_cast<std::size_t>(v)].store(sum,
-                                                 std::memory_order_relaxed);
-      }
-    });
-  } else {
-    HybridBackwardGraph& backward = *ctx.storage.backward_hybrid;
-    const VertexPartition& partition = backward.vertex_partition();
+  // Every vertex sums its merged-view in-neighbors' contributions: base
+  // entries minus tombstoned pairs, plus the delta's inserted copies.
+  visit_graph(ctx.storage.backward, [&](auto& backward) {
     parallel_for_blocked(pool, 0, n,
                          [&](std::int64_t lo, std::int64_t hi,
                              std::size_t w) {
       std::vector<Vertex> scratch;
+      std::int64_t local_scanned = 0;
+      std::uint64_t local_requests = 0;
       for (std::int64_t v = lo; v < hi; ++v) {
         double sum = 0.0;
-        backward.partition(partition.node_of(v))
-            .visit_neighbors(static_cast<Vertex>(v), scratch,
-                             [&](Vertex u) {
-                               ++scanned[w];
-                               if (delta != nullptr &&
-                                   delta->edge_removed(v, u))
-                                 return true;
-                               sum += ranks_[static_cast<std::size_t>(u)] *
-                                      inv_degree_[static_cast<std::size_t>(u)];
-                               return true;
-                             });
-        sum = sum_over_inserts(static_cast<Vertex>(v), sum, scanned[w]);
+        local_requests += visit_in_neighbors(
+            backward, static_cast<Vertex>(v), scratch, [&](Vertex u) {
+              ++local_scanned;
+              if (delta == nullptr || !delta->edge_removed(v, u))
+                sum += contribution(u);
+              return true;
+            });
+        if (delta != nullptr && delta->has_inserts(v)) {
+          for (const Vertex u : delta->inserted(v)) {
+            ++local_scanned;
+            sum += contribution(u);
+          }
+        }
         sums_[static_cast<std::size_t>(v)].store(sum,
                                                  std::memory_order_relaxed);
       }
+      scanned[w] += local_scanned;
+      requests[w] += local_requests;
     });
-  }
+  });
   StepResult result;
   for (const std::int64_t s : scanned) result.scanned_edges += s;
+  for (const std::uint64_t r : requests) result.nvm_requests += r;
   return result;
 }
 

@@ -80,12 +80,12 @@ ProgramSession::ProgramSession(VertexProgram& program, GraphStorage storage,
                    : Direction::TopDown;
   if (config_.policy.kind == PolicyKind::EdgeRatio) {
     const Vertex n = ctx_.vertex_count();
-    unvisited_edges_ = parallel_reduce<std::int64_t>(
-        pool_, 0, n, 0,
-        [&](std::int64_t& acc, std::int64_t v) {
-          acc += ctx_.storage.degree(v);
-        },
-        [](std::int64_t a, std::int64_t b) { return a + b; });
+    unvisited_edges_ = with_degree(ctx_.storage, [&](const auto& degree_of) {
+      return parallel_reduce<std::int64_t>(
+          pool_, 0, n, 0,
+          [&](std::int64_t& acc, std::int64_t v) { acc += degree_of(v); },
+          [](std::int64_t a, std::int64_t b) { return a + b; });
+    });
     active_edges_ = active_edge_sum();
     unvisited_edges_ -= active_edges_;
   }
@@ -93,33 +93,33 @@ ProgramSession::ProgramSession(VertexProgram& program, GraphStorage storage,
 
 std::int64_t ProgramSession::active_edge_sum() const {
   const ActiveSet* active = program_->active_set();
-  if (active == nullptr) {
-    std::int64_t total = 0;
-    for (Vertex v = 0; v < ctx_.vertex_count(); ++v)
-      total += ctx_.storage.degree(v);
-    return total;
-  }
-  if (active->rep() == ActiveSetRep::Bitmap) {
-    const std::span<const std::uint64_t> words = active->bitmap().words();
+  return with_degree(ctx_.storage, [&](const auto& degree_of) {
+    if (active == nullptr) {
+      std::int64_t total = 0;
+      for (Vertex v = 0; v < ctx_.vertex_count(); ++v) total += degree_of(v);
+      return total;
+    }
+    if (active->rep() == ActiveSetRep::Bitmap) {
+      const std::span<const std::uint64_t> words = active->bitmap().words();
+      return parallel_reduce<std::int64_t>(
+          pool_, 0, static_cast<std::int64_t>(words.size()), 0,
+          [&](std::int64_t& acc, std::int64_t w) {
+            for_each_set_in_word(
+                words[static_cast<std::size_t>(w)],
+                static_cast<std::size_t>(w) * 64, [&](std::size_t v) {
+                  acc += degree_of(static_cast<Vertex>(v));
+                });
+          },
+          [](std::int64_t a, std::int64_t b) { return a + b; });
+    }
+    const auto& queue = active->queue();
     return parallel_reduce<std::int64_t>(
-        pool_, 0, static_cast<std::int64_t>(words.size()), 0,
-        [&](std::int64_t& acc, std::int64_t w) {
-          for_each_set_in_word(words[static_cast<std::size_t>(w)],
-                               static_cast<std::size_t>(w) * 64,
-                               [&](std::size_t v) {
-                                 acc += ctx_.storage.degree(
-                                     static_cast<Vertex>(v));
-                               });
+        pool_, 0, static_cast<std::int64_t>(queue.size()), 0,
+        [&](std::int64_t& acc, std::int64_t i) {
+          acc += degree_of(queue[static_cast<std::size_t>(i)]);
         },
         [](std::int64_t a, std::int64_t b) { return a + b; });
-  }
-  const auto& queue = active->queue();
-  return parallel_reduce<std::int64_t>(
-      pool_, 0, static_cast<std::int64_t>(queue.size()), 0,
-      [&](std::int64_t& acc, std::int64_t i) {
-        acc += ctx_.storage.degree(queue[static_cast<std::size_t>(i)]);
-      },
-      [](std::int64_t a, std::int64_t b) { return a + b; });
+  });
 }
 
 BottomUpOutput ProgramSession::pull_output(
@@ -174,8 +174,9 @@ bool ProgramSession::step() {
     // a direction switch, where the set has already thinned).
     if (active != nullptr && active->ensure_queue(pool_) && obs::enabled())
       obs_frontier_conversions_->add(1);
-    if (ctx_.storage.forward_external != nullptr)
-      prepare_external_storage(*ctx_.storage.forward_external, config_);
+    if (auto* const* external =
+            std::get_if<ExternalForwardGraph*>(&ctx_.storage.forward))
+      prepare_external_storage(**external, config_);
     step_result = program_->step(ctx_, Direction::TopDown);
     scanned_push_ += step_result.scanned_edges;
     io_failures_ += step_result.io_failures;

@@ -3,8 +3,6 @@
 #include <algorithm>
 #include <exception>
 
-#include "graph/backward_graph.hpp"
-#include "graph/hybrid_csr.hpp"
 #include "obs/metrics.hpp"
 #include "parallel/parallel_for.hpp"
 #include "util/contracts.hpp"
@@ -23,67 +21,40 @@ struct AdjFetch {
 /// partitions), sorted and dedup'd. A forward fetch failure falls back to
 /// the backward graph's complete per-vertex adjacency — same edges, so
 /// the count stays exact under fault injection.
-AdjFetch full_adjacency(EngineContext& ctx, Vertex v,
-                        std::vector<Vertex>& out,
+template <typename Forward>
+AdjFetch full_adjacency(Forward& forward, const GraphStorage& storage,
+                        Vertex v, std::vector<Vertex>& out,
                         std::vector<Vertex>& scratch) {
   out.clear();
   AdjFetch result;
-  bool ok = true;
-  if (ctx.storage.forward_dram != nullptr) {
-    const ForwardGraph& forward = *ctx.storage.forward_dram;
+  try {
     for (std::size_t k = 0; k < forward.node_count(); ++k) {
-      const std::span<const Vertex> adj = forward.partition(k).neighbors(v);
-      out.insert(out.end(), adj.begin(), adj.end());
+      result.requests += fetch_neighbors(forward.partition(k), v, scratch);
+      out.insert(out.end(), scratch.begin(), scratch.end());
     }
-  } else if (ctx.storage.forward_tiered != nullptr) {
-    TieredForwardGraph& forward = *ctx.storage.forward_tiered;
-    for (std::size_t k = 0; k < forward.node_count() && ok; ++k) {
-      try {
-        result.requests += forward.partition(k).fetch_neighbors(v, scratch);
-        out.insert(out.end(), scratch.begin(), scratch.end());
-      } catch (const std::exception&) {
-        ok = false;
-      }
-    }
-  } else {
-    ExternalForwardGraph& forward = *ctx.storage.forward_external;
-    for (std::size_t k = 0; k < forward.node_count() && ok; ++k) {
-      try {
-        result.requests += forward.partition(k).fetch_neighbors(v, scratch);
-        out.insert(out.end(), scratch.begin(), scratch.end());
-      } catch (const std::exception&) {
-        ok = false;
-      }
-    }
-  }
-  if (!ok) {
+  } catch (const std::exception&) {
     out.clear();
-    if (ctx.storage.backward_dram != nullptr) {
-      const std::span<const Vertex> adj =
-          ctx.storage.backward_dram->neighbors(v);
-      out.assign(adj.begin(), adj.end());
-      result.healed = true;
-    } else if (ctx.storage.backward_hybrid != nullptr) {
-      HybridBackwardGraph& backward = *ctx.storage.backward_hybrid;
-      try {
-        backward.partition(backward.vertex_partition().node_of(v))
-            .visit_neighbors(v, scratch, [&](Vertex u) {
+    result.failed = true;
+  }
+  if (result.failed && attached(storage.backward)) {
+    try {
+      result.requests +=
+          visit_graph(storage.backward, [&](auto& backward) {
+            return visit_in_neighbors(backward, v, scratch, [&](Vertex u) {
               out.push_back(u);
               return true;
             });
-        result.healed = true;
-      } catch (const std::exception&) {
-        out.clear();
-        result.failed = true;
-      }
-    } else {
-      result.failed = true;
+          });
+      result.healed = true;
+      result.failed = false;
+    } catch (const std::exception&) {
+      out.clear();
     }
   }
   // Merged view: drop tombstoned pairs, append inserted neighbors (the
   // backward fallback holds the same base adjacency, so the merge is
   // uniform across sources). Dedup below absorbs insert multiplicity.
-  const DeltaBuffer* const delta = ctx.storage.delta;
+  const DeltaBuffer* const delta = storage.delta;
   if (delta != nullptr && delta->touches(v)) {
     std::erase_if(out, [&](Vertex w) { return delta->edge_removed(v, w); });
     const std::span<const Vertex> ins = delta->inserted(v);
@@ -126,50 +97,54 @@ StepResult TriangleProgram::step(EngineContext& ctx, Direction direction) {
   };
   std::vector<WorkerTally> tally(pool.size());
 
-  parallel_for_dynamic(pool, lo, hi, 16,
-                       [&](std::int64_t block_lo, std::int64_t block_hi,
-                           std::size_t w) {
-    WorkerTally& t = tally[w];
-    std::vector<Vertex> adj_u;
-    std::vector<Vertex> adj_v;
-    std::vector<Vertex> scratch;
-    for (std::int64_t vi = block_lo; vi < block_hi; ++vi) {
-      const auto u = static_cast<Vertex>(vi);
-      const AdjFetch fu = full_adjacency(ctx, u, adj_u, scratch);
-      t.requests += fu.requests;
-      if (fu.healed) ++t.healed;
-      if (fu.failed) {
-        ++t.failed;
-        continue;
-      }
-      t.scanned += static_cast<std::int64_t>(adj_u.size());
-      for (const Vertex v : adj_u) {
-        if (v <= u) continue;
-        const AdjFetch fv = full_adjacency(ctx, v, adj_v, scratch);
-        t.requests += fv.requests;
-        if (fv.healed) ++t.healed;
-        if (fv.failed) {
+  visit_graph(ctx.storage.forward, [&](auto& forward) {
+    parallel_for_dynamic(pool, lo, hi, 16,
+                         [&](std::int64_t block_lo, std::int64_t block_hi,
+                             std::size_t w) {
+      WorkerTally& t = tally[w];
+      std::vector<Vertex> adj_u;
+      std::vector<Vertex> adj_v;
+      std::vector<Vertex> scratch;
+      for (std::int64_t vi = block_lo; vi < block_hi; ++vi) {
+        const auto u = static_cast<Vertex>(vi);
+        const AdjFetch fu =
+            full_adjacency(forward, ctx.storage, u, adj_u, scratch);
+        t.requests += fu.requests;
+        if (fu.healed) ++t.healed;
+        if (fu.failed) {
           ++t.failed;
           continue;
         }
-        t.scanned += static_cast<std::int64_t>(adj_v.size());
-        // Common neighbors w > v of the sorted lists: each match is one
-        // triangle u < v < w.
-        auto a = std::upper_bound(adj_u.begin(), adj_u.end(), v);
-        auto b = std::upper_bound(adj_v.begin(), adj_v.end(), v);
-        while (a != adj_u.end() && b != adj_v.end()) {
-          if (*a < *b) {
-            ++a;
-          } else if (*b < *a) {
-            ++b;
-          } else {
-            ++t.triangles;
-            ++a;
-            ++b;
+        t.scanned += static_cast<std::int64_t>(adj_u.size());
+        for (const Vertex v : adj_u) {
+          if (v <= u) continue;
+          const AdjFetch fv =
+              full_adjacency(forward, ctx.storage, v, adj_v, scratch);
+          t.requests += fv.requests;
+          if (fv.healed) ++t.healed;
+          if (fv.failed) {
+            ++t.failed;
+            continue;
+          }
+          t.scanned += static_cast<std::int64_t>(adj_v.size());
+          // Common neighbors w > v of the sorted lists: each match is one
+          // triangle u < v < w.
+          auto a = std::upper_bound(adj_u.begin(), adj_u.end(), v);
+          auto b = std::upper_bound(adj_v.begin(), adj_v.end(), v);
+          while (a != adj_u.end() && b != adj_v.end()) {
+            if (*a < *b) {
+              ++a;
+            } else if (*b < *a) {
+              ++b;
+            } else {
+              ++t.triangles;
+              ++a;
+              ++b;
+            }
           }
         }
       }
-    }
+    });
   });
 
   StepResult result;

@@ -1,10 +1,13 @@
 // The vertex-program contract: what the semi-external engine runs.
 //
 // A VertexProgram is a level-synchronous computation expressed as
-// supersteps over the engine's storage backends (DRAM / semi-external /
-// tiered forward, DRAM / hybrid backward — the same GraphStorage the
-// hybrid BFS uses). The ProgramSession drives the loop; the program
-// supplies the per-superstep work:
+// supersteps over one GraphStorage — the same forward (DRAM /
+// semi-external / tiered) and backward (DRAM / hybrid) sides the hybrid
+// BFS uses. Push supersteps run the shared executor scatter_active
+// (bfs/top_down.hpp) with a program visitor; pull supersteps dispatch on
+// the backward side once and read it through visit_neighbors
+// (graph/graph_storage.hpp). The ProgramSession drives the loop; the
+// program supplies the per-superstep work:
 //
 //   init()              sizes and seeds per-vertex state
 //   active_set()        the frontier (dual queue/bitmap ActiveSet), or

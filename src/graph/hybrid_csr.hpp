@@ -62,9 +62,11 @@ class HybridBackwardPartition {
   /// first, then the NVM remainder streamed chunk-wise. `fn(Vertex)` returns
   /// false to stop early (bottom-up parent found). `scratch` is the
   /// caller's staging buffer for NVM chunks (reused across calls).
-  /// Edge-examination counters are updated per tier.
+  /// Edge-examination counters are updated per tier. Returns the device
+  /// requests issued.
   template <typename Fn>
-  void visit_neighbors(Vertex v, std::vector<Vertex>& scratch, Fn&& fn) {
+  std::uint64_t visit_neighbors(Vertex v, std::vector<Vertex>& scratch,
+                                Fn&& fn) {
     SEMBFS_ASSERT(sources_.contains(v));
     const auto local = static_cast<std::size_t>(v - sources_.begin);
     // The tier counters are shared by every sweep worker (and, under the
@@ -75,6 +77,7 @@ class HybridBackwardPartition {
     // informational Figure-14 ratios tolerate.
     std::uint64_t dram_seen = 0;
     std::uint64_t nvm_seen = 0;
+    std::uint64_t requests = 0;
     bool stopped = false;
     // DRAM prefix.
     const std::int64_t db = dram_index_[local];
@@ -97,8 +100,8 @@ class HybridBackwardPartition {
             std::min<std::int64_t>(static_cast<std::int64_t>(chunk_elems),
                                    ne - pos));
         scratch.resize(len);
-        nvm_values_->read(static_cast<std::uint64_t>(pos),
-                          std::span<Vertex>{scratch});
+        requests += nvm_values_->read(static_cast<std::uint64_t>(pos),
+                                      std::span<Vertex>{scratch});
         for (std::size_t i = 0; i < len; ++i) {
           ++nvm_seen;
           if (!fn(scratch[i])) {
@@ -113,6 +116,7 @@ class HybridBackwardPartition {
       dram_examined_.fetch_add(dram_seen, std::memory_order_relaxed);
     if (nvm_seen != 0)
       nvm_examined_.fetch_add(nvm_seen, std::memory_order_relaxed);
+    return requests;
   }
 
   /// Full degree of global vertex v (no device I/O — both index arrays are

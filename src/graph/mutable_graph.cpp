@@ -22,19 +22,7 @@ BaseGeneration::~BaseGeneration() {
 }
 
 GraphStorage GraphSnapshot::storage() const noexcept {
-  GraphStorage s;
-  if (base_->forward_external_ != nullptr) {
-    s.forward_external = base_->forward_external_.get();
-  } else if (base_->forward_tiered_ != nullptr) {
-    s.forward_tiered = base_->forward_tiered_.get();
-  } else {
-    s.forward_dram = base_->forward_dram_.get();
-  }
-  if (base_->use_hybrid_backward_) {
-    s.backward_hybrid = base_->backward_hybrid_.get();
-  } else {
-    s.backward_dram = base_->backward_.get();
-  }
+  GraphStorage s = base_->sides_;
   s.delta = delta();
   return s;
 }
@@ -79,23 +67,27 @@ std::shared_ptr<BaseGeneration> MutableGraph::build_generation(
   switch (config_.forward) {
     case MutableForwardKind::kDram:
       gen->forward_dram_ = std::move(forward);
+      gen->sides_.forward = gen->forward_dram_.get();
       break;
     case MutableForwardKind::kExternal:
       gen->forward_external_ = std::make_unique<ExternalForwardGraph>(
           *forward, config_.device, gen->dir_, config_.chunk_bytes,
           config_.chunk_format);
+      gen->sides_.forward = gen->forward_external_.get();
       break;  // the DRAM copy dies with `forward` — the offload's purpose
     case MutableForwardKind::kTiered:
       gen->forward_tiered_ = std::make_unique<TieredForwardGraph>(
           *forward, config_.tiered_degree_threshold, config_.device,
           gen->dir_, pool_, config_.chunk_bytes, config_.chunk_format);
+      gen->sides_.forward = gen->forward_tiered_.get();
       break;
   }
+  gen->sides_.backward = gen->backward_.get();
   if (config_.backward_dram_edges >= 0) {
     gen->backward_hybrid_ = std::make_unique<HybridBackwardGraph>(
         *gen->backward_, config_.backward_dram_edges, config_.device,
         gen->dir_, config_.chunk_bytes, config_.chunk_format);
-    gen->use_hybrid_backward_ = true;
+    gen->sides_.backward = gen->backward_hybrid_.get();
   }
   return gen;
 }

@@ -35,12 +35,12 @@
 #include <string>
 #include <vector>
 
-#include "bfs/hybrid_bfs.hpp"
 #include "graph/backward_graph.hpp"
 #include "graph/delta_buffer.hpp"
 #include "graph/edge_list.hpp"
 #include "graph/external_csr.hpp"
 #include "graph/forward_graph.hpp"
+#include "graph/graph_storage.hpp"
 #include "graph/hybrid_csr.hpp"
 #include "graph/tiered_forward.hpp"
 #include "nvm/chunk_format.hpp"
@@ -106,7 +106,8 @@ class BaseGeneration {
   std::unique_ptr<TieredForwardGraph> forward_tiered_;
   std::unique_ptr<BackwardGraph> backward_;
   std::unique_ptr<HybridBackwardGraph> backward_hybrid_;
-  bool use_hybrid_backward_ = false;
+  /// The backends above that kernels read: one forward, one backward.
+  GraphStorage sides_;
 };
 
 /// One published version of the graph: a base generation plus the delta

@@ -65,6 +65,9 @@ Graph500Instance::Graph500Instance(InstanceConfig config, ThreadPool& pool)
     backward_ = BackwardGraph::build(*edges_, partition, options, pool_);
   }
 
+  storage_.forward = &*forward_dram_;
+  storage_.backward = &backward_;
+
   const Scenario& scenario = config_.scenario;
   const bool needs_device =
       scenario.offload_forward || scenario.backward_dram_edges >= 0;
@@ -77,6 +80,7 @@ Graph500Instance::Graph500Instance(InstanceConfig config, ThreadPool& pool)
         *forward_dram_, device_, config_.workdir, config_.chunk_bytes,
         config_.chunk_format);
     forward_dram_.reset();  // release the DRAM copy — the offload's purpose
+    storage_.forward = external_forward_.get();
     SEMBFS_LOG_INFO("forward graph offloaded to %s (%llu bytes, %s chunks)",
                     device_->profile().name.c_str(),
                     static_cast<unsigned long long>(
@@ -87,28 +91,16 @@ Graph500Instance::Graph500Instance(InstanceConfig config, ThreadPool& pool)
     hybrid_backward_ = std::make_unique<HybridBackwardGraph>(
         backward_, scenario.backward_dram_edges, device_, config_.workdir,
         config_.chunk_bytes, config_.chunk_format);
+    storage_.backward = hybrid_backward_.get();
   }
   construction_seconds_ = build_timer.seconds();
 
-  runner_ = std::make_unique<HybridBfsRunner>(storage(), topology_, pool_);
+  runner_ = std::make_unique<HybridBfsRunner>(storage_, topology_, pool_);
 }
 
 const EdgeList& Graph500Instance::edge_list() const {
   SEMBFS_EXPECTS(edges_.has_value());
   return *edges_;
-}
-
-GraphStorage Graph500Instance::storage() noexcept {
-  GraphStorage s;
-  if (external_forward_ != nullptr)
-    s.forward_external = external_forward_.get();
-  else
-    s.forward_dram = &*forward_dram_;
-  if (hybrid_backward_ != nullptr)
-    s.backward_hybrid = hybrid_backward_.get();
-  else
-    s.backward_dram = &backward_;
-  return s;
 }
 
 std::uint64_t Graph500Instance::graph_dram_bytes() const noexcept {

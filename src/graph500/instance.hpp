@@ -89,7 +89,7 @@ class Graph500Instance {
   }
 
   /// Storage handles for a HybridBfsRunner.
-  [[nodiscard]] GraphStorage storage() noexcept;
+  [[nodiscard]] GraphStorage storage() noexcept { return storage_; }
 
   /// Runs one BFS and returns its full result.
   BfsResult run_bfs(Vertex root, const BfsConfig& bfs_config);
@@ -136,6 +136,7 @@ class Graph500Instance {
   std::shared_ptr<NvmDevice> device_;
   std::unique_ptr<ExternalForwardGraph> external_forward_;
   std::unique_ptr<HybridBackwardGraph> hybrid_backward_;
+  GraphStorage storage_;  // the backends above that traversals read
   std::unique_ptr<HybridBfsRunner> runner_;
   std::optional<Csr> full_csr_;
   double generation_seconds_ = 0.0;

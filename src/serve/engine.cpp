@@ -324,9 +324,8 @@ std::int64_t QueryEngine::cheap_degree(const GraphStorage& storage, Vertex v) {
   // around chunk I/O would defeat itself. GraphStorage::degree() already
   // adds the delta adjustment, so mutable-graph planning sees merged-view
   // degrees at DRAM cost.
-  if (storage.backward_dram != nullptr || storage.backward_hybrid != nullptr)
-    return storage.degree(v);
-  if (storage.forward_external == nullptr && storage.forward_tiered == nullptr)
+  if (attached(storage.backward) ||
+      std::holds_alternative<const ForwardGraph*>(storage.forward))
     return storage.degree(v);
   return 0;
 }

@@ -6,7 +6,6 @@
 #include <bit>
 
 #include "bfs/sweep.hpp"
-#include "graph/hybrid_csr.hpp"
 #include "obs/metrics.hpp"
 #include "util/contracts.hpp"
 #include "util/timer.hpp"
@@ -16,9 +15,6 @@ namespace sembfs::serve {
 namespace {
 
 struct SweepState {
-  explicit SweepState(std::size_t nodes) : cursors(nodes) {
-    for (auto& c : cursors) c.store(0, std::memory_order_relaxed);
-  }
   std::vector<std::atomic<std::int64_t>> cursors;  // offset within node range
   std::atomic<std::int64_t> claimed{0};
   std::atomic<std::int64_t> scanned{0};
@@ -27,40 +23,15 @@ struct SweepState {
   std::array<std::atomic<std::int64_t>, MsBfsBatch::kMaxBatch> lane_claims{};
 };
 
-/// Adapters giving the two backward-graph kinds one visit shape:
-/// visit(v, scratch, fn) calls fn(neighbor) until fn returns false.
-struct DramPart {
-  const Csr* csr;
-  [[nodiscard]] VertexRange range() const noexcept {
-    return csr->source_range();
-  }
-  template <typename Fn>
-  void visit(Vertex v, std::vector<Vertex>& /*scratch*/, Fn&& fn) const {
-    for (const Vertex u : csr->neighbors(v))
-      if (!fn(u)) return;
-  }
-};
-
-struct HybridPart {
-  HybridBackwardPartition* part;
-  [[nodiscard]] VertexRange range() const noexcept {
-    return part->source_range();
-  }
-  template <typename Fn>
-  void visit(Vertex v, std::vector<Vertex>& scratch, Fn&& fn) const {
-    part->visit_neighbors(v, scratch, static_cast<Fn&&>(fn));
-  }
-};
-
-/// One MS-BFS level: the word-skip sweep over every node partition,
-/// gathering neighbor frontier words into the uncovered vertices. Shares
-/// bottom_up.cpp's shape (per-node work-stealing cursors, worker-local
-/// counters flushed once) with the per-vertex claim generalized from one
-/// bit to a 64-lane word.
-template <typename MakePart>
+/// One MS-BFS level: the word-skip sweep over every node partition of
+/// `backward`, gathering neighbor frontier words into the uncovered
+/// vertices. Shares bottom_up.cpp's shape (per-node work-stealing cursors,
+/// worker-local counters flushed once, visit_neighbors reads) with the
+/// per-vertex claim generalized from one bit to a 64-lane word.
+template <typename Backward>
 void run_level(SweepState& state, ThreadPool& pool,
-               const NumaTopology& topology, std::size_t node_count,
-               MakePart&& make_part, std::uint64_t live, std::int64_t chunk,
+               const NumaTopology& topology, Backward& backward,
+               std::uint64_t live, std::int64_t chunk,
                std::int32_t level, std::size_t width, std::uint64_t* seen,
                const std::uint64_t* frontier, std::uint64_t* next,
                AtomicBitmap& covered,
@@ -69,6 +40,8 @@ void run_level(SweepState& state, ThreadPool& pool,
                bool record_parents, const DeltaBuffer* delta) {
   const std::size_t workers =
       std::min<std::size_t>(pool.size(), topology.total_threads());
+  state.cursors =
+      std::vector<std::atomic<std::int64_t>>(backward.node_count());
   pool.run(workers, [&](std::size_t w) {
     std::vector<Vertex> scratch;  // NVM chunk staging (hybrid only)
     std::int64_t local_claimed = 0;
@@ -77,9 +50,10 @@ void run_level(SweepState& state, ThreadPool& pool,
     std::uint64_t local_skipped = 0;
     std::array<std::int64_t, MsBfsBatch::kMaxBatch> local_lane{};
 
-    for_each_assigned_node(w, workers, node_count, [&](std::size_t node) {
-      const auto part = make_part(node);
-      const VertexRange range = part.range();
+    for_each_assigned_node(w, workers, backward.node_count(),
+                           [&](std::size_t node) {
+      auto& part = backward.partition(node);
+      const VertexRange range = part.source_range();
       auto& cursor = state.cursors[node];
       for (;;) {
         const std::int64_t lo =
@@ -130,7 +104,7 @@ void run_level(SweepState& state, ThreadPool& pool,
                 }
               }
               if (open) {
-                part.visit(v, scratch, [&](Vertex u) {
+                visit_neighbors(part, v, scratch, [&](Vertex u) {
                   if (delta != nullptr && delta->edge_removed(v, u)) {
                     ++local_scanned;
                     return true;
@@ -175,8 +149,7 @@ MsBfsBatch::MsBfsBatch(const GraphStorage& storage,
                        const MsBfsConfig& config)
     : storage_(storage), topology_(topology), pool_(pool), config_(config) {
   SEMBFS_EXPECTS(!roots.empty() && roots.size() <= kMaxBatch);
-  SEMBFS_EXPECTS(storage_.backward_dram != nullptr ||
-                 storage_.backward_hybrid != nullptr);
+  SEMBFS_EXPECTS(attached(storage_.backward));
   SEMBFS_EXPECTS(config_.sweep_chunk >= 1);
   const Vertex n = storage_.vertex_count();
   width_ = roots.size();
@@ -215,29 +188,13 @@ bool MsBfsBatch::step() {
     return false;
   }
   Timer timer;
-  const bool dram = storage_.backward_dram != nullptr;
-  const std::size_t nodes = dram ? storage_.backward_dram->node_count()
-                                 : storage_.backward_hybrid->node_count();
-  SweepState state{nodes};
-  if (dram) {
-    run_level(
-        state, pool_, topology_, nodes,
-        [&](std::size_t node) {
-          return DramPart{&storage_.backward_dram->partition(node)};
-        },
-        live_mask_, config_.sweep_chunk, level_, width_, seen_.data(),
-        frontier_.data(), next_.data(), covered_, levels_, parents_,
-        config_.record_parents, storage_.delta);
-  } else {
-    run_level(
-        state, pool_, topology_, nodes,
-        [&](std::size_t node) {
-          return HybridPart{&storage_.backward_hybrid->partition(node)};
-        },
-        live_mask_, config_.sweep_chunk, level_, width_, seen_.data(),
-        frontier_.data(), next_.data(), covered_, levels_, parents_,
-        config_.record_parents, storage_.delta);
-  }
+  SweepState state;
+  visit_graph(storage_.backward, [&](auto& backward) {
+    run_level(state, pool_, topology_, backward, live_mask_,
+              config_.sweep_chunk, level_, width_, seen_.data(),
+              frontier_.data(), next_.data(), covered_, levels_, parents_,
+              config_.record_parents, storage_.delta);
+  });
 
   const std::int64_t claimed = state.claimed.load(std::memory_order_relaxed);
   scanned_edges_ += state.scanned.load(std::memory_order_relaxed);

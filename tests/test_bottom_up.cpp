@@ -2,10 +2,14 @@
 
 #include <gtest/gtest.h>
 
-#include <filesystem>
+#include <memory>
 #include <set>
+#include <string>
+#include <utility>
+#include <vector>
 
 #include "graph_fixtures.hpp"
+#include "test_util.hpp"
 
 namespace sembfs {
 namespace {
@@ -17,37 +21,56 @@ class BottomUpTest : public ::testing::Test {
     partition_ = VertexPartition{edges_.vertex_count(), 2};
     backward_ = BackwardGraph::build(edges_, partition_, CsrBuildOptions{},
                                      pool_);
+    device_ = std::make_shared<NvmDevice>(DeviceProfile::dram());
+    hybrid_ = std::make_unique<HybridBackwardGraph>(backward_, 1, device_,
+                                                    dir_.path());
+  }
+
+  /// Both backward storages: the DRAM graph and its first-1-edge split
+  /// (the rest of every list on NVM). Every bottom-up test runs over each.
+  [[nodiscard]] std::vector<std::pair<std::string, BackwardStorage>>
+  sources() {
+    return {{"dram", &backward_}, {"hybrid", hybrid_.get()}};
   }
 
   ThreadPool pool_{4};
   NumaTopology topology_{2, 2};
+  testutil::ScopedTestDir dir_{"bottomup"};
   EdgeList edges_;
   VertexPartition partition_;
   BackwardGraph backward_;
+  std::shared_ptr<NvmDevice> device_;
+  std::unique_ptr<HybridBackwardGraph> hybrid_;
 };
 
 TEST_F(BottomUpTest, ClaimsSameFrontierAsTopDownWould) {
-  BfsStatus status{8};
-  status.reset(0);
-  const StepResult r =
-      bottom_up_step(backward_, status, 1, topology_, pool_, 2);
-  EXPECT_EQ(r.claimed, 2);  // 1 and 3 find 0 in the frontier
-  const std::set<Vertex> next(status.next().begin(), status.next().end());
-  EXPECT_EQ(next, (std::set<Vertex>{1, 3}));
-  EXPECT_EQ(status.parent(1), 0);
-  EXPECT_EQ(status.parent(3), 0);
+  for (const auto& [name, backward] : sources()) {
+    SCOPED_TRACE(name);
+    BfsStatus status{8};
+    status.reset(0);
+    const StepResult r =
+        bottom_up_step(backward, status, 1, topology_, pool_, 2);
+    EXPECT_EQ(r.claimed, 2);  // 1 and 3 find 0 in the frontier
+    const std::set<Vertex> next(status.next().begin(), status.next().end());
+    EXPECT_EQ(next, (std::set<Vertex>{1, 3}));
+    EXPECT_EQ(status.parent(1), 0);
+    EXPECT_EQ(status.parent(3), 0);
+  }
 }
 
 TEST_F(BottomUpTest, ParentIsAlwaysFrontierMember) {
-  BfsStatus status{8};
-  status.reset(0);
-  bottom_up_step(backward_, status, 1, topology_, pool_, 2);
-  status.advance();  // frontier = {1, 3}
-  bottom_up_step(backward_, status, 2, topology_, pool_, 2);
-  EXPECT_TRUE(status.is_visited(2));
-  EXPECT_TRUE(status.is_visited(4));
-  EXPECT_EQ(status.parent(2), 1);
-  EXPECT_TRUE(status.parent(4) == 1 || status.parent(4) == 3);
+  for (const auto& [name, backward] : sources()) {
+    SCOPED_TRACE(name);
+    BfsStatus status{8};
+    status.reset(0);
+    bottom_up_step(backward, status, 1, topology_, pool_, 2);
+    status.advance();  // frontier = {1, 3}
+    bottom_up_step(backward, status, 2, topology_, pool_, 2);
+    EXPECT_TRUE(status.is_visited(2));
+    EXPECT_TRUE(status.is_visited(4));
+    EXPECT_EQ(status.parent(2), 1);
+    EXPECT_TRUE(status.parent(4) == 1 || status.parent(4) == 3);
+  }
 }
 
 TEST_F(BottomUpTest, EarlyExitScansNoMoreAfterHit) {
@@ -58,144 +81,161 @@ TEST_F(BottomUpTest, EarlyExitScansNoMoreAfterHit) {
   ThreadPool pool{4};
   const EdgeList edges = fixtures::complete_graph(8);
   const VertexPartition partition{8, 2};
-  const BackwardGraph backward =
+  const BackwardGraph backward_dram =
       BackwardGraph::build(edges, partition, CsrBuildOptions{}, pool);
+  HybridBackwardGraph hybrid{backward_dram, 1, device_, dir_.aux("_k8")};
   const NumaTopology topo{2, 2};
-  BfsStatus status{8};
-  status.reset(0);
-  const StepResult r = bottom_up_step(backward, status, 1, topo, pool, 2);
-  EXPECT_EQ(r.claimed, 7);
-  // K8: every unvisited vertex stops at vertex 0; wherever 0 sits in each
-  // adjacency list, total scanned stays within [7, 7*7].
-  EXPECT_LE(r.scanned_edges, 49);
-  EXPECT_GE(r.scanned_edges, 7);
+  for (const auto& [name, backward] :
+       std::vector<std::pair<std::string, BackwardStorage>>{
+           {"dram", &backward_dram}, {"hybrid", &hybrid}}) {
+    SCOPED_TRACE(name);
+    BfsStatus status{8};
+    status.reset(0);
+    const StepResult r = bottom_up_step(backward, status, 1, topo, pool, 2);
+    EXPECT_EQ(r.claimed, 7);
+    // K8: every unvisited vertex stops at vertex 0; wherever 0 sits in each
+    // adjacency list, total scanned stays within [7, 7*7].
+    EXPECT_LE(r.scanned_edges, 49);
+    EXPECT_GE(r.scanned_edges, 7);
+  }
 }
 
 TEST_F(BottomUpTest, UnreachableComponentNeverClaimed) {
-  BfsStatus status{8};
-  status.reset(0);
-  for (int level = 1; level <= 4; ++level) {
-    bottom_up_step(backward_, status, level, topology_, pool_, 2);
-    status.advance();
+  for (const auto& [name, backward] : sources()) {
+    SCOPED_TRACE(name);
+    BfsStatus status{8};
+    status.reset(0);
+    for (int level = 1; level <= 4; ++level) {
+      bottom_up_step(backward, status, level, topology_, pool_, 2);
+      status.advance();
+    }
+    EXPECT_EQ(status.parent(5), kNoVertex);
+    EXPECT_EQ(status.parent(6), kNoVertex);
+    EXPECT_EQ(status.parent(7), kNoVertex);
+    EXPECT_EQ(status.visited_count(), 5);
   }
-  EXPECT_EQ(status.parent(5), kNoVertex);
-  EXPECT_EQ(status.parent(6), kNoVertex);
-  EXPECT_EQ(status.parent(7), kNoVertex);
-  EXPECT_EQ(status.visited_count(), 5);
 }
 
 TEST_F(BottomUpTest, EmptyFrontierClaimsNothing) {
-  BfsStatus status{8};
-  status.reset(0);
-  status.advance();  // frontier empty
-  const StepResult r =
-      bottom_up_step(backward_, status, 1, topology_, pool_, 2);
-  EXPECT_EQ(r.claimed, 0);
+  for (const auto& [name, backward] : sources()) {
+    SCOPED_TRACE(name);
+    BfsStatus status{8};
+    status.reset(0);
+    status.advance();  // frontier empty
+    const StepResult r =
+        bottom_up_step(backward, status, 1, topology_, pool_, 2);
+    EXPECT_EQ(r.claimed, 0);
+  }
 }
 
 TEST_F(BottomUpTest, BitmapOutputMatchesQueueOutput) {
-  // The same search run twice, once per output representation, must build
-  // identical trees — only the next-frontier container differs.
-  BfsStatus queue_status{8};
-  BfsStatus bitmap_status{8};
-  queue_status.reset(0);
-  bitmap_status.reset(0);
+  // The same search run once per backward source and output
+  // representation must build identical trees — only the storage and the
+  // next-frontier container differ. The DRAM queue run is the reference.
+  BfsStatus reference{8};
+  reference.reset(0);
+  std::vector<std::int64_t> claimed;
+  std::vector<std::int64_t> frontier;
   for (int level = 1; level <= 4; ++level) {
-    const StepResult q =
-        bottom_up_step(backward_, queue_status, level, topology_, pool_, 2,
-                       BottomUpOutput::Queue);
-    const StepResult b =
-        bottom_up_step(backward_, bitmap_status, level, topology_, pool_, 2,
-                       BottomUpOutput::Bitmap);
-    EXPECT_EQ(q.claimed, b.claimed) << "level " << level;
-    queue_status.advance();
-    bitmap_status.advance();
-    EXPECT_EQ(queue_status.frontier_size(), bitmap_status.frontier_size())
-        << "level " << level;
+    claimed.push_back(bottom_up_step(&backward_, reference, level, topology_,
+                                     pool_, 2, BottomUpOutput::Queue)
+                          .claimed);
+    reference.advance();
+    frontier.push_back(reference.frontier_size());
   }
-  for (Vertex v = 0; v < 8; ++v) {
-    EXPECT_EQ(queue_status.level(v), bitmap_status.level(v)) << "v=" << v;
-    EXPECT_EQ(queue_status.parent(v) == kNoVertex,
-              bitmap_status.parent(v) == kNoVertex)
-        << "v=" << v;
+  for (const auto& [name, backward] : sources()) {
+    for (const BottomUpOutput output :
+         {BottomUpOutput::Queue, BottomUpOutput::Bitmap}) {
+      SCOPED_TRACE(name + (output == BottomUpOutput::Queue ? " queue"
+                                                           : " bitmap"));
+      BfsStatus status{8};
+      status.reset(0);
+      for (int level = 1; level <= 4; ++level) {
+        const StepResult r = bottom_up_step(backward, status, level,
+                                            topology_, pool_, 2, output);
+        EXPECT_EQ(r.claimed, claimed[level - 1]) << "level " << level;
+        status.advance();
+        EXPECT_EQ(status.frontier_size(), frontier[level - 1])
+            << "level " << level;
+      }
+      for (Vertex v = 0; v < 8; ++v) {
+        EXPECT_EQ(status.level(v), reference.level(v)) << "v=" << v;
+        EXPECT_EQ(status.parent(v) == kNoVertex,
+                  reference.parent(v) == kNoVertex)
+            << "v=" << v;
+      }
+    }
   }
 }
 
 TEST_F(BottomUpTest, BitmapOutputFrontierSupportsNextSweep) {
   // A bitmap-rep frontier must drive the following bottom-up level without
   // any queue materialization: in_frontier reads the bitmap directly.
-  BfsStatus status{8};
-  status.reset(0);
-  bottom_up_step(backward_, status, 1, topology_, pool_, 2,
-                 BottomUpOutput::Bitmap);
-  status.advance();
-  ASSERT_EQ(status.frontier_rep(), FrontierRep::Bitmap);
-  EXPECT_EQ(status.frontier_size(), 2);  // {1, 3}
-  bottom_up_step(backward_, status, 2, topology_, pool_, 2,
-                 BottomUpOutput::Bitmap);
-  status.advance();
-  EXPECT_TRUE(status.is_visited(2));
-  EXPECT_TRUE(status.is_visited(4));
-  EXPECT_EQ(status.parent(2), 1);
+  for (const auto& [name, backward] : sources()) {
+    SCOPED_TRACE(name);
+    BfsStatus status{8};
+    status.reset(0);
+    bottom_up_step(backward, status, 1, topology_, pool_, 2,
+                   BottomUpOutput::Bitmap);
+    status.advance();
+    ASSERT_EQ(status.frontier_rep(), FrontierRep::Bitmap);
+    EXPECT_EQ(status.frontier_size(), 2);  // {1, 3}
+    bottom_up_step(backward, status, 2, topology_, pool_, 2,
+                   BottomUpOutput::Bitmap);
+    status.advance();
+    EXPECT_TRUE(status.is_visited(2));
+    EXPECT_TRUE(status.is_visited(4));
+    EXPECT_EQ(status.parent(2), 1);
+  }
 }
 
 TEST_F(BottomUpTest, HybridBitmapOutputMatchesDramQueue) {
-  const std::string dir = ::testing::TempDir() + "/sembfs_bu_hybrid_bm";
-  std::filesystem::remove_all(dir);
-  auto device = std::make_shared<NvmDevice>(DeviceProfile::dram());
-  HybridBackwardGraph hybrid{backward_, 1, device, dir};
-
   BfsStatus dram_status{8};
   BfsStatus hybrid_status{8};
   dram_status.reset(0);
   hybrid_status.reset(0);
   for (int level = 1; level <= 3; ++level) {
-    bottom_up_step(backward_, dram_status, level, topology_, pool_, 2);
-    bottom_up_step_hybrid(hybrid, hybrid_status, level, topology_, pool_, 2,
-                          BottomUpOutput::Bitmap);
+    bottom_up_step(&backward_, dram_status, level, topology_, pool_, 2);
+    bottom_up_step(hybrid_.get(), hybrid_status, level, topology_, pool_, 2,
+                   BottomUpOutput::Bitmap);
     dram_status.advance();
     hybrid_status.advance();
   }
   for (Vertex v = 0; v < 8; ++v)
     EXPECT_EQ(dram_status.level(v), hybrid_status.level(v)) << "v=" << v;
-  std::filesystem::remove_all(dir);
 }
 
 TEST_F(BottomUpTest, HybridVariantMatchesDram) {
-  const std::string dir = ::testing::TempDir() + "/sembfs_bu_hybrid";
-  std::filesystem::remove_all(dir);
-  auto device = std::make_shared<NvmDevice>(DeviceProfile::dram());
-  HybridBackwardGraph hybrid{backward_, 1, device, dir};
-
   BfsStatus dram_status{8};
   BfsStatus hybrid_status{8};
   dram_status.reset(0);
   hybrid_status.reset(0);
   for (int level = 1; level <= 3; ++level) {
-    bottom_up_step(backward_, dram_status, level, topology_, pool_, 2);
-    bottom_up_step_hybrid(hybrid, hybrid_status, level, topology_, pool_, 2);
+    bottom_up_step(&backward_, dram_status, level, topology_, pool_, 2);
+    bottom_up_step(hybrid_.get(), hybrid_status, level, topology_, pool_, 2);
     dram_status.advance();
     hybrid_status.advance();
   }
   for (Vertex v = 0; v < 8; ++v)
     EXPECT_EQ(dram_status.level(v), hybrid_status.level(v)) << "v=" << v;
-  std::filesystem::remove_all(dir);
 }
 
 TEST_F(BottomUpTest, HybridCountsNvmWork) {
-  const std::string dir = ::testing::TempDir() + "/sembfs_bu_hybrid2";
-  std::filesystem::remove_all(dir);
-  auto device = std::make_shared<NvmDevice>(DeviceProfile::dram());
-  HybridBackwardGraph hybrid{backward_, 0, device, dir};  // all on NVM
+  HybridBackwardGraph hybrid{backward_, 0, device_,
+                             dir_.aux("_nvm")};  // all on NVM
 
   BfsStatus status{8};
   status.reset(0);
+  const std::uint64_t before = device_->stats().snapshot().requests;
   const StepResult r =
-      bottom_up_step_hybrid(hybrid, status, 1, topology_, pool_, 2);
+      bottom_up_step(&hybrid, status, 1, topology_, pool_, 2);
+  const std::uint64_t served = device_->stats().snapshot().requests - before;
   EXPECT_EQ(r.claimed, 2);
   EXPECT_GT(hybrid.nvm_edges_examined(), 0u);
   EXPECT_EQ(hybrid.dram_edges_examined(), 0u);
-  std::filesystem::remove_all(dir);
+  // Every tail read reaches the step's request count.
+  EXPECT_GT(r.nvm_requests, 0u);
+  EXPECT_EQ(r.nvm_requests, served);
 }
 
 }  // namespace

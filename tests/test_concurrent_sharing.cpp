@@ -128,8 +128,8 @@ TEST(ConcurrentServeTest, ManyClientsSubmitWaitCancel) {
   const BackwardGraph backward =
       BackwardGraph::build(edges, partition, CsrBuildOptions{}, pool);
   GraphStorage storage;
-  storage.forward_dram = &forward;
-  storage.backward_dram = &backward;
+  storage.forward = &forward;
+  storage.backward = &backward;
   const NumaTopology topology{2, 1};
 
   serve::EngineConfig config;
@@ -182,8 +182,8 @@ TEST(ConcurrentServeTest, LoadGenReportAccounting) {
   const BackwardGraph backward =
       BackwardGraph::build(edges, partition, CsrBuildOptions{}, pool);
   GraphStorage storage;
-  storage.forward_dram = &forward;
-  storage.backward_dram = &backward;
+  storage.forward = &forward;
+  storage.backward = &backward;
   const NumaTopology topology{2, 1};
   serve::QueryEngine engine{storage, topology, pool, serve::EngineConfig{}};
 

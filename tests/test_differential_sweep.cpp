@@ -99,17 +99,17 @@ TEST_P(DifferentialSweep, LevelsMatchReferenceAndTreeValidates) {
   std::optional<ExternalForwardGraph> external;
   std::optional<TieredForwardGraph> tiered;
   GraphStorage storage;
-  storage.backward_dram = &backward;
+  storage.backward = &backward;
   if (std::string_view{c.storage} == "dram") {
-    storage.forward_dram = &forward;
+    storage.forward = &forward;
   } else if (std::string_view{c.storage} == "external") {
     external.emplace(forward, device, dir + "/fg", /*chunk_bytes=*/4096u,
                      c.chunk_format);
-    storage.forward_external = &*external;
+    storage.forward = &*external;
   } else {
     tiered.emplace(forward, 4, device, dir, pool, /*chunk_bytes=*/4096u,
                    c.chunk_format);
-    storage.forward_tiered = &*tiered;
+    storage.forward = &*tiered;
   }
 
   BfsConfig config;
@@ -294,11 +294,16 @@ struct AnalyticsCase {
   const char* storage;    // "dram" | "external" | "tiered"
   ChunkFormat chunk_format = ChunkFormat::kRaw;
   double read_error_rate = 0.0;  // injected per-read error probability
+  // >= 0: the backward side is a HybridBackwardGraph keeping this many
+  // in-edges per vertex in DRAM (the rest on NVM, in chunk_format), so the
+  // pull supersteps and triangle healing stream the NVM tail.
+  std::int64_t backward_dram_edges = -1;
 
   friend std::ostream& operator<<(std::ostream& os, const AnalyticsCase& c) {
-    return os << c.generator << "_" << c.storage << "_fmt"
-              << to_string(c.chunk_format) << "_err" << c.read_error_rate
-              << "_seed" << kSeed;
+    os << c.generator << "_" << c.storage << "_fmt"
+       << to_string(c.chunk_format) << "_err" << c.read_error_rate;
+    if (c.backward_dram_edges >= 0) os << "_bwd" << c.backward_dram_edges;
+    return os << "_seed" << kSeed;
   }
 };
 
@@ -332,18 +337,25 @@ TEST_P(AnalyticsSweep, EngineMatchesSerialReferences) {
   auto device = std::make_shared<NvmDevice>(DeviceProfile::dram());
   std::optional<ExternalForwardGraph> external;
   std::optional<TieredForwardGraph> tiered;
+  std::optional<HybridBackwardGraph> hybrid;
   GraphStorage storage;
-  storage.backward_dram = &backward;
+  storage.backward = &backward;
   if (std::string_view{c.storage} == "dram") {
-    storage.forward_dram = &forward;
+    storage.forward = &forward;
   } else if (std::string_view{c.storage} == "external") {
     external.emplace(forward, device, scratch.path() + "/fg",
                      /*chunk_bytes=*/4096u, c.chunk_format);
-    storage.forward_external = &*external;
+    storage.forward = &*external;
   } else {
     tiered.emplace(forward, 4, device, scratch.path(), pool,
                    /*chunk_bytes=*/4096u, c.chunk_format);
-    storage.forward_tiered = &*tiered;
+    storage.forward = &*tiered;
+  }
+  if (c.backward_dram_edges >= 0) {
+    hybrid.emplace(backward, c.backward_dram_edges, device,
+                   scratch.path() + "/bg", /*chunk_bytes=*/4096u,
+                   c.chunk_format);
+    storage.backward = &*hybrid;
   }
 
   const NumaTopology topology{4, 1};
@@ -413,7 +425,16 @@ INSTANTIATE_TEST_SUITE_P(
         AnalyticsCase{"uniform", "external", ChunkFormat::kRaw, 1e-3},
         AnalyticsCase{"uniform", "tiered", ChunkFormat::kRaw, 1e-3},
         AnalyticsCase{"kron", "external", ChunkFormat::kVarint, 1e-3},
-        AnalyticsCase{"uniform", "tiered", ChunkFormat::kVarint, 1e-3}));
+        AnalyticsCase{"uniform", "tiered", ChunkFormat::kVarint, 1e-3},
+        // Hybrid backward graph (2 DRAM in-edges per vertex, the rest on
+        // NVM): the pull loops and the backward fallback read the tail,
+        // once per forward kind in both chunk formats.
+        AnalyticsCase{"kron", "dram", ChunkFormat::kRaw, 0, 2},
+        AnalyticsCase{"kron", "external", ChunkFormat::kRaw, 0, 2},
+        AnalyticsCase{"kron", "tiered", ChunkFormat::kRaw, 0, 2},
+        AnalyticsCase{"uniform", "dram", ChunkFormat::kVarint, 0, 2},
+        AnalyticsCase{"uniform", "external", ChunkFormat::kVarint, 0, 2},
+        AnalyticsCase{"uniform", "tiered", ChunkFormat::kVarint, 0, 2}));
 
 // ---------------------------------------------------------------------------
 // Sharded sweep: the emulated multi-node BFS must agree with the serial

@@ -17,8 +17,8 @@ class DistancesTest : public ::testing::Test {
     backward_ = BackwardGraph::build(edges_, partition_, CsrBuildOptions{},
                                      pool_);
     GraphStorage storage;
-    storage.forward_dram = &forward_;
-    storage.backward_dram = &backward_;
+    storage.forward = &forward_;
+    storage.backward = &backward_;
     runner_ = std::make_unique<HybridBfsRunner>(storage, NumaTopology{2, 2},
                                                 pool_);
   }
@@ -92,8 +92,8 @@ TEST_F(DistancesTest, StarGraphTwoHopWorld) {
   const BackwardGraph bg =
       BackwardGraph::build(star, partition, CsrBuildOptions{}, pool_);
   GraphStorage storage;
-  storage.forward_dram = &fg;
-  storage.backward_dram = &bg;
+  storage.forward = &fg;
+  storage.backward = &bg;
   HybridBfsRunner runner{storage, NumaTopology{2, 2}, pool_};
   const std::vector<Vertex> sources = {5};  // a leaf
   const DistanceStats stats = sample_distances(runner, sources);

@@ -43,8 +43,8 @@ void check_engine_matches_references(const EdgeList& edges,
   const Csr full = build_csr(edges, CsrBuildOptions{}, pool);
 
   GraphStorage storage;
-  storage.forward_dram = &forward;
-  storage.backward_dram = &backward;
+  storage.forward = &forward;
+  storage.backward = &backward;
   const NumaTopology topology{nodes, pool.size() / nodes};
   const BfsConfig config;
 

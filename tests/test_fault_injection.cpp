@@ -85,8 +85,8 @@ TEST_F(FaultInjectionTest, ParallelBfsDegradesOnDeviceErrorAndRecovers) {
   ExternalForwardGraph external{forward, device_, dir_.path() + "/fg"};
 
   GraphStorage storage;
-  storage.forward_external = &external;
-  storage.backward_dram = &backward;
+  storage.forward = &external;
+  storage.backward = &backward;
   HybridBfsRunner runner{storage, NumaTopology{4, 1}, pool_};
 
   Vertex root = 0;
@@ -137,8 +137,8 @@ TEST_F(FaultInjectionTest, IoRetryHealsTopDownReadFailure) {
   ExternalForwardGraph external{forward, device_, dir_.path() + "/fg"};
 
   GraphStorage storage;
-  storage.forward_external = &external;
-  storage.backward_dram = &backward;
+  storage.forward = &external;
+  storage.backward = &backward;
   HybridBfsRunner runner{storage, NumaTopology{4, 1}, pool_};
 
   Vertex root = 0;
@@ -172,7 +172,7 @@ TEST_F(FaultInjectionTest, DegradationWithoutBackwardGraphThrows) {
   ExternalForwardGraph external{forward, device_, dir_.path() + "/fg"};
 
   GraphStorage storage;
-  storage.forward_external = &external;
+  storage.forward = &external;
   const NumaTopology topology{2, 1};
 
   Vertex root = 0;

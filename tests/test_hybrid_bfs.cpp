@@ -43,8 +43,8 @@ TEST_P(HybridBfsSweep, LevelsMatchReference) {
   const Csr full = build_csr(edges, CsrBuildOptions{}, pool);
 
   GraphStorage storage;
-  storage.forward_dram = &forward;
-  storage.backward_dram = &backward;
+  storage.forward = &forward;
+  storage.backward = &backward;
   HybridBfsRunner runner{
       storage, NumaTopology::with_total_threads(s.numa_nodes, pool.size()),
       pool};
@@ -105,8 +105,8 @@ TEST(HybridBfs, EdgeRatioPolicyAlsoMatchesReference) {
   const Csr full = build_csr(edges, CsrBuildOptions{}, pool);
 
   GraphStorage storage;
-  storage.forward_dram = &forward;
-  storage.backward_dram = &backward;
+  storage.forward = &forward;
+  storage.backward = &backward;
   HybridBfsRunner runner{storage, NumaTopology{4, 1}, pool};
 
   BfsConfig config;
@@ -133,8 +133,8 @@ TEST(HybridBfs, LevelStatsAreInternallyConsistent) {
       BackwardGraph::build(edges, partition, CsrBuildOptions{}, pool);
 
   GraphStorage storage;
-  storage.forward_dram = &forward;
-  storage.backward_dram = &backward;
+  storage.forward = &forward;
+  storage.backward = &backward;
   HybridBfsRunner runner{storage, NumaTopology{4, 1}, pool};
 
   BfsConfig config;
@@ -171,8 +171,8 @@ TEST(HybridBfs, FirstLevelIsAlwaysTopDownInHybridMode) {
   const BackwardGraph backward =
       BackwardGraph::build(edges, partition, CsrBuildOptions{}, pool);
   GraphStorage storage;
-  storage.forward_dram = &forward;
-  storage.backward_dram = &backward;
+  storage.forward = &forward;
+  storage.backward = &backward;
   HybridBfsRunner runner{storage, NumaTopology{2, 1}, pool};
   const BfsResult result = runner.run(0, BfsConfig{});
   ASSERT_FALSE(result.levels.empty());
@@ -188,8 +188,8 @@ TEST(HybridBfs, AggressiveAlphaTriggersBottomUp) {
   const BackwardGraph backward =
       BackwardGraph::build(edges, partition, CsrBuildOptions{}, pool);
   GraphStorage storage;
-  storage.forward_dram = &forward;
-  storage.backward_dram = &backward;
+  storage.forward = &forward;
+  storage.backward = &backward;
   HybridBfsRunner runner{storage, NumaTopology{2, 1}, pool};
 
   BfsConfig config;
@@ -214,8 +214,8 @@ TEST(HybridBfs, RunnerReusableAcrossRoots) {
       BackwardGraph::build(edges, partition, CsrBuildOptions{}, pool);
   const Csr full = build_csr(edges, CsrBuildOptions{}, pool);
   GraphStorage storage;
-  storage.forward_dram = &forward;
-  storage.backward_dram = &backward;
+  storage.forward = &forward;
+  storage.backward = &backward;
   HybridBfsRunner runner{storage, NumaTopology{2, 2}, pool};
 
   for (Vertex root = 0; root < 20; ++root) {

@@ -51,8 +51,8 @@ TEST_F(ExternalBfsTest, ExternalForwardMatchesReference) {
     auto device = std::make_shared<NvmDevice>(fast_profile(profile));
     ExternalForwardGraph external{forward_, device, dir_.path()};
     GraphStorage storage;
-    storage.forward_external = &external;
-    storage.backward_dram = &backward_;
+    storage.forward = &external;
+    storage.backward = &backward_;
     HybridBfsRunner runner{storage, NumaTopology{4, 1}, pool_};
 
     const BfsResult result = runner.run(root_, BfsConfig{});
@@ -67,8 +67,8 @@ TEST_F(ExternalBfsTest, TopDownOnlyGeneratesNvmTraffic) {
   auto device = std::make_shared<NvmDevice>(fast_profile("pcie_flash"));
   ExternalForwardGraph external{forward_, device, dir_.path()};
   GraphStorage storage;
-  storage.forward_external = &external;
-  storage.backward_dram = &backward_;
+  storage.forward = &external;
+  storage.backward = &backward_;
   HybridBfsRunner runner{storage, NumaTopology{4, 1}, pool_};
   device->stats().reset();
 
@@ -89,8 +89,8 @@ TEST_F(ExternalBfsTest, HybridMinimizesNvmTrafficVsTopDownOnly) {
   auto device = std::make_shared<NvmDevice>(fast_profile("pcie_flash"));
   ExternalForwardGraph external{forward_, device, dir_.path()};
   GraphStorage storage;
-  storage.forward_external = &external;
-  storage.backward_dram = &backward_;
+  storage.forward = &external;
+  storage.backward = &backward_;
   HybridBfsRunner runner{storage, NumaTopology{4, 1}, pool_};
 
   BfsConfig top_down;
@@ -111,8 +111,8 @@ TEST_F(ExternalBfsTest, BottomUpOnlyTouchesNoForwardNvm) {
   auto device = std::make_shared<NvmDevice>(fast_profile("dram"));
   ExternalForwardGraph external{forward_, device, dir_.path()};
   GraphStorage storage;
-  storage.forward_external = &external;
-  storage.backward_dram = &backward_;
+  storage.forward = &external;
+  storage.backward = &backward_;
   HybridBfsRunner runner{storage, NumaTopology{4, 1}, pool_};
   device->stats().reset();
 
@@ -132,8 +132,8 @@ TEST_F(ExternalBfsTest, HybridBackwardOffloadMatchesReference) {
     HybridBackwardGraph hybrid_backward{backward_, cap, device,
                                         dir_.aux(std::to_string(cap))};
     GraphStorage storage;
-    storage.forward_dram = &forward_;
-    storage.backward_hybrid = &hybrid_backward;
+    storage.forward = &forward_;
+    storage.backward = &hybrid_backward;
     HybridBfsRunner runner{storage, NumaTopology{4, 1}, pool_};
 
     const BfsResult result = runner.run(root_, BfsConfig{});
@@ -152,8 +152,8 @@ TEST_F(ExternalBfsTest, BackwardOffloadAccessRatioDropsWithBiggerCap) {
     HybridBackwardGraph hybrid_backward{backward_, cap, device,
                                         dir_.aux("r" + std::to_string(cap))};
     GraphStorage storage;
-    storage.forward_dram = &forward_;
-    storage.backward_hybrid = &hybrid_backward;
+    storage.forward = &forward_;
+    storage.backward = &hybrid_backward;
     HybridBfsRunner runner{storage, NumaTopology{4, 1}, pool_};
     BfsConfig config;
     config.policy.alpha = 1e6;  // mostly bottom-up
@@ -171,13 +171,41 @@ TEST_F(ExternalBfsTest, BackwardOffloadAccessRatioDropsWithBiggerCap) {
   }
 }
 
+// Every read of the backward graph's NVM tail reaches the result: a
+// bottom-up-only run over a cap-0 hybrid backward graph (every in-edge on
+// NVM) reports exactly the requests the device served, level by level.
+TEST_F(ExternalBfsTest, HybridBackwardReadsReachNvmRequests) {
+  auto device = std::make_shared<NvmDevice>(fast_profile("dram"));
+  HybridBackwardGraph hybrid_backward{backward_, 0, device, dir_.path(),
+                                      4096, ChunkFormat::kRaw};
+  GraphStorage storage;
+  storage.forward = &forward_;
+  storage.backward = &hybrid_backward;
+  HybridBfsRunner runner{storage, NumaTopology{4, 1}, pool_};
+  BfsConfig config;
+  config.mode = BfsMode::BottomUpOnly;
+
+  const std::uint64_t before = device->stats().snapshot().requests;
+  const BfsResult result = runner.run(root_, config);
+  const std::uint64_t served = device->stats().snapshot().requests - before;
+
+  EXPECT_GT(result.nvm_requests, 0u);
+  EXPECT_EQ(result.nvm_requests, served);
+  std::uint64_t per_level = 0;
+  for (const LevelStats& level : result.levels) per_level += level.nvm_requests;
+  EXPECT_EQ(per_level, result.nvm_requests);
+  const ReferenceBfsResult ref = reference_bfs(full_, root_);
+  for (Vertex v = 0; v < edges_.vertex_count(); ++v)
+    ASSERT_EQ(result.level[v], ref.level[v]);
+}
+
 TEST_F(ExternalBfsTest, FullyExternalBothSidesStillCorrect) {
   auto device = std::make_shared<NvmDevice>(fast_profile("pcie_flash"));
   ExternalForwardGraph external{forward_, device, dir_.aux("f")};
   HybridBackwardGraph hybrid_backward{backward_, 4, device, dir_.aux("b")};
   GraphStorage storage;
-  storage.forward_external = &external;
-  storage.backward_hybrid = &hybrid_backward;
+  storage.forward = &external;
+  storage.backward = &hybrid_backward;
   HybridBfsRunner runner{storage, NumaTopology{4, 1}, pool_};
 
   const BfsResult result = runner.run(root_, BfsConfig{});
@@ -194,8 +222,8 @@ TEST_F(ExternalBfsTest, AsyncPrefetchAndChunkCacheMatchReference) {
     auto device = std::make_shared<NvmDevice>(fast_profile("pcie_flash"));
     ExternalForwardGraph external{forward_, device, dir_.aux("a")};
     GraphStorage storage;
-    storage.forward_external = &external;
-    storage.backward_dram = &backward_;
+    storage.forward = &external;
+    storage.backward = &backward_;
     HybridBfsRunner runner{storage, NumaTopology{4, 1}, pool_};
 
     BfsConfig config;
@@ -212,8 +240,8 @@ TEST_F(ExternalBfsTest, ChunkCacheCutsDeviceRequests) {
   auto device = std::make_shared<NvmDevice>(fast_profile("pcie_flash"));
   ExternalForwardGraph external{forward_, device, dir_.path()};
   GraphStorage storage;
-  storage.forward_external = &external;
-  storage.backward_dram = &backward_;
+  storage.forward = &external;
+  storage.backward = &backward_;
   HybridBfsRunner runner{storage, NumaTopology{4, 1}, pool_};
 
   BfsConfig off;
@@ -237,8 +265,8 @@ TEST_F(ExternalBfsTest, AsyncPrefetchKeepsRequestAccountingExact) {
   auto device = std::make_shared<NvmDevice>(fast_profile("pcie_flash"));
   ExternalForwardGraph external{forward_, device, dir_.path()};
   GraphStorage storage;
-  storage.forward_external = &external;
-  storage.backward_dram = &backward_;
+  storage.forward = &external;
+  storage.backward = &backward_;
   HybridBfsRunner runner{storage, NumaTopology{4, 1}, pool_};
   device->stats().reset();
 
@@ -269,8 +297,8 @@ TEST_F(ExternalBfsTest, DefaultPathKeepsMoreReadsInFlightThanWorkers) {
   auto device = std::make_shared<NvmDevice>(profile);
   ExternalForwardGraph external{forward_, device, dir_.path()};
   GraphStorage storage;
-  storage.forward_external = &external;
-  storage.backward_dram = &backward_;
+  storage.forward = &external;
+  storage.backward = &backward_;
   ASSERT_EQ(pool_.size(), 4u);
   HybridBfsRunner runner{storage, NumaTopology{4, 1}, pool_};
 
@@ -308,8 +336,8 @@ TEST_F(ExternalBfsTest, ConcurrentTraversalsShareOneGraph) {
     ExternalForwardGraph external{forward_, device,
                                   dir_.aux("c" + std::to_string(round))};
     GraphStorage storage;
-    storage.forward_external = &external;
-    storage.backward_dram = &backward_;
+    storage.forward = &external;
+    storage.backward = &backward_;
 
     std::vector<std::vector<std::int32_t>> levels(kThreads);
     std::latch start{kThreads};
@@ -343,16 +371,16 @@ TEST_F(ExternalBfsTest, EdgeRatioDirectionsMatchDramRun) {
   config.policy.beta = 24.0;
 
   GraphStorage dram_storage;
-  dram_storage.forward_dram = &forward_;
-  dram_storage.backward_dram = &backward_;
+  dram_storage.forward = &forward_;
+  dram_storage.backward = &backward_;
   HybridBfsRunner dram_runner{dram_storage, NumaTopology{4, 1}, pool_};
   const BfsResult dram = dram_runner.run(root_, config);
 
   auto device = std::make_shared<NvmDevice>(fast_profile("dram"));
   ExternalForwardGraph external{forward_, device, dir_.path()};
   GraphStorage ext_storage;
-  ext_storage.forward_external = &external;
-  ext_storage.backward_dram = &backward_;
+  ext_storage.forward = &external;
+  ext_storage.backward = &backward_;
   HybridBfsRunner ext_runner{ext_storage, NumaTopology{4, 1}, pool_};
   const BfsResult ext = ext_runner.run(root_, config);
 
@@ -370,17 +398,17 @@ TEST_F(ExternalBfsTest, EdgeRatioDirectionsMatchDramRun) {
     ASSERT_EQ(ext.level[v], dram.level[v]);
 }
 
-// Regression: degree() used to hit SEMBFS_ASSERT(backward_hybrid !=
-// nullptr) for storage with no backward graph; it now sums the
+// Regression: degree() used to assert that a hybrid backward graph was
+// attached when storage had no backward graph; it now sums the
 // destination-filtered forward partitions.
 TEST_F(ExternalBfsTest, DegreeFallsBackToForwardStorage) {
   GraphStorage fwd_only;
-  fwd_only.forward_dram = &forward_;
+  fwd_only.forward = &forward_;
 
   auto device = std::make_shared<NvmDevice>(fast_profile("dram"));
   ExternalForwardGraph external{forward_, device, dir_.path()};
   GraphStorage ext_only;
-  ext_only.forward_external = &external;
+  ext_only.forward = &external;
 
   for (Vertex v = 0; v < edges_.vertex_count(); v += 11) {
     const std::int64_t expected = full_.degree(v);

@@ -30,8 +30,8 @@ TEST_P(UniformBfsSweep, LevelsMatchReference) {
   const Csr full = build_csr(edges, CsrBuildOptions{}, pool);
 
   GraphStorage storage;
-  storage.forward_dram = &forward;
-  storage.backward_dram = &backward;
+  storage.forward = &forward;
+  storage.backward = &backward;
   HybridBfsRunner runner{storage, NumaTopology{4, 1}, pool};
 
   BfsConfig config;

@@ -347,8 +347,8 @@ TEST_F(IoAggregationTest, AggregatedBfsMatchesReference) {
       BackwardGraph::build(edges_, partition_, CsrBuildOptions{}, pool_);
   const Csr full = build_csr(edges_, CsrBuildOptions{}, pool_);
   GraphStorage storage;
-  storage.forward_external = external_.get();
-  storage.backward_dram = &backward;
+  storage.forward = external_.get();
+  storage.backward = &backward;
   HybridBfsRunner runner{storage, NumaTopology{2, 2}, pool_};
 
   BfsConfig config;
@@ -367,8 +367,8 @@ TEST_F(IoAggregationTest, AggregatedBfsIssuesFewerRequests) {
       BackwardGraph::build(edges_, partition_, CsrBuildOptions{}, pool_);
   const Csr full = build_csr(edges_, CsrBuildOptions{}, pool_);
   GraphStorage storage;
-  storage.forward_external = external_.get();
-  storage.backward_dram = &backward;
+  storage.forward = external_.get();
+  storage.backward = &backward;
   HybridBfsRunner runner{storage, NumaTopology{2, 2}, pool_};
 
   Vertex root = 0;
@@ -387,8 +387,8 @@ TEST_F(IoAggregationTest, AggregationRaisesAvgRequestSize) {
   const BackwardGraph backward =
       BackwardGraph::build(edges_, partition_, CsrBuildOptions{}, pool_);
   GraphStorage storage;
-  storage.forward_external = external_.get();
-  storage.backward_dram = &backward;
+  storage.forward = external_.get();
+  storage.backward = &backward;
   HybridBfsRunner runner{storage, NumaTopology{2, 2}, pool_};
 
   Vertex root = 0;

@@ -25,7 +25,7 @@ class MsBfsTest : public ::testing::Test {
                                      pool_);
     full_ = build_csr(edges, CsrBuildOptions{}, pool_);
     storage_ = GraphStorage{};
-    storage_.backward_dram = &backward_;
+    storage_.backward = &backward_;
     topology_ = NumaTopology{numa_nodes, 1};
   }
 
@@ -193,7 +193,7 @@ TEST_F(MsBfsTest, HybridBackwardMatchesReference) {
   HybridBackwardGraph hybrid{backward, 4, device, dir};
 
   GraphStorage storage;
-  storage.backward_hybrid = &hybrid;
+  storage.backward = &hybrid;
   topology_ = NumaTopology{2, 1};
   const std::vector<Vertex> roots{0, 1, 2, 3};
   MsBfsBatch batch{storage, topology_, pool_, roots};

@@ -34,8 +34,8 @@ class ServeEngineTest : public ::testing::Test {
                                      pool_);
     full_ = build_csr(edges_, CsrBuildOptions{}, pool_);
     storage_ = GraphStorage{};
-    storage_.forward_dram = &forward_;
-    storage_.backward_dram = &backward_;
+    storage_.forward = &forward_;
+    storage_.backward = &backward_;
   }
 
   void expect_matches_reference(const QueryResult& result) {
@@ -259,8 +259,8 @@ TEST_F(ServeEngineTest, FaultsAreContainedPerQuery) {
   device->set_fault_plan(plan);
 
   GraphStorage storage;
-  storage.forward_external = &external;
-  storage.backward_dram = &backward_;
+  storage.forward = &external;
+  storage.backward = &backward_;
   QueryEngine engine{storage, topology_, pool_, EngineConfig{}};
   QueryOptions options;
   options.batchable = false;  // sessions: the NVM-touching path

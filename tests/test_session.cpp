@@ -26,8 +26,8 @@ class SessionTest : public ::testing::Test {
     backward_ = BackwardGraph::build(edges_, partition_, CsrBuildOptions{},
                                      pool_);
     full_ = build_csr(edges_, CsrBuildOptions{}, pool_);
-    storage_.forward_dram = &forward_;
-    storage_.backward_dram = &backward_;
+    storage_.forward = &forward_;
+    storage_.backward = &backward_;
     root_ = 0;
     while (full_.degree(root_) == 0) ++root_;
   }
@@ -107,8 +107,8 @@ TEST_F(SessionTest, StepAfterDoneIsNoop) {
   const BackwardGraph bg =
       BackwardGraph::build(small, partition, CsrBuildOptions{}, pool_);
   GraphStorage storage;
-  storage.forward_dram = &fg;
-  storage.backward_dram = &bg;
+  storage.forward = &fg;
+  storage.backward = &bg;
   BfsProgram program{status, 7};  // isolated
   ProgramSession session{program, storage, topology_, pool_, BfsConfig{}};
   EXPECT_FALSE(session.step());  // level 1 finds nothing

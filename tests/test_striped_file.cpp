@@ -105,8 +105,8 @@ TEST_F(StripedFileTest, StripedForwardGraphBfsCorrect) {
 
   ExternalForwardGraph striped{forward, devices_, dir_ + "/fg"};
   GraphStorage storage;
-  storage.forward_external = &striped;
-  storage.backward_dram = &backward;
+  storage.forward = &striped;
+  storage.backward = &backward;
   HybridBfsRunner runner{storage, NumaTopology{2, 2}, pool};
 
   Vertex root = 0;

@@ -120,8 +120,8 @@ TEST_F(TieredForwardTest, TieredBfsMatchesReference) {
   TieredForwardGraph tiered = make(4);
   const Csr full = build_csr(edges_, CsrBuildOptions{}, pool_);
   GraphStorage storage;
-  storage.forward_tiered = &tiered;
-  storage.backward_dram = &backward_;
+  storage.forward = &tiered;
+  storage.backward = &backward_;
   HybridBfsRunner runner{storage, NumaTopology{4, 1}, pool_};
 
   Vertex root = 0;
@@ -149,8 +149,8 @@ TEST_F(TieredForwardTest, TieredCutsRequestsVsFullyExternal) {
   const Csr full = build_csr(edges_, CsrBuildOptions{}, pool_);
 
   GraphStorage tiered_storage;
-  tiered_storage.forward_tiered = &tiered;
-  tiered_storage.backward_dram = &backward_;
+  tiered_storage.forward = &tiered;
+  tiered_storage.backward = &backward_;
   HybridBfsRunner tiered_runner{tiered_storage, NumaTopology{4, 1}, pool_};
 
   Vertex root = 0;

@@ -2,12 +2,47 @@
 
 #include <gtest/gtest.h>
 
+#include <memory>
 #include <set>
+#include <string>
+#include <utility>
+#include <vector>
 
 #include "graph_fixtures.hpp"
+#include "test_util.hpp"
 
 namespace sembfs {
 namespace {
+
+/// The three forward storages over one DRAM forward graph: the graph
+/// itself, its semi-external offload and its degree-tiered split (lists
+/// longer than one entry on NVM). Every top-down test runs over each.
+class ForwardSources {
+ public:
+  ForwardSources(const ForwardGraph& forward, const std::string& dir,
+                 ThreadPool& pool)
+      : forward_(&forward),
+        device_(std::make_shared<NvmDevice>(DeviceProfile::dram())),
+        external_(forward, device_, dir + "/external"),
+        tiered_(forward, 1, device_, dir + "/tiered", pool) {}
+
+  [[nodiscard]] std::vector<std::pair<std::string, ForwardStorage>> all() {
+    return {{"dram", forward_}, {"external", &external_}, {"tiered", &tiered_}};
+  }
+
+ private:
+  const ForwardGraph* forward_;
+  std::shared_ptr<NvmDevice> device_;
+  ExternalForwardGraph external_;
+  TieredForwardGraph tiered_;
+};
+
+StepResult step(const ForwardStorage& forward, BfsStatus& status,
+                std::int32_t level, const NumaTopology& topology,
+                ThreadPool& pool, int batch_size) {
+  return top_down_step(forward, status, level, topology, pool,
+                       {.batch_size = batch_size});
+}
 
 class TopDownTest : public ::testing::Test {
  protected:
@@ -16,108 +51,134 @@ class TopDownTest : public ::testing::Test {
     partition_ = VertexPartition{edges_.vertex_count(), 2};
     forward_ = ForwardGraph::build(edges_, partition_, CsrBuildOptions{},
                                    pool_);
+    sources_ = std::make_unique<ForwardSources>(forward_, dir_.path(), pool_);
   }
 
   ThreadPool pool_{4};
   NumaTopology topology_{2, 2};
+  testutil::ScopedTestDir dir_{"topdown"};
   EdgeList edges_;
   VertexPartition partition_;
   ForwardGraph forward_;
+  std::unique_ptr<ForwardSources> sources_;
 };
 
 TEST_F(TopDownTest, FirstLevelClaimsRootNeighbors) {
-  BfsStatus status{8};
-  status.reset(0);
-  const StepResult r =
-      top_down_step(forward_, status, 1, topology_, pool_, 64);
-  EXPECT_EQ(r.claimed, 2);  // 1 and 3
-  EXPECT_EQ(r.scanned_edges, 2);
-  EXPECT_TRUE(status.is_visited(1));
-  EXPECT_TRUE(status.is_visited(3));
-  EXPECT_EQ(status.parent(1), 0);
-  EXPECT_EQ(status.parent(3), 0);
-  EXPECT_EQ(status.level(1), 1);
-  const std::set<Vertex> next(status.next().begin(), status.next().end());
-  EXPECT_EQ(next, (std::set<Vertex>{1, 3}));
+  for (const auto& [name, forward] : sources_->all()) {
+    SCOPED_TRACE(name);
+    BfsStatus status{8};
+    status.reset(0);
+    const StepResult r = step(forward, status, 1, topology_, pool_, 64);
+    EXPECT_EQ(r.claimed, 2);  // 1 and 3
+    EXPECT_EQ(r.scanned_edges, 2);
+    EXPECT_TRUE(status.is_visited(1));
+    EXPECT_TRUE(status.is_visited(3));
+    EXPECT_EQ(status.parent(1), 0);
+    EXPECT_EQ(status.parent(3), 0);
+    EXPECT_EQ(status.level(1), 1);
+    const std::set<Vertex> next(status.next().begin(), status.next().end());
+    EXPECT_EQ(next, (std::set<Vertex>{1, 3}));
+  }
 }
 
 TEST_F(TopDownTest, SecondLevelContinues) {
-  BfsStatus status{8};
-  status.reset(0);
-  top_down_step(forward_, status, 1, topology_, pool_, 64);
-  status.advance();
-  const StepResult r =
-      top_down_step(forward_, status, 2, topology_, pool_, 64);
-  // From {1,3}: neighbors are 0,2,4 (0 visited) -> claims 2 and 4.
-  EXPECT_EQ(r.claimed, 2);
-  EXPECT_TRUE(status.is_visited(2));
-  EXPECT_TRUE(status.is_visited(4));
-  // parents must come from the frontier
-  EXPECT_TRUE(status.parent(4) == 1 || status.parent(4) == 3);
+  for (const auto& [name, forward] : sources_->all()) {
+    SCOPED_TRACE(name);
+    BfsStatus status{8};
+    status.reset(0);
+    step(forward, status, 1, topology_, pool_, 64);
+    status.advance();
+    const StepResult r = step(forward, status, 2, topology_, pool_, 64);
+    // From {1,3}: neighbors are 0,2,4 (0 visited) -> claims 2 and 4.
+    EXPECT_EQ(r.claimed, 2);
+    EXPECT_TRUE(status.is_visited(2));
+    EXPECT_TRUE(status.is_visited(4));
+    // parents must come from the frontier
+    EXPECT_TRUE(status.parent(4) == 1 || status.parent(4) == 3);
+  }
 }
 
 TEST_F(TopDownTest, ScannedEdgesEqualsFrontierDegreeSum) {
-  BfsStatus status{8};
-  status.reset(1);  // degree 3
-  const StepResult r =
-      top_down_step(forward_, status, 1, topology_, pool_, 64);
-  EXPECT_EQ(r.scanned_edges, 3);
+  for (const auto& [name, forward] : sources_->all()) {
+    SCOPED_TRACE(name);
+    BfsStatus status{8};
+    status.reset(1);  // degree 3
+    const StepResult r = step(forward, status, 1, topology_, pool_, 64);
+    EXPECT_EQ(r.scanned_edges, 3);
+  }
 }
 
 TEST_F(TopDownTest, BatchSizeOneStillCorrect) {
-  BfsStatus status{8};
-  status.reset(0);
-  const StepResult r = top_down_step(forward_, status, 1, topology_, pool_, 1);
-  EXPECT_EQ(r.claimed, 2);
+  for (const auto& [name, forward] : sources_->all()) {
+    SCOPED_TRACE(name);
+    BfsStatus status{8};
+    status.reset(0);
+    const StepResult r = step(forward, status, 1, topology_, pool_, 1);
+    EXPECT_EQ(r.claimed, 2);
+  }
 }
 
 TEST_F(TopDownTest, NoRevisits) {
-  BfsStatus status{8};
-  status.reset(0);
-  top_down_step(forward_, status, 1, topology_, pool_, 64);
-  status.advance();
-  top_down_step(forward_, status, 2, topology_, pool_, 64);
-  status.advance();
-  const StepResult r =
-      top_down_step(forward_, status, 3, topology_, pool_, 64);
-  EXPECT_EQ(r.claimed, 0);  // component exhausted
-  EXPECT_EQ(status.parent(5), kNoVertex);
-  EXPECT_EQ(status.parent(6), kNoVertex);
+  for (const auto& [name, forward] : sources_->all()) {
+    SCOPED_TRACE(name);
+    BfsStatus status{8};
+    status.reset(0);
+    step(forward, status, 1, topology_, pool_, 64);
+    status.advance();
+    step(forward, status, 2, topology_, pool_, 64);
+    status.advance();
+    const StepResult r = step(forward, status, 3, topology_, pool_, 64);
+    EXPECT_EQ(r.claimed, 0);  // component exhausted
+    EXPECT_EQ(status.parent(5), kNoVertex);
+    EXPECT_EQ(status.parent(6), kNoVertex);
+  }
 }
 
 TEST_F(TopDownTest, EmptyFrontierIsNoop) {
-  BfsStatus status{8};
-  status.reset(0);
-  status.advance();  // empty next -> empty frontier
-  const StepResult r =
-      top_down_step(forward_, status, 1, topology_, pool_, 64);
-  EXPECT_EQ(r.claimed, 0);
-  EXPECT_EQ(r.scanned_edges, 0);
+  for (const auto& [name, forward] : sources_->all()) {
+    SCOPED_TRACE(name);
+    BfsStatus status{8};
+    status.reset(0);
+    status.advance();  // empty next -> empty frontier
+    const StepResult r = step(forward, status, 1, topology_, pool_, 64);
+    EXPECT_EQ(r.claimed, 0);
+    EXPECT_EQ(r.scanned_edges, 0);
+    EXPECT_EQ(r.nvm_requests, 0u);
+  }
 }
 
 TEST_F(TopDownTest, ManyNodePartitionsCoverEverything) {
   const VertexPartition fine{edges_.vertex_count(), 8};
-  const ForwardGraph forward =
+  const ForwardGraph forward_fine =
       ForwardGraph::build(edges_, fine, CsrBuildOptions{}, pool_);
+  ForwardSources fine_sources{forward_fine, dir_.aux("_fine"), pool_};
   const NumaTopology topo{8, 1};
-  BfsStatus status{8};
-  status.reset(0);
-  const StepResult r = top_down_step(forward, status, 1, topo, pool_, 64);
-  EXPECT_EQ(r.claimed, 2);
+  for (const auto& [name, forward] : fine_sources.all()) {
+    SCOPED_TRACE(name);
+    BfsStatus status{8};
+    status.reset(0);
+    const StepResult r = step(forward, status, 1, topo, pool_, 64);
+    EXPECT_EQ(r.claimed, 2);
+  }
 }
 
 TEST(TopDownStar, HubExplosion) {
   ThreadPool pool{4};
   const EdgeList edges = fixtures::star_graph(64);
   const VertexPartition partition{64, 4};
-  const ForwardGraph forward =
+  const ForwardGraph forward_dram =
       ForwardGraph::build(edges, partition, CsrBuildOptions{}, pool);
+  testutil::ScopedTestDir dir{"topdown"};
+  ForwardSources sources{forward_dram, dir.path(), pool};
   const NumaTopology topo{4, 1};
-  BfsStatus status{64};
-  status.reset(0);
-  const StepResult r = top_down_step(forward, status, 1, topo, pool, 8);
-  EXPECT_EQ(r.claimed, 63);
-  EXPECT_EQ(r.scanned_edges, 63);
+  for (const auto& [name, forward] : sources.all()) {
+    SCOPED_TRACE(name);
+    BfsStatus status{64};
+    status.reset(0);
+    const StepResult r = step(forward, status, 1, topo, pool, 8);
+    EXPECT_EQ(r.claimed, 63);
+    EXPECT_EQ(r.scanned_edges, 63);
+  }
 }
 
 }  // namespace
