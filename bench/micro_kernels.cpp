@@ -116,6 +116,13 @@ struct StepFixtureState {
     status = BfsStatus{edges.vertex_count()};
     while (backward.neighbors(root).empty()) ++root;
   }
+
+  [[nodiscard]] GraphStorage storage() const {
+    GraphStorage s;
+    s.forward = &forward;
+    s.backward = &backward;
+    return s;
+  }
 };
 
 void BM_TopDownFirstLevels(benchmark::State& state) {
@@ -125,7 +132,7 @@ void BM_TopDownFirstLevels(benchmark::State& state) {
     std::int64_t scanned = 0;
     for (int level = 1; level <= 3 && fx.status.frontier_size() > 0;
          ++level) {
-      scanned += top_down_step(&fx.forward, fx.status, level, fx.topology,
+      scanned += top_down_step(fx.storage(), fx.status, level, fx.topology,
                                fx.pool)
                      .scanned_edges;
       fx.status.advance();
@@ -140,7 +147,7 @@ void BM_BottomUpSweep(benchmark::State& state) {
   for (auto _ : state) {
     fx.status.reset(fx.root);
     // One top-down level to seed a frontier, then one bottom-up sweep.
-    top_down_step(&fx.forward, fx.status, 1, fx.topology, fx.pool);
+    top_down_step(fx.storage(), fx.status, 1, fx.topology, fx.pool);
     fx.status.advance();
     benchmark::DoNotOptimize(
         bottom_up_step(&fx.backward, fx.status, 2, fx.topology, fx.pool,
@@ -157,7 +164,7 @@ void BM_BottomUpSweepBitmap(benchmark::State& state) {
   StepFixtureState fx{static_cast<int>(state.range(0))};
   for (auto _ : state) {
     fx.status.reset(fx.root);
-    top_down_step(&fx.forward, fx.status, 1, fx.topology, fx.pool);
+    top_down_step(fx.storage(), fx.status, 1, fx.topology, fx.pool);
     fx.status.advance();
     benchmark::DoNotOptimize(
         bottom_up_step(&fx.backward, fx.status, 2, fx.topology, fx.pool,
@@ -181,7 +188,7 @@ void BM_BottomUpLateLevel(benchmark::State& state) {
     fx.status.reset(fx.root);
     for (int level = 1; level <= 3 && fx.status.frontier_size() > 0;
          ++level) {
-      top_down_step(&fx.forward, fx.status, level, fx.topology, fx.pool);
+      top_down_step(fx.storage(), fx.status, level, fx.topology, fx.pool);
       fx.status.advance();
     }
     state.ResumeTiming();

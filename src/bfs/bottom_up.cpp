@@ -20,6 +20,7 @@ struct TeamState {
   std::vector<std::atomic<std::int64_t>> cursors;  // offset within node range
   std::vector<std::vector<Vertex>> buffers;        // Queue output only
   std::atomic<std::int64_t> claimed{0};
+  std::atomic<std::int64_t> claimed_degrees{0};
   std::atomic<std::int64_t> scanned{0};
   std::atomic<std::uint64_t> nvm_requests{0};
   std::atomic<std::uint64_t> words_swept{0};
@@ -44,6 +45,8 @@ StepResult finish(TeamState& state, BfsStatus& status, ThreadPool& pool,
 
   StepResult result;
   result.claimed = state.claimed.load(std::memory_order_relaxed);
+  result.claimed_degrees =
+      state.claimed_degrees.load(std::memory_order_relaxed);
   result.scanned_edges = state.scanned.load(std::memory_order_relaxed);
   result.nvm_requests = state.nvm_requests.load(std::memory_order_relaxed);
   return result;
@@ -59,6 +62,10 @@ StepResult sweep(Backward& backward, BfsStatus& status, std::int32_t level,
   TeamState state{topology.node_count(), workers};
   if (output == BottomUpOutput::Bitmap) status.begin_bitmap_next(workers);
   const AtomicBitmap& visited = status.visited_bitmap();
+  // Inserts can give a degree-0 base vertex in-edges, so the mask only
+  // applies to the sealed graph.
+  const Bitmap* const skip =
+      delta == nullptr ? &backward.degree_zero() : nullptr;
 
   pool.run(workers, [&](std::size_t w) {
     auto& out = state.buffers[w];
@@ -66,6 +73,7 @@ StepResult sweep(Backward& backward, BfsStatus& status, std::int32_t level,
         output == BottomUpOutput::Bitmap ? &status.worker_next(w) : nullptr;
     std::vector<Vertex> scratch;  // NVM chunk staging (hybrid only)
     std::int64_t local_claimed = 0;
+    std::int64_t local_degrees = 0;
     std::int64_t local_scanned = 0;
     std::uint64_t local_requests = 0;
     std::uint64_t local_swept = 0;
@@ -85,7 +93,8 @@ StepResult sweep(Backward& backward, BfsStatus& status, std::int32_t level,
             visited, range.begin + lo, range.begin + hi, [&](Vertex vtx) {
               // Single-writer per vertex: each unvisited vertex is swept
               // by exactly one worker per level, so the plain
-              // release-store claim needs no CAS.
+              // release-store claim needs no CAS. The claimed vertex's
+              // full degree (for TEPS) comes from the index just scanned.
               const auto claim = [&](Vertex candidate) {
                 status.claim_bottom_up(vtx, candidate, level);
                 if (out_bits != nullptr) {
@@ -94,6 +103,9 @@ StepResult sweep(Backward& backward, BfsStatus& status, std::int32_t level,
                   out.push_back(vtx);
                 }
                 ++local_claimed;
+                local_degrees += part.degree(vtx);
+                if (delta != nullptr)
+                  local_degrees += delta->degree_adjustment(vtx);
               };
               // Delta-inserted in-neighbors first: DRAM-cheap, and an
               // early exit here skips the base scan (and any NVM tail)
@@ -118,12 +130,14 @@ StepResult sweep(Backward& backward, BfsStatus& status, std::int32_t level,
                     }
                     return true;
                   });
-            });
+            },
+            skip);
         local_swept += swept;
         local_skipped += skipped;
       }
     });
     state.claimed.fetch_add(local_claimed, std::memory_order_relaxed);
+    state.claimed_degrees.fetch_add(local_degrees, std::memory_order_relaxed);
     state.scanned.fetch_add(local_scanned, std::memory_order_relaxed);
     state.nvm_requests.fetch_add(local_requests, std::memory_order_relaxed);
     state.words_swept.fetch_add(local_swept, std::memory_order_relaxed);

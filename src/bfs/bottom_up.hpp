@@ -7,9 +7,13 @@
 // the frontier is large.
 //
 // The unvisited sweep is word-parallel: workers load 64 vertices' visited
-// bits at a time and skip fully-visited words outright (on late levels
-// nearly every word is saturated, so most of the vertex range costs one
-// load + compare per 64 vertices), iterating survivors via countr_zero.
+// bits at a time, mask out the backward graph's degree-0 vertices (no
+// frontier reaches them; not while a delta is attached, whose inserts
+// may), and skip words with no survivors outright (on late levels nearly
+// every word is saturated, so most of the vertex range costs one load +
+// compare per 64 vertices), iterating survivors via countr_zero. Each
+// claim also adds the vertex's full degree to StepResult::claimed_degrees,
+// read from the index the scan just used.
 // Claims use BfsStatus::claim_bottom_up — a single-writer release store,
 // no CAS — because each unvisited vertex is swept by exactly one worker
 // per level.

@@ -20,11 +20,14 @@ namespace sembfs {
 /// visited bitmap for single-search bottom-up, the all-queries-covered
 /// bitmap for MS-BFS. Concurrent set()s may or may not be reflected;
 /// callers must tolerate stale zeros (a vertex never reads as done before
-/// its claim). Returns {words swept, words skipped}.
+/// its claim). A non-null `skip` (the backward graph's degree-0 mask)
+/// clears its bits from each word as it is loaded: those vertices can
+/// never be claimed, so they cost nothing, and a word whose other vertices
+/// are all done is skipped. Returns {words swept, words skipped}.
 template <typename ScanFn>
 std::pair<std::uint64_t, std::uint64_t> sweep_unvisited(
     const AtomicBitmap& done, std::int64_t abs_lo, std::int64_t abs_hi,
-    ScanFn&& scan) {
+    ScanFn&& scan, const Bitmap* skip = nullptr) {
   std::uint64_t swept = 0;
   std::uint64_t skipped = 0;
   const auto lo = static_cast<std::size_t>(abs_lo);
@@ -40,10 +43,11 @@ std::pair<std::uint64_t, std::uint64_t> sweep_unvisited(
     if (const std::size_t word_end = (w + 1) * 64; word_end > hi)
       mask &= bitmap_tail_mask(64 - (word_end - hi));
     ++swept;
+    if (skip != nullptr) mask &= ~skip->word(w);
     std::uint64_t pending = ~done.word(w) & mask;
     if (pending == 0) {
-      // Fully-done (or fully out-of-range) word: 64 vertices for one
-      // load — the common case on late levels.
+      // Fully-done (or fully out-of-range or masked) word: 64 vertices
+      // for one load — the common case on late levels.
       ++skipped;
       continue;
     }

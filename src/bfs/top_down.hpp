@@ -14,8 +14,9 @@
 // reads (each dequeue batch's merged reads go through the graph's
 // IoScheduler, the next batch's in flight while this one is expanded), or
 // the tiered per-vertex hub reads. top_down_step is scatter_active plus
-// the BFS claim visitor; the engine's components and PageRank programs
-// bring their own visitors.
+// the BFS claim visitor, which also sums the claimed vertices' degrees
+// for TEPS; the engine's components and PageRank programs bring their own
+// visitors.
 #pragma once
 
 #include <algorithm>
@@ -35,6 +36,10 @@ namespace sembfs {
 
 struct StepResult {
   std::int64_t claimed = 0;        ///< vertices newly added to the tree
+  /// Sum of the claimed vertices' full degrees (GraphStorage::degree): the
+  /// BFS kernels add it at claim time, so a traversal's TEPS edge count
+  /// needs no pass over the vertices afterwards.
+  std::int64_t claimed_degrees = 0;
   std::int64_t scanned_edges = 0;  ///< adjacency entries examined
   std::uint64_t nvm_requests = 0;  ///< device requests issued
   std::uint64_t io_failures = 0;   ///< adjacency fetches that failed for good
@@ -172,9 +177,11 @@ StepResult scatter_active(const ForwardStorage& forward,
   });
 }
 
-/// One top-down level: scatter_active over the frontier with the BFS claim
-/// visitor; the claims become the next frontier (queue representation).
-StepResult top_down_step(const ForwardStorage& forward, BfsStatus& status,
+/// One top-down level: scatter_active over the frontier of
+/// storage.forward with the BFS claim visitor; the claims become the next
+/// frontier (queue representation). The visitor reads each claimed
+/// vertex's degree through with_degree(storage).
+StepResult top_down_step(const GraphStorage& storage, BfsStatus& status,
                          std::int32_t level, const NumaTopology& topology,
                          ThreadPool& pool, const PushOptions& options = {});
 

@@ -4,7 +4,6 @@
 #include <utility>
 
 #include "engine/program_session.hpp"
-#include "parallel/parallel_for.hpp"
 #include "util/contracts.hpp"
 
 namespace sembfs::engine {
@@ -19,7 +18,7 @@ StepResult BfsProgram::step(EngineContext& ctx, Direction direction) {
   const BfsConfig& config = *ctx.config;
   if (direction == Direction::TopDown) {
     // The session already ran prepare_external_storage().
-    return top_down_step(ctx.storage.forward, *status_, ctx.superstep,
+    return top_down_step(ctx.storage, *status_, ctx.superstep,
                          *ctx.topology, *ctx.pool,
                          push_options(config, ctx.storage));
   }
@@ -73,17 +72,10 @@ BfsResult BfsProgram::snapshot_result(const ProgramSession& session) const {
   result.parent = status_->parent_snapshot();
   result.level = status_->levels();
 
+  // Every visited vertex but the root was claimed by a kernel, which
+  // added its degree.
   result.teps_edge_count =
-      with_degree(storage,
-                  [&](const auto& degree_of) {
-                    return parallel_reduce<std::int64_t>(
-                        *session.context().pool, 0, storage.vertex_count(), 0,
-                        [&](std::int64_t& acc, std::int64_t v) {
-                          if (status_->is_visited(v)) acc += degree_of(v);
-                        },
-                        [](std::int64_t a, std::int64_t b) { return a + b; });
-                  }) /
-      2;
+      (session.claimed_degrees() + storage.degree(root_)) / 2;
   result.teps = result.seconds > 0.0
                     ? static_cast<double>(result.teps_edge_count) /
                           result.seconds

@@ -192,6 +192,7 @@ bool ProgramSession::step() {
       // forward-graph I/O, keeping whatever the push already applied.
       const StepResult redo = program_->degrade(ctx_);
       step_result.claimed += redo.claimed;
+      step_result.claimed_degrees += redo.claimed_degrees;
       step_result.scanned_edges += redo.scanned_edges;
       step_result.nvm_requests += redo.nvm_requests;
       scanned_pull_ += redo.scanned_edges;
@@ -209,6 +210,7 @@ bool ProgramSession::step() {
   }
   const double seconds = superstep_timer.seconds();
   elapsed_seconds_ += seconds;
+  claimed_degrees_ += step_result.claimed_degrees;
   nvm_requests_ += step_result.nvm_requests;
 
   LevelStats stats;

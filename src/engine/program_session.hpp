@@ -66,6 +66,11 @@ class ProgramSession {
   [[nodiscard]] std::int64_t scanned_edges_pull() const noexcept {
     return scanned_pull_;
   }
+  /// Sum of StepResult::claimed_degrees over the supersteps so far (degree
+  /// redos included).
+  [[nodiscard]] std::int64_t claimed_degrees() const noexcept {
+    return claimed_degrees_;
+  }
   [[nodiscard]] std::uint64_t nvm_requests() const noexcept {
     return nvm_requests_;
   }
@@ -96,6 +101,7 @@ class ProgramSession {
   double elapsed_seconds_ = 0.0;
   std::int64_t scanned_push_ = 0;
   std::int64_t scanned_pull_ = 0;
+  std::int64_t claimed_degrees_ = 0;
   std::uint64_t nvm_requests_ = 0;
   std::uint64_t io_failures_ = 0;
   std::int32_t degraded_supersteps_ = 0;

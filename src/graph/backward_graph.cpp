@@ -1,5 +1,10 @@
 #include "graph/backward_graph.hpp"
 
+#include <utility>
+
+#include "graph/relabel.hpp"
+#include "parallel/parallel_for.hpp"
+
 namespace sembfs {
 
 BackwardGraph BackwardGraph::build(const EdgeList& edges,
@@ -14,6 +19,7 @@ BackwardGraph BackwardGraph::build(const EdgeList& edges,
     bg.partitions_.push_back(build_csr_filtered(
         edges, partition.range_of(k), all, options, pool));
   }
+  bg.order_hub_first(pool);
   return bg;
 }
 
@@ -30,17 +36,30 @@ BackwardGraph BackwardGraph::build_stream(Vertex vertex_count,
     bg.partitions_.push_back(build_csr_filtered_stream(
         vertex_count, stream, partition.range_of(k), all, options, pool));
   }
+  bg.order_hub_first(pool);
   return bg;
 }
 
-BackwardGraph BackwardGraph::wrap_whole(Csr csr) {
-  const Vertex n = csr.global_vertex_count();
-  SEMBFS_EXPECTS(csr.source_range() == (VertexRange{0, n}) &&
-                 csr.destination_range() == (VertexRange{0, n}));
-  BackwardGraph bg;
-  bg.vertex_partition_ = VertexPartition{n, 1};
-  bg.partitions_.push_back(std::move(csr));
-  return bg;
+void BackwardGraph::order_hub_first(ThreadPool& pool) {
+  const Vertex n = vertex_count();
+  std::vector<std::int64_t> degree(static_cast<std::size_t>(n));
+  parallel_for(pool, 0, n, [&](std::int64_t v) {
+    degree[static_cast<std::size_t>(v)] =
+        static_cast<std::int64_t>(neighbors(v).size());
+  });
+
+  degree_zero_.resize(static_cast<std::size_t>(n));
+  for (Vertex v = 0; v < n; ++v)
+    if (degree[static_cast<std::size_t>(v)] == 0)
+      degree_zero_.set(static_cast<std::size_t>(v));
+
+  const std::vector<Vertex> by_rank = degree_order(degree, pool);
+  std::vector<Vertex> rank = std::move(degree);  // reuse the storage
+  parallel_for(pool, 0, n, [&](std::int64_t r) {
+    rank[static_cast<std::size_t>(by_rank[static_cast<std::size_t>(r)])] = r;
+  });
+  for (Csr& part : partitions_)
+    part.order_neighbors_by_rank(rank, by_rank, pool);
 }
 
 std::int64_t BackwardGraph::entry_count() const noexcept {

@@ -4,6 +4,15 @@
 // Partition k holds only the source vertices of node k's range — the
 // *unvisited* vertices that node's threads sweep — with their complete
 // adjacency lists, so a bottom-up sweep touches only node-local memory.
+//
+// Every in-neighbor list is hub-first: ordered by one total order over the
+// vertices, full degree descending, then vertex ID (degree_order in
+// graph/relabel.hpp). The bottom-up early exit stops at the first frontier
+// neighbor, and hubs join the frontier first, so the search ends sooner;
+// the first k edges a hybrid backward graph keeps in DRAM are each
+// vertex's hub edges. Vertex IDs are not renumbered. The build also
+// records which vertices have degree 0: the sweep skips them, since no
+// frontier can reach them.
 #pragma once
 
 #include <cstdint>
@@ -11,6 +20,7 @@
 
 #include "graph/csr.hpp"
 #include "numa/partition.hpp"
+#include "util/bitmap.hpp"
 
 namespace sembfs {
 
@@ -28,11 +38,6 @@ class BackwardGraph {
                                     const VertexPartition& partition,
                                     const CsrBuildOptions& options,
                                     ThreadPool& pool);
-
-  /// Wraps an already-built whole-graph CSR (sources = destinations = all
-  /// vertices) as a single-partition backward graph (see
-  /// ForwardGraph::wrap_whole).
-  static BackwardGraph wrap_whole(Csr csr);
 
   [[nodiscard]] std::size_t node_count() const noexcept {
     return partitions_.size();
@@ -52,12 +57,21 @@ class BackwardGraph {
     return partitions_[vertex_partition_.node_of(v)].neighbors(v);
   }
 
+  /// Bit v is set when v has no neighbors (n bits).
+  [[nodiscard]] const Bitmap& degree_zero() const noexcept {
+    return degree_zero_;
+  }
+
   [[nodiscard]] std::int64_t entry_count() const noexcept;
   [[nodiscard]] std::uint64_t byte_size() const noexcept;
 
  private:
+  /// Sorts every list hub-first and records degree_zero_.
+  void order_hub_first(ThreadPool& pool);
+
   VertexPartition vertex_partition_;
   std::vector<Csr> partitions_;
+  Bitmap degree_zero_;
 };
 
 }  // namespace sembfs

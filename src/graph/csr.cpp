@@ -215,6 +215,30 @@ Csr build_csr_filtered_stream(Vertex vertex_count, const EdgeStream& stream,
   return csr;
 }
 
+void Csr::order_neighbors_by_rank(std::span<const Vertex> rank,
+                                  std::span<const Vertex> by_rank,
+                                  ThreadPool& pool) {
+  SEMBFS_EXPECTS(rank.size() == static_cast<std::size_t>(n_));
+  SEMBFS_EXPECTS(by_rank.size() == rank.size());
+  // Each list is translated to ranks, sorted as plain integers and
+  // translated back: cheaper than a comparator that looks up two ranks
+  // per comparison. Hub lists are long, so chunks are claimed dynamically.
+  parallel_for_dynamic(
+      pool, 0, sources_.size(), 256,
+      [&](std::int64_t lo, std::int64_t hi, std::size_t) {
+        for (std::int64_t v = lo; v < hi; ++v) {
+          const auto b = values_.begin() + index_[static_cast<std::size_t>(v)];
+          const auto e =
+              values_.begin() + index_[static_cast<std::size_t>(v) + 1];
+          for (auto it = b; it != e; ++it)
+            *it = rank[static_cast<std::size_t>(*it)];
+          std::sort(b, e);
+          for (auto it = b; it != e; ++it)
+            *it = by_rank[static_cast<std::size_t>(*it)];
+        }
+      });
+}
+
 Csr Csr::from_parts(Vertex global_vertex_count, VertexRange sources,
                     VertexRange destinations,
                     std::vector<std::int64_t> index,

@@ -32,6 +32,7 @@ struct CsrBuildOptions {
   /// Drop u == v edges (they contribute nothing to BFS).
   bool remove_self_loops = true;
   /// Sort each adjacency list ascending (needed for dedupe; nice for tests).
+  /// BackwardGraph builds then reorder their lists hub-first.
   bool sort_neighbors = false;
   /// Collapse duplicate (u,v) entries after sorting. Implies sort.
   bool dedupe = false;
@@ -81,6 +82,14 @@ class Csr {
     return index_.size() * sizeof(std::int64_t) +
            values_.size() * sizeof(Vertex);
   }
+
+  /// Reorders every adjacency list ascending by rank[u], where `rank` is a
+  /// permutation of [0, global_vertex_count()) and `by_rank` its inverse
+  /// (by_rank[rank[u]] == u). Lists then no longer depend on the order the
+  /// build's parallel scatter wrote them in.
+  void order_neighbors_by_rank(std::span<const Vertex> rank,
+                               std::span<const Vertex> by_rank,
+                               ThreadPool& pool);
 
   /// Reassembles a CSR from its raw parts (deserialization / tools).
   /// Validates the index array's shape and monotonicity.

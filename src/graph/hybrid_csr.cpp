@@ -106,7 +106,9 @@ HybridBackwardGraph::HybridBackwardGraph(const BackwardGraph& backward,
                                          const std::string& dir,
                                          std::uint32_t chunk_bytes,
                                          ChunkFormat format)
-    : vertex_partition_(backward.vertex_partition()), device_(device) {
+    : vertex_partition_(backward.vertex_partition()),
+      degree_zero_(backward.degree_zero()),
+      device_(device) {
   partitions_.reserve(backward.node_count());
   for (std::size_t k = 0; k < backward.node_count(); ++k) {
     partitions_.push_back(std::make_unique<HybridBackwardPartition>(

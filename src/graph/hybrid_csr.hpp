@@ -3,10 +3,12 @@
 // The bottom-up step usually finds a frontier parent within the first few
 // neighbors of an unvisited vertex, so most of each adjacency list is never
 // read. The hybrid layout exploits that: the first `dram_edges_per_vertex`
-// neighbors of every vertex stay in DRAM; the remainder is offloaded to an
-// NVM value file and only streamed (in 4 KiB chunks) when the DRAM prefix
-// fails to terminate the search. Per-tier access counters feed Figure 14
-// (access ratio to the backward graph on NVM vs DRAM size reduction).
+// neighbors of every vertex stay in DRAM — the source lists are hub-first,
+// so these are the vertex's edges to the highest-degree vertices — and the
+// remainder is offloaded to an NVM value file and only streamed (in 4 KiB
+// chunks) when the DRAM prefix fails to terminate the search. Per-tier
+// access counters feed Figure 14 (access ratio to the backward graph on
+// NVM vs DRAM size reduction).
 #pragma once
 
 #include <atomic>
@@ -185,6 +187,10 @@ class HybridBackwardGraph {
   [[nodiscard]] std::int64_t degree(Vertex v) const noexcept {
     return partitions_[vertex_partition_.node_of(v)]->degree(v);
   }
+  /// The source graph's degree-0 mask (BackwardGraph::degree_zero).
+  [[nodiscard]] const Bitmap& degree_zero() const noexcept {
+    return degree_zero_;
+  }
 
   [[nodiscard]] std::uint64_t dram_byte_size() const noexcept;
   [[nodiscard]] std::uint64_t nvm_byte_size() const noexcept;
@@ -200,6 +206,7 @@ class HybridBackwardGraph {
 
  private:
   VertexPartition vertex_partition_;
+  Bitmap degree_zero_;
   std::shared_ptr<NvmDevice> device_;
   std::vector<std::unique_ptr<HybridBackwardPartition>> partitions_;
 };

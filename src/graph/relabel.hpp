@@ -7,6 +7,8 @@
 // back exactly.
 #pragma once
 
+#include <cstdint>
+#include <span>
 #include <vector>
 
 #include "graph/csr.hpp"
@@ -36,6 +38,14 @@ struct Relabeling {
   std::vector<std::int32_t> restore_level_array(
       std::span<const std::int32_t> by_new_id) const;
 };
+
+/// The vertices of [0, degree.size()) in decreasing-degree order, ties
+/// broken by ascending ID: order[r] is the vertex of rank r. This one total
+/// order is behind both the relabeling below and the backward graph's
+/// hub-first adjacency lists (graph/backward_graph.hpp). Sorts one run per
+/// pool worker and merges the runs pairwise on the pool.
+std::vector<Vertex> degree_order(std::span<const std::int64_t> degree,
+                                 ThreadPool& pool);
 
 /// Builds the decreasing-degree relabeling for `edges` (ties broken by
 /// original ID for determinism).

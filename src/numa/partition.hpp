@@ -36,20 +36,16 @@ class VertexPartition {
     return bounds_.empty() ? 0 : bounds_.size() - 1;
   }
 
-  /// Node owning vertex v.
+  /// Node owning vertex v: the k with floor(k*n/l) <= v <
+  /// floor((k+1)*n/l), which is exactly (l*(v+1) - 1) / n. The
+  /// constructor checks that n*l fits in 64 bits, so this is one multiply
+  /// and one 64-bit divide, with no boundary correction.
   [[nodiscard]] std::size_t node_of(std::int64_t v) const noexcept {
     SEMBFS_ASSERT(v >= 0 && v < n_);
-    // bounds_ are k*n/l, monotone; with l small a linear probe beats a
-    // binary search, but the arithmetic inverse is exact and O(1):
-    // node = floor(v * l / n) may be off by one around boundaries due to
-    // flooring in bounds; correct with local adjustment.
-    const std::size_t l = node_count();
-    auto k = static_cast<std::size_t>(
-        (static_cast<unsigned __int128>(v) * l) / static_cast<std::uint64_t>(n_));
-    if (k >= l) k = l - 1;
-    while (v < bounds_[k]) --k;
-    while (v >= bounds_[k + 1]) ++k;
-    return k;
+    const std::uint64_t l = node_count();
+    return static_cast<std::size_t>(
+        (l * (static_cast<std::uint64_t>(v) + 1) - 1) /
+        static_cast<std::uint64_t>(n_));
   }
 
   /// Vertex range owned by `node`.

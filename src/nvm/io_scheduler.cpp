@@ -251,6 +251,12 @@ void IoScheduler::worker_loop() {
           1e6));
       obs_completed_->add(1);
     }
+    {
+      // Counted before the waiter is released, so stats() read after a
+      // handle's wait() returns already includes this request.
+      std::lock_guard<std::mutex> lock(mutex_);
+      ++completed_;
+    }
     if (job.callback) {
       job.callback(result);
     } else {
@@ -259,7 +265,6 @@ void IoScheduler::worker_loop() {
     {
       std::lock_guard<std::mutex> lock(mutex_);
       --in_service_;
-      ++completed_;
     }
     idle_cv_.notify_all();
   }

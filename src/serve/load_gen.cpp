@@ -67,8 +67,8 @@ Vertex zipf_root(Xoroshiro128& rng, Vertex vertex_count, double theta) {
   // Continuous inverse CDF of p(r) ~ r^-theta over ranks [1, n]: for
   // theta == 1 the CDF is ln(r)/ln(n); otherwise
   // (r^(1-theta) - 1) / (n^(1-theta) - 1). Solving for r at uniform u
-  // gives the rank; rank 1 (vertex id 0) is the hottest, matching the
-  // degree-descending relabel that puts hubs at low ids.
+  // gives the rank; rank 1 (vertex id 0) is the hottest. Low ids are
+  // just low ids: no loader relabels, so they are not hubs.
   const double n = static_cast<double>(vertex_count);
   const double u = std::max(rng.next_double(), 1e-12);
   double rank;

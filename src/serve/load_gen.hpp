@@ -8,9 +8,9 @@
 // Traffic shaping knobs layered on top of the closed loop:
 //
 //   * Root popularity — zipf_theta > 0 draws roots Zipf(theta)-skewed
-//     toward LOW vertex ids (the degree-descending relabel the loaders
-//     apply puts hubs there), modeling the hot-root skew the result
-//     cache exists for. 0 keeps the uniform draw.
+//     toward LOW vertex ids, modeling the hot-root skew the result cache
+//     exists for. No loader relabels the graph, and under the Graph500 ID
+//     scramble low ids are not hubs. 0 keeps the uniform draw.
 //   * Arrival pattern — Closed hammers continuously; Burst confines
 //     submissions to a duty-cycle window of each period (synchronized
 //     across clients: the whole fleet bursts together); Diurnal

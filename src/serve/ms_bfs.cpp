@@ -42,6 +42,11 @@ void run_level(SweepState& state, ThreadPool& pool,
       std::min<std::size_t>(pool.size(), topology.total_threads());
   state.cursors =
       std::vector<std::atomic<std::int64_t>>(backward.node_count());
+  // No lane ever covers a degree-0 vertex, so without the mask every word
+  // holding one would be swept. Inserts can give such a vertex in-edges:
+  // the mask only applies to the sealed graph.
+  const Bitmap* const skip =
+      delta == nullptr ? &backward.degree_zero() : nullptr;
   pool.run(workers, [&](std::size_t w) {
     std::vector<Vertex> scratch;  // NVM chunk staging (hybrid only)
     std::int64_t local_claimed = 0;
@@ -125,7 +130,8 @@ void run_level(SweepState& state, ThreadPool& pool,
                 local_claimed += std::popcount(gathered);
                 if (((have | gathered) & live) == live) covered.set(vi);
               }
-            });
+            },
+            skip);
         local_swept += swept;
         local_skipped += skipped;
       }

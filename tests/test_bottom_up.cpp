@@ -8,7 +8,9 @@
 #include <utility>
 #include <vector>
 
+#include "bfs/reference_bfs.hpp"
 #include "graph_fixtures.hpp"
+#include "obs/metrics.hpp"
 #include "test_util.hpp"
 
 namespace sembfs {
@@ -218,6 +220,83 @@ TEST_F(BottomUpTest, HybridVariantMatchesDram) {
   }
   for (Vertex v = 0; v < 8; ++v)
     EXPECT_EQ(dram_status.level(v), hybrid_status.level(v)) << "v=" << v;
+}
+
+TEST_F(BottomUpTest, MaskedSweepMatchesReferencePerLevel) {
+  // A Kronecker graph leaves many vertices with degree 0, so most words
+  // carry masked bits. Every level claims exactly the reference BFS's
+  // vertices of that level and sums their degrees.
+  const EdgeList edges =
+      generate_kronecker(fixtures::small_kronecker(10, 8, 5), pool_);
+  const VertexPartition partition{edges.vertex_count(), 2};
+  const BackwardGraph backward =
+      BackwardGraph::build(edges, partition, CsrBuildOptions{}, pool_);
+  ASSERT_GT(backward.degree_zero().count(), 0U);
+  HybridBackwardGraph hybrid{backward, 2, device_, dir_.aux("_kron")};
+  const Csr full = build_csr(edges, CsrBuildOptions{}, pool_);
+  Vertex root = 0;
+  while (full.degree(root) == 0) ++root;
+  const ReferenceBfsResult ref = reference_bfs(full, root);
+
+  for (const auto& [name, storage] :
+       std::vector<std::pair<std::string, BackwardStorage>>{
+           {"dram", &backward}, {"hybrid", &hybrid}}) {
+    SCOPED_TRACE(name);
+    obs::metrics().reset();
+    obs::set_enabled(true);
+    BfsStatus status{edges.vertex_count()};
+    status.reset(root);
+    for (std::int32_t level = 1; status.frontier_size() > 0; ++level) {
+      const StepResult r =
+          bottom_up_step(storage, status, level, topology_, pool_, 64);
+      std::int64_t claimed = 0;
+      std::int64_t degrees = 0;
+      for (Vertex v = 0; v < edges.vertex_count(); ++v) {
+        if (ref.level[v] != level) continue;
+        ++claimed;
+        degrees += full.degree(v);
+      }
+      EXPECT_EQ(r.claimed, claimed) << "level " << level;
+      EXPECT_EQ(r.claimed_degrees, degrees) << "level " << level;
+      status.advance();
+      for (Vertex v = 0; v < edges.vertex_count(); ++v)
+        ASSERT_EQ(status.is_visited(v),
+                  ref.level[v] >= 0 && ref.level[v] <= level)
+            << "level " << level << " v=" << v;
+    }
+    obs::set_enabled(false);
+    // Every word holds a degree-0 vertex; only the mask lets one be
+    // skipped once its other vertices are visited.
+    EXPECT_GT(obs::metrics().counter("bfs.bottom_up.words_skipped").value(),
+              0U);
+    for (Vertex v = 0; v < edges.vertex_count(); ++v)
+      ASSERT_EQ(status.level(v), ref.level[v]) << "v=" << v;
+  }
+}
+
+TEST_F(BottomUpTest, DeltaInsertReachesDegreeZeroBaseVertex) {
+  // Vertex 7 has no base edges, so the mask covers it. Under a delta that
+  // inserts 4-7 the sweep must still visit it: 7 joins level 3 under
+  // parent 4, with its merged-view degree of 1.
+  ASSERT_TRUE(backward_.degree_zero().test(7));
+  const std::vector<EdgeOp> ops{EdgeOp::insert(4, 7)};
+  const DeltaBuffer delta = DeltaBuffer::build(
+      8, ops, [](Vertex, Vertex) -> std::int64_t { return 0; });
+  for (const auto& [name, backward] : sources()) {
+    SCOPED_TRACE(name);
+    BfsStatus status{8};
+    status.reset(0);
+    StepResult last;
+    for (int level = 1; level <= 3; ++level) {
+      last = bottom_up_step(backward, status, level, topology_, pool_, 2,
+                            BottomUpOutput::Queue, &delta);
+      status.advance();
+    }
+    EXPECT_EQ(last.claimed, 1);
+    EXPECT_EQ(last.claimed_degrees, 1);
+    EXPECT_EQ(status.level(7), 3);
+    EXPECT_EQ(status.parent(7), 4);
+  }
 }
 
 TEST_F(BottomUpTest, HybridCountsNvmWork) {

@@ -143,6 +143,8 @@ TEST_P(DifferentialSweep, LevelsMatchReferenceAndTreeValidates) {
     const BfsResult result = runner.run(root, config);
     const ReferenceBfsResult ref = reference_bfs(full, root);
     ASSERT_EQ(result.visited, ref.visited) << "root " << root;
+    // The kernels sum degrees at claim time, degraded redos included.
+    ASSERT_EQ(result.teps_edge_count, ref.teps_edge_count) << "root " << root;
     for (Vertex v = 0; v < edges.vertex_count(); ++v)
       ASSERT_EQ(result.level[v], ref.level[v]) << "root " << root << " v "
                                                << v;
@@ -401,6 +403,21 @@ TEST_P(AnalyticsSweep, EngineMatchesSerialReferences) {
     engine::ProgramSession session{program, storage, topology, pool, config};
     session.run();
     ASSERT_EQ(program.triangles(), testref::reference_triangles(full));
+  }
+
+  {
+    // A BFS over the same storage: its claim-time TEPS edge count matches
+    // the reference's degree sum over the reached vertices.
+    Vertex root = 0;
+    while (full.degree(root) == 0) ++root;
+    BfsStatus status{edges.vertex_count()};
+    engine::BfsProgram program{status, root};
+    engine::ProgramSession session{program, storage, topology, pool, config};
+    session.run();
+    const BfsResult result = program.snapshot_result(session);
+    const ReferenceBfsResult ref = reference_bfs(full, root);
+    ASSERT_EQ(result.level, ref.level);
+    ASSERT_EQ(result.teps_edge_count, ref.teps_edge_count);
   }
 }
 

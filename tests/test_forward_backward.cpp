@@ -83,6 +83,34 @@ TEST_F(ForwardBackwardTest, BackwardNeighborsMatchFullAdjacency) {
   }
 }
 
+TEST_F(ForwardBackwardTest, BackwardListsAreHubFirst) {
+  // One total order over the vertices: full degree descending, then ID.
+  const auto before = [&](Vertex a, Vertex b) {
+    const std::int64_t da = full_.degree(a);
+    const std::int64_t db = full_.degree(b);
+    return da != db ? da > db : a < b;
+  };
+  for (Vertex v = 0; v < edges_.vertex_count(); ++v) {
+    const auto adj = backward_.neighbors(v);
+    for (std::size_t i = 1; i < adj.size(); ++i)
+      ASSERT_FALSE(before(adj[i], adj[i - 1]))
+          << "vertex " << v << " position " << i;
+  }
+}
+
+TEST_F(ForwardBackwardTest, DegreeZeroMaskIsTheIsolatedSet) {
+  const Bitmap& mask = backward_.degree_zero();
+  ASSERT_EQ(mask.size(), static_cast<std::size_t>(edges_.vertex_count()));
+  std::size_t isolated = 0;
+  for (Vertex v = 0; v < edges_.vertex_count(); ++v) {
+    EXPECT_EQ(mask.test(static_cast<std::size_t>(v)), full_.degree(v) == 0)
+        << "vertex " << v;
+    isolated += full_.degree(v) == 0 ? 1 : 0;
+  }
+  EXPECT_GT(isolated, 0U);  // Kronecker graphs leave vertices isolated
+  EXPECT_EQ(mask.count(), isolated);
+}
+
 TEST_F(ForwardBackwardTest, ForwardLargerThanBackward) {
   // The forward graph duplicates its index array per node (paper Fig. 3:
   // forward graph is the biggest structure).

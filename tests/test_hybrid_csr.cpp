@@ -2,6 +2,7 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <filesystem>
 
 #include "graph_fixtures.hpp"
@@ -55,6 +56,13 @@ TEST_P(HybridCsrTest, FullVisitReproducesAdjacencyInOrder) {
     for (std::size_t i = 0; i < visited.size(); ++i)
       ASSERT_EQ(visited[i], expected[i]) << "v=" << v << " i=" << i;
   }
+}
+
+TEST_F(HybridCsrTest, InheritsDegreeZeroMask) {
+  HybridBackwardGraph hybrid = make(2);
+  ASSERT_GT(backward_.degree_zero().count(), 0U);
+  EXPECT_TRUE(std::ranges::equal(hybrid.degree_zero().words(),
+                                 backward_.degree_zero().words()));
 }
 
 TEST_P(HybridCsrTest, DegreeNeverTouchesDevice) {

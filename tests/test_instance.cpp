@@ -70,6 +70,29 @@ TEST_F(InstanceTest, AllScenariosProduceIdenticalLevels) {
   EXPECT_EQ(a.teps_edge_count, b.teps_edge_count);
 }
 
+TEST_F(InstanceTest, BottomUpWorkReplaysAcrossPoolSizes) {
+  // Hub-first backward lists follow one total order, not the order the
+  // parallel build wrote them in, so a root's bottom-up edge count is a
+  // property of the graph: two instances from one seed agree on it for
+  // every root, whatever their worker counts.
+  ThreadPool wide{8};
+  InstanceConfig wide_config = base_config(Scenario::dram_only());
+  wide_config.workdir = dir_.path() + "/work8";
+  Graph500Instance narrow{base_config(Scenario::dram_only()), pool_};
+  Graph500Instance wider{wide_config, wide};
+  const BfsConfig config;
+  std::int64_t bottom_up_edges = 0;
+  for (const Vertex root : narrow.select_roots(16, 3)) {
+    const BfsResult a = narrow.run_bfs(root, config);
+    const BfsResult b = wider.run_bfs(root, config);
+    EXPECT_EQ(a.level, b.level) << "root " << root;
+    EXPECT_EQ(a.scanned_edges_bottom_up, b.scanned_edges_bottom_up)
+        << "root " << root;
+    bottom_up_edges += a.scanned_edges_bottom_up;
+  }
+  EXPECT_GT(bottom_up_edges, 0);
+}
+
 TEST_F(InstanceTest, ValidatePassesOnRealRuns) {
   Graph500Instance inst{base_config(Scenario::dram_pcie_flash()), pool_};
   for (const Vertex root : inst.select_roots(4, 9)) {

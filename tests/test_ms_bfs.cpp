@@ -12,6 +12,7 @@
 #include "graph_fixtures.hpp"
 #include "nvm/device_profile.hpp"
 #include "nvm/nvm_device.hpp"
+#include "obs/metrics.hpp"
 #include "test_util.hpp"
 
 namespace sembfs::serve {
@@ -142,6 +143,26 @@ TEST_F(MsBfsTest, FullWidthKroneckerBatch) {
     expect_lane_matches_reference(batch, q);
     expect_valid_parents(batch, q);
   }
+}
+
+TEST_F(MsBfsTest, DegreeZeroMaskLetsTheWordSkipFire) {
+  // A star over the vertices not divisible by 4; the rest have degree 0,
+  // so every 64-vertex word holds vertices no lane ever covers. Once the
+  // lanes cover the star, only the backward graph's degree-0 mask lets a
+  // word be skipped.
+  EdgeList edges{256};
+  for (Vertex v = 2; v < 256; ++v)
+    if (v % 4 != 0) edges.add(1, v);
+  build(edges);
+  const std::vector<Vertex> roots{1, 2, 3, 5};
+  obs::metrics().reset();
+  obs::set_enabled(true);
+  MsBfsBatch batch{storage_, topology_, pool_, roots};
+  run_to_completion(batch);
+  obs::set_enabled(false);
+  EXPECT_GT(obs::metrics().counter("serve.msbfs.words_skipped").value(), 0U);
+  for (std::size_t q = 0; q < batch.width(); ++q)
+    expect_lane_matches_reference(batch, q);
 }
 
 TEST_F(MsBfsTest, RecordParentsOffLeavesParentsEmpty) {

@@ -2,6 +2,8 @@
 
 #include <gtest/gtest.h>
 
+#include <vector>
+
 namespace sembfs {
 namespace {
 
@@ -61,6 +63,39 @@ INSTANTIATE_TEST_SUITE_P(
                       std::pair<std::int64_t, std::size_t>{1024, 8},
                       std::pair<std::int64_t, std::size_t>{1025, 8},
                       std::pair<std::int64_t, std::size_t>{3, 8}));
+
+/// The owner of v by definition: the first node whose bounds hold it.
+std::size_t owner_by_scan(const VertexPartition& part, std::int64_t v) {
+  const std::vector<std::int64_t>& bounds = part.bounds();
+  std::size_t k = 0;
+  while (!(bounds[k] <= v && v < bounds[k + 1])) ++k;
+  return k;
+}
+
+TEST(VertexPartition, NodeOfMatchesLinearScanOfBounds) {
+  constexpr std::int64_t kExhaustive = std::int64_t{1} << 18;
+  for (const std::int64_t n :
+       {std::int64_t{1}, std::int64_t{7}, kExhaustive,
+        (std::int64_t{1} << 40) + 3}) {
+    for (const std::size_t l : {1U, 3U, 4U, 48U}) {
+      const VertexPartition part{n, l};
+      std::vector<std::int64_t> probes;
+      if (n <= kExhaustive) {
+        for (std::int64_t v = 0; v < n; ++v) probes.push_back(v);
+      } else {
+        // Too many to scan: every boundary and its neighbours, plus a
+        // stride through the interior.
+        for (const std::int64_t b : part.bounds())
+          for (const std::int64_t v : {b - 1, b, b + 1})
+            if (v >= 0 && v < n) probes.push_back(v);
+        for (std::int64_t v = 0; v < n; v += n / 4099) probes.push_back(v);
+      }
+      for (const std::int64_t v : probes)
+        ASSERT_EQ(part.node_of(v), owner_by_scan(part, v))
+            << "n=" << n << " l=" << l << " v=" << v;
+    }
+  }
+}
 
 TEST(VertexPartition, MoreNodesThanVertices) {
   VertexPartition part{3, 8};

@@ -2,12 +2,16 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <numeric>
 #include <set>
+#include <vector>
 
 #include "bfs/hybrid_bfs.hpp"
 #include "bfs/reference_bfs.hpp"
 #include "graph/degree.hpp"
 #include "graph_fixtures.hpp"
+#include "util/prng.hpp"
 
 namespace sembfs {
 namespace {
@@ -108,6 +112,27 @@ TEST(Relabel, EmptyGraph) {
   const Relabeling map = degree_order_relabeling(empty, pool);
   EXPECT_EQ(map.new_id.size(), 4u);
   EXPECT_EQ(apply_relabeling(empty, map).edge_count(), 0u);
+}
+
+TEST(Relabel, DegreeOrderMatchesSerialSortOnEveryPoolSize) {
+  // Large enough that the pool sorts several runs and merges them, with
+  // many ties so the ID tie-break decides most comparisons.
+  constexpr std::size_t kVertices = 50'000;
+  Xoroshiro128 rng{17};
+  std::vector<std::int64_t> degree(kVertices);
+  for (std::int64_t& d : degree)
+    d = static_cast<std::int64_t>(rng.next_below(40));
+  std::vector<Vertex> expected(kVertices);
+  std::iota(expected.begin(), expected.end(), Vertex{0});
+  std::sort(expected.begin(), expected.end(), [&](Vertex a, Vertex b) {
+    const std::int64_t da = degree[static_cast<std::size_t>(a)];
+    const std::int64_t db = degree[static_cast<std::size_t>(b)];
+    return da != db ? da > db : a < b;
+  });
+  for (const std::size_t threads : {1U, 3U, 4U, 8U}) {
+    ThreadPool pool{threads};
+    EXPECT_EQ(degree_order(degree, pool), expected) << threads << " threads";
+  }
 }
 
 }  // namespace

@@ -5,6 +5,7 @@
 // validation end to end.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <filesystem>
 #include <set>
 
@@ -83,12 +84,24 @@ TEST_F(StreamConstructionTest, ForwardAndBackwardStreamBuilds) {
   for (std::size_t k = 0; k < 4; ++k)
     expect_same_adjacency(fg_mem.partition(k), fg_stream.partition(k));
 
+  // Backward lists are hub-first by one total order, not in the order a
+  // build's parallel scatter wrote them, so the builds agree bit for bit,
+  // whatever the pool size.
   const BackwardGraph bg_mem =
       BackwardGraph::build(edges_, partition, CsrBuildOptions{}, pool_);
   const BackwardGraph bg_stream = BackwardGraph::build_stream(
       edges_.vertex_count(), stream_, partition, CsrBuildOptions{}, pool_);
-  for (std::size_t k = 0; k < 4; ++k)
-    expect_same_adjacency(bg_mem.partition(k), bg_stream.partition(k));
+  ThreadPool wide{8};
+  const BackwardGraph bg_wide =
+      BackwardGraph::build(edges_, partition, CsrBuildOptions{}, wide);
+  for (const BackwardGraph* other : {&bg_stream, &bg_wide}) {
+    for (std::size_t k = 0; k < 4; ++k) {
+      EXPECT_EQ(other->partition(k).index(), bg_mem.partition(k).index());
+      EXPECT_EQ(other->partition(k).values(), bg_mem.partition(k).values());
+    }
+    EXPECT_TRUE(std::ranges::equal(other->degree_zero().words(),
+                                   bg_mem.degree_zero().words()));
+  }
 }
 
 TEST_F(StreamConstructionTest, StreamingGeneratesEdgeListDeviceTraffic) {

@@ -40,7 +40,9 @@ class ForwardSources {
 StepResult step(const ForwardStorage& forward, BfsStatus& status,
                 std::int32_t level, const NumaTopology& topology,
                 ThreadPool& pool, int batch_size) {
-  return top_down_step(forward, status, level, topology, pool,
+  GraphStorage storage;
+  storage.forward = forward;
+  return top_down_step(storage, status, level, topology, pool,
                        {.batch_size = batch_size});
 }
 
