@@ -3,7 +3,8 @@
 //
 //  - parent: the BFS tree, -1 = unvisited (Graph500 convention).
 //  - level:  depth at which each vertex was claimed (validation needs it).
-//  - visited bitmap: fast unvisited sweep for the bottom-up step.
+//  - visited bitmap: fast unvisited sweep for the bottom-up step, which
+//    claims a word's vertices together (claim_bottom_up_word).
 //  - frontier: an engine::ActiveSet — the current level's membership
 //    bitmap (always valid; it answers bottom-up's "v in frontier?") plus,
 //    on demand, the vertex queue that drives top-down dequeueing.
@@ -30,20 +31,24 @@
 //  - claim(): multi-writer CAS (acq_rel). Top-down workers race for the
 //    same destination vertex; exactly one wins, and the level/visited
 //    writes of the winner are ordered behind the CAS.
-//  - claim_bottom_up(): single-writer fast path — a plain release store
-//    on the parent slot, no CAS. Valid ONLY under the bottom-up sweep's
-//    ownership discipline: each unvisited vertex is swept by exactly one
-//    worker per level, so there is nothing to race with. The visited bit
-//    is still a relaxed fetch_or (neighbouring vertices in one word may
-//    be claimed by different workers at chunk boundaries). Cross-thread
+//  - claim_bottom_up_word(): single-writer word claim, no CAS. Valid ONLY
+//    under the bottom-up sweep's ownership discipline: each unvisited
+//    vertex is swept by exactly one worker per level, so there is nothing
+//    to race with. It writes each claimed vertex's level (a plain store)
+//    and parent (a release store), then sets the word's claimed
+//    visited bits with ONE relaxed fetch_or. The OR stays atomic: a chunk
+//    boundary that is not word-aligned leaves one visited word shared by
+//    two workers, each owning the bits of its own chunk. Cross-thread
 //    visibility of the claim is established by the level-ending
-//    ThreadPool::run() join, NOT by the store itself: within the level no
-//    other worker reads this vertex's parent/level/visited state, and
-//    every later reader is ordered behind the join.
+//    ThreadPool::run() join, NOT by the stores: within the level no other
+//    worker reads these vertices' parent/level state, other workers'
+//    visited-word loads mask these bits out, and every later reader is
+//    ordered behind the join.
 #pragma once
 
 #include <atomic>
 #include <cstdint>
+#include <span>
 #include <vector>
 
 #include "engine/active_set.hpp"
@@ -94,15 +99,22 @@ class BfsStatus {
     return false;
   }
 
-  /// Single-writer claim for the bottom-up sweep: plain release store, no
-  /// CAS. The caller must guarantee w is swept by exactly this worker this
-  /// level (see the memory-ordering contract in the file comment).
-  void claim_bottom_up(Vertex w, Vertex v, std::int32_t level) noexcept {
-    SEMBFS_ASSERT(parent_[static_cast<std::size_t>(w)].load(
-                      std::memory_order_relaxed) == kNoVertex);
-    level_[static_cast<std::size_t>(w)] = level;
-    parent_[static_cast<std::size_t>(w)].store(v, std::memory_order_release);
-    visited_.set(static_cast<std::size_t>(w));
+  /// Word-level single-writer claim for the bottom-up sweep: claims every
+  /// vertex 64 * word + b whose bit b is set in `claims`, with parent
+  /// parents[b] at `level`, and sets their visited bits with one relaxed
+  /// fetch_or. The caller must own every claimed vertex this level and
+  /// find each unclaimed (see the memory-ordering contract in the file
+  /// comment).
+  void claim_bottom_up_word(std::size_t word, std::uint64_t claims,
+                            std::span<const Vertex, 64> parents,
+                            std::int32_t level) noexcept {
+    for_each_set_in_word(claims, 0, [&](std::size_t b) {
+      const std::size_t w = word * 64 + b;
+      SEMBFS_ASSERT(parent_[w].load(std::memory_order_relaxed) == kNoVertex);
+      level_[w] = level;
+      parent_[w].store(parents[b], std::memory_order_release);
+    });
+    visited_.or_word(word, claims);
   }
 
   [[nodiscard]] bool is_visited(Vertex w) const noexcept {

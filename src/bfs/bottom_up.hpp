@@ -6,29 +6,49 @@
 // frontier — the early-exit that makes the bottom-up direction cheap when
 // the frontier is large.
 //
-// The unvisited sweep is word-parallel: workers load 64 vertices' visited
-// bits at a time, mask out the backward graph's degree-0 vertices (no
-// frontier reaches them; not while a delta is attached, whose inserts
-// may), and skip words with no survivors outright (on late levels nearly
-// every word is saturated, so most of the vertex range costs one load +
-// compare per 64 vertices), iterating survivors via countr_zero. Each
-// claim also adds the vertex's full degree to StepResult::claimed_degrees,
-// read from the index the scan just used.
-// Claims use BfsStatus::claim_bottom_up — a single-writer release store,
-// no CAS — because each unvisited vertex is swept by exactly one worker
-// per level.
+// The kernel works a 64-vertex word at a time. The unvisited sweep
+// (bfs/sweep.hpp) loads a word's visited bits and masks out the backward
+// graph's degree-0 vertices (no frontier reaches them), less any a delta
+// gives inserted in-neighbors; words with no survivors are skipped
+// outright (on late levels nearly every word is saturated, so most of the
+// vertex range costs one load + compare per 64 vertices). Each remaining
+// word then takes two passes:
+//
+//  1. The hub probe. Every list is hub-first, and hubs join the frontier
+//     first, so most claims are decided by a list's first entry. Each
+//     survivor's hub — read from the DRAM graph's dense hub array, or from
+//     the head of the hybrid graph's DRAM prefix — is tested against the
+//     frontier bitmap, building the word's hit mask without touching a
+//     list. A probe counts as one scanned edge (and one DRAM edge in
+//     Figure 14's counters). Vertices with delta inserts skip the probe,
+//     since their merged list starts at the inserts; a tombstoned hub edge
+//     is a miss. A hybrid graph with k = 0 keeps no hub and skips it too.
+//  2. The misses. Each miss's list continues from its second entry (the
+//     first for vertices that skipped the probe) through the partition's
+//     visit_neighbors overload (graph/graph_storage.hpp): a DRAM span, or
+//     the rest of the DRAM prefix and then the NVM tail streamed from
+//     simulated NVM (paper Section VI-E / Figure 14). Delta inserts come
+//     first, then the base list minus tombstones.
+//
+// The traversal is the one-vertex-at-a-time scan's: the same first
+// frontier parent in storage order, the same scanned edges, the same
+// levels. The word's claims are written with one
+// BfsStatus::claim_bottom_up_word — parent and level per vertex, the
+// visited bits with one relaxed fetch_or, no CAS, because each unvisited
+// vertex is swept by exactly one worker per level. Each claim also adds
+// the vertex's full degree to StepResult::claimed_degrees, read from the
+// partition's index. The counter bfs.bottom_up.hub_claims counts the
+// claims the probe decided.
 //
 // One kernel serves both backward storages: it dispatches on the backward
-// side once per call and reads each vertex's in-neighbors through the
-// partition's visit_neighbors overload (graph/graph_storage.hpp) — a DRAM
-// span, or the first k edges from DRAM and the rest streamed from
-// simulated NVM (paper Section VI-E / Figure 14).
+// side once per call.
 //
 // It emits the next frontier in either representation (see
 // bfs_status.hpp): Queue (per-worker vectors, merged) or Bitmap
-// (per-worker bitmaps, OR-merged word-wise by advance()). The session
-// picks per level; Bitmap avoids the queue round-trip entirely on the
-// wide steady-state levels that dominate hybrid BFS time.
+// (per-worker bitmaps, one OR per claimed word, OR-merged word-wise by
+// advance()). The session picks per level; Bitmap avoids the queue
+// round-trip entirely on the wide steady-state levels that dominate
+// hybrid BFS time.
 #pragma once
 
 #include "bfs/bfs_status.hpp"

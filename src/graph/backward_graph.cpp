@@ -60,6 +60,12 @@ void BackwardGraph::order_hub_first(ThreadPool& pool) {
   });
   for (Csr& part : partitions_)
     part.order_neighbors_by_rank(rank, by_rank, pool);
+
+  hubs_.resize(static_cast<std::size_t>(n));
+  parallel_for(pool, 0, n, [&](std::int64_t v) {
+    const std::span<const Vertex> adj = neighbors(v);
+    hubs_[static_cast<std::size_t>(v)] = adj.empty() ? kNoVertex : adj[0];
+  });
 }
 
 std::int64_t BackwardGraph::entry_count() const noexcept {
@@ -72,6 +78,11 @@ std::uint64_t BackwardGraph::byte_size() const noexcept {
   std::uint64_t total = 0;
   for (const auto& p : partitions_) total += p.byte_size();
   return total;
+}
+
+std::uint64_t BackwardGraph::summary_byte_size() const noexcept {
+  return hubs_.size() * sizeof(Vertex) +
+         degree_zero_.word_count() * sizeof(std::uint64_t);
 }
 
 }  // namespace sembfs

@@ -10,12 +10,19 @@
 // graph/relabel.hpp). The bottom-up early exit stops at the first frontier
 // neighbor, and hubs join the frontier first, so the search ends sooner;
 // the first k edges a hybrid backward graph keeps in DRAM are each
-// vertex's hub edges. Vertex IDs are not renumbered. The build also
-// records which vertices have degree 0: the sweep skips them, since no
-// frontier can reach them.
+// vertex's hub edges. Vertex IDs are not renumbered.
+//
+// The build also records two dense summary arrays, n × 8 B plus n / 8 B of
+// DRAM beyond the CSR arrays (summary_byte_size):
+//  - the hub array: each vertex's first in-neighbor, kNoVertex for degree
+//    0. The bottom-up kernel probes it for 64 vertices at a time and reads
+//    a list only when its hub is not in the frontier;
+//  - the degree-0 mask: the sweep skips these vertices, since no frontier
+//    can reach them.
 #pragma once
 
 #include <cstdint>
+#include <span>
 #include <vector>
 
 #include "graph/csr.hpp"
@@ -61,17 +68,26 @@ class BackwardGraph {
   [[nodiscard]] const Bitmap& degree_zero() const noexcept {
     return degree_zero_;
   }
+  /// Entry v is v's hub, the first entry of its hub-first list, or
+  /// kNoVertex when v has no neighbors (n entries).
+  [[nodiscard]] std::span<const Vertex> hubs() const noexcept {
+    return hubs_;
+  }
 
   [[nodiscard]] std::int64_t entry_count() const noexcept;
+  /// DRAM bytes of the CSR arrays (what GraphSizeModel predicts).
   [[nodiscard]] std::uint64_t byte_size() const noexcept;
+  /// DRAM bytes of the hub array and the degree-0 mask.
+  [[nodiscard]] std::uint64_t summary_byte_size() const noexcept;
 
  private:
-  /// Sorts every list hub-first and records degree_zero_.
+  /// Sorts every list hub-first and records degree_zero_ and hubs_.
   void order_hub_first(ThreadPool& pool);
 
   VertexPartition vertex_partition_;
   std::vector<Csr> partitions_;
   Bitmap degree_zero_;
+  std::vector<Vertex> hubs_;
 };
 
 }  // namespace sembfs

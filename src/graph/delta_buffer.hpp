@@ -88,6 +88,12 @@ class DeltaBuffer {
     return !per_vertex_.empty() &&
            has_inserts_.test(static_cast<std::size_t>(v));
   }
+  /// has_inserts() for the 64 vertices of bitmap word w at once (bit i is
+  /// vertex 64w + i) — what the word-at-a-time sweeps unmask and route
+  /// around their hub probe. 0 for an empty buffer.
+  [[nodiscard]] std::uint64_t inserts_word(std::size_t w) const noexcept {
+    return per_vertex_.empty() ? 0 : has_inserts_.word(w);
+  }
 
   /// Sorted inserted neighbors of v (with multiplicity). Empty span when
   /// nothing was inserted at v.

@@ -14,10 +14,11 @@
 //       each (vertex, adjacency span) to `visit`. A failed read is
 //       contained: `on_failure()` is told and the batch (external) or
 //       vertex (tiered) is skipped; nothing throws.
-//   visit_neighbors(partition, v, scratch, fn)
+//   visit_neighbors(partition, v, scratch, fn, start)
 //       Backward partitions (Csr, HybridBackwardPartition). Calls fn(u) on
-//       v's in-neighbors in storage order until fn returns false. Device
-//       faults propagate as exceptions.
+//       v's in-neighbors in storage order, from position `start` (default
+//       0) on, until fn returns false. Device faults propagate as
+//       exceptions.
 //
 // Both return the device requests they issued (0 for DRAM).
 #pragma once
@@ -247,17 +248,20 @@ inline std::uint64_t fetch_neighbors(TieredForwardPartition& part, Vertex v,
 /// DRAM: one adjacency span, no I/O.
 template <typename Fn>
 std::uint64_t visit_neighbors(const Csr& part, Vertex v,
-                              std::vector<Vertex>& /*scratch*/, Fn&& fn) {
-  for (const Vertex u : part.neighbors(v))
-    if (!fn(u)) break;
+                              std::vector<Vertex>& /*scratch*/, Fn&& fn,
+                              std::int64_t start = 0) {
+  const std::span<const Vertex> adj = part.neighbors(v);
+  for (std::size_t i = static_cast<std::size_t>(start); i < adj.size(); ++i)
+    if (!fn(adj[i])) break;
   return 0;
 }
 
 /// First k in DRAM, the rest streamed from NVM in chunks.
 template <typename Fn>
 std::uint64_t visit_neighbors(HybridBackwardPartition& part, Vertex v,
-                              std::vector<Vertex>& scratch, Fn&& fn) {
-  return part.visit_neighbors(v, scratch, fn);
+                              std::vector<Vertex>& scratch, Fn&& fn,
+                              std::int64_t start = 0) {
+  return part.visit_neighbors(v, scratch, fn, start);
 }
 
 /// v's in-neighbors over a whole backward graph: routed to the partition

@@ -118,7 +118,7 @@ HybridBackwardGraph::HybridBackwardGraph(const BackwardGraph& backward,
 }
 
 std::uint64_t HybridBackwardGraph::dram_byte_size() const noexcept {
-  std::uint64_t total = 0;
+  std::uint64_t total = degree_zero_.word_count() * sizeof(std::uint64_t);
   for (const auto& p : partitions_) total += p->dram_byte_size();
   return total;
 }

@@ -9,6 +9,12 @@
 // chunks) when the DRAM prefix fails to terminate the search. Per-tier
 // access counters feed Figure 14 (access ratio to the backward graph on
 // NVM vs DRAM size reduction).
+//
+// The head of each DRAM prefix is the vertex's hub, so the bottom-up
+// kernel's hub probe reads it there and needs no hub array of its own
+// (with k = 0 there is no hub, and every vertex's list is read whole).
+// The DRAM side is the prefix arrays, both index arrays and the source
+// graph's degree-0 mask.
 #pragma once
 
 #include <atomic>
@@ -60,15 +66,32 @@ class HybridBackwardPartition {
     return nvm_entry_count_;
   }
 
-  /// Visits neighbors of global vertex v in storage order: DRAM prefix
-  /// first, then the NVM remainder streamed chunk-wise. `fn(Vertex)` returns
-  /// false to stop early (bottom-up parent found). `scratch` is the
-  /// caller's staging buffer for NVM chunks (reused across calls).
-  /// Edge-examination counters are updated per tier. Returns the device
-  /// requests issued.
+  /// Global vertex v's hub: the head of its DRAM prefix, or kNoVertex when
+  /// the prefix is empty (degree 0, or k = 0). Counts nothing; the caller
+  /// reports its probes through count_hub_probes.
+  [[nodiscard]] Vertex hub(Vertex v) const noexcept {
+    SEMBFS_ASSERT(sources_.contains(v));
+    const auto local = static_cast<std::size_t>(v - sources_.begin);
+    const std::int64_t head = dram_index_[local];
+    return head < dram_index_[local + 1]
+               ? dram_values_[static_cast<std::size_t>(head)]
+               : kNoVertex;
+  }
+  /// Counts `probes` hub reads as DRAM edges examined (Figure 14).
+  void count_hub_probes(std::uint64_t probes) noexcept {
+    if (probes != 0)
+      dram_examined_.fetch_add(probes, std::memory_order_relaxed);
+  }
+
+  /// Visits neighbors of global vertex v in storage order, from position
+  /// `start` on: DRAM prefix first, then the NVM remainder streamed
+  /// chunk-wise. `fn(Vertex)` returns false to stop early (bottom-up
+  /// parent found). `scratch` is the caller's staging buffer for NVM
+  /// chunks (reused across calls). Edge-examination counters are updated
+  /// per tier. Returns the device requests issued.
   template <typename Fn>
   std::uint64_t visit_neighbors(Vertex v, std::vector<Vertex>& scratch,
-                                Fn&& fn) {
+                                Fn&& fn, std::int64_t start = 0) {
     SEMBFS_ASSERT(sources_.contains(v));
     const auto local = static_cast<std::size_t>(v - sources_.begin);
     // The tier counters are shared by every sweep worker (and, under the
@@ -84,7 +107,7 @@ class HybridBackwardPartition {
     // DRAM prefix.
     const std::int64_t db = dram_index_[local];
     const std::int64_t de = dram_index_[local + 1];
-    for (std::int64_t i = db; i < de; ++i) {
+    for (std::int64_t i = std::min(db + start, de); i < de; ++i) {
       ++dram_seen;
       if (!fn(dram_values_[static_cast<std::size_t>(i)])) {
         stopped = true;
@@ -93,7 +116,8 @@ class HybridBackwardPartition {
     }
     if (!stopped) {
       // NVM remainder, streamed.
-      const std::int64_t nb = nvm_index_[local];
+      const std::int64_t nb =
+          nvm_index_[local] + std::max<std::int64_t>(0, start - (de - db));
       const std::int64_t ne = nvm_index_[local + 1];
       const std::size_t chunk_elems = chunk_bytes_ / sizeof(Vertex);
       std::int64_t pos = nb;
@@ -191,7 +215,8 @@ class HybridBackwardGraph {
   [[nodiscard]] const Bitmap& degree_zero() const noexcept {
     return degree_zero_;
   }
-
+  /// DRAM bytes: every partition's prefix and index arrays, and the
+  /// degree-0 mask.
   [[nodiscard]] std::uint64_t dram_byte_size() const noexcept;
   [[nodiscard]] std::uint64_t nvm_byte_size() const noexcept;
   /// Uncompressed size of the NVM remainder across all partitions.

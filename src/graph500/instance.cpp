@@ -104,9 +104,11 @@ const EdgeList& Graph500Instance::edge_list() const {
 }
 
 std::uint64_t Graph500Instance::graph_dram_bytes() const noexcept {
-  std::uint64_t total = backward_.byte_size();
+  // The backward CSR plus its hub array and degree-0 mask; a hybrid
+  // backward graph replaces all three with its DRAM prefix and the mask.
+  std::uint64_t total = backward_.byte_size() + backward_.summary_byte_size();
   if (hybrid_backward_ != nullptr)
-    total = hybrid_backward_->dram_byte_size();  // replaces plain backward
+    total = hybrid_backward_->dram_byte_size();
   if (forward_dram_.has_value()) total += forward_dram_->byte_size();
   return total;
 }

@@ -71,7 +71,9 @@ class Graph500Instance {
     return construction_seconds_;
   }
 
-  /// DRAM bytes of graph data (forward-if-resident + backward DRAM tier).
+  /// DRAM bytes of graph data: the forward graph if resident, plus the
+  /// backward DRAM tier with its summary arrays (hub array and degree-0
+  /// mask; a hybrid backward graph keeps only the mask).
   [[nodiscard]] std::uint64_t graph_dram_bytes() const noexcept;
   /// NVM bytes of graph data (not counting the offloaded edge list).
   /// With chunk_format = kVarint this is the *encoded* footprint.

@@ -43,10 +43,9 @@ void run_level(SweepState& state, ThreadPool& pool,
   state.cursors =
       std::vector<std::atomic<std::int64_t>>(backward.node_count());
   // No lane ever covers a degree-0 vertex, so without the mask every word
-  // holding one would be swept. Inserts can give such a vertex in-edges:
-  // the mask only applies to the sealed graph.
-  const Bitmap* const skip =
-      delta == nullptr ? &backward.degree_zero() : nullptr;
+  // holding one would be swept. Inserts can give such a vertex in-edges,
+  // so those stay unmasked.
+  const auto skip = degree_zero_skip(backward.degree_zero(), delta);
   pool.run(workers, [&](std::size_t w) {
     std::vector<Vertex> scratch;  // NVM chunk staging (hybrid only)
     std::int64_t local_claimed = 0;

@@ -19,8 +19,8 @@
 // skips 64 vertices per load via the shared word-skip helper
 // (bfs/sweep.hpp) keyed on a "covered" bitmap (all live lanes have seen
 // the vertex), the MS-BFS analogue of the visited bitmap, with the
-// backward graph's degree-0 vertices masked out when no delta is
-// attached.
+// backward graph's degree-0 vertices masked out unless a delta gives them
+// inserted in-edges.
 //
 // Concurrency contract (same single-writer discipline as bottom_up):
 // within a level, frontier[] is read-only, and each vertex's seen/next/

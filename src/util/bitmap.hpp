@@ -199,6 +199,16 @@ class AtomicBitmap {
     return (words_[i >> 6].load(std::memory_order_relaxed) >> (i & 63)) & 1U;
   }
 
+  /// Sets the `bits` of word w with one relaxed fetch_or — a kernel that
+  /// owns several vertices of one word publishes them together. Bits at
+  /// positions >= size() must be zero.
+  void or_word(std::size_t w, std::uint64_t bits) noexcept {
+    SEMBFS_ASSERT(w < words_.size());
+    SEMBFS_ASSERT(w + 1 < words_.size() ||
+                  (bits & ~bitmap_tail_mask(bits_ - w * 64)) == 0);
+    words_[w].fetch_or(bits, std::memory_order_relaxed);
+  }
+
   /// Relaxed load of word w — the bottom-up sweep's unit of work. A word
   /// whose masked complement is zero is fully visited and costs one load
   /// for 64 vertices. Concurrent set()s may or may not be reflected;

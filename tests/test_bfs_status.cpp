@@ -3,6 +3,7 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <array>
 #include <thread>
 #include <vector>
 
@@ -99,13 +100,69 @@ TEST(BfsStatus, ConcurrentClaimsSingleWinnerPerVertex) {
   EXPECT_EQ(status.visited_count(), 1000);
 }
 
+/// Claims one vertex through the word-level bottom-up claim.
+void claim_one(BfsStatus& status, Vertex w, Vertex parent,
+               std::int32_t level) {
+  std::array<Vertex, 64> parents{};
+  parents[static_cast<std::size_t>(w % 64)] = parent;
+  status.claim_bottom_up_word(static_cast<std::size_t>(w / 64),
+                              std::uint64_t{1} << (w % 64), parents, level);
+}
+
 TEST(BfsStatus, ClaimBottomUpSetsParentLevelVisited) {
   BfsStatus status{10};
   status.reset(0);
-  status.claim_bottom_up(6, 0, 1);
+  claim_one(status, 6, 0, 1);
   EXPECT_EQ(status.parent(6), 0);
   EXPECT_EQ(status.level(6), 1);
   EXPECT_TRUE(status.is_visited(6));
+  EXPECT_EQ(status.visited_count(), 2);
+}
+
+TEST(BfsStatus, ClaimBottomUpWordSetsEachClaimAndNoOther) {
+  // Word 1 of a 130-vertex status, claimed with a parent per bit; the
+  // root's word and the unclaimed bits stay as they were.
+  BfsStatus status{130};
+  status.reset(0);
+  std::array<Vertex, 64> parents{};
+  parents[0] = 0;
+  parents[5] = 3;
+  parents[63] = 70;
+  const std::uint64_t claims =
+      std::uint64_t{1} | std::uint64_t{1} << 5 | std::uint64_t{1} << 63;
+  status.claim_bottom_up_word(1, claims, parents, 2);
+  EXPECT_EQ(status.parent(64), 0);
+  EXPECT_EQ(status.parent(69), 3);
+  EXPECT_EQ(status.parent(127), 70);
+  for (const Vertex v : {64, 69, 127}) {
+    EXPECT_EQ(status.level(v), 2) << "v=" << v;
+    EXPECT_TRUE(status.is_visited(v)) << "v=" << v;
+  }
+  EXPECT_EQ(status.visited_count(), 4);
+  EXPECT_EQ(status.parent(65), kNoVertex);
+  EXPECT_EQ(status.level(65), -1);
+  EXPECT_EQ(status.parent(128), kNoVertex);
+  // The partial tail word takes claims too.
+  claim_one(status, 129, 64, 3);
+  EXPECT_EQ(status.parent(129), 64);
+  EXPECT_EQ(status.visited_count(), 5);
+}
+
+TEST(BfsStatus, ClaimBottomUpWordSharedWordAcrossThreads) {
+  // Two workers own the two halves of one visited word, as at a chunk
+  // boundary inside a word: the relaxed fetch_or keeps both halves.
+  BfsStatus status{64};
+  status.reset(0);
+  std::array<Vertex, 64> parents{};
+  parents.fill(0);
+  const std::uint64_t low = 0x00000000fffffffeULL;  // 1..31
+  const std::uint64_t high = 0xffffffff00000000ULL;  // 32..63
+  std::thread a([&] { status.claim_bottom_up_word(0, low, parents, 1); });
+  std::thread b([&] { status.claim_bottom_up_word(0, high, parents, 1); });
+  a.join();
+  b.join();
+  EXPECT_EQ(status.visited_count(), 64);
+  for (Vertex v = 1; v < 64; ++v) EXPECT_EQ(status.parent(v), 0) << v;
 }
 
 TEST(BfsStatus, SetNextMergedConcatsPerWorkerBuffers) {
@@ -124,9 +181,9 @@ TEST(BfsStatus, BitmapAdvanceMergesAndClearsWorkerBitmaps) {
   BfsStatus status{256};
   status.reset(0);
   status.begin_bitmap_next(2);
-  status.claim_bottom_up(10, 0, 1);
+  claim_one(status, 10, 0, 1);
   status.worker_next(0).set(10);
-  status.claim_bottom_up(70, 0, 1);
+  claim_one(status, 70, 0, 1);
   status.worker_next(1).set(70);
   status.advance();
   EXPECT_EQ(status.frontier_rep(), FrontierRep::Bitmap);
@@ -145,7 +202,7 @@ TEST(BfsStatus, EnsureFrontierQueueMaterializesSortedOnce) {
   status.reset(0);
   status.begin_bitmap_next(1);
   for (const Vertex v : {200, 3, 64, 63}) {
-    status.claim_bottom_up(v, 0, 1);
+    claim_one(status, v, 0, 1);
     status.worker_next(0).set(static_cast<std::size_t>(v));
   }
   status.advance();

@@ -2,6 +2,7 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <memory>
 #include <set>
 #include <string>
@@ -15,6 +16,51 @@
 
 namespace sembfs {
 namespace {
+
+/// One bottom-up level computed serially from `status` before the step:
+/// each unvisited vertex scans its list in storage order and stops at its
+/// first frontier neighbor — the answer and the work the kernel must
+/// reproduce exactly.
+struct SerialLevel {
+  std::int64_t claimed = 0;
+  std::int64_t claimed_degrees = 0;
+  std::int64_t scanned = 0;
+  std::vector<Vertex> parent;  // kNoVertex where the level claims nothing
+};
+
+SerialLevel serial_first_hit(const BackwardGraph& backward,
+                             const BfsStatus& status) {
+  SerialLevel out;
+  out.parent.assign(static_cast<std::size_t>(backward.vertex_count()),
+                    kNoVertex);
+  for (Vertex v = 0; v < backward.vertex_count(); ++v) {
+    if (status.is_visited(v)) continue;
+    const auto adj = backward.neighbors(v);
+    std::size_t i = 0;
+    while (i < adj.size() && !status.in_frontier(adj[i])) ++i;
+    if (i == adj.size()) {
+      out.scanned += static_cast<std::int64_t>(adj.size());
+      continue;
+    }
+    out.scanned += static_cast<std::int64_t>(i + 1);
+    out.parent[static_cast<std::size_t>(v)] = adj[i];
+    ++out.claimed;
+    out.claimed_degrees += static_cast<std::int64_t>(adj.size());
+  }
+  return out;
+}
+
+/// A 1000-vertex power-law graph: a SCALE-10 Kronecker graph cut to the
+/// vertices below 1000. 64 does not divide 1000, so node and chunk
+/// boundaries fall inside visited-bitmap words.
+EdgeList thousand_vertex_graph(ThreadPool& pool) {
+  const EdgeList kron =
+      generate_kronecker(fixtures::small_kronecker(10, 8, 11), pool);
+  EdgeList edges{1000};
+  for (const Edge& e : kron.edges())
+    if (e.u < 1000 && e.v < 1000) edges.add(e);
+  return edges;
+}
 
 class BottomUpTest : public ::testing::Test {
  protected:
@@ -296,6 +342,210 @@ TEST_F(BottomUpTest, DeltaInsertReachesDegreeZeroBaseVertex) {
     EXPECT_EQ(last.claimed_degrees, 1);
     EXPECT_EQ(status.level(7), 3);
     EXPECT_EQ(status.parent(7), 4);
+  }
+}
+
+TEST_F(BottomUpTest, WordKernelMatchesSerialFirstHitScan) {
+  // Every level of a bottom-up-only search, on DRAM and on hybrid storage
+  // with k = 0, 1 and 2, with either output: the claims, their degree sum,
+  // the scanned edges and every parent equal a serial first-hit scan over
+  // the same frontier. 3 nodes and 100-vertex chunks put chunk and node
+  // boundaries inside words, so two workers share visited words.
+  const EdgeList edges = thousand_vertex_graph(pool_);
+  const VertexPartition partition{1000, 3};
+  const BackwardGraph backward =
+      BackwardGraph::build(edges, partition, CsrBuildOptions{}, pool_);
+  ASSERT_GT(backward.degree_zero().count(), 0U);
+  Vertex root = 0;
+  while (backward.neighbors(root).empty()) ++root;
+  const NumaTopology topology{3, 2};
+  std::vector<std::unique_ptr<HybridBackwardGraph>> hybrids;
+  std::vector<std::pair<std::string, BackwardStorage>> storages{
+      {"dram", &backward}};
+  for (const std::int64_t k : {0, 1, 2}) {
+    hybrids.push_back(std::make_unique<HybridBackwardGraph>(
+        backward, k, device_, dir_.aux("_serial" + std::to_string(k))));
+    storages.emplace_back("hybrid k=" + std::to_string(k),
+                          hybrids.back().get());
+  }
+
+  for (const auto& [name, storage] : storages) {
+    for (const BottomUpOutput output :
+         {BottomUpOutput::Queue, BottomUpOutput::Bitmap}) {
+      SCOPED_TRACE(name + (output == BottomUpOutput::Queue ? " queue"
+                                                           : " bitmap"));
+      BfsStatus status{1000};
+      status.reset(root);
+      std::int32_t level = 1;
+      for (; status.frontier_size() > 0; ++level) {
+        const SerialLevel expected = serial_first_hit(backward, status);
+        const StepResult r = bottom_up_step(storage, status, level, topology,
+                                            pool_, 100, output);
+        EXPECT_EQ(r.claimed, expected.claimed) << "level " << level;
+        EXPECT_EQ(r.claimed_degrees, expected.claimed_degrees)
+            << "level " << level;
+        EXPECT_EQ(r.scanned_edges, expected.scanned) << "level " << level;
+        for (Vertex v = 0; v < 1000; ++v) {
+          const Vertex want = expected.parent[static_cast<std::size_t>(v)];
+          if (want == kNoVertex) continue;
+          ASSERT_EQ(status.parent(v), want) << "level " << level << " v=" << v;
+          ASSERT_EQ(status.level(v), level) << "v=" << v;
+        }
+        status.advance(pool_);
+        EXPECT_EQ(status.frontier_size(), expected.claimed);
+      }
+      EXPECT_GT(level, 3);  // the search ran several levels
+    }
+  }
+}
+
+TEST_F(BottomUpTest, HubProbeCountsAsOneScannedDramEdge) {
+  // The probe is one edge of scanned_edges and one DRAM edge of Figure
+  // 14's counters, so the two tiers still sum to the scanned edges; a
+  // hybrid graph with k = 0 has no hub, probes nothing and reads every
+  // edge from NVM.
+  const EdgeList edges = thousand_vertex_graph(pool_);
+  const VertexPartition partition{1000, 3};
+  const BackwardGraph backward =
+      BackwardGraph::build(edges, partition, CsrBuildOptions{}, pool_);
+  Vertex root = 0;
+  while (backward.neighbors(root).empty()) ++root;
+  const NumaTopology topology{3, 2};
+  for (const std::int64_t k : {-1, 0, 1, 2}) {  // -1: the DRAM graph
+    SCOPED_TRACE("k=" + std::to_string(k));
+    std::unique_ptr<HybridBackwardGraph> hybrid;
+    BackwardStorage storage = &backward;
+    if (k >= 0) {
+      hybrid = std::make_unique<HybridBackwardGraph>(
+          backward, k, device_, dir_.aux("_probe" + std::to_string(k)));
+      storage = hybrid.get();
+    }
+    obs::metrics().reset();
+    obs::set_enabled(true);
+    BfsStatus status{1000};
+    status.reset(root);
+    std::int64_t scanned = 0;
+    std::int64_t claimed = 0;
+    for (std::int32_t level = 1; status.frontier_size() > 0; ++level) {
+      const StepResult r =
+          bottom_up_step(storage, status, level, topology, pool_, 100);
+      scanned += r.scanned_edges;
+      claimed += r.claimed;
+      status.advance();
+    }
+    obs::set_enabled(false);
+    const std::uint64_t hub_claims =
+        obs::metrics().counter("bfs.bottom_up.hub_claims").value();
+    if (k == 0) {
+      EXPECT_EQ(hub_claims, 0U);
+    } else {
+      EXPECT_GT(hub_claims, 0U);
+      EXPECT_LE(hub_claims, static_cast<std::uint64_t>(claimed));
+    }
+    if (hybrid != nullptr) {
+      EXPECT_EQ(hybrid->dram_edges_examined() + hybrid->nvm_edges_examined(),
+                static_cast<std::uint64_t>(scanned));
+      if (k == 0) {
+        EXPECT_EQ(hybrid->dram_edges_examined(), 0U);
+      }
+    }
+  }
+}
+
+TEST_F(BottomUpTest, DeltaTombstonedHubIsNeverParent) {
+  // Vertex 4's list is hub-first: [1, 3]. With the edge 1-4 tombstoned,
+  // its hub 1 is in the level-2 frontier {1, 3} but must not be its
+  // parent: the rest of its list gives 3, with a merged-view degree of 1.
+  ASSERT_EQ(backward_.hubs()[4], 1);
+  const std::vector<EdgeOp> ops{EdgeOp::remove(1, 4)};
+  const DeltaBuffer delta =
+      DeltaBuffer::build(8, ops, [&](Vertex u, Vertex w) -> std::int64_t {
+        return std::ranges::count(backward_.neighbors(u), w);
+      });
+  for (const auto& [name, backward] : sources()) {
+    for (const BottomUpOutput output :
+         {BottomUpOutput::Queue, BottomUpOutput::Bitmap}) {
+      SCOPED_TRACE(name);
+      BfsStatus status{8};
+      status.reset(0);
+      bottom_up_step(backward, status, 1, topology_, pool_, 2, output,
+                     &delta);
+      status.advance();
+      const StepResult r = bottom_up_step(backward, status, 2, topology_,
+                                          pool_, 2, output, &delta);
+      EXPECT_EQ(status.parent(4), 3);
+      EXPECT_EQ(status.parent(2), 1);
+      EXPECT_EQ(r.claimed, 2);
+      EXPECT_EQ(r.claimed_degrees, 2);  // 2: {1}, 4: {3}
+    }
+  }
+}
+
+TEST_F(BottomUpTest, DeltaInsertIsScannedBeforeTheHub) {
+  // Vertex 4's hub 1 is in the level-2 frontier {1, 3}, but an inserted
+  // in-neighbor comes first in the merged list: the insert 3-4 claims it.
+  const std::vector<EdgeOp> ops{EdgeOp::insert(3, 4)};
+  const DeltaBuffer delta = DeltaBuffer::build(
+      8, ops, [](Vertex, Vertex) -> std::int64_t { return 0; });
+  for (const auto& [name, backward] : sources()) {
+    SCOPED_TRACE(name);
+    BfsStatus status{8};
+    status.reset(0);
+    bottom_up_step(backward, status, 1, topology_, pool_, 2,
+                   BottomUpOutput::Queue, &delta);
+    status.advance();
+    const StepResult r = bottom_up_step(backward, status, 2, topology_,
+                                        pool_, 2, BottomUpOutput::Queue,
+                                        &delta);
+    EXPECT_EQ(status.parent(4), 3);
+    EXPECT_EQ(r.claimed, 2);
+    EXPECT_EQ(r.claimed_degrees, 1 + 3);  // 4: base {1, 3} plus the insert
+  }
+}
+
+TEST_F(BottomUpTest, DeltaKeepsTheMaskForVerticesWithoutInserts) {
+  // A delta that inserts an edge to one degree-0 vertex unmasks only that
+  // vertex: the word skip still fires, and the merged graph's levels come
+  // out.
+  const EdgeList edges =
+      generate_kronecker(fixtures::small_kronecker(10, 8, 5), pool_);
+  const VertexPartition partition{edges.vertex_count(), 2};
+  const BackwardGraph backward =
+      BackwardGraph::build(edges, partition, CsrBuildOptions{}, pool_);
+  Vertex root = 0;
+  while (backward.neighbors(root).empty()) ++root;
+  Vertex isolated = 0;
+  while (!backward.degree_zero().test(static_cast<std::size_t>(isolated)))
+    ++isolated;
+  const std::vector<EdgeOp> ops{EdgeOp::insert(root, isolated)};
+  const DeltaBuffer delta = DeltaBuffer::build(
+      edges.vertex_count(), ops,
+      [](Vertex, Vertex) -> std::int64_t { return 0; });
+  EdgeList merged = edges;
+  merged.add(root, isolated);
+  const Csr full = build_csr(merged, CsrBuildOptions{}, pool_);
+  const ReferenceBfsResult ref = reference_bfs(full, root);
+  HybridBackwardGraph hybrid{backward, 2, device_, dir_.aux("_dmask")};
+
+  for (const auto& [name, storage] :
+       std::vector<std::pair<std::string, BackwardStorage>>{
+           {"dram", &backward}, {"hybrid", &hybrid}}) {
+    SCOPED_TRACE(name);
+    obs::metrics().reset();
+    obs::set_enabled(true);
+    BfsStatus status{edges.vertex_count()};
+    status.reset(root);
+    for (std::int32_t level = 1; status.frontier_size() > 0; ++level) {
+      bottom_up_step(storage, status, level, topology_, pool_, 64,
+                     BottomUpOutput::Queue, &delta);
+      status.advance();
+    }
+    obs::set_enabled(false);
+    EXPECT_GT(obs::metrics().counter("bfs.bottom_up.words_skipped").value(),
+              0U);
+    EXPECT_EQ(status.parent(isolated), root);
+    for (Vertex v = 0; v < edges.vertex_count(); ++v)
+      ASSERT_EQ(status.level(v), ref.level[v]) << "v=" << v;
   }
 }
 

@@ -111,6 +111,31 @@ TEST_F(ForwardBackwardTest, DegreeZeroMaskIsTheIsolatedSet) {
   EXPECT_EQ(mask.count(), isolated);
 }
 
+TEST_F(ForwardBackwardTest, HubIsFirstEntryAndNoVertexForDegreeZero) {
+  const std::span<const Vertex> hubs = backward_.hubs();
+  ASSERT_EQ(hubs.size(), static_cast<std::size_t>(edges_.vertex_count()));
+  std::size_t absent = 0;
+  for (Vertex v = 0; v < edges_.vertex_count(); ++v) {
+    const auto adj = backward_.neighbors(v);
+    const Vertex hub = hubs[static_cast<std::size_t>(v)];
+    if (adj.empty()) {
+      EXPECT_EQ(hub, kNoVertex) << "vertex " << v;
+      ++absent;
+    } else {
+      EXPECT_EQ(hub, adj[0]) << "vertex " << v;
+    }
+  }
+  EXPECT_EQ(absent, backward_.degree_zero().count());
+}
+
+TEST_F(ForwardBackwardTest, SummaryBytesAreHubArrayAndMask) {
+  // n x 8 B of hubs plus n / 8 B of mask (in whole words), beside the CSR
+  // arrays that byte_size() counts.
+  const auto n = static_cast<std::uint64_t>(edges_.vertex_count());
+  EXPECT_EQ(backward_.summary_byte_size(),
+            n * sizeof(Vertex) + (n + 63) / 64 * sizeof(std::uint64_t));
+}
+
 TEST_F(ForwardBackwardTest, ForwardLargerThanBackward) {
   // The forward graph duplicates its index array per node (paper Fig. 3:
   // forward graph is the biggest structure).

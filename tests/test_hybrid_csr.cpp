@@ -92,6 +92,44 @@ TEST_P(HybridCsrTest, EntrySplitPreservesTotal) {
   }
 }
 
+TEST_P(HybridCsrTest, HubIsDramPrefixHead) {
+  // The head of the DRAM prefix is the DRAM graph's hub; with k = 0 the
+  // prefix is empty and no vertex has one.
+  const std::int64_t k = GetParam();
+  HybridBackwardGraph hybrid = make(k);
+  for (Vertex v = 0; v < edges_.vertex_count(); ++v) {
+    const Vertex expected =
+        k == 0 ? kNoVertex : backward_.hubs()[static_cast<std::size_t>(v)];
+    ASSERT_EQ(hybrid.partition(partition_.node_of(v)).hub(v), expected)
+        << "v=" << v;
+  }
+}
+
+TEST_P(HybridCsrTest, VisitFromStartSkipsThatManyEntries) {
+  // A start inside the DRAM prefix, at its end, or past it into the NVM
+  // tail continues the list in storage order.
+  HybridBackwardGraph hybrid = make(GetParam());
+  std::vector<Vertex> scratch;
+  for (const std::int64_t start : {1, 2, 3}) {
+    for (Vertex v = 0; v < edges_.vertex_count(); ++v) {
+      std::vector<Vertex> visited;
+      hybrid.partition(partition_.node_of(v))
+          .visit_neighbors(
+              v, scratch,
+              [&](Vertex w) {
+                visited.push_back(w);
+                return true;
+              },
+              start);
+      const auto adj = backward_.neighbors(v);
+      const auto skip = std::min<std::size_t>(adj.size(),
+                                              static_cast<std::size_t>(start));
+      ASSERT_TRUE(std::ranges::equal(visited, adj.subspan(skip)))
+          << "v=" << v << " start=" << start;
+    }
+  }
+}
+
 INSTANTIATE_TEST_SUITE_P(DramCaps, HybridCsrTest,
                          ::testing::Values(0, 1, 2, 8, 32, 1 << 20));
 
@@ -149,6 +187,17 @@ TEST_F(HybridCsrTest, CountersTrackTiers) {
   }
   EXPECT_EQ(hybrid.dram_edges_examined(), expected_dram);
   EXPECT_EQ(hybrid.nvm_edges_examined(), expected_nvm);
+}
+
+TEST_F(HybridCsrTest, DramSizeCountsDegreeZeroMask) {
+  // With every entry in DRAM the DRAM side is the source CSR, a second
+  // (all-empty) index per partition for the NVM tail, and the mask.
+  const HybridBackwardGraph all = make(1 << 20);
+  const auto n = static_cast<std::uint64_t>(edges_.vertex_count());
+  const std::uint64_t nvm_index = (n + all.node_count()) * sizeof(std::int64_t);
+  EXPECT_EQ(all.dram_byte_size(),
+            backward_.byte_size() + nvm_index +
+                backward_.degree_zero().word_count() * sizeof(std::uint64_t));
 }
 
 TEST_F(HybridCsrTest, DramSizeShrinksAsCapDrops) {

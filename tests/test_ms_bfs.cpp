@@ -165,6 +165,36 @@ TEST_F(MsBfsTest, DegreeZeroMaskLetsTheWordSkipFire) {
     expect_lane_matches_reference(batch, q);
 }
 
+TEST_F(MsBfsTest, DegreeZeroMaskHoldsUnderADelta) {
+  // The same star with a delta attached that gives two degree-0 vertices
+  // an edge: only those two leave the mask, so the word skip still fires,
+  // and every lane reaches them through the inserts.
+  EdgeList edges{256};
+  for (Vertex v = 2; v < 256; ++v)
+    if (v % 4 != 0) edges.add(1, v);
+  build(edges);
+  const std::vector<EdgeOp> ops{EdgeOp::insert(2, 4), EdgeOp::insert(1, 8)};
+  const DeltaBuffer delta = DeltaBuffer::build(
+      256, ops, [](Vertex, Vertex) -> std::int64_t { return 0; });
+  storage_.delta = &delta;
+  EdgeList merged = edges;
+  merged.add(2, 4);
+  merged.add(1, 8);
+  full_ = build_csr(merged, CsrBuildOptions{}, pool_);
+  const std::vector<Vertex> roots{1, 2, 3, 5};
+  obs::metrics().reset();
+  obs::set_enabled(true);
+  MsBfsBatch batch{storage_, topology_, pool_, roots};
+  run_to_completion(batch);
+  obs::set_enabled(false);
+  EXPECT_GT(obs::metrics().counter("serve.msbfs.words_skipped").value(), 0U);
+  for (std::size_t q = 0; q < batch.width(); ++q) {
+    expect_lane_matches_reference(batch, q);
+    EXPECT_GE(batch.levels(q)[4], 1);
+    EXPECT_GE(batch.levels(q)[8], 1);
+  }
+}
+
 TEST_F(MsBfsTest, RecordParentsOffLeavesParentsEmpty) {
   build(fixtures::small_graph());
   MsBfsConfig config;

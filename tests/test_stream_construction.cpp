@@ -101,6 +101,7 @@ TEST_F(StreamConstructionTest, ForwardAndBackwardStreamBuilds) {
     }
     EXPECT_TRUE(std::ranges::equal(other->degree_zero().words(),
                                    bg_mem.degree_zero().words()));
+    EXPECT_TRUE(std::ranges::equal(other->hubs(), bg_mem.hubs()));
   }
 }
 
