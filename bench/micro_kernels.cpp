@@ -140,7 +140,10 @@ void BM_TopDownFirstLevels(benchmark::State& state) {
     benchmark::DoNotOptimize(scanned);
   }
 }
-BENCHMARK(BM_TopDownFirstLevels)->Arg(14)->Unit(benchmark::kMillisecond);
+BENCHMARK(BM_TopDownFirstLevels)
+    ->Arg(14)
+    ->Unit(benchmark::kMillisecond)
+    ->UseRealTime();
 
 void BM_BottomUpSweep(benchmark::State& state) {
   StepFixtureState fx{static_cast<int>(state.range(0))};
@@ -155,7 +158,11 @@ void BM_BottomUpSweep(benchmark::State& state) {
             .scanned_edges);
   }
 }
-BENCHMARK(BM_BottomUpSweep)->Arg(14)->Arg(16)->Unit(benchmark::kMillisecond);
+BENCHMARK(BM_BottomUpSweep)
+    ->Arg(14)
+    ->Arg(16)
+    ->Unit(benchmark::kMillisecond)
+    ->UseRealTime();
 
 void BM_BottomUpSweepBitmap(benchmark::State& state) {
   // Same sweep with bitmap frontier output. The Queue variant pays its
@@ -176,7 +183,8 @@ void BM_BottomUpSweepBitmap(benchmark::State& state) {
 BENCHMARK(BM_BottomUpSweepBitmap)
     ->Arg(14)
     ->Arg(16)
-    ->Unit(benchmark::kMillisecond);
+    ->Unit(benchmark::kMillisecond)
+    ->UseRealTime();
 
 void BM_BottomUpLateLevel(benchmark::State& state) {
   // Late-level sweep: after three top-down levels nearly every vertex is
@@ -201,7 +209,8 @@ void BM_BottomUpLateLevel(benchmark::State& state) {
 BENCHMARK(BM_BottomUpLateLevel)
     ->Arg(14)
     ->Arg(16)
-    ->Unit(benchmark::kMillisecond);
+    ->Unit(benchmark::kMillisecond)
+    ->UseRealTime();
 
 void BM_NvmChunkedRead(benchmark::State& state) {
   const std::string dir = "/tmp/sembfs_micro";

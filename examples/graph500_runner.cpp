@@ -69,9 +69,6 @@ int main(int argc, char** argv) {
   options.add_int("seed", 12345, "generator seed");
   options.add_string("workdir", "/tmp/sembfs", "directory for NVM files");
   options.add_flag("no-validate", "skip Step 4 validation");
-  options.add_int("io-queue-depth", 0,
-                  "--shards mode: async I/O workers per shard for batch "
-                  "prefetch (0 = synchronous)");
   options.add_int("chunk-cache-bytes", 0,
                   "DRAM chunk cache capacity in bytes (0 = no cache)");
   options.add_string("chunk-format", "raw",
@@ -264,8 +261,6 @@ int main(int argc, char** argv) {
 
     shard::ShardNodeConfig node_config;
     node_config.format = *shard_format;
-    node_config.io_queue_depth =
-        static_cast<std::size_t>(options.get_int("io-queue-depth"));
     node_config.cache_bytes = config.bfs.chunk_cache_bytes;
     node_config.verify_checksums = config.bfs.verify_chunk_checksums;
     node_config.retry = config.bfs.io_retry;

@@ -2,9 +2,10 @@
 // the paper's core algorithm, generic over where each graph side lives
 // (GraphStorage, graph/graph_storage.hpp):
 //
-//   forward graph:  DRAM (ForwardGraph), simulated NVM
-//                   (ExternalForwardGraph) — the paper's key offload — or
-//                   degree-tiered (TieredForwardGraph)
+//   forward graph:  DRAM (ForwardGraph) or simulated NVM
+//                   (ExternalForwardGraph) — the paper's key offload,
+//                   optionally with short lists kept in DRAM (its tier
+//                   limit)
 //   backward graph: DRAM (BackwardGraph) or partially offloaded
 //                   (HybridBackwardGraph, Section VI-E)
 //

@@ -10,13 +10,13 @@
 // scatter_active is that team structure with the per-edge work left to a
 // visitor. It dispatches on the forward storage once per call and reads
 // each partition through its read_batches overload
-// (graph/graph_storage.hpp): DRAM spans, the semi-external pipelined batch
-// reads (each dequeue batch's merged reads go through the graph's
-// IoScheduler, the next batch's in flight while this one is expanded), or
-// the tiered per-vertex hub reads. top_down_step is scatter_active plus
-// the BFS claim visitor, which also sums the claimed vertices' degrees
-// for TEPS; the engine's components and PageRank programs bring their own
-// visitors.
+// (graph/graph_storage.hpp): DRAM spans, or the semi-external pipelined
+// batch reads (each dequeue batch's merged reads go through the graph's
+// IoScheduler, the next batch's in flight while this one is expanded;
+// lists under the graph's tier limit come straight from DRAM).
+// top_down_step is scatter_active plus the BFS claim visitor, which also
+// sums the claimed vertices' degrees for TEPS; the engine's components and
+// PageRank programs bring their own visitors.
 #pragma once
 
 #include <algorithm>

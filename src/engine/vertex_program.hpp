@@ -2,7 +2,7 @@
 //
 // A VertexProgram is a level-synchronous computation expressed as
 // supersteps over one GraphStorage — the same forward (DRAM /
-// semi-external / tiered) and backward (DRAM / hybrid) sides the hybrid
+// semi-external) and backward (DRAM / hybrid) sides the hybrid
 // BFS uses. Push supersteps run the shared executor scatter_active
 // (bfs/top_down.hpp) with a program visitor; pull supersteps dispatch on
 // the backward side once and read it through visit_neighbors

@@ -2,8 +2,8 @@
 // sealed CSR graphs — the log-structured write side of the mutable graph
 // (docs/MUTATIONS.md).
 //
-// The base graphs (ForwardGraph / ExternalForwardGraph / TieredForwardGraph
-// / BackwardGraph / HybridBackwardGraph) stay immutable; every mutation
+// The base graphs (ForwardGraph / ExternalForwardGraph / BackwardGraph /
+// HybridBackwardGraph) stay immutable; every mutation
 // batch is folded into one immutable DeltaBuffer, and the traversal kernels
 // read the *merged view*: base adjacency minus tombstoned pairs, plus the
 // inserted neighbors. Edges are undirected (Graph500 semantics), so an op

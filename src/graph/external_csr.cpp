@@ -26,6 +26,27 @@ void write_array(ExternalArray<T>& dst, const std::vector<T>& src) {
   }
 }
 
+/// The lists of `csr` whose length `keep` selects, with an empty list for
+/// every other source.
+template <typename Keep>
+Csr select_lists(const Csr& csr, Keep keep) {
+  const VertexRange sources = csr.source_range();
+  std::vector<std::int64_t> index(static_cast<std::size_t>(sources.size()) +
+                                  1);
+  std::vector<Vertex> values;
+  for (Vertex v = sources.begin; v < sources.end; ++v) {
+    if (keep(csr.degree(v))) {
+      const std::span<const Vertex> adjacency = csr.neighbors(v);
+      values.insert(values.end(), adjacency.begin(), adjacency.end());
+    }
+    index[static_cast<std::size_t>(v - sources.begin) + 1] =
+        static_cast<std::int64_t>(values.size());
+  }
+  return Csr::from_parts(csr.global_vertex_count(), sources,
+                         csr.destination_range(), std::move(index),
+                         std::move(values));
+}
+
 }  // namespace
 
 ExternalCsrPartition::ExternalCsrPartition(const Csr& csr,
@@ -34,12 +55,14 @@ ExternalCsrPartition::ExternalCsrPartition(const Csr& csr,
                                            std::size_t node_id,
                                            std::uint32_t chunk_bytes,
                                            ChunkChecksums* checksums,
-                                           ChunkFormat format)
+                                           ChunkFormat format,
+                                           std::int64_t tier_limit)
     : sources_(csr.source_range()),
       destinations_(csr.destination_range()),
       entry_count_(csr.entry_count()),
       chunk_bytes_(chunk_bytes),
       format_(format),
+      tier_limit_(tier_limit),
       checksums_(checksums) {
   SEMBFS_EXPECTS(device != nullptr);
   ensure_directory(dir);
@@ -52,12 +75,13 @@ ExternalCsrPartition::ExternalCsrPartition(const Csr& csr,
 ExternalCsrPartition::ExternalCsrPartition(
     const Csr& csr, std::vector<std::shared_ptr<NvmDevice>> devices,
     const std::string& dir, std::size_t node_id, std::uint32_t chunk_bytes,
-    ChunkChecksums* checksums, ChunkFormat format)
+    ChunkChecksums* checksums, ChunkFormat format, std::int64_t tier_limit)
     : sources_(csr.source_range()),
       destinations_(csr.destination_range()),
       entry_count_(csr.entry_count()),
       chunk_bytes_(chunk_bytes),
       format_(format),
+      tier_limit_(tier_limit),
       checksums_(checksums) {
   SEMBFS_EXPECTS(!devices.empty());
   ensure_directory(dir);
@@ -84,8 +108,22 @@ void ExternalCsrPartition::compress_values(const Csr& csr,
   value_file_ = std::move(compressed);
 }
 
-void ExternalCsrPartition::offload(const Csr& csr,
+void ExternalCsrPartition::offload(const Csr& full,
                                    std::uint32_t chunk_bytes) {
+  SEMBFS_EXPECTS(tier_limit_ >= 0);
+  const Csr* on_device = &full;
+  Csr longer;
+  if (tier_limit_ > 0) {
+    const std::int64_t limit = tier_limit_;
+    dram_tier_ = select_lists(full, [=](std::int64_t d) { return d <= limit; });
+    longer = select_lists(full, [=](std::int64_t d) { return d > limit; });
+    on_device = &longer;
+    in_dram_.resize(static_cast<std::size_t>(sources_.size()));
+    for (Vertex v = sources_.begin; v < sources_.end; ++v)
+      if (full.degree(v) <= limit)
+        in_dram_.set(static_cast<std::size_t>(v - sources_.begin));
+  }
+  const Csr& csr = *on_device;
   if (checksums_ == nullptr) {
     owned_checksums_ = std::make_unique<ChunkChecksums>(chunk_bytes);
     checksums_ = owned_checksums_.get();
@@ -141,6 +179,7 @@ std::pair<std::int64_t, std::int64_t> ExternalCsrPartition::fetch_bounds(
 }
 
 std::int64_t ExternalCsrPartition::degree(Vertex v) {
+  if (in_dram(v)) return dram_tier_.degree(v);
   const auto [b, e] = fetch_bounds(v);
   return e - b;
 }
@@ -149,7 +188,7 @@ std::uint64_t ExternalCsrPartition::fetch_range(std::int64_t begin,
                                                 std::int64_t end,
                                                 std::vector<Vertex>& out) {
   SEMBFS_EXPECTS(begin >= 0 && begin <= end);
-  SEMBFS_EXPECTS(end <= entry_count_);
+  SEMBFS_EXPECTS(static_cast<std::uint64_t>(end) <= values_->size());
   out.resize(static_cast<std::size_t>(end - begin));
   if (out.empty()) return 0;
   return values_->read(static_cast<std::uint64_t>(begin),
@@ -159,6 +198,11 @@ std::uint64_t ExternalCsrPartition::fetch_range(std::int64_t begin,
 std::uint64_t ExternalCsrPartition::fetch_neighbors(Vertex v,
                                                     std::vector<Vertex>& out) {
   SEMBFS_EXPECTS(sources_.contains(v));
+  if (in_dram(v)) {
+    const std::span<const Vertex> adjacency = dram_tier_.neighbors(v);
+    out.assign(adjacency.begin(), adjacency.end());
+    return 0;
+  }
   const auto local = static_cast<std::uint64_t>(v - sources_.begin);
   std::int64_t bounds[2];
   // The bounds fetch is usually one device request, but an index pair
@@ -272,32 +316,9 @@ void deliver_values(std::span<const SlotBounds> bounds, std::size_t& cursor,
 
 }  // namespace
 
-std::uint64_t ExternalCsrPartition::read_merged(
-    NvmBackingFile& file, std::uint64_t offset, std::span<std::byte> staging,
-    std::uint32_t max_request_bytes) {
-  if (ChunkCache* const cache = this->cache(); cache != nullptr)
-    return cache->read(file, offset, staging, max_request_bytes);
-  // One aggregated request per merged range (libaio-style) — except that a
-  // single adjacency run longer than the cap (a hub vertex) must still be
-  // issued in max_request_bytes slices: merge_ranges never splits a run
-  // (deliver_values needs each slot inside one fetched range), so the cap
-  // is enforced here, at issue time.
-  const std::size_t cap =
-      max_request_bytes > 0 ? max_request_bytes : staging.size();
-  std::uint64_t requests = 0;
-  std::size_t done = 0;
-  while (done < staging.size()) {
-    const std::size_t len = std::min(cap, staging.size() - done);
-    file.read(offset + done, staging.subspan(done, len));
-    done += len;
-    ++requests;
-  }
-  return requests;
-}
-
 std::vector<SlotBounds> ExternalCsrPartition::batch_bounds(
     std::span<const Vertex> batch, std::uint32_t merge_gap_bytes,
-    std::uint32_t max_request_bytes, IoScheduler* scheduler,
+    std::uint32_t max_request_bytes, IoScheduler& scheduler,
     const RetryPolicy* retry, std::uint64_t& requests) {
   // Sort batch slots by vertex so index reads for nearby vertices merge.
   std::vector<std::size_t> sorted_slots(batch.size());
@@ -306,7 +327,7 @@ std::vector<SlotBounds> ExternalCsrPartition::batch_bounds(
             [&](std::size_t a, std::size_t b) { return batch[a] < batch[b]; });
 
   const auto index_byte_range = [&](std::size_t slot) {
-    SEMBFS_EXPECTS(sources_.contains(batch[slot]));
+    SEMBFS_EXPECTS(sources_.contains(batch[slot]) && !in_dram(batch[slot]));
     const auto local =
         static_cast<std::uint64_t>(batch[slot] - sources_.begin);
     return std::pair<std::uint64_t, std::uint64_t>{
@@ -318,37 +339,24 @@ std::vector<SlotBounds> ExternalCsrPartition::batch_bounds(
       [&](std::size_t s) { return index_byte_range(s).second; },
       merge_gap_bytes, max_request_bytes);
 
+  std::vector<ScheduledRead> reads =
+      post_reads(*index_file_, index_->base_offset(), merged, scheduler,
+                 cache(), max_request_bytes, retry);
+  requests += wait_all(reads);
+  // Delivers bounds to every slot, in merged-range order.
   std::vector<SlotBounds> bounds(batch.size());
   std::size_t cursor = 0;
-  // Delivers bounds to every slot whose index pair lies in `range`.
-  const auto deliver = [&](const MergedRange& range, const std::byte* data) {
+  for (std::size_t i = 0; i < merged.size(); ++i) {
     while (cursor < sorted_slots.size()) {
       const std::size_t slot = sorted_slots[cursor];
       const auto [b, e] = index_byte_range(slot);
-      if (b < range.begin || e > range.end) break;
+      if (b < merged[i].begin || e > merged[i].end) break;
       std::int64_t pair[2];
-      std::memcpy(pair, data + (b - range.begin), sizeof pair);
+      std::memcpy(pair, reads[i].staging.data() + (b - merged[i].begin),
+                  sizeof pair);
       bounds[cursor] = {slot, pair[0], pair[1]};
       ++cursor;
     }
-  };
-  if (scheduler == nullptr) {
-    std::vector<std::byte> staging;
-    for (const MergedRange& range : merged) {
-      staging.resize(range.end - range.begin);
-      requests += read_merged(*index_file_,
-                              index_->base_offset() + range.begin,
-                              std::span<std::byte>{staging},
-                              max_request_bytes);
-      deliver(range, staging.data());
-    }
-  } else {
-    std::vector<ScheduledRead> reads =
-        post_reads(*index_file_, index_->base_offset(), merged, *scheduler,
-                   cache(), max_request_bytes, retry);
-    requests += wait_all(reads);
-    for (std::size_t i = 0; i < merged.size(); ++i)
-      deliver(merged[i], reads[i].staging.data());
   }
   SEMBFS_ASSERT(cursor == sorted_slots.size());
 
@@ -358,37 +366,6 @@ std::vector<SlotBounds> ExternalCsrPartition::batch_bounds(
               return a.begin < b.begin;
             });
   return bounds;
-}
-
-std::uint64_t ExternalCsrPartition::fetch_neighbors_batch(
-    std::span<const Vertex> batch, std::vector<std::vector<Vertex>>& out,
-    std::uint32_t merge_gap_bytes, std::uint32_t max_request_bytes) {
-  out.resize(batch.size());
-  if (batch.empty()) return 0;
-  std::uint64_t requests = 0;
-
-  const std::vector<SlotBounds> bounds = batch_bounds(
-      batch, merge_gap_bytes, max_request_bytes, nullptr, nullptr, requests);
-  const auto merged =
-      merge_ranges(bounds.begin(), bounds.end(), value_begin_bytes,
-                   value_end_bytes, merge_gap_bytes, max_request_bytes);
-
-  std::vector<std::byte> staging;
-  std::size_t cursor = 0;
-  for (const MergedRange& range : merged) {
-    staging.resize(range.end - range.begin);
-    requests += read_merged(*value_file_,
-                            values_->base_offset() + range.begin,
-                            std::span<std::byte>{staging}, max_request_bytes);
-    deliver_values(bounds, cursor, range.begin, range.end, staging.data(),
-                   out);
-  }
-  // Trailing empty-adjacency slots (no merged range consumed them).
-  for (; cursor < bounds.size(); ++cursor) {
-    SEMBFS_ASSERT(bounds[cursor].begin == bounds[cursor].end);
-    out[bounds[cursor].slot].clear();
-  }
-  return requests;
 }
 
 PendingNeighborsBatch ExternalCsrPartition::start_fetch_neighbors_batch(
@@ -401,7 +378,7 @@ PendingNeighborsBatch ExternalCsrPartition::start_fetch_neighbors_batch(
   if (batch.empty()) return pending;
 
   pending.bounds_ =
-      batch_bounds(batch, merge_gap_bytes, max_request_bytes, &scheduler,
+      batch_bounds(batch, merge_gap_bytes, max_request_bytes, scheduler,
                    retry, pending.index_requests_);
   const auto merged =
       merge_ranges(pending.bounds_.begin(), pending.bounds_.end(),
@@ -436,7 +413,8 @@ ExternalForwardGraph::ExternalForwardGraph(const ForwardGraph& forward,
                                            std::shared_ptr<NvmDevice> device,
                                            const std::string& dir,
                                            std::uint32_t chunk_bytes,
-                                           ChunkFormat format)
+                                           ChunkFormat format,
+                                           std::int64_t tier_limit)
     : vertex_partition_(forward.vertex_partition()),
       device_(device),
       chunk_bytes_(chunk_bytes),
@@ -448,14 +426,14 @@ ExternalForwardGraph::ExternalForwardGraph(const ForwardGraph& forward,
   for (std::size_t k = 0; k < forward.node_count(); ++k) {
     partitions_.push_back(std::make_unique<ExternalCsrPartition>(
         forward.partition(k), device_, dir, k, chunk_bytes,
-        checksums_.get(), format));
+        checksums_.get(), format, tier_limit));
   }
 }
 
 ExternalForwardGraph::ExternalForwardGraph(
     const ForwardGraph& forward,
     std::vector<std::shared_ptr<NvmDevice>> devices, const std::string& dir,
-    std::uint32_t chunk_bytes, ChunkFormat format)
+    std::uint32_t chunk_bytes, ChunkFormat format, std::int64_t tier_limit)
     : vertex_partition_(forward.vertex_partition()),
       device_(devices.empty() ? nullptr : devices.front()),
       chunk_bytes_(chunk_bytes),
@@ -472,13 +450,19 @@ ExternalForwardGraph::ExternalForwardGraph(
   for (std::size_t k = 0; k < forward.node_count(); ++k) {
     partitions_.push_back(std::make_unique<ExternalCsrPartition>(
         forward.partition(k), devices, dir, k, chunk_bytes,
-        checksums_.get(), format));
+        checksums_.get(), format, tier_limit));
   }
 }
 
 std::uint64_t ExternalForwardGraph::nvm_byte_size() const noexcept {
   std::uint64_t total = 0;
   for (const auto& p : partitions_) total += p->nvm_byte_size();
+  return total;
+}
+
+std::uint64_t ExternalForwardGraph::dram_byte_size() const noexcept {
+  std::uint64_t total = 0;
+  for (const auto& p : partitions_) total += p->dram_byte_size();
   return total;
 }
 

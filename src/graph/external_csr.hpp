@@ -10,10 +10,19 @@
 //   2. the batch's adjacency ranges, nearby ranges merged into requests of
 //      at most kMaxRequestBytes (the libaio-style aggregation the paper's
 //      Figure 13 concludes would get more out of the device).
-// Both phases are posted to the graph's IoScheduler, and
-// fetch_batches_pipelined keeps the next batch's reads in flight while the
-// current batch is processed, so the device sees as many requests at once
-// as the scheduler is deep (ExternalForwardGraph::io_scheduler).
+// Both phases are posted to an IoScheduler, and fetch_batches_pipelined —
+// the one loop that reads forward adjacency from NVM, for single-node
+// levels and for shards alike — keeps the next batch's reads in flight
+// while the current batch is processed, so the device sees as many
+// requests at once as the scheduler is deep.
+//
+// The tier limit t implements the paper's "future work includes further
+// offloading graph data especially with small edges" (Section VIII): lists
+// of at most t entries stay in DRAM and only the longer ones go to the
+// device, where a large sequential read amortizes the device latency that
+// Figure 11's late top-down levels pay for every degree-1 vertex. The
+// device files keep an index entry per source (an empty range for a list
+// held in DRAM). t = 0, the default, offloads every list.
 //
 // The per-vertex primitive fetch_neighbors (one 16-byte index read, then
 // <= 4 KiB value chunks: the paper's own read(2) discipline) serves degree
@@ -43,6 +52,7 @@
 #include "nvm/io_scheduler.hpp"
 #include "nvm/nvm_device.hpp"
 #include "numa/partition.hpp"
+#include "util/bitmap.hpp"
 
 namespace sembfs {
 
@@ -113,12 +123,14 @@ class ExternalCsrPartition {
   /// With ChunkFormat::kVarint the value file is wrapped in a
   /// CompressedBlockFile: the device stores delta/varint blobs (its own
   /// per-blob CRCs, always verified) while every reader above still sees
-  /// plain Vertex bytes; the index file stays raw either way.
+  /// plain Vertex bytes; the index file stays raw either way. Lists of at
+  /// most `tier_limit` entries stay in DRAM instead (0: none do).
   ExternalCsrPartition(const Csr& csr, std::shared_ptr<NvmDevice> device,
                        const std::string& dir, std::size_t node_id,
                        std::uint32_t chunk_bytes = 4096,
                        ChunkChecksums* checksums = nullptr,
-                       ChunkFormat format = ChunkFormat::kRaw);
+                       ChunkFormat format = ChunkFormat::kRaw,
+                       std::int64_t tier_limit = 0);
 
   /// Striped variant: the two files are spread round-robin across several
   /// physical devices (the paper's machine carried multiple flash cards).
@@ -127,12 +139,14 @@ class ExternalCsrPartition {
                        const std::string& dir, std::size_t node_id,
                        std::uint32_t chunk_bytes = 4096,
                        ChunkChecksums* checksums = nullptr,
-                       ChunkFormat format = ChunkFormat::kRaw);
+                       ChunkFormat format = ChunkFormat::kRaw,
+                       std::int64_t tier_limit = 0);
 
   [[nodiscard]] VertexRange source_range() const noexcept { return sources_; }
   [[nodiscard]] VertexRange destination_range() const noexcept {
     return destinations_;
   }
+  /// Adjacency entries of both tiers.
   [[nodiscard]] std::int64_t entry_count() const noexcept {
     return entry_count_;
   }
@@ -140,10 +154,21 @@ class ExternalCsrPartition {
     return chunk_bytes_;
   }
   [[nodiscard]] ChunkFormat format() const noexcept { return format_; }
+  /// True when v's list is held in DRAM (it has at most the tier limit's
+  /// entries). Always false with a tier limit of 0.
+  [[nodiscard]] bool in_dram(Vertex v) const noexcept {
+    return tier_limit_ > 0 &&
+           in_dram_.test(static_cast<std::size_t>(v - sources_.begin));
+  }
+  /// DRAM bytes of the lists held in DRAM and their routing bitmap.
+  [[nodiscard]] std::uint64_t dram_byte_size() const noexcept {
+    return dram_tier_.byte_size() + in_dram_.word_count() * 8;
+  }
   /// Device bytes this partition occupies: raw index bytes plus raw or
   /// encoded value bytes depending on the format.
   [[nodiscard]] std::uint64_t nvm_byte_size() const noexcept;
-  /// Decoded payload bytes (index + values as kRaw would store them).
+  /// Decoded device payload bytes (index + values as kRaw would store
+  /// them).
   [[nodiscard]] std::uint64_t raw_byte_size() const noexcept;
   /// The compressed value store, or nullptr in kRaw format.
   [[nodiscard]] const CompressedBlockFile* compressed_values() const noexcept {
@@ -169,55 +194,52 @@ class ExternalCsrPartition {
     return *checksums_;
   }
 
-  /// Degree of global vertex v — one index-file request.
+  /// Degree of global vertex v — one index-file request, or none when the
+  /// list is held in DRAM.
   std::int64_t degree(Vertex v);
 
   /// Reads the adjacency list of global vertex v into `out` (resized).
-  /// Returns the number of device requests issued (index + value chunks).
+  /// Returns the number of device requests issued (index + value chunks;
+  /// 0 for a list held in DRAM).
   std::uint64_t fetch_neighbors(Vertex v, std::vector<Vertex>& out);
 
-  /// Variant reusing a caller-provided index pair fetch: reads
-  /// [begin,end) adjacency entries directly.
+  /// Reads entries [begin,end) of the device value array directly.
   std::uint64_t fetch_range(std::int64_t begin, std::int64_t end,
                             std::vector<Vertex>& out);
 
-  /// Reads the two index entries bounding v's adjacency (one request).
+  /// Reads the two device index entries bounding v's adjacency (one
+  /// request). A list held in DRAM has an empty device range.
   std::pair<std::int64_t, std::int64_t> fetch_bounds(Vertex v);
 
   /// Batched, request-merging fetch (the paper's Figure-13 conclusion:
   /// "we may exploit further I/O performance of the devices by aggregating
-  /// small I/O operations such as libaio"). Fetches the adjacency of every
-  /// vertex in `batch` at once, inline on the calling thread: index reads
-  /// for nearby vertices and value reads for nearby ranges are merged into
-  /// single device requests when the gap between them is
-  /// <= `merge_gap_bytes` and the merged request stays
-  /// <= `max_request_bytes`. Results land in out[i] for batch[i]. Returns
-  /// the number of device requests issued.
-  std::uint64_t fetch_neighbors_batch(
-      std::span<const Vertex> batch, std::vector<std::vector<Vertex>>& out,
-      std::uint32_t merge_gap_bytes = kMergeGapBytes,
-      std::uint32_t max_request_bytes = kMaxRequestBytes);
-
-  /// Asynchronous variant: posts the merged index reads to `scheduler` and
-  /// waits for them (the value ranges depend on them), then posts the
-  /// merged value-range reads and returns without waiting. The caller
-  /// overlaps edge processing with the in-flight reads and collects results
-  /// via PendingNeighborsBatch::wait. `retry` governs every read posted
-  /// (nullptr: the scheduler's own policy). An index-phase failure throws
-  /// NvmIoError once all of the batch's index reads have landed.
+  /// small I/O operations such as libaio") of every list in `batch`, none
+  /// of which may be held in DRAM. Index reads for nearby vertices and
+  /// value reads for nearby ranges are merged into single device requests
+  /// when the gap between them is <= `merge_gap_bytes` and the merged
+  /// request stays <= `max_request_bytes`. Posts the merged index reads
+  /// to `scheduler` and waits for them (the value ranges depend on them),
+  /// then posts the merged value-range reads and returns without waiting.
+  /// The caller overlaps edge processing with the in-flight reads and
+  /// collects out[i] for batch[i] via PendingNeighborsBatch::wait. `retry`
+  /// governs every read posted (nullptr: the scheduler's own policy). An
+  /// index-phase failure throws NvmIoError once all of the batch's index
+  /// reads have landed.
   PendingNeighborsBatch start_fetch_neighbors_batch(
       std::span<const Vertex> batch, IoScheduler& scheduler,
       std::uint32_t merge_gap_bytes = kMergeGapBytes,
       std::uint32_t max_request_bytes = kMaxRequestBytes,
       const RetryPolicy* retry = nullptr);
 
-  /// The semi-external top-down read loop that the BFS step and the
-  /// engine's scatter share. Pulls dequeue batches from `next_batch()`
-  /// until it returns an empty span and hands each one to
-  /// `visit(batch, adjacencies)`, keeping the next batch's reads in flight
-  /// on `scheduler` while the current one is visited. A batch whose fetch
-  /// fails is not visited: `on_failure()` is told instead, and nothing
-  /// throws. Returns the device requests issued.
+  /// The semi-external top-down read loop that the BFS step, the engine's
+  /// scatter and the shards share. Pulls dequeue batches from
+  /// `next_batch()` until it returns an empty span and calls
+  /// `visit(v, adjacency)` for every vertex of each. Lists held in DRAM
+  /// are visited as their batch is claimed; the others are read through
+  /// start_fetch_neighbors_batch, the next batch's reads in flight on
+  /// `scheduler` while the current one is visited. When a batch's reads
+  /// fail, its device-held lists are not visited: `on_failure()` is told
+  /// instead, and nothing throws. Returns the device requests issued.
   template <typename NextBatch, typename Visit, typename OnFailure>
   std::uint64_t fetch_batches_pipelined(IoScheduler& scheduler,
                                         const RetryPolicy& retry,
@@ -225,28 +247,31 @@ class ExternalCsrPartition {
                                         OnFailure&& on_failure);
 
  private:
+  /// Writes the lists longer than the tier limit to the device, and keeps
+  /// the others in dram_tier_.
   void offload(const Csr& csr, std::uint32_t chunk_bytes);
   /// Replaces value_file_ with a CompressedBlockFile built from the DRAM
   /// values (kVarint offload path).
   void compress_values(const Csr& csr, std::uint32_t chunk_bytes);
-  /// Index phase of a batched fetch: merged index reads (inline, or
-  /// through `scheduler` when non-null) producing per-slot value bounds
-  /// sorted by value-range begin. Adds issued requests to `requests`.
+  /// Index phase of a batched fetch: merged index reads through
+  /// `scheduler`, producing per-slot value bounds sorted by value-range
+  /// begin. Adds issued requests to `requests`.
   std::vector<PendingNeighborsBatch::SlotBounds> batch_bounds(
       std::span<const Vertex> batch, std::uint32_t merge_gap_bytes,
-      std::uint32_t max_request_bytes, IoScheduler* scheduler,
+      std::uint32_t max_request_bytes, IoScheduler& scheduler,
       const RetryPolicy* retry, std::uint64_t& requests);
-  /// One aggregated (possibly multi-chunk) read at `offset` bytes into
-  /// `file`, through the cache when attached. Returns requests issued.
-  std::uint64_t read_merged(NvmBackingFile& file, std::uint64_t offset,
-                            std::span<std::byte> staging,
-                            std::uint32_t max_request_bytes);
 
   VertexRange sources_;
   VertexRange destinations_;
   std::int64_t entry_count_ = 0;
   std::uint32_t chunk_bytes_ = 4096;
   ChunkFormat format_ = ChunkFormat::kRaw;
+  std::int64_t tier_limit_ = 0;
+  // The lists held in DRAM, with an empty list where the device holds
+  // one, and the local sources they belong to. Both empty when
+  // tier_limit_ is 0.
+  Csr dram_tier_;
+  Bitmap in_dram_;
   std::unique_ptr<NvmBackingFile> index_file_;
   // In kVarint format this IS the CompressedBlockFile (compressed_ aliases
   // it), so every downstream reader stays format-oblivious.
@@ -265,35 +290,57 @@ template <typename NextBatch, typename Visit, typename OnFailure>
 std::uint64_t ExternalCsrPartition::fetch_batches_pipelined(
     IoScheduler& scheduler, const RetryPolicy& retry, NextBatch&& next_batch,
     Visit&& visit, OnFailure&& on_failure) {
-  const auto start = [&](std::span<const Vertex> batch) {
-    if (batch.empty()) return PendingNeighborsBatch{};
-    try {
-      return start_fetch_neighbors_batch(batch, scheduler, kMergeGapBytes,
-                                         kMaxRequestBytes, &retry);
-    } catch (const std::exception&) {
-      on_failure();
-      return PendingNeighborsBatch{};
+  // Two pipeline slots, each holding one claimed batch's device-held
+  // vertices and their reads in flight.
+  std::span<const Vertex> on_device[2];
+  std::vector<Vertex> hubs[2];  // on_device's storage under a tier limit
+  PendingNeighborsBatch pending[2];
+  // Claims the next batch into slot s, posts the reads of its device-held
+  // lists and visits the ones held in DRAM. False when no batch is left.
+  const auto claim = [&](int s) {
+    const std::span<const Vertex> batch = next_batch();
+    if (batch.empty()) return false;
+    on_device[s] = batch;
+    if (tier_limit_ > 0) {
+      hubs[s].clear();
+      for (const Vertex v : batch)
+        if (!in_dram(v)) hubs[s].push_back(v);
+      on_device[s] = hubs[s];
     }
+    if (!on_device[s].empty()) {
+      try {
+        pending[s] = start_fetch_neighbors_batch(
+            on_device[s], scheduler, kMergeGapBytes, kMaxRequestBytes, &retry);
+      } catch (const std::exception&) {
+        on_failure();
+      }
+    }
+    if (tier_limit_ > 0) {
+      for (const Vertex v : batch)
+        if (in_dram(v)) visit(v, dram_tier_.neighbors(v));
+    }
+    return true;
   };
   std::vector<std::vector<Vertex>> adjacencies;
   std::uint64_t requests = 0;
-  std::span<const Vertex> batch = next_batch();
-  PendingNeighborsBatch pending = start(batch);
-  while (!batch.empty()) {
-    const std::span<const Vertex> next = next_batch();
-    PendingNeighborsBatch next_pending = start(next);
-    if (pending.valid()) {
+  int s = 0;
+  bool claimed = claim(s);
+  while (claimed) {
+    claimed = claim(1 - s);
+    if (pending[s].valid()) {
       bool fetched = true;
       try {
-        requests += pending.wait(adjacencies);
+        requests += pending[s].wait(adjacencies);
       } catch (const std::exception&) {
         fetched = false;
         on_failure();
       }
-      if (fetched) visit(batch, adjacencies);
+      if (fetched) {
+        for (std::size_t i = 0; i < on_device[s].size(); ++i)
+          visit(on_device[s][i], std::span<const Vertex>{adjacencies[i]});
+      }
     }
-    batch = next;
-    pending = std::move(next_pending);
+    s = 1 - s;
   }
   return requests;
 }
@@ -307,19 +354,22 @@ class ExternalForwardGraph {
  public:
   /// Offloads an in-DRAM forward graph; the DRAM copy may be discarded
   /// afterwards (that is the point). ChunkFormat::kVarint stores the value
-  /// files compressed (see ExternalCsrPartition).
+  /// files compressed (see ExternalCsrPartition). Each partition keeps its
+  /// lists of at most `tier_limit` entries in DRAM (0: offloads them all).
   ExternalForwardGraph(const ForwardGraph& forward,
                        std::shared_ptr<NvmDevice> device,
                        const std::string& dir,
                        std::uint32_t chunk_bytes = 4096,
-                       ChunkFormat format = ChunkFormat::kRaw);
+                       ChunkFormat format = ChunkFormat::kRaw,
+                       std::int64_t tier_limit = 0);
 
   /// Striped variant across several physical devices.
   ExternalForwardGraph(const ForwardGraph& forward,
                        std::vector<std::shared_ptr<NvmDevice>> devices,
                        const std::string& dir,
                        std::uint32_t chunk_bytes = 4096,
-                       ChunkFormat format = ChunkFormat::kRaw);
+                       ChunkFormat format = ChunkFormat::kRaw,
+                       std::int64_t tier_limit = 0);
 
   [[nodiscard]] std::size_t node_count() const noexcept {
     return partitions_.size();
@@ -336,6 +386,8 @@ class ExternalForwardGraph {
   [[nodiscard]] NvmDevice& device() noexcept { return *device_; }
   [[nodiscard]] ChunkFormat format() const noexcept { return format_; }
   [[nodiscard]] std::uint64_t nvm_byte_size() const noexcept;
+  /// DRAM bytes of the lists the tier limit keeps off the device.
+  [[nodiscard]] std::uint64_t dram_byte_size() const noexcept;
   /// Decoded payload bytes across all partitions (what kRaw would store);
   /// nvm_byte_size() / raw_byte_size() is the realized compression ratio.
   [[nodiscard]] std::uint64_t raw_byte_size() const noexcept;

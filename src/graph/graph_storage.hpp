@@ -9,11 +9,10 @@
 // per format, and reach the adjacency through two overload sets:
 //
 //   read_batches(partition, reads, next_batch, visit, on_failure)
-//       Forward partitions (Csr, ExternalCsrPartition,
-//       TieredForwardPartition). Drains claimed frontier batches and hands
-//       each (vertex, adjacency span) to `visit`. A failed read is
-//       contained: `on_failure()` is told and the batch (external) or
-//       vertex (tiered) is skipped; nothing throws.
+//       Forward partitions (Csr, ExternalCsrPartition). Drains claimed
+//       frontier batches and hands each (vertex, adjacency span) to
+//       `visit`. A failed read is contained: `on_failure()` is told and
+//       the batch's device-held lists are skipped; nothing throws.
 //   visit_neighbors(partition, v, scratch, fn, start)
 //       Backward partitions (Csr, HybridBackwardPartition). Calls fn(u) on
 //       v's in-neighbors in storage order, from position `start` (default
@@ -24,7 +23,6 @@
 #pragma once
 
 #include <cstdint>
-#include <exception>
 #include <span>
 #include <stdexcept>
 #include <type_traits>
@@ -36,14 +34,14 @@
 #include "graph/external_csr.hpp"
 #include "graph/forward_graph.hpp"
 #include "graph/hybrid_csr.hpp"
-#include "graph/tiered_forward.hpp"
 
 namespace sembfs {
 
-/// The top-down side: DRAM, semi-external (simulated NVM) or degree-tiered.
-/// Empty for backward-only storage (the serving layer's MS-BFS batches).
-using ForwardStorage = std::variant<std::monostate, const ForwardGraph*,
-                                    ExternalForwardGraph*, TieredForwardGraph*>;
+/// The top-down side: DRAM, or semi-external (simulated NVM, with the
+/// lists under the graph's tier limit in DRAM). Empty for backward-only
+/// storage (the serving layer's MS-BFS batches).
+using ForwardStorage =
+    std::variant<std::monostate, const ForwardGraph*, ExternalForwardGraph*>;
 
 /// The bottom-up side: DRAM, or the first k in-edges of every vertex in
 /// DRAM and the rest on NVM. Empty for forward-only storage (label
@@ -68,7 +66,7 @@ struct GraphStorage {
   /// attached (DRAM, one lookup) plus the delta adjustment; forward-only
   /// storage falls back to summing the destination-filtered forward
   /// partition degrees — correct, but it touches every partition and may
-  /// issue device I/O for external and tiered forward graphs. Loops over
+  /// issue device I/O for an external forward graph. Loops over
   /// many vertices use with_degree() instead.
   [[nodiscard]] std::int64_t degree(Vertex v) const;
 };
@@ -114,11 +112,6 @@ inline std::int64_t partition_degree(const Csr& part, Vertex v) {
 inline std::int64_t partition_degree(ExternalCsrPartition& part, Vertex v) {
   return part.degree(v);
 }
-inline std::int64_t partition_degree(TieredForwardPartition& part, Vertex v) {
-  std::vector<Vertex> adjacency;
-  part.fetch_neighbors(v, adjacency);
-  return static_cast<std::int64_t>(adjacency.size());
-}
 
 }  // namespace detail
 
@@ -153,7 +146,7 @@ decltype(auto) with_degree(const GraphStorage& storage, Fn&& fn) {
 // ---------------------------------------------------------------------------
 // Forward readers
 
-/// What read_batches needs beyond the partition: the graph's I/O scheduler
+/// What read_batches needs beyond the partition: the I/O scheduler
 /// (semi-external only) and the retry policy of every read it posts.
 struct ForwardReads {
   IoScheduler* scheduler = nullptr;
@@ -186,43 +179,13 @@ std::uint64_t read_batches(const Csr& part, const ForwardReads& /*reads*/,
 }
 
 /// Semi-external: ExternalCsrPartition::fetch_batches_pipelined, which
-/// keeps the next batch's merged reads in flight on the graph's scheduler.
+/// keeps the next batch's merged reads in flight on `reads.scheduler`.
 template <typename NextBatch, typename Visit, typename OnFailure>
 std::uint64_t read_batches(ExternalCsrPartition& part,
                            const ForwardReads& reads, NextBatch&& next_batch,
                            Visit&& visit, OnFailure&& on_failure) {
-  return part.fetch_batches_pipelined(
-      *reads.scheduler, reads.retry, next_batch,
-      [&](std::span<const Vertex> batch,
-          const std::vector<std::vector<Vertex>>& adjacencies) {
-        for (std::size_t i = 0; i < batch.size(); ++i)
-          visit(batch[i], std::span<const Vertex>{adjacencies[i]});
-      },
-      on_failure);
-}
-
-/// Tiered: DRAM short lists are free; hub lists are read per vertex, and a
-/// failed read skips that vertex.
-template <typename NextBatch, typename Visit, typename OnFailure>
-std::uint64_t read_batches(TieredForwardPartition& part,
-                           const ForwardReads& /*reads*/,
-                           NextBatch&& next_batch, Visit&& visit,
-                           OnFailure&& on_failure) {
-  std::vector<Vertex> scratch;
-  std::uint64_t requests = 0;
-  for (std::span<const Vertex> batch = next_batch(); !batch.empty();
-       batch = next_batch()) {
-    for (const Vertex v : batch) {
-      try {
-        requests += part.fetch_neighbors(v, scratch);
-      } catch (const std::exception&) {
-        on_failure();
-        continue;
-      }
-      visit(v, std::span<const Vertex>{scratch});
-    }
-  }
-  return requests;
+  return part.fetch_batches_pipelined(*reads.scheduler, reads.retry,
+                                      next_batch, visit, on_failure);
 }
 
 /// One vertex's adjacency in one forward partition, copied into `out`.
@@ -234,10 +197,6 @@ inline std::uint64_t fetch_neighbors(const Csr& part, Vertex v,
   return 0;
 }
 inline std::uint64_t fetch_neighbors(ExternalCsrPartition& part, Vertex v,
-                                     std::vector<Vertex>& out) {
-  return part.fetch_neighbors(v, out);
-}
-inline std::uint64_t fetch_neighbors(TieredForwardPartition& part, Vertex v,
                                      std::vector<Vertex>& out) {
   return part.fetch_neighbors(v, out);
 }

@@ -15,7 +15,6 @@ BaseGeneration::~BaseGeneration() {
   // the generation directory they live in.
   backward_hybrid_.reset();
   forward_external_.reset();
-  forward_tiered_.reset();
   forward_dram_.reset();
   backward_.reset();
   if (!dir_.empty()) remove_directory_recursive(dir_);
@@ -72,15 +71,9 @@ std::shared_ptr<BaseGeneration> MutableGraph::build_generation(
     case MutableForwardKind::kExternal:
       gen->forward_external_ = std::make_unique<ExternalForwardGraph>(
           *forward, config_.device, gen->dir_, config_.chunk_bytes,
-          config_.chunk_format);
+          config_.chunk_format, config_.tier_limit);
       gen->sides_.forward = gen->forward_external_.get();
       break;  // the DRAM copy dies with `forward` — the offload's purpose
-    case MutableForwardKind::kTiered:
-      gen->forward_tiered_ = std::make_unique<TieredForwardGraph>(
-          *forward, config_.tiered_degree_threshold, config_.device,
-          gen->dir_, pool_, config_.chunk_bytes, config_.chunk_format);
-      gen->sides_.forward = gen->forward_tiered_.get();
-      break;
   }
   gen->sides_.backward = gen->backward_.get();
   if (config_.backward_dram_edges >= 0) {

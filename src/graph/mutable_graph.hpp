@@ -5,9 +5,9 @@
 // Layering:
 //  - The *base* is a generation of immutable storage backends, rebuilt
 //    from the canonical edge list only by compaction: the configured
-//    forward graph (DRAM / semi-external / tiered), the canonical DRAM
-//    backward graph, and optionally the hybrid backward graph. External
-//    and tiered generations write their chunk files into a fresh
+//    forward graph (DRAM / semi-external), the canonical DRAM backward
+//    graph, and optionally the hybrid backward graph. External
+//    generations write their chunk files into a fresh
 //    <workdir>/gen<k> directory, checksummed at offload time exactly like
 //    the sealed build path.
 //  - Every apply() folds the whole pending op log into one immutable
@@ -42,7 +42,6 @@
 #include "graph/forward_graph.hpp"
 #include "graph/graph_storage.hpp"
 #include "graph/hybrid_csr.hpp"
-#include "graph/tiered_forward.hpp"
 #include "nvm/chunk_format.hpp"
 #include "nvm/nvm_device.hpp"
 #include "parallel/thread_pool.hpp"
@@ -52,23 +51,23 @@ namespace sembfs {
 /// Which forward-graph backend each base generation builds.
 enum class MutableForwardKind {
   kDram,      ///< ForwardGraph (no device)
-  kExternal,  ///< ExternalForwardGraph (full offload)
-  kTiered,    ///< TieredForwardGraph (DRAM short lists + NVM hubs)
+  kExternal,  ///< ExternalForwardGraph (lists over the tier limit on NVM)
 };
 
 struct MutableGraphConfig {
   MutableForwardKind forward = MutableForwardKind::kDram;
   std::size_t numa_nodes = 4;
   /// Generation directories gen0, gen1, ... are created under here.
-  /// Required for kExternal / kTiered / hybrid-backward generations.
+  /// Required for kExternal / hybrid-backward generations.
   std::string workdir;
   /// Shared device for offloaded backends (required when any backend
   /// offloads; every generation writes to the same simulated device).
   std::shared_ptr<NvmDevice> device;
   std::uint32_t chunk_bytes = 4096;
   ChunkFormat chunk_format = ChunkFormat::kRaw;
-  /// kTiered only: adjacency lists longer than this live on NVM.
-  std::int64_t tiered_degree_threshold = 64;
+  /// kExternal only: adjacency lists of at most this many entries stay in
+  /// DRAM (ExternalForwardGraph's tier limit; 0 offloads them all).
+  std::int64_t tier_limit = 0;
   /// >= 0: also build a HybridBackwardGraph keeping this many DRAM edges
   /// per vertex (the canonical DRAM backward graph is always built — it
   /// is the delta's base-count oracle and the repair kernel's adjacency).
@@ -103,7 +102,6 @@ class BaseGeneration {
   std::string dir_;  // empty: nothing on disk to retire
   std::unique_ptr<ForwardGraph> forward_dram_;
   std::unique_ptr<ExternalForwardGraph> forward_external_;
-  std::unique_ptr<TieredForwardGraph> forward_tiered_;
   std::unique_ptr<BackwardGraph> backward_;
   std::unique_ptr<HybridBackwardGraph> backward_hybrid_;
   /// The backends above that kernels read: one forward, one backward.

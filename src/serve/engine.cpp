@@ -319,7 +319,7 @@ std::uint64_t QueryEngine::in_flight() const {
 std::int64_t QueryEngine::cheap_degree(const GraphStorage& storage, Vertex v) {
   // Any backward graph answers degree from DRAM in one lookup, and a
   // pure-DRAM forward stack answers it without the device. Otherwise
-  // (external/tiered forward only) report 0 and let the cost model fall
+  // (external forward only) report 0 and let the cost model fall
   // back to its base term — a planner that blocks on chunk I/O to plan
   // around chunk I/O would defeat itself. GraphStorage::degree() already
   // adds the delta adjustment, so mutable-graph planning sees merged-view

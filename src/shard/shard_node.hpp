@@ -10,12 +10,15 @@
 //       - an ExternalCsrPartition of the block (raw or varint chunk
 //         format) with its own ChunkChecksums registry,
 //       - optionally a private ChunkCache (with CRC verification against
-//         the shard's checksums) and a private IoScheduler for aggregated
-//         asynchronous fetches,
+//         the shard's checksums),
+//       - a private IoScheduler with one worker per device, which the
+//         merged batch reads are posted to (one request in service per
+//         device, the concurrency a synchronous read would have),
 //       - a per-shard FaultPlan armed on every device of this shard and
 //         nothing else — fault injection is the per-node failure domain.
-//     Only top-down expansion reads it (fetch_neighbors_batch), as only
-//     the single-node top-down step reads the offloaded forward graph.
+//     Only top-down expansion reads it, through read_batches, the read
+//     loop the single-node top-down step runs over the offloaded forward
+//     graph.
 //   - the DRAM copy, always resident, as the single-node backward graph
 //     is: the bottom-up sweep probes it directly (local_neighbors), and
 //     has_local_edges()/local_degree() read its index, so top-down
@@ -25,13 +28,13 @@
 // Within the semi-external model a shard's DRAM therefore holds O(n)
 // vertex state plus its block, and its NVM holds the block.
 //
-// Fault containment: a top-down fetch that still fails after
-// RetryPolicy.max_attempts whole-batch retries (each retry consumes fresh
-// fault-sequence indices, so transient injected errors clear) is served
-// from the DRAM copy when ShardNodeConfig::dram_fallback is set, and
-// rethrown as NvmIoError otherwise. The shard reports the failure and the
-// degraded level through FetchOutcome; the BFS result stays
-// reference-exact and no other shard observes anything — degraded, not
+// Fault containment: every read request is retried under
+// ShardNodeConfig::retry (each retry consumes fresh fault-sequence
+// indices, so transient injected errors clear). When a read still fails,
+// ShardedBfs redoes that level's expansion from the DRAM copy if
+// ShardNodeConfig::dram_fallback is set, and raises NvmIoError otherwise.
+// The BFS result stays reference-exact, the shard sends exactly a clean
+// run's claims, and no other shard observes anything — degraded, not
 // poisoned.
 #pragma once
 
@@ -43,6 +46,7 @@
 
 #include "graph/csr.hpp"
 #include "graph/external_csr.hpp"
+#include "graph/graph_storage.hpp"
 #include "nvm/chunk_cache.hpp"
 #include "nvm/chunk_checksums.hpp"
 #include "nvm/chunk_format.hpp"
@@ -62,13 +66,11 @@ struct ShardNodeConfig {
   std::size_t cache_bytes = 0;
   /// Verify cached chunks against the shard's CRC registry (needs cache).
   bool verify_checksums = false;
-  /// Background I/O workers for aggregated fetches; 0 = synchronous.
-  std::size_t io_queue_depth = 0;
-  /// Whole-batch retry allowance before the DRAM fallback kicks in.
+  /// Attempts, backoff and deadline of every top-down read request.
   RetryPolicy retry;
-  /// Serve a top-down fetch that fails after the retries from the DRAM
-  /// copy (a degraded level). Without it the failure propagates as
-  /// NvmIoError. The DRAM copy is resident either way.
+  /// Redo a top-down level whose reads still fail after the retries from
+  /// the DRAM copy (a degraded level). Without it the failure propagates
+  /// as NvmIoError. The DRAM copy is resident either way.
   bool dram_fallback = true;
 };
 
@@ -126,19 +128,18 @@ class ShardNode {
   /// writes included).
   [[nodiscard]] std::uint64_t device_requests() const noexcept;
 
-  struct FetchOutcome {
-    std::uint64_t requests = 0;  ///< device requests issued (all attempts)
-    std::uint64_t failures = 0;  ///< attempts that ended in NvmIoError
-    bool fell_back = false;      ///< served from the DRAM copy
-  };
-
-  /// Fetches the block adjacency of every vertex in `batch` from the NVM
-  /// copy into out[i] (resized). Retries the whole batch on injected I/O
-  /// errors, then falls back to the DRAM copy (see the containment notes
-  /// above). Throws NvmIoError only when the fallback is disabled and
-  /// retries are exhausted.
-  FetchOutcome fetch_neighbors_batch(std::span<const Vertex> batch,
-                                     std::vector<std::vector<Vertex>>& out);
+  /// The NVM copy of the block, for read_batches with reads().
+  [[nodiscard]] ExternalCsrPartition& nvm_block() noexcept {
+    return *external_;
+  }
+  /// How top-down expansion reads the NVM copy: through this shard's
+  /// scheduler, every request under the configured retry policy.
+  [[nodiscard]] ForwardReads reads() noexcept {
+    return {scheduler_.get(), config_.retry};
+  }
+  [[nodiscard]] bool dram_fallback() const noexcept {
+    return config_.dram_fallback;
+  }
 
  private:
   std::size_t shard_id_;
@@ -147,6 +148,8 @@ class ShardNode {
   std::unique_ptr<ChunkChecksums> checksums_;
   std::unique_ptr<ExternalCsrPartition> external_;
   std::unique_ptr<ChunkCache> cache_;
+  // Declared after external_ and cache_, so it is joined before the files
+  // and cache its requests reference go away.
   std::unique_ptr<IoScheduler> scheduler_;
   Csr block_;  ///< the DRAM copy
 };

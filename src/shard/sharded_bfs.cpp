@@ -12,6 +12,13 @@
 
 namespace sembfs::shard {
 
+namespace {
+
+/// Sources per merged top-down read.
+constexpr std::size_t kFetchBatch = 256;
+
+}  // namespace
+
 ShardedBfs::ShardedBfs(const EdgeList& edges, std::size_t shards,
                        ThreadPool& pool, const DeviceProfile& profile,
                        const std::string& workdir,
@@ -76,8 +83,6 @@ ShardedBfsResult ShardedBfs::run(Vertex root,
   const Vertex n = grid_.vertex_count();
   SEMBFS_EXPECTS(root >= 0 && root < n);
   const std::size_t ranks = grid_.shard_count();
-  const std::size_t fetch_batch =
-      config.fetch_batch > 0 ? config.fetch_batch : 1;
 
   ShardedBfsResult result;
   result.root = root;
@@ -211,29 +216,39 @@ ShardedBfsResult ShardedBfs::run(Vertex root,
       if (direction == Direction::TopDown) {
         // One claim per cut edge — the O(frontier edges) traffic the
         // direction switch exists to collapse. The only phase that reads
-        // the shard's NVM copy, in batches of `fetch_batch` sources.
-        std::vector<std::vector<Vertex>> adjacency;
-        try {
-          for (std::size_t base = 0; base < row_frontier.size();
-               base += fetch_batch) {
-            const std::span<const Vertex> slice =
-                std::span<const Vertex>{row_frontier}.subspan(
-                    base, std::min(fetch_batch, row_frontier.size() - base));
-            const ShardNode::FetchOutcome outcome =
-                node.fetch_neighbors_batch(slice, adjacency);
-            requests += outcome.requests;
-            failures += outcome.failures;
-            fell_back = fell_back || outcome.fell_back;
-            for (std::size_t i = 0; i < slice.size(); ++i)
-              for (const Vertex w : adjacency[i])
-                claims.push_back(Claim{w, slice[i]});
-          }
-        } catch (...) {
+        // the shard's NVM copy: read_batches posts the merged reads of
+        // kFetchBatch sources at a time to the shard's scheduler, the next
+        // batch's in flight while this one's claims are generated.
+        const auto emit = [&](Vertex v, std::span<const Vertex> adjacency) {
+          for (const Vertex w : adjacency) claims.push_back(Claim{w, v});
+        };
+        std::size_t cursor = 0;
+        const auto next_batch = [&]() -> std::span<const Vertex> {
+          if (failures > 0) return {};  // the level is redone below
+          const std::size_t begin = cursor;
+          cursor = std::min(cursor + kFetchBatch, row_frontier.size());
+          return std::span<const Vertex>{row_frontier}.subspan(
+              begin, cursor - begin);
+        };
+        requests = read_batches(node.nvm_block(), node.reads(), next_batch,
+                                emit, [&] { ++failures; });
+        if (failures > 0 && node.dram_fallback()) {
+          // Degraded level: redo the expansion from the DRAM copy, so the
+          // shard sends exactly a clean run's claims; only its stats show
+          // the failure.
+          fell_back = true;
+          claims.clear();
+          for (const Vertex v : row_frontier) emit(v, node.local_neighbors(v));
+        } else if (failures > 0) {
           // Retries exhausted and no DRAM fallback: this shard stops
           // expanding but keeps walking the barrier protocol so its
           // peers finish the level; the error surfaces after the region.
           const std::lock_guard<std::mutex> lock{error_mutex};
-          if (!error) error = std::current_exception();
+          if (!error)
+            error = std::make_exception_ptr(NvmIoError(
+                "shard " + std::to_string(k) +
+                ": top-down read failed after retries (DRAM fallback "
+                "disabled)"));
           shared.failed.store(true);
         }
         // Sorted by (child, parent): the run-flush below needs children

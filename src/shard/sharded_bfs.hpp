@@ -19,7 +19,8 @@
 //      destination-block membership bitmap the sweep probes.
 //   C. claims —
 //      top-down:   shards expand the published row frontier through
-//                  their block (batched fetches from the NVM copy) and
+//                  their block (merged, pipelined reads of the NVM copy,
+//                  redone from the DRAM copy if a read fails) and
 //                  send one (child, parent) claim per cut edge to the
 //                  child's owner — the communication volume is
 //                  O(frontier edges), which is what the direction switch
@@ -68,8 +69,6 @@ struct ShardedBfsConfig {
   Mode mode = Mode::Hybrid;
   /// Per-message frontier/membership encoding policy.
   EncodingChoice frontier_encoding = EncodingChoice::kAuto;
-  /// Vertices per aggregated NVM fetch.
-  std::size_t fetch_batch = 256;
 };
 
 struct ShardLevelStats {
@@ -91,8 +90,8 @@ struct ShardLevelStats {
   double compute_seconds = 0.0;
   /// Device requests of the top-down fetches; 0 on bottom-up levels.
   std::uint64_t nvm_requests = 0;
-  std::uint64_t io_failures = 0;     ///< contained fetch failures
-  std::uint64_t degraded_shards = 0; ///< shards that fell back to DRAM
+  std::uint64_t io_failures = 0;     ///< batches whose reads failed for good
+  std::uint64_t degraded_shards = 0; ///< shards that redid the level from DRAM
 };
 
 struct ShardedBfsResult {

@@ -271,12 +271,16 @@ TEST_F(CompressedExternalCsrTest, NeighborsMatchDramCopy) {
 
 TEST_F(CompressedExternalCsrTest, BatchedFetchMatchesRawFormat) {
   ExternalForwardGraph raw{forward_, device_, dir_.aux("_raw")};
+  IoScheduler scheduler{4};
   std::vector<Vertex> batch;
   for (Vertex v = 0; v < edges_.vertex_count(); v += 3) batch.push_back(v);
   for (std::size_t k = 0; k < external_->node_count(); ++k) {
     std::vector<std::vector<Vertex>> varint_out, raw_out;
-    external_->partition(k).fetch_neighbors_batch(batch, varint_out);
-    raw.partition(k).fetch_neighbors_batch(batch, raw_out);
+    external_->partition(k)
+        .start_fetch_neighbors_batch(batch, scheduler)
+        .wait(varint_out);
+    raw.partition(k).start_fetch_neighbors_batch(batch, scheduler).wait(
+        raw_out);
     EXPECT_EQ(varint_out, raw_out) << "partition " << k;
   }
 }

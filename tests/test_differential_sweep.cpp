@@ -23,7 +23,6 @@
 #include "engine/pagerank_program.hpp"
 #include "engine/program_session.hpp"
 #include "engine/triangle_program.hpp"
-#include "graph/tiered_forward.hpp"
 #include "graph/uniform.hpp"
 #include "graph_fixtures.hpp"
 #include "shard/sharded_bfs.hpp"
@@ -38,7 +37,8 @@ constexpr std::uint64_t kSeed = 0xd1f5eed;
 
 struct DiffCase {
   const char* generator;  // "kron" | "uniform"
-  const char* storage;    // "dram" | "external" | "tiered"
+  // "dram" | "external" | "tiered" (external with a tier limit of 4)
+  const char* storage;
   PolicyKind policy;
   double alpha;
   double beta;
@@ -97,19 +97,16 @@ TEST_P(DifferentialSweep, LevelsMatchReferenceAndTreeValidates) {
 
   auto device = std::make_shared<NvmDevice>(DeviceProfile::dram());
   std::optional<ExternalForwardGraph> external;
-  std::optional<TieredForwardGraph> tiered;
   GraphStorage storage;
   storage.backward = &backward;
   if (std::string_view{c.storage} == "dram") {
     storage.forward = &forward;
-  } else if (std::string_view{c.storage} == "external") {
-    external.emplace(forward, device, dir + "/fg", /*chunk_bytes=*/4096u,
-                     c.chunk_format);
-    storage.forward = &*external;
   } else {
-    tiered.emplace(forward, 4, device, dir, pool, /*chunk_bytes=*/4096u,
-                   c.chunk_format);
-    storage.forward = &*tiered;
+    const std::int64_t tier_limit =
+        std::string_view{c.storage} == "tiered" ? 4 : 0;
+    external.emplace(forward, device, dir + "/fg", /*chunk_bytes=*/4096u,
+                     c.chunk_format, tier_limit);
+    storage.forward = &*external;
   }
 
   BfsConfig config;
@@ -263,13 +260,17 @@ INSTANTIATE_TEST_SUITE_P(
                  ChunkFormat::kVarint},
         // ...and under injected bit corruption: a flipped compressed blob
         // fails its own CRC inside CompressedBlockFile and heals via
-        // re-fetch (the cache+registry protect the raw index file). Tiered
-        // corruption cells are omitted: the tiered path wires no chunk
-        // cache, so its raw index reads would have no corruption defense.
+        // re-fetch (the cache+registry protect the raw index file).
         DiffCase{"kron", "external", PolicyKind::FrontierRatio, kA, kB, 0,
                  1e-3, false, BfsMode::Hybrid, FrontierMode::Auto,
                  ChunkFormat::kVarint},
+        DiffCase{"kron", "tiered", PolicyKind::FrontierRatio, kA, kB, 0,
+                 1e-3, false, BfsMode::Hybrid, FrontierMode::Auto,
+                 ChunkFormat::kVarint},
         DiffCase{"uniform", "external", PolicyKind::FrontierRatio, kA, kB, 0,
+                 1e-3, false, BfsMode::Hybrid, FrontierMode::Auto,
+                 ChunkFormat::kVarint},
+        DiffCase{"uniform", "tiered", PolicyKind::FrontierRatio, kA, kB, 0,
                  1e-3, false, BfsMode::Hybrid, FrontierMode::Auto,
                  ChunkFormat::kVarint},
         // ...and with errors and corruption together on the heavy-error
@@ -293,7 +294,8 @@ INSTANTIATE_TEST_SUITE_P(
 
 struct AnalyticsCase {
   const char* generator;  // "kron" | "uniform"
-  const char* storage;    // "dram" | "external" | "tiered"
+  // "dram" | "external" | "tiered" (external with a tier limit of 4)
+  const char* storage;
   ChunkFormat chunk_format = ChunkFormat::kRaw;
   double read_error_rate = 0.0;  // injected per-read error probability
   // >= 0: the backward side is a HybridBackwardGraph keeping this many
@@ -338,20 +340,17 @@ TEST_P(AnalyticsSweep, EngineMatchesSerialReferences) {
 
   auto device = std::make_shared<NvmDevice>(DeviceProfile::dram());
   std::optional<ExternalForwardGraph> external;
-  std::optional<TieredForwardGraph> tiered;
   std::optional<HybridBackwardGraph> hybrid;
   GraphStorage storage;
   storage.backward = &backward;
   if (std::string_view{c.storage} == "dram") {
     storage.forward = &forward;
-  } else if (std::string_view{c.storage} == "external") {
-    external.emplace(forward, device, scratch.path() + "/fg",
-                     /*chunk_bytes=*/4096u, c.chunk_format);
-    storage.forward = &*external;
   } else {
-    tiered.emplace(forward, 4, device, scratch.path(), pool,
-                   /*chunk_bytes=*/4096u, c.chunk_format);
-    storage.forward = &*tiered;
+    const std::int64_t tier_limit =
+        std::string_view{c.storage} == "tiered" ? 4 : 0;
+    external.emplace(forward, device, scratch.path() + "/fg",
+                     /*chunk_bytes=*/4096u, c.chunk_format, tier_limit);
+    storage.forward = &*external;
   }
   if (c.backward_dram_edges >= 0) {
     hybrid.emplace(backward, c.backward_dram_edges, device,

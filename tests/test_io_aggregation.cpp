@@ -23,6 +23,19 @@ class IoAggregationTest : public ::testing::Test {
     external_ = std::make_unique<ExternalForwardGraph>(forward_, device_,
                                                        dir_.path());
   }
+  /// The merged batch read, run to completion. Returns the device
+  /// requests issued.
+  std::uint64_t read_batch(
+      ExternalCsrPartition& part, std::span<const Vertex> batch,
+      std::vector<std::vector<Vertex>>& out,
+      std::uint32_t merge_gap_bytes = kMergeGapBytes,
+      std::uint32_t max_request_bytes = kMaxRequestBytes) {
+    return part
+        .start_fetch_neighbors_batch(batch, scheduler_, merge_gap_bytes,
+                                     max_request_bytes)
+        .wait(out);
+  }
+
   ThreadPool pool_{4};
   testutil::ScopedTestDir dir_{"agg"};
   EdgeList edges_;
@@ -30,6 +43,8 @@ class IoAggregationTest : public ::testing::Test {
   ForwardGraph forward_;
   std::shared_ptr<NvmDevice> device_;
   std::unique_ptr<ExternalForwardGraph> external_;
+  // Declared after external_, so it is joined before the files go away.
+  IoScheduler scheduler_{4};
 };
 
 /// Device requests the per-vertex primitive fetch_neighbors issues for the
@@ -53,7 +68,7 @@ TEST_F(IoAggregationTest, BatchedFetchMatchesPerVertexFetch) {
   for (Vertex v = 0; v < edges_.vertex_count(); v += 7) batch.push_back(v);
 
   std::vector<std::vector<Vertex>> batched;
-  part.fetch_neighbors_batch(batch, batched);
+  read_batch(part, batch, batched);
 
   std::vector<Vertex> single;
   ASSERT_EQ(batched.size(), batch.size());
@@ -67,7 +82,7 @@ TEST_F(IoAggregationTest, UnsortedAndDuplicateBatch) {
   ExternalCsrPartition& part = external_->partition(0);
   const std::vector<Vertex> batch = {90, 3, 90, 512, 3, 0};
   std::vector<std::vector<Vertex>> batched;
-  part.fetch_neighbors_batch(batch, batched);
+  read_batch(part, batch, batched);
   std::vector<Vertex> single;
   for (std::size_t i = 0; i < batch.size(); ++i) {
     part.fetch_neighbors(batch[i], single);
@@ -79,7 +94,7 @@ TEST_F(IoAggregationTest, EmptyBatchIssuesNothing) {
   ExternalCsrPartition& part = external_->partition(0);
   device_->stats().reset();
   std::vector<std::vector<Vertex>> batched;
-  EXPECT_EQ(part.fetch_neighbors_batch({}, batched), 0u);
+  EXPECT_EQ(read_batch(part, {}, batched), 0u);
   EXPECT_EQ(device_->stats().request_count(), 0u);
 }
 
@@ -94,7 +109,7 @@ TEST_F(IoAggregationTest, AggregationReducesRequestCount) {
 
   std::vector<std::vector<Vertex>> batched;
   const std::uint64_t aggregated =
-      part.fetch_neighbors_batch(batch, batched);
+      read_batch(part, batch, batched);
   EXPECT_LT(aggregated, per_vertex / 4);
 }
 
@@ -102,7 +117,7 @@ TEST_F(IoAggregationTest, ZeroGapStillCorrect) {
   ExternalCsrPartition& part = external_->partition(0);
   std::vector<Vertex> batch = {5, 6, 7, 1000, 1001};
   std::vector<std::vector<Vertex>> batched;
-  part.fetch_neighbors_batch(batch, batched, /*merge_gap_bytes=*/0);
+  read_batch(part, batch, batched, /*merge_gap_bytes=*/0);
   std::vector<Vertex> single;
   for (std::size_t i = 0; i < batch.size(); ++i) {
     part.fetch_neighbors(batch[i], single);
@@ -115,7 +130,7 @@ TEST_F(IoAggregationTest, TinyMaxRequestStillCorrect) {
   std::vector<Vertex> batch;
   for (Vertex v = 0; v < 64; ++v) batch.push_back(v);
   std::vector<std::vector<Vertex>> batched;
-  part.fetch_neighbors_batch(batch, batched, 4096, /*max_request=*/64);
+  read_batch(part, batch, batched, 4096, /*max_request=*/64);
   std::vector<Vertex> single;
   for (std::size_t i = 0; i < batch.size(); ++i) {
     part.fetch_neighbors(batch[i], single);
@@ -133,7 +148,7 @@ TEST_F(IoAggregationTest, AllEmptyBatchNeedsOnlyIndexReads) {
 
   device_->stats().reset();
   std::vector<std::vector<Vertex>> batched(3, std::vector<Vertex>{Vertex{7}});
-  const std::uint64_t requests = part.fetch_neighbors_batch(batch, batched);
+  const std::uint64_t requests = read_batch(part, batch, batched);
   ASSERT_EQ(batched.size(), batch.size());
   for (const auto& adjacency : batched) EXPECT_TRUE(adjacency.empty());
   EXPECT_GT(requests, 0u);  // the index phase still runs
@@ -155,7 +170,7 @@ TEST_F(IoAggregationTest, AdjacencyLargerThanMaxRequestStillCorrect) {
   // is sliced into <= max_request device reads at issue time.
   const std::vector<Vertex> batch = {hub, 1, hub};
   std::vector<std::vector<Vertex>> batched;
-  part.fetch_neighbors_batch(batch, batched, 4096, /*max_request=*/256);
+  read_batch(part, batch, batched, 4096, /*max_request=*/256);
   std::vector<Vertex> single;
   for (std::size_t i = 0; i < batch.size(); ++i) {
     part.fetch_neighbors(batch[i], single);
@@ -180,7 +195,7 @@ TEST_F(IoAggregationTest, OversizeRunSplitsAtRequestCap) {
   const std::vector<Vertex> batch = {hub};
   std::vector<std::vector<Vertex>> batched;
   const std::uint64_t capped =
-      part.fetch_neighbors_batch(batch, batched, 4096, kCap);
+      read_batch(part, batch, batched, 4096, kCap);
   // Index phase: one 16-byte request. Value phase: the hub's run sliced at
   // the cap.
   const std::uint64_t value_requests = (hub_bytes + kCap - 1) / kCap;
@@ -192,36 +207,8 @@ TEST_F(IoAggregationTest, OversizeRunSplitsAtRequestCap) {
   // An uncapped fetch of the same batch needs far fewer requests — the cap
   // is what forces the split, not the run length.
   const std::uint64_t uncapped =
-      part.fetch_neighbors_batch(batch, batched, 4096, 1 << 20);
+      read_batch(part, batch, batched, 4096, 1 << 20);
   EXPECT_LT(uncapped, capped);
-}
-
-TEST_F(IoAggregationTest, AsyncOversizeRunSplitsLikeSync) {
-  // The async scheduler path must slice oversize runs identically, or
-  // request accounting diverges between the sync and prefetch paths.
-  ExternalCsrPartition& part = external_->partition(0);
-  const Csr& dram = forward_.partition(0);
-  IoScheduler scheduler{4};
-  Vertex hub = 0;
-  for (Vertex v = 1; v < edges_.vertex_count(); ++v)
-    if (dram.degree(v) > dram.degree(hub)) hub = v;
-  constexpr std::uint32_t kCap = 256;
-
-  const std::vector<Vertex> batch = {hub, 1, hub, 42};
-  std::vector<std::vector<Vertex>> sync_out;
-  const std::uint64_t sync_requests =
-      part.fetch_neighbors_batch(batch, sync_out, 4096, kCap);
-
-  PendingNeighborsBatch pending =
-      part.start_fetch_neighbors_batch(batch, scheduler, 4096, kCap);
-  ASSERT_TRUE(pending.valid());
-  std::vector<std::vector<Vertex>> async_out;
-  const std::uint64_t async_requests = pending.wait(async_out);
-
-  EXPECT_EQ(async_requests, sync_requests);
-  ASSERT_EQ(async_out.size(), sync_out.size());
-  for (std::size_t i = 0; i < sync_out.size(); ++i)
-    ASSERT_EQ(async_out[i], sync_out[i]) << "slot " << i;
 }
 
 TEST_F(IoAggregationTest, BatchAtPartitionSourceBoundary) {
@@ -231,7 +218,7 @@ TEST_F(IoAggregationTest, BatchAtPartitionSourceBoundary) {
     const std::vector<Vertex> batch = {range.begin, range.end - 1,
                                        range.begin};
     std::vector<std::vector<Vertex>> batched;
-    part.fetch_neighbors_batch(batch, batched);
+    read_batch(part, batch, batched);
     std::vector<Vertex> single;
     for (std::size_t i = 0; i < batch.size(); ++i) {
       part.fetch_neighbors(batch[i], single);
@@ -247,36 +234,14 @@ TEST_F(IoAggregationTest, DuplicateHeavyBatchDoesNotMultiplyRequests) {
   const std::vector<Vertex> once = {v};
   std::vector<std::vector<Vertex>> batched;
   const std::uint64_t single_requests =
-      part.fetch_neighbors_batch(once, batched);
+      read_batch(part, once, batched);
 
   const std::vector<Vertex> many(64, v);
   const std::uint64_t dup_requests =
-      part.fetch_neighbors_batch(many, batched);
+      read_batch(part, many, batched);
   // Contained ranges merge: 64 copies cost the same I/O as one.
   EXPECT_EQ(dup_requests, single_requests);
   for (const auto& adjacency : batched) ASSERT_EQ(adjacency, batched.front());
-}
-
-TEST_F(IoAggregationTest, AsyncBatchMatchesSyncBatch) {
-  ExternalCsrPartition& part = external_->partition(0);
-  IoScheduler scheduler{4};
-  std::vector<Vertex> batch;
-  for (Vertex v = 0; v < edges_.vertex_count(); v += 5) batch.push_back(v);
-
-  std::vector<std::vector<Vertex>> sync_out;
-  const std::uint64_t sync_requests =
-      part.fetch_neighbors_batch(batch, sync_out);
-
-  PendingNeighborsBatch pending =
-      part.start_fetch_neighbors_batch(batch, scheduler);
-  ASSERT_TRUE(pending.valid());
-  std::vector<std::vector<Vertex>> async_out;
-  const std::uint64_t async_requests = pending.wait(async_out);
-
-  EXPECT_EQ(async_requests, sync_requests);
-  ASSERT_EQ(async_out.size(), sync_out.size());
-  for (std::size_t i = 0; i < sync_out.size(); ++i)
-    ASSERT_EQ(async_out[i], sync_out[i]) << "slot " << i;
 }
 
 TEST_F(IoAggregationTest, ManyPendingBatchesInFlightAtOnce) {
@@ -309,9 +274,9 @@ TEST_F(IoAggregationTest, ChunkCacheCutsRepeatBatchRequests) {
 
   ChunkCache& cache = external_->enable_chunk_cache(8 << 20);
   std::vector<std::vector<Vertex>> cold_out;
-  const std::uint64_t cold = part.fetch_neighbors_batch(batch, cold_out);
+  const std::uint64_t cold = read_batch(part, batch, cold_out);
   std::vector<std::vector<Vertex>> warm_out;
-  const std::uint64_t warm = part.fetch_neighbors_batch(batch, warm_out);
+  const std::uint64_t warm = read_batch(part, batch, warm_out);
   EXPECT_LT(warm, cold);
   EXPECT_GT(cache.stats().hits, 0u);
   for (std::size_t i = 0; i < batch.size(); ++i)
@@ -321,7 +286,7 @@ TEST_F(IoAggregationTest, ChunkCacheCutsRepeatBatchRequests) {
   external_->disable_chunk_cache();
   EXPECT_EQ(part.cache(), nullptr);
   std::vector<std::vector<Vertex>> plain_out;
-  EXPECT_EQ(part.fetch_neighbors_batch(batch, plain_out), cold);
+  EXPECT_EQ(read_batch(part, batch, plain_out), cold);
 }
 
 TEST_F(IoAggregationTest, EnableChunkCacheIsIdempotentPerCapacity) {

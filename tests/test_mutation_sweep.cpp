@@ -30,9 +30,13 @@ namespace {
 
 constexpr std::uint64_t kSeed = 0x5eedf00d;
 
+/// The forward layout of a generation: DRAM, fully offloaded, or offloaded
+/// with lists of at most 64 entries kept in DRAM.
+enum class Forward { kDram, kExternal, kTiered };
+
 struct MutationCase {
   const char* generator;  // "kron" | "uniform"
-  MutableForwardKind forward = MutableForwardKind::kDram;
+  Forward forward = Forward::kDram;
   ChunkFormat chunk_format = ChunkFormat::kRaw;
   double read_error_rate = 0.0;
   /// >= 0: serve the bottom-up side from a HybridBackwardGraph with this
@@ -108,12 +112,14 @@ TEST_P(MutationSweep, MergedViewMatchesRebuiltReference) {
   testutil::ScopedTestDir scratch{"mutsweep"};
   auto device = std::make_shared<NvmDevice>(DeviceProfile::dram());
   MutableGraphConfig config;
-  config.forward = c.forward;
+  config.forward = c.forward == Forward::kDram ? MutableForwardKind::kDram
+                                               : MutableForwardKind::kExternal;
+  config.tier_limit = c.forward == Forward::kTiered ? 64 : 0;
   config.numa_nodes = 4;
   config.chunk_format = c.chunk_format;
   config.backward_dram_edges = c.backward_dram_edges;
-  const bool offloads = c.forward != MutableForwardKind::kDram ||
-                        c.backward_dram_edges >= 0;
+  const bool offloads =
+      c.forward != Forward::kDram || c.backward_dram_edges >= 0;
   if (offloads) {
     config.workdir = scratch.path();
     config.device = device;
@@ -173,30 +179,30 @@ INSTANTIATE_TEST_SUITE_P(
     Matrix, MutationSweep,
     ::testing::Values(
         // Fault-free: every generator x forward-backend cell on raw chunks.
-        MutationCase{"kron", MutableForwardKind::kDram},
-        MutationCase{"kron", MutableForwardKind::kExternal},
-        MutationCase{"kron", MutableForwardKind::kTiered},
-        MutationCase{"uniform", MutableForwardKind::kDram},
-        MutationCase{"uniform", MutableForwardKind::kExternal},
-        MutationCase{"uniform", MutableForwardKind::kTiered},
+        MutationCase{"kron", Forward::kDram},
+        MutationCase{"kron", Forward::kExternal},
+        MutationCase{"kron", Forward::kTiered},
+        MutationCase{"uniform", Forward::kDram},
+        MutationCase{"uniform", Forward::kExternal},
+        MutationCase{"uniform", Forward::kTiered},
         // Varint-compressed adjacency chunks on the NVM-backed tiers.
-        MutationCase{"kron", MutableForwardKind::kExternal,
+        MutationCase{"kron", Forward::kExternal,
                      ChunkFormat::kVarint},
-        MutationCase{"kron", MutableForwardKind::kTiered,
+        MutationCase{"kron", Forward::kTiered,
                      ChunkFormat::kVarint},
-        MutationCase{"uniform", MutableForwardKind::kExternal,
+        MutationCase{"uniform", Forward::kExternal,
                      ChunkFormat::kVarint},
         // Hybrid backward generations: the delta-aware bottom-up scan
         // reads DRAM prefixes + NVM spill with mutations layered on top.
-        MutationCase{"kron", MutableForwardKind::kExternal,
+        MutationCase{"kron", Forward::kExternal,
                      ChunkFormat::kRaw, 0.0, /*backward_dram_edges=*/2},
         // Read-error injection (1e-3 per read): mutation answers must
         // survive via containment + degraded retries, raw and compressed.
-        MutationCase{"kron", MutableForwardKind::kExternal,
+        MutationCase{"kron", Forward::kExternal,
                      ChunkFormat::kRaw, 1e-3},
-        MutationCase{"uniform", MutableForwardKind::kTiered,
+        MutationCase{"uniform", Forward::kTiered,
                      ChunkFormat::kRaw, 1e-3},
-        MutationCase{"kron", MutableForwardKind::kExternal,
+        MutationCase{"kron", Forward::kExternal,
                      ChunkFormat::kVarint, 1e-3}));
 
 }  // namespace

@@ -337,6 +337,41 @@ TEST(ShardedBfsFaults, SingleFaultyShardDegradesWithoutPoisoning) {
   EXPECT_EQ(clean.parent, result.parent);
 }
 
+TEST(ShardedBfsFaults, DegradedShardSendsCleanClaims) {
+  // A shard whose reads fail for good redoes the level's expansion from
+  // its DRAM copy, so it sends exactly the claims of a clean run: the
+  // traffic and the tree replay, and only that shard degrades.
+  ScopedTestDir dir{"shardredo"};
+  ThreadPool pool{4};
+  const EdgeList edges =
+      generate_kronecker(fixtures::small_kronecker(10, 8, kSeed), pool);
+  const Csr full = build_csr(edges, CsrBuildOptions{}, pool);
+  ShardedBfs bfs{edges, 4, pool, DeviceProfile::dram(), dir.path()};
+  ShardedBfsConfig top_down;
+  top_down.mode = ShardedBfsConfig::Mode::TopDownOnly;
+
+  Vertex root = 0;
+  while (full.degree(root) == 0) ++root;
+  const ShardedBfsResult clean = bfs.run(root, top_down);
+  ASSERT_FALSE(clean.degraded);
+
+  FaultPlan plan;
+  plan.seed = kSeed;
+  plan.read_error_rate = 1.0;
+  bfs.set_fault_plan(2, plan);
+  const ShardedBfsResult faulted = bfs.run(root, top_down);
+  EXPECT_TRUE(faulted.degraded);
+  EXPECT_EQ(faulted.parent, clean.parent);
+  ASSERT_EQ(faulted.levels.size(), clean.levels.size());
+  for (std::size_t i = 0; i < clean.levels.size(); ++i) {
+    SCOPED_TRACE("level " + std::to_string(clean.levels[i].level));
+    EXPECT_EQ(faulted.levels[i].claim_bytes, clean.levels[i].claim_bytes);
+    EXPECT_EQ(faulted.levels[i].remote_messages,
+              clean.levels[i].remote_messages);
+    EXPECT_LE(faulted.levels[i].degraded_shards, 1u);
+  }
+}
+
 TEST(ShardedBfsFaults, BottomUpNeverTouchesDevice) {
   // Bottom-up sweeps the DRAM copy of each block, so certain read errors
   // on every shard — with no fallback to catch them — change nothing.

@@ -14,17 +14,17 @@
 namespace sembfs {
 namespace {
 
-/// The three forward storages over one DRAM forward graph: the graph
-/// itself, its semi-external offload and its degree-tiered split (lists
+/// Three forward storages over one DRAM forward graph: the graph itself,
+/// its semi-external offload, and an offload with a tier limit of 1 (lists
 /// longer than one entry on NVM). Every top-down test runs over each.
 class ForwardSources {
  public:
-  ForwardSources(const ForwardGraph& forward, const std::string& dir,
-                 ThreadPool& pool)
+  ForwardSources(const ForwardGraph& forward, const std::string& dir)
       : forward_(&forward),
         device_(std::make_shared<NvmDevice>(DeviceProfile::dram())),
         external_(forward, device_, dir + "/external"),
-        tiered_(forward, 1, device_, dir + "/tiered", pool) {}
+        tiered_(forward, device_, dir + "/tiered", /*chunk_bytes=*/4096u,
+                ChunkFormat::kRaw, /*tier_limit=*/1) {}
 
   [[nodiscard]] std::vector<std::pair<std::string, ForwardStorage>> all() {
     return {{"dram", forward_}, {"external", &external_}, {"tiered", &tiered_}};
@@ -34,7 +34,7 @@ class ForwardSources {
   const ForwardGraph* forward_;
   std::shared_ptr<NvmDevice> device_;
   ExternalForwardGraph external_;
-  TieredForwardGraph tiered_;
+  ExternalForwardGraph tiered_;
 };
 
 StepResult step(const ForwardStorage& forward, BfsStatus& status,
@@ -53,7 +53,7 @@ class TopDownTest : public ::testing::Test {
     partition_ = VertexPartition{edges_.vertex_count(), 2};
     forward_ = ForwardGraph::build(edges_, partition_, CsrBuildOptions{},
                                    pool_);
-    sources_ = std::make_unique<ForwardSources>(forward_, dir_.path(), pool_);
+    sources_ = std::make_unique<ForwardSources>(forward_, dir_.path());
   }
 
   ThreadPool pool_{4};
@@ -153,7 +153,7 @@ TEST_F(TopDownTest, ManyNodePartitionsCoverEverything) {
   const VertexPartition fine{edges_.vertex_count(), 8};
   const ForwardGraph forward_fine =
       ForwardGraph::build(edges_, fine, CsrBuildOptions{}, pool_);
-  ForwardSources fine_sources{forward_fine, dir_.aux("_fine"), pool_};
+  ForwardSources fine_sources{forward_fine, dir_.aux("_fine")};
   const NumaTopology topo{8, 1};
   for (const auto& [name, forward] : fine_sources.all()) {
     SCOPED_TRACE(name);
@@ -171,7 +171,7 @@ TEST(TopDownStar, HubExplosion) {
   const ForwardGraph forward_dram =
       ForwardGraph::build(edges, partition, CsrBuildOptions{}, pool);
   testutil::ScopedTestDir dir{"topdown"};
-  ForwardSources sources{forward_dram, dir.path(), pool};
+  ForwardSources sources{forward_dram, dir.path()};
   const NumaTopology topo{4, 1};
   for (const auto& [name, forward] : sources.all()) {
     SCOPED_TRACE(name);
