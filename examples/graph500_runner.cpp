@@ -1,8 +1,9 @@
 // Full Graph500 benchmark run under a chosen storage scenario — the
 // paper's complete experimental pipeline in one command:
 //
-//   ./graph500_runner --scale 20 --scenario pcie_flash --roots 64 \
-//                     --alpha 1e6 --beta 1e6
+//   ./graph500_runner --scale 20 --scenario pcie_flash --alpha 1e6 --beta 1e6
+//
+// runs 16 roots; --roots 64 gives the specification's count.
 //
 // Prints the official-style Graph500 output block plus the NVM iostat
 // summary (avgqu-sz / avgrq-sz, Figures 12-13) when a device is in play.
@@ -102,8 +103,8 @@ int main(int argc, char** argv) {
                      "per-query end-to-end deadline (0 = none)");
   options.add_int("serve-seed", 42, "load generator seed");
   options.add_double("serve-zipf", 0.0,
-                     "Zipf exponent for root popularity (0 = uniform; "
-                     "hubs live at low vertex ids)");
+                     "Zipf exponent for root popularity over vertex ids "
+                     "(0 = uniform)");
   options.add_string("serve-arrival", "closed",
                      "arrival pattern: closed | burst | diurnal");
   options.add_double("serve-burst", 0.0,

@@ -62,7 +62,6 @@ struct BfsConfig {
   /// Next-frontier representation for bottom-up levels.
   FrontierMode frontier_mode = FrontierMode::Auto;
   int batch_size = 64;              ///< top-down frontier dequeue batch
-  std::int64_t bottom_up_chunk = 1024;  ///< bottom-up sweep chunk
   /// Semi-external only: when nonzero, ensures the external forward graph
   /// carries a DRAM chunk cache serving repeated 4 KiB chunks (hub
   /// index/adjacency blocks). The first traversal to ask sizes it, ~this

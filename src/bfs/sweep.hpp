@@ -1,10 +1,10 @@
 // The word-skip unvisited sweep shared by every bottom-up-shaped kernel
-// (single-search bottom_up_step, the serving layer's batched MS-BFS, the
-// sharded bottom-up and the incremental repair). Workers load 64
-// vertices' "done" bits at a time and skip saturated words outright — on
-// late levels nearly every word is saturated, so most of a vertex range
-// costs one load + compare per 64 vertices — and hand each word's
-// survivors to the kernel, as a word or vertex by vertex.
+// (the pull executor pull_sweep in bottom_up.hpp, the sharded bottom-up
+// and the incremental repair). Workers load 64 vertices' "done" bits at a
+// time and skip saturated words outright — on late levels nearly every
+// word is saturated, so most of a vertex range costs one load + compare
+// per 64 vertices — and hand each word's survivors to the kernel, as a
+// word or vertex by vertex.
 #pragma once
 
 #include <cstdint>
@@ -19,6 +19,14 @@ namespace sembfs {
 /// A sweep's skip mask that skips nothing.
 struct NoSkip {
   constexpr std::uint64_t operator()(std::size_t /*word*/) const noexcept {
+    return 0;
+  }
+};
+
+/// A sweep's done bitmap with no vertex done: every vertex the skip mask
+/// leaves is swept (the components and PageRank pulls).
+struct NothingDone {
+  constexpr std::uint64_t word(std::size_t /*word*/) const noexcept {
     return 0;
   }
 };
@@ -40,16 +48,17 @@ struct NoSkip {
 /// [abs_lo, abs_hi) that holds a vertex of the range whose bit in `done`
 /// is clear and whose bit in skip(w) is clear; `pending` holds those
 /// vertices' bits (bit i is vertex 64w + i). `done` is the kernel's
-/// saturation bitmap: the visited bitmap for single-search bottom-up, the
-/// all-queries-covered bitmap for MS-BFS. Concurrent set()s may or may not
-/// be reflected; callers must tolerate stale zeros (a vertex never reads
+/// saturation bitmap, anything with word(w): the visited bitmap for
+/// single-search bottom-up, the all-queries-covered bitmap for MS-BFS,
+/// NothingDone for a full sweep. Concurrent set()s may or may not be
+/// reflected; callers must tolerate stale zeros (a vertex never reads
 /// as done before its claim). `skip` clears the bits of vertices that can
 /// never be claimed (degree_zero_skip), so they cost nothing and a word
 /// whose other vertices are all done is skipped. Returns {words swept,
 /// words skipped}.
-template <typename WordFn, typename SkipFn = NoSkip>
+template <typename Done, typename WordFn, typename SkipFn = NoSkip>
 std::pair<std::uint64_t, std::uint64_t> sweep_unvisited_words(
-    const AtomicBitmap& done, std::int64_t abs_lo, std::int64_t abs_hi,
+    const Done& done, std::int64_t abs_lo, std::int64_t abs_hi,
     WordFn&& scan_word, SkipFn skip = {}) {
   std::uint64_t swept = 0;
   std::uint64_t skipped = 0;

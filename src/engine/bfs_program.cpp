@@ -23,7 +23,7 @@ StepResult BfsProgram::step(EngineContext& ctx, Direction direction) {
                          push_options(config, ctx.storage));
   }
   return bottom_up_step(ctx.storage.backward, *status_, ctx.superstep,
-                        *ctx.topology, *ctx.pool, config.bottom_up_chunk,
+                        *ctx.topology, *ctx.pool, kPullChunk,
                         ctx.pull_output, ctx.storage.delta);
 }
 
@@ -48,7 +48,7 @@ StepResult BfsProgram::degrade(EngineContext& ctx) {
   status_->set_next({});
   const StepResult redo = bottom_up_step(
       ctx.storage.backward, *status_, ctx.superstep, *ctx.topology,
-      *ctx.pool, ctx.config->bottom_up_chunk, BottomUpOutput::Queue,
+      *ctx.pool, kPullChunk, BottomUpOutput::Queue,
       ctx.storage.delta);
   std::vector<Vertex>& next = status_->next();
   next.insert(next.end(), partial.begin(), partial.end());

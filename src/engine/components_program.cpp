@@ -71,63 +71,40 @@ StepResult ComponentsProgram::pull_step(EngineContext& ctx) {
         " requires a backward graph and none is attached");
   }
   ThreadPool& pool = *ctx.pool;
-  const Vertex n = ctx.vertex_count();
-  const DeltaBuffer* const delta = ctx.storage.delta;
   active_->begin_bitmap_next(pool.size());
-
-  std::vector<std::int64_t> improved(pool.size(), 0);
-  std::vector<std::int64_t> scanned(pool.size(), 0);
-  std::vector<std::uint64_t> requests(pool.size(), 0);
-  const auto label = [&](std::int64_t v) {
-    return labels_[static_cast<std::size_t>(v)].load(
-        std::memory_order_relaxed);
+  const auto label = [&](std::size_t v) {
+    return labels_[v].load(std::memory_order_relaxed);
   };
 
-  // Full sweep: every vertex recomputes its label from its complete
-  // merged-view in-adjacency (single writer per vertex — plain stores
+  // Full sweep: every vertex recomputes its label as the min over its
+  // merged-view in-neighbors (single writer per vertex — plain stores
   // suffice, and the sweep's correctness is independent of the current
-  // active set). Device faults on a hybrid backward graph propagate as
-  // NvmIoError, exactly like the BFS degrade path's backward reads.
-  visit_graph(ctx.storage.backward, [&](auto& backward) {
-    parallel_for_blocked(pool, 0, n,
-                         [&](std::int64_t lo, std::int64_t hi,
-                             std::size_t w) {
-      Bitmap& next = active_->worker_next(w);
-      std::vector<Vertex> scratch;
-      std::int64_t local_scanned = 0;
-      std::uint64_t local_requests = 0;
-      for (std::int64_t v = lo; v < hi; ++v) {
+  // active set). The executor skips degree-0 vertices without inserts,
+  // whose labels cannot change. Device faults on a hybrid backward graph
+  // propagate as NvmIoError, exactly like the BFS degrade path's backward
+  // reads.
+  const auto min_label = [&](std::size_t w) {
+    return [&, &next = active_->worker_next(w)](
+               auto& read, std::size_t word, std::uint64_t pending) {
+      std::int64_t improved = 0;
+      for_each_set_in_word(pending, word * 64, [&](std::size_t v) {
         Vertex best = label(v);
-        local_requests += visit_in_neighbors(
-            backward, static_cast<Vertex>(v), scratch, [&](Vertex u) {
-              ++local_scanned;
-              if (delta == nullptr || !delta->edge_removed(v, u))
-                best = std::min(best, label(u));
-              return true;
-            });
-        if (delta != nullptr && delta->has_inserts(v)) {
-          for (const Vertex u : delta->inserted(v)) {
-            ++local_scanned;
-            best = std::min(best, label(u));
-          }
-        }
+        read(static_cast<Vertex>(v), [&](Vertex u) {
+          best = std::min(best, label(static_cast<std::size_t>(u)));
+          return true;
+        });
         if (best < label(v)) {
-          labels_[static_cast<std::size_t>(v)].store(
-              best, std::memory_order_relaxed);
-          next.set(static_cast<std::size_t>(v));
-          ++improved[w];
+          labels_[v].store(best, std::memory_order_relaxed);
+          next.set(v);
+          ++improved;
         }
-      }
-      scanned[w] += local_scanned;
-      requests[w] += local_requests;
-    });
-  });
-
-  StepResult result;
-  for (const std::int64_t c : improved) result.claimed += c;
-  for (const std::int64_t s : scanned) result.scanned_edges += s;
-  for (const std::uint64_t r : requests) result.nvm_requests += r;
-  return result;
+      });
+      return improved;
+    };
+  };
+  return pull_sweep(ctx.storage.backward, ctx.storage.delta, NothingDone{},
+                    *ctx.topology, pool, kPullChunk, min_label)
+      .step;
 }
 
 StepResult ComponentsProgram::degrade(EngineContext& ctx) {

@@ -99,51 +99,31 @@ StepResult PageRankProgram::accumulate_pull(EngineContext& ctx) {
         "pagerank pull superstep " + std::to_string(ctx.superstep) +
         " requires a backward graph and none is attached");
   }
-  ThreadPool& pool = *ctx.pool;
-  const Vertex n = ctx.vertex_count();
-  const DeltaBuffer* const delta = ctx.storage.delta;
-  std::vector<std::int64_t> scanned(pool.size(), 0);
-  std::vector<std::uint64_t> requests(pool.size(), 0);
   const auto contribution = [&](Vertex u) {
     return ranks_[static_cast<std::size_t>(u)] *
            inv_degree_[static_cast<std::size_t>(u)];
   };
 
-  // Every vertex sums its merged-view in-neighbors' contributions: base
-  // entries minus tombstoned pairs, plus the delta's inserted copies.
-  visit_graph(ctx.storage.backward, [&](auto& backward) {
-    parallel_for_blocked(pool, 0, n,
-                         [&](std::int64_t lo, std::int64_t hi,
-                             std::size_t w) {
-      std::vector<Vertex> scratch;
-      std::int64_t local_scanned = 0;
-      std::uint64_t local_requests = 0;
-      for (std::int64_t v = lo; v < hi; ++v) {
+  // Every vertex sums its merged-view in-neighbors' contributions:
+  // inserted copies first, then base entries minus tombstoned pairs. The
+  // executor skips degree-0 vertices without inserts; step() zeroed their
+  // sums, and no push reaches them either.
+  const auto sum_in = [&](std::size_t /*w*/) {
+    return [&](auto& read, std::size_t word, std::uint64_t pending) {
+      for_each_set_in_word(pending, word * 64, [&](std::size_t v) {
         double sum = 0.0;
-        local_requests += visit_in_neighbors(
-            backward, static_cast<Vertex>(v), scratch, [&](Vertex u) {
-              ++local_scanned;
-              if (delta == nullptr || !delta->edge_removed(v, u))
-                sum += contribution(u);
-              return true;
-            });
-        if (delta != nullptr && delta->has_inserts(v)) {
-          for (const Vertex u : delta->inserted(v)) {
-            ++local_scanned;
-            sum += contribution(u);
-          }
-        }
-        sums_[static_cast<std::size_t>(v)].store(sum,
-                                                 std::memory_order_relaxed);
-      }
-      scanned[w] += local_scanned;
-      requests[w] += local_requests;
-    });
-  });
-  StepResult result;
-  for (const std::int64_t s : scanned) result.scanned_edges += s;
-  for (const std::uint64_t r : requests) result.nvm_requests += r;
-  return result;
+        read(static_cast<Vertex>(v), [&](Vertex u) {
+          sum += contribution(u);
+          return true;
+        });
+        sums_[v].store(sum, std::memory_order_relaxed);
+      });
+      return std::int64_t{0};
+    };
+  };
+  return pull_sweep(ctx.storage.backward, ctx.storage.delta, NothingDone{},
+                    *ctx.topology, *ctx.pool, kPullChunk, sum_in)
+      .step;
 }
 
 void PageRankProgram::finalize_iteration(EngineContext& ctx) {

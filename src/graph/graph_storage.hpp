@@ -19,7 +19,9 @@
 //       0) on, until fn returns false. Device faults propagate as
 //       exceptions.
 //
-// Both return the device requests they issued (0 for DRAM).
+// Both return the device requests they issued (0 for DRAM). Pull sweeps
+// call visit_neighbors through the merged-view reader of the pull executor
+// (PullReader in bfs/bottom_up.hpp).
 #pragma once
 
 #include <cstdint>

@@ -10,17 +10,18 @@
 //   frontier[v]  lanes whose current frontier contains v
 //   next[v]      lanes claiming v this level (becomes frontier at advance)
 //
-// Every level is one bottom-up-shaped sweep over the backward graph: for
-// each vertex not yet covered (seen ⊉ live lanes), scan its neighbors and
-// OR their frontier words until the vertex is covered or the list ends.
-// The word OR advances all 64 lanes at once, so one adjacency-list walk —
-// and, on the hybrid backward graph, one NVM chunk fetch — serves the
-// whole batch: the semi-external win amortized across tenants. The sweep
-// skips 64 vertices per load via the shared word-skip helper
-// (bfs/sweep.hpp) keyed on a "covered" bitmap (all live lanes have seen
-// the vertex), the MS-BFS analogue of the visited bitmap, with the
-// backward graph's degree-0 vertices masked out unless a delta gives them
-// inserted in-edges.
+// Every level is one run of the pull executor (pull_sweep in
+// bfs/bottom_up.hpp) over the backward graph, with a lane-word gather as
+// its visitor: for each vertex not yet covered (seen ⊉ live lanes), read
+// its merged-view in-neighbors and OR their frontier words until the
+// vertex is covered or the list ends. The word OR advances all 64 lanes at
+// once, so one adjacency-list walk — and, on the hybrid backward graph,
+// one NVM chunk fetch — serves the whole batch: the semi-external win
+// amortized across tenants. The executor's done bitmap is a "covered"
+// bitmap (all live lanes have seen the vertex), the MS-BFS analogue of the
+// visited bitmap, so its word skip passes 64 covered vertices per load;
+// the backward graph's degree-0 vertices are masked out unless a delta
+// gives them inserted in-edges.
 //
 // Concurrency contract (same single-writer discipline as bottom_up):
 // within a level, frontier[] is read-only, and each vertex's seen/next/
@@ -51,9 +52,6 @@
 namespace sembfs::serve {
 
 struct MsBfsConfig {
-  /// Vertices per work-stealing chunk of the sweep (same knob as
-  /// BfsConfig::bottom_up_chunk).
-  std::int64_t sweep_chunk = 1024;
   /// Record per-lane parent trees (4 bytes/vertex/lane extra). Levels are
   /// always recorded; parents make results Graph500-validatable.
   bool record_parents = true;
@@ -121,6 +119,8 @@ class MsBfsBatch {
   }
 
  private:
+  struct LaneGather;  // the level's pull_sweep visitor (ms_bfs.cpp)
+
   void advance(std::int64_t claimed_this_level);
 
   const GraphStorage storage_;

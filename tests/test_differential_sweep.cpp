@@ -151,10 +151,14 @@ TEST_P(DifferentialSweep, LevelsMatchReferenceAndTreeValidates) {
     // A degraded run must have a recorded cause, and vice versa faults
     // without degradation would mean a level silently went missing work.
     ASSERT_EQ(result.degraded, result.degraded_levels > 0);
-    if (result.io_failures > 0) ASSERT_TRUE(result.degraded);
+    if (result.io_failures > 0) {
+      ASSERT_TRUE(result.degraded);
+    }
     saw_degraded |= result.degraded;
   }
-  if (c.expect_degraded) ASSERT_TRUE(saw_degraded);
+  if (c.expect_degraded) {
+    ASSERT_TRUE(saw_degraded);
+  }
 }
 
 constexpr double kA = 1e4;  // the paper's default FrontierRatio rule

@@ -7,6 +7,8 @@
 // On any failure the SCOPED_TRACE prints the seed/topology to rerun with.
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <memory>
 #include <random>
 #include <vector>
 
@@ -17,7 +19,11 @@
 #include "engine/pagerank_program.hpp"
 #include "engine/program_session.hpp"
 #include "engine/triangle_program.hpp"
+#include "graph/hybrid_csr.hpp"
 #include "graph_fixtures.hpp"
+#include "nvm/device_profile.hpp"
+#include "nvm/nvm_device.hpp"
+#include "test_util.hpp"
 
 namespace sembfs {
 namespace {
@@ -172,6 +178,91 @@ TEST_F(EnginePropertyTest, RandomizedSmallGraphs) {
     }
     check_engine_matches_references(edges, pool_);
     if (::testing::Test::HasFatalFailure()) return;
+  }
+}
+
+TEST_F(EnginePropertyTest, PullSuperstepsReadTheMergedView) {
+  // BottomUpOnly components and PageRank over a delta, on the DRAM
+  // backward graph and on a hybrid one with k = 1. The delta gives two
+  // degree-0 vertices edges, so the pull's degree-0 skip must let them
+  // through, and tombstones a hub edge. Components equal the reference over
+  // the rebuilt edge list; PageRank stays within 1e-9 of it.
+  const EdgeList edges =
+      generate_kronecker(fixtures::small_kronecker(8, 8, 5), pool_);
+  const Vertex n = edges.vertex_count();
+  const VertexPartition partition{n, 2};
+  const ForwardGraph forward =
+      ForwardGraph::build(edges, partition, CsrBuildOptions{}, pool_);
+  const BackwardGraph backward =
+      BackwardGraph::build(edges, partition, CsrBuildOptions{}, pool_);
+
+  std::vector<Vertex> isolated;
+  for (Vertex v = 0; v < n && isolated.size() < 2; ++v)
+    if (backward.degree_zero().test(static_cast<std::size_t>(v)))
+      isolated.push_back(v);
+  ASSERT_EQ(isolated.size(), 2U);
+  Vertex linked = n - 1;  // the highest vertex with an edge
+  while (backward.neighbors(linked).empty()) --linked;
+  Vertex cut = 0;  // the first vertex with two in-edges loses its hub edge
+  while (backward.neighbors(cut).size() < 2) ++cut;
+  const Vertex hub = backward.hubs()[static_cast<std::size_t>(cut)];
+  const std::vector<EdgeOp> ops{EdgeOp::insert(isolated[0], linked),
+                                EdgeOp::insert(isolated[1], isolated[0]),
+                                EdgeOp::remove(cut, hub)};
+  const DeltaBuffer delta =
+      DeltaBuffer::build(n, ops, [&](Vertex u, Vertex w) -> std::int64_t {
+        const std::span<const Vertex> adj = backward.neighbors(u);
+        return std::count(adj.begin(), adj.end(), w);
+      });
+
+  EdgeList rebuilt{n};
+  for (const Edge& e : edges) {
+    if ((e.u == cut && e.v == hub) || (e.u == hub && e.v == cut)) continue;
+    rebuilt.add(e);
+  }
+  rebuilt.add(isolated[0], linked);
+  rebuilt.add(isolated[1], isolated[0]);
+  const Csr full = build_csr(rebuilt, CsrBuildOptions{}, pool_);
+  const std::vector<Vertex> expected_labels =
+      testref::reference_components(full);
+
+  testutil::ScopedTestDir scratch{"engine_merged_pull"};
+  DeviceProfile profile = DeviceProfile::by_name("pcie_flash");
+  profile.time_scale = 0.001;
+  auto device = std::make_shared<NvmDevice>(profile);
+  HybridBackwardGraph hybrid{backward, 1, device, scratch.path()};
+
+  const NumaTopology topology{2, 2};
+  BfsConfig config;
+  config.mode = BfsMode::BottomUpOnly;
+  for (const BackwardStorage side :
+       {BackwardStorage{&backward}, BackwardStorage{&hybrid}}) {
+    SCOPED_TRACE(side.index() == 1 ? "dram backward" : "hybrid k=1");
+    GraphStorage storage;
+    storage.forward = &forward;
+    storage.backward = side;
+    storage.delta = &delta;
+    {
+      engine::ComponentsProgram program;
+      engine::ProgramSession session{program, storage, topology, pool_,
+                                     config};
+      session.run();
+      for (Vertex v = 0; v < n; ++v)
+        ASSERT_EQ(program.label(v), expected_labels[v]) << "components v "
+                                                        << v;
+    }
+    {
+      engine::PageRankProgram program;
+      engine::ProgramSession session{program, storage, topology, pool_,
+                                     config};
+      session.run();
+      ASSERT_GT(program.iterations(), 0);
+      const std::vector<double> expected = testref::reference_pagerank(
+          full, program.options().damping, program.iterations());
+      for (Vertex v = 0; v < n; ++v)
+        ASSERT_NEAR(program.ranks()[v], expected[v], 1e-9) << "pagerank v "
+                                                           << v;
+    }
   }
 }
 

@@ -5,6 +5,9 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <array>
+#include <bit>
 #include <filesystem>
 
 #include "bfs/reference_bfs.hpp"
@@ -17,6 +20,87 @@
 
 namespace sembfs::serve {
 namespace {
+
+/// A serial MS-BFS over the merged view. Each level, every vertex that
+/// some lane has not reached reads its inserted in-neighbors, then its base
+/// list less tombstoned pairs, ORing in their frontier lanes, and stops
+/// once every lane has reached it. Every entry read counts as scanned,
+/// tombstoned ones included.
+class SerialGather {
+ public:
+  struct Level {
+    std::int64_t claims = 0;
+    std::int64_t scanned = 0;
+  };
+
+  SerialGather(const BackwardGraph& backward, const DeltaBuffer* delta,
+               std::span<const Vertex> roots)
+      : backward_(backward),
+        delta_(delta),
+        live_(roots.size() == 64 ? ~std::uint64_t{0}
+                                 : (std::uint64_t{1} << roots.size()) - 1),
+        seen_(static_cast<std::size_t>(backward.vertex_count()), 0),
+        frontier_(seen_.size(), 0),
+        levels_(roots.size(), std::vector<std::int32_t>(seen_.size(), -1)) {
+    for (std::size_t q = 0; q < roots.size(); ++q) {
+      const auto root = static_cast<std::size_t>(roots[q]);
+      seen_[root] |= std::uint64_t{1} << q;
+      frontier_[root] |= std::uint64_t{1} << q;
+      levels_[q][root] = 0;
+    }
+  }
+
+  Level step(std::int32_t level) {
+    Level out;
+    std::vector<std::uint64_t> next(seen_.size(), 0);
+    for (std::size_t v = 0; v < seen_.size(); ++v) {
+      const std::uint64_t have = seen_[v];
+      if ((have & live_) == live_) continue;
+      std::uint64_t gathered = 0;
+      const auto gather = [&](Vertex u) {
+        ++out.scanned;
+        gathered |= frontier_[static_cast<std::size_t>(u)] & live_ & ~have;
+        return ((have | gathered) & live_) != live_;
+      };
+      const auto vertex = static_cast<Vertex>(v);
+      bool open = true;
+      if (delta_ != nullptr) {
+        for (const Vertex u : delta_->inserted(vertex))
+          if (!(open = gather(u))) break;
+      }
+      if (open) {
+        for (const Vertex u : backward_.neighbors(vertex)) {
+          if (delta_ != nullptr && delta_->edge_removed(vertex, u)) {
+            ++out.scanned;
+            continue;
+          }
+          if (!gather(u)) break;
+        }
+      }
+      if (gathered == 0) continue;
+      seen_[v] |= gathered;
+      next[v] = gathered;
+      for (std::size_t q = 0; q < levels_.size(); ++q)
+        if ((gathered >> q) & 1U) levels_[q][v] = level;
+      out.claims += std::popcount(gathered);
+    }
+    frontier_.swap(next);
+    return out;
+  }
+
+  [[nodiscard]] const std::vector<std::int32_t>& levels(
+      std::size_t q) const noexcept {
+    return levels_[q];
+  }
+
+ private:
+  const BackwardGraph& backward_;
+  const DeltaBuffer* delta_;
+  std::uint64_t live_;
+  std::vector<std::uint64_t> seen_;
+  std::vector<std::uint64_t> frontier_;
+  std::vector<std::vector<std::int32_t>> levels_;
+};
 
 class MsBfsTest : public ::testing::Test {
  protected:
@@ -251,6 +335,85 @@ TEST_F(MsBfsTest, HybridBackwardMatchesReference) {
   run_to_completion(batch);
   for (std::size_t q = 0; q < batch.width(); ++q)
     expect_lane_matches_reference(batch, q);
+}
+
+TEST_F(MsBfsTest, ScannedEdgesMatchSerialGather) {
+  // Every level of a 13-lane batch, over the DRAM backward graph and a
+  // hybrid one with k = 1, with and without a delta that gives degree-0
+  // vertices edges and tombstones hub edges: the level's claims, every
+  // lane's levels and scanned_edges() equal the serial gather's. 3 nodes
+  // put the partition boundaries inside words.
+  const EdgeList edges =
+      generate_kronecker(fixtures::small_kronecker(10, 8, 11), pool_);
+  build(edges, 3);
+  const Vertex n = edges.vertex_count();
+  std::vector<Vertex> roots;
+  for (Vertex v = 0; roots.size() < 13; v += 29) {
+    ASSERT_LT(v, n);
+    if (full_.degree(v) > 0) roots.push_back(v);
+  }
+
+  std::vector<EdgeOp> ops;
+  std::vector<Vertex> isolated;
+  for (Vertex v = 0; v < n && isolated.size() < 3; ++v)
+    if (backward_.degree_zero().test(static_cast<std::size_t>(v)))
+      isolated.push_back(v);
+  ASSERT_EQ(isolated.size(), 3U);
+  ops.push_back(EdgeOp::insert(isolated[0], roots[0]));
+  ops.push_back(EdgeOp::insert(isolated[1], isolated[0]));
+  ops.push_back(EdgeOp::insert(isolated[2], roots[5]));
+  for (Vertex v = 1; v < n; v += 97) {
+    if (backward_.neighbors(v).size() < 2) continue;
+    ops.push_back(
+        EdgeOp::remove(v, backward_.hubs()[static_cast<std::size_t>(v)]));
+  }
+  ops.push_back(EdgeOp::insert(roots[1], roots[2]));
+  const DeltaBuffer delta =
+      DeltaBuffer::build(n, ops, [&](Vertex u, Vertex w) -> std::int64_t {
+        const std::span<const Vertex> adj = backward_.neighbors(u);
+        return std::count(adj.begin(), adj.end(), w);
+      });
+  ASSERT_TRUE(delta.has_deletes());
+
+  testutil::ScopedTestDir scratch{"msbfs_serial"};
+  DeviceProfile profile = DeviceProfile::by_name("pcie_flash");
+  profile.time_scale = 0.001;
+  auto device = std::make_shared<NvmDevice>(profile);
+  HybridBackwardGraph hybrid{backward_, 1, device, scratch.path()};
+
+  const std::array<const DeltaBuffer*, 2> deltas{nullptr, &delta};
+  for (const BackwardStorage side :
+       {BackwardStorage{&backward_}, BackwardStorage{&hybrid}}) {
+    for (const DeltaBuffer* attached_delta : deltas) {
+      SCOPED_TRACE(::testing::Message()
+                   << (side.index() == 1 ? "dram" : "hybrid k=1")
+                   << (attached_delta != nullptr ? " with delta" : ""));
+      GraphStorage storage;
+      storage.backward = side;
+      storage.delta = attached_delta;
+      MsBfsBatch batch{storage, topology_, pool_, roots};
+      SerialGather serial{backward_, attached_delta, roots};
+      const auto visited = [&] {
+        std::int64_t total = 0;
+        for (std::size_t q = 0; q < batch.width(); ++q)
+          total += batch.visited(q);
+        return total;
+      };
+      for (std::int32_t level = 1; !batch.done(); ++level) {
+        const std::int64_t visited_before = visited();
+        const std::int64_t scanned_before = batch.scanned_edges();
+        batch.step();
+        const SerialGather::Level expected = serial.step(level);
+        EXPECT_EQ(visited() - visited_before, expected.claims)
+            << "level " << level;
+        EXPECT_EQ(batch.scanned_edges() - scanned_before, expected.scanned)
+            << "level " << level;
+      }
+      EXPECT_GT(batch.levels_executed(), 3);
+      for (std::size_t q = 0; q < batch.width(); ++q)
+        EXPECT_EQ(batch.levels(q), serial.levels(q)) << "lane " << q;
+    }
+  }
 }
 
 }  // namespace

@@ -156,8 +156,9 @@ TEST(PlanCostBatchTest, SeededPropertySweep) {
     EXPECT_EQ(a.roots, b.roots) << "seed=" << seed;
 
     EXPECT_LE(a.width(), input.max_lanes) << "seed=" << seed;
-    if (input.max_queries != 0)
+    if (input.max_queries != 0) {
       EXPECT_LE(a.picked.size(), input.max_queries) << "seed=" << seed;
+    }
     ASSERT_EQ(a.picked.size(), a.lane_of.size());
     ASSERT_EQ(a.picked.size(), a.cost_ms.size());
 
