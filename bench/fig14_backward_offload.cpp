@@ -43,8 +43,8 @@ int main() {
   Scenario base = Scenario::dram_only();
   Graph500Instance baseline = make_instance(config, base, pool);
   const double full_backward =
-      static_cast<double>(baseline.backward().byte_size() +
-                          baseline.backward().summary_byte_size());
+      static_cast<double>(baseline.backward()->byte_size() +
+                          baseline.backward()->summary_byte_size());
   const double full_graph =
       static_cast<double>(baseline.graph_dram_bytes());
 

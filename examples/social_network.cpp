@@ -6,10 +6,13 @@
 // structure, hop-distance distribution and effective diameter.
 //
 //   ./social_network [--scale 18] [--scenario dram|pcie_flash|ssd]
+#include <algorithm>
 #include <cstdio>
+#include <vector>
 
-#include "analytics/components.hpp"
 #include "analytics/distances.hpp"
+#include "engine/components_program.hpp"
+#include "engine/program_session.hpp"
 #include "graph/degree.hpp"
 #include "graph500/instance.hpp"
 #include "util/format.hpp"
@@ -49,25 +52,37 @@ int main(int argc, char** argv) {
               format_count(instance.edge_list().edge_count()).c_str(),
               config.scenario.describe().c_str());
 
-  // 1. Who is even connected? (components via parallel label propagation,
-  //    cross-checked against the BFS sweep.)
-  const Csr& full = instance.full_csr();
-  const ComponentsResult components =
-      components_label_propagation(full, pool);
+  // 1. Who is even connected? (components by min-label propagation on the
+  //    vertex-program engine, over the instance's own graph storage.)
+  engine::ComponentsProgram components;
+  const BfsConfig engine_config;
+  engine::ProgramSession session{components, instance.storage(),
+                                 instance.topology(), pool, engine_config};
+  session.run();
+  std::vector<std::int64_t> sizes(
+      static_cast<std::size_t>(instance.vertex_count()), 0);
+  for (const Vertex label : components.labels())
+    ++sizes[static_cast<std::size_t>(label)];
+  std::int64_t component_count = 0;
+  std::int64_t largest_size = 0;
+  std::int64_t isolated_count = 0;
+  for (const std::int64_t size : sizes) {
+    if (size == 0) continue;
+    ++component_count;
+    largest_size = std::max(largest_size, size);
+    if (size == 1) ++isolated_count;
+  }
   std::printf(
       "\ncomponents: %s total; giant component %s vertices (%.1f%%); "
       "%s isolated accounts\n",
-      format_count(static_cast<std::uint64_t>(components.component_count))
-          .c_str(),
-      format_count(static_cast<std::uint64_t>(components.largest_size))
-          .c_str(),
-      100.0 * static_cast<double>(components.largest_size) /
+      format_count(static_cast<std::uint64_t>(component_count)).c_str(),
+      format_count(static_cast<std::uint64_t>(largest_size)).c_str(),
+      100.0 * static_cast<double>(largest_size) /
           static_cast<double>(instance.vertex_count()),
-      format_count(static_cast<std::uint64_t>(components.isolated_count))
-          .c_str());
+      format_count(static_cast<std::uint64_t>(isolated_count)).c_str());
 
   // 2. Degree structure (hubs vs long tail).
-  const DegreeStats degrees = compute_degree_stats(full);
+  const DegreeStats degrees = compute_degree_stats(instance.full_csr());
   std::printf(
       "degrees: median %lld, mean %.1f, max %s (hub); %.1f%% of accounts "
       "have no friends\n",

@@ -7,9 +7,9 @@
 // their full in-adjacency (single writer per vertex, plain stores). In
 // both directions a vertex whose label improved becomes active for the
 // next superstep, so the fixpoint — every vertex labeled with the
-// smallest vertex id in its component, identical to the components_bfs
-// oracle — is reached exactly regardless of the push/pull interleaving
-// the switch policy picks.
+// smallest vertex id in its component, identical to the reference
+// components the tests pin it against — is reached exactly regardless of
+// the push/pull interleaving the switch policy picks.
 //
 // Degrade: label propagation is monotone (labels only decrease), so the
 // partial improvements of a failed push superstep are harmless and a

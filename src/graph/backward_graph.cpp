@@ -7,33 +7,17 @@
 
 namespace sembfs {
 
-BackwardGraph BackwardGraph::build(const EdgeList& edges,
+BackwardGraph BackwardGraph::build(Vertex vertex_count,
+                                   const EdgeStream& stream,
                                    const VertexPartition& partition,
                                    const CsrBuildOptions& options,
                                    ThreadPool& pool) {
   BackwardGraph bg;
   bg.vertex_partition_ = partition;
-  const VertexRange all{0, edges.vertex_count()};
-  bg.partitions_.reserve(partition.node_count());
-  for (std::size_t k = 0; k < partition.node_count(); ++k) {
-    bg.partitions_.push_back(build_csr_filtered(
-        edges, partition.range_of(k), all, options, pool));
-  }
-  bg.order_hub_first(pool);
-  return bg;
-}
-
-BackwardGraph BackwardGraph::build_stream(Vertex vertex_count,
-                                          const EdgeStream& stream,
-                                          const VertexPartition& partition,
-                                          const CsrBuildOptions& options,
-                                          ThreadPool& pool) {
-  BackwardGraph bg;
-  bg.vertex_partition_ = partition;
   const VertexRange all{0, vertex_count};
   bg.partitions_.reserve(partition.node_count());
   for (std::size_t k = 0; k < partition.node_count(); ++k) {
-    bg.partitions_.push_back(build_csr_filtered_stream(
+    bg.partitions_.push_back(build_csr_filtered(
         vertex_count, stream, partition.range_of(k), all, options, pool));
   }
   bg.order_hub_first(pool);

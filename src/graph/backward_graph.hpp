@@ -35,16 +35,18 @@ class BackwardGraph {
  public:
   BackwardGraph() = default;
 
-  static BackwardGraph build(const EdgeList& edges,
+  /// Builds one source-filtered CSR per partition node, streaming the
+  /// edges twice per node (paper Step 2), then orders every list hub-first.
+  static BackwardGraph build(Vertex vertex_count, const EdgeStream& stream,
                              const VertexPartition& partition,
                              const CsrBuildOptions& options, ThreadPool& pool);
 
-  /// Streaming build from an NVM-resident edge list (paper Step 2).
-  static BackwardGraph build_stream(Vertex vertex_count,
-                                    const EdgeStream& stream,
-                                    const VertexPartition& partition,
-                                    const CsrBuildOptions& options,
-                                    ThreadPool& pool);
+  static BackwardGraph build(const EdgeList& edges,
+                             const VertexPartition& partition,
+                             const CsrBuildOptions& options, ThreadPool& pool) {
+    return build(edges.vertex_count(), one_batch_stream(edges), partition,
+                 options, pool);
+  }
 
   [[nodiscard]] std::size_t node_count() const noexcept {
     return partitions_.size();

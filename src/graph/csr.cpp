@@ -10,25 +10,50 @@ namespace sembfs {
 
 namespace {
 
-/// Applies fn(src, dst) for every directed half-edge implied by `e`.
+/// Streams every edge once and calls fn(local_source, destination) for
+/// each directed half-edge the CSR keeps, in parallel within each batch.
+/// Each edge is inserted in both directions; self loops are dropped.
 template <typename Fn>
-void for_each_direction(const Edge& e, bool undirected, Fn&& fn) {
-  fn(e.u, e.v);
-  if (undirected && e.u != e.v) fn(e.v, e.u);
+void for_each_kept_entry(const EdgeStream& stream, VertexRange sources,
+                         VertexRange destinations, ThreadPool& pool,
+                         Fn&& fn) {
+  const auto visit = [&](Vertex src, Vertex dst) {
+    if (sources.contains(src) && destinations.contains(dst))
+      fn(src - sources.begin, dst);
+  };
+  stream([&](std::span<const Edge> batch) {
+    parallel_for_blocked(
+        pool, 0, static_cast<std::int64_t>(batch.size()),
+        [&](std::int64_t lo, std::int64_t hi, std::size_t) {
+          for (std::int64_t i = lo; i < hi; ++i) {
+            const Edge& e = batch[static_cast<std::size_t>(i)];
+            if (e.u == e.v) continue;
+            visit(e.u, e.v);
+            visit(e.v, e.u);
+          }
+        });
+  });
 }
 
 }  // namespace
 
-Csr build_csr_filtered(const EdgeList& edges, VertexRange sources,
-                       VertexRange destinations,
+EdgeStream one_batch_stream(const EdgeList& edges) {
+  return [batch = edges.edges()](
+             const std::function<void(std::span<const Edge>)>& sink) {
+    sink(batch);
+  };
+}
+
+Csr build_csr_filtered(Vertex vertex_count, const EdgeStream& stream,
+                       VertexRange sources, VertexRange destinations,
                        const CsrBuildOptions& options, ThreadPool& pool) {
-  const Vertex n = edges.vertex_count();
-  SEMBFS_EXPECTS(n >= 0);
-  SEMBFS_EXPECTS(sources.begin >= 0 && sources.end <= n);
-  SEMBFS_EXPECTS(destinations.begin >= 0 && destinations.end <= n);
+  SEMBFS_EXPECTS(vertex_count >= 0);
+  SEMBFS_EXPECTS(sources.begin >= 0 && sources.end <= vertex_count);
+  SEMBFS_EXPECTS(destinations.begin >= 0 &&
+                 destinations.end <= vertex_count);
 
   Csr csr;
-  csr.n_ = n;
+  csr.n_ = vertex_count;
   csr.sources_ = sources;
   csr.destinations_ = destinations;
 
@@ -37,26 +62,12 @@ Csr build_csr_filtered(const EdgeList& edges, VertexRange sources,
       static_cast<std::size_t>(local_n));
   for (auto& c : counts) c.store(0, std::memory_order_relaxed);
 
-  const auto edge_span = edges.edges();
-  const auto accepts = [&](Vertex src, Vertex dst) {
-    if (options.remove_self_loops && src == dst) return false;
-    return sources.contains(src) && destinations.contains(dst);
-  };
-
   // Pass 1: per-source counts.
-  parallel_for_blocked(
-      pool, 0, static_cast<std::int64_t>(edge_span.size()),
-      [&](std::int64_t lo, std::int64_t hi, std::size_t) {
-        for (std::int64_t i = lo; i < hi; ++i) {
-          for_each_direction(
-              edge_span[static_cast<std::size_t>(i)], options.undirected,
-              [&](Vertex src, Vertex dst) {
-                if (accepts(src, dst))
-                  counts[static_cast<std::size_t>(src - sources.begin)]
-                      .fetch_add(1, std::memory_order_relaxed);
-              });
-        }
-      });
+  for_each_kept_entry(stream, sources, destinations, pool,
+                      [&](std::int64_t s, Vertex) {
+                        counts[static_cast<std::size_t>(s)].fetch_add(
+                            1, std::memory_order_relaxed);
+                      });
 
   // Prefix sum -> index array.
   csr.index_.assign(static_cast<std::size_t>(local_n) + 1, 0);
@@ -71,136 +82,15 @@ Csr build_csr_filtered(const EdgeList& edges, VertexRange sources,
     counts[static_cast<std::size_t>(v)].store(
         csr.index_[static_cast<std::size_t>(v)], std::memory_order_relaxed);
 
-  parallel_for_blocked(
-      pool, 0, static_cast<std::int64_t>(edge_span.size()),
-      [&](std::int64_t lo, std::int64_t hi, std::size_t) {
-        for (std::int64_t i = lo; i < hi; ++i) {
-          for_each_direction(
-              edge_span[static_cast<std::size_t>(i)], options.undirected,
-              [&](Vertex src, Vertex dst) {
-                if (accepts(src, dst)) {
-                  const std::int64_t slot =
-                      counts[static_cast<std::size_t>(src - sources.begin)]
-                          .fetch_add(1, std::memory_order_relaxed);
-                  csr.values_[static_cast<std::size_t>(slot)] = dst;
-                }
-              });
-        }
-      });
+  for_each_kept_entry(stream, sources, destinations, pool,
+                      [&](std::int64_t s, Vertex dst) {
+                        const std::int64_t slot =
+                            counts[static_cast<std::size_t>(s)].fetch_add(
+                                1, std::memory_order_relaxed);
+                        csr.values_[static_cast<std::size_t>(slot)] = dst;
+                      });
 
-  if (options.sort_neighbors || options.dedupe) {
-    parallel_for_blocked(
-        pool, 0, local_n, [&](std::int64_t lo, std::int64_t hi, std::size_t) {
-          for (std::int64_t v = lo; v < hi; ++v) {
-            const auto b = csr.values_.begin() + csr.index_[static_cast<std::size_t>(v)];
-            const auto e = csr.values_.begin() + csr.index_[static_cast<std::size_t>(v) + 1];
-            std::sort(b, e);
-          }
-        });
-  }
-
-  if (options.dedupe) {
-    // Compact each sorted adjacency in place, then rebuild index/values.
-    std::vector<std::int64_t> new_index(csr.index_.size(), 0);
-    for (std::int64_t v = 0; v < local_n; ++v) {
-      const auto b = csr.values_.begin() + csr.index_[static_cast<std::size_t>(v)];
-      const auto e = csr.values_.begin() + csr.index_[static_cast<std::size_t>(v) + 1];
-      new_index[static_cast<std::size_t>(v) + 1] =
-          new_index[static_cast<std::size_t>(v)] +
-          std::distance(b, std::unique(b, e));
-    }
-    std::vector<Vertex> new_values(
-        static_cast<std::size_t>(new_index.back()));
-    for (std::int64_t v = 0; v < local_n; ++v) {
-      const std::int64_t count = new_index[static_cast<std::size_t>(v) + 1] -
-                                 new_index[static_cast<std::size_t>(v)];
-      std::copy_n(csr.values_.begin() + csr.index_[static_cast<std::size_t>(v)],
-                  count,
-                  new_values.begin() + new_index[static_cast<std::size_t>(v)]);
-    }
-    csr.index_ = std::move(new_index);
-    csr.values_ = std::move(new_values);
-  }
-
-  SEMBFS_ENSURES(csr.index_.size() ==
-                 static_cast<std::size_t>(local_n) + 1);
-  return csr;
-}
-
-Csr build_csr_filtered_stream(Vertex vertex_count, const EdgeStream& stream,
-                              VertexRange sources, VertexRange destinations,
-                              const CsrBuildOptions& options,
-                              ThreadPool& pool) {
-  SEMBFS_EXPECTS(vertex_count >= 0);
-  SEMBFS_EXPECTS(sources.begin >= 0 && sources.end <= vertex_count);
-  SEMBFS_EXPECTS(destinations.begin >= 0 &&
-                 destinations.end <= vertex_count);
-  SEMBFS_EXPECTS(!options.dedupe);  // unsupported on the streaming path
-
-  Csr csr;
-  csr.n_ = vertex_count;
-  csr.sources_ = sources;
-  csr.destinations_ = destinations;
-
-  const std::int64_t local_n = sources.size();
-  std::vector<std::atomic<std::int64_t>> counts(
-      static_cast<std::size_t>(local_n));
-  for (auto& c : counts) c.store(0, std::memory_order_relaxed);
-
-  const auto accepts = [&](Vertex src, Vertex dst) {
-    if (options.remove_self_loops && src == dst) return false;
-    return sources.contains(src) && destinations.contains(dst);
-  };
-
-  // Pass 1: stream batches, count per source in parallel within the batch.
-  stream([&](std::span<const Edge> batch) {
-    parallel_for_blocked(
-        pool, 0, static_cast<std::int64_t>(batch.size()),
-        [&](std::int64_t lo, std::int64_t hi, std::size_t) {
-          for (std::int64_t i = lo; i < hi; ++i) {
-            for_each_direction(
-                batch[static_cast<std::size_t>(i)], options.undirected,
-                [&](Vertex src, Vertex dst) {
-                  if (accepts(src, dst))
-                    counts[static_cast<std::size_t>(src - sources.begin)]
-                        .fetch_add(1, std::memory_order_relaxed);
-                });
-          }
-        });
-  });
-
-  csr.index_.assign(static_cast<std::size_t>(local_n) + 1, 0);
-  for (std::int64_t v = 0; v < local_n; ++v)
-    csr.index_[static_cast<std::size_t>(v) + 1] =
-        csr.index_[static_cast<std::size_t>(v)] +
-        counts[static_cast<std::size_t>(v)].load(std::memory_order_relaxed);
-
-  // Pass 2: stream again, scatter.
-  csr.values_.resize(static_cast<std::size_t>(csr.index_.back()));
-  for (std::int64_t v = 0; v < local_n; ++v)
-    counts[static_cast<std::size_t>(v)].store(
-        csr.index_[static_cast<std::size_t>(v)], std::memory_order_relaxed);
-
-  stream([&](std::span<const Edge> batch) {
-    parallel_for_blocked(
-        pool, 0, static_cast<std::int64_t>(batch.size()),
-        [&](std::int64_t lo, std::int64_t hi, std::size_t) {
-          for (std::int64_t i = lo; i < hi; ++i) {
-            for_each_direction(
-                batch[static_cast<std::size_t>(i)], options.undirected,
-                [&](Vertex src, Vertex dst) {
-                  if (accepts(src, dst)) {
-                    const std::int64_t slot =
-                        counts[static_cast<std::size_t>(src - sources.begin)]
-                            .fetch_add(1, std::memory_order_relaxed);
-                    csr.values_[static_cast<std::size_t>(slot)] = dst;
-                  }
-                });
-          }
-        });
-  });
-
-  if (options.sort_neighbors || options.dedupe) {
+  if (options.sort_neighbors) {
     parallel_for_blocked(
         pool, 0, local_n, [&](std::int64_t lo, std::int64_t hi, std::size_t) {
           for (std::int64_t v = lo; v < hi; ++v) {
@@ -261,12 +151,6 @@ Csr Csr::from_parts(Vertex global_vertex_count, VertexRange sources,
   csr.index_ = std::move(index);
   csr.values_ = std::move(values);
   return csr;
-}
-
-Csr build_csr(const EdgeList& edges, const CsrBuildOptions& options,
-              ThreadPool& pool) {
-  const VertexRange all{0, edges.vertex_count()};
-  return build_csr_filtered(edges, all, all, options, pool);
 }
 
 }  // namespace sembfs

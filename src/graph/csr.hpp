@@ -26,16 +26,24 @@
 
 namespace sembfs {
 
+/// An edge source that can be streamed multiple times: each call to the
+/// outer function must deliver every edge of the graph (in batches) to the
+/// provided sink exactly once. ExternalEdgeList::for_each_batch wraps
+/// naturally; an in-DRAM edge list is a stream of one batch
+/// (one_batch_stream).
+using EdgeStream =
+    std::function<void(const std::function<void(std::span<const Edge>)>&)>;
+
+/// `edges` as a stream that hands its whole span to the sink once. The
+/// stream borrows the list's storage.
+[[nodiscard]] EdgeStream one_batch_stream(const EdgeList& edges);
+
+/// Every build is undirected (both directions of each edge are inserted)
+/// and drops self loops, which contribute nothing to BFS.
 struct CsrBuildOptions {
-  /// Insert both directions of every edge (Graph500 graphs are undirected).
-  bool undirected = true;
-  /// Drop u == v edges (they contribute nothing to BFS).
-  bool remove_self_loops = true;
-  /// Sort each adjacency list ascending (needed for dedupe; nice for tests).
+  /// Sort each adjacency list ascending (canonical order for comparisons).
   /// BackwardGraph builds then reorder their lists hub-first.
   bool sort_neighbors = false;
-  /// Collapse duplicate (u,v) entries after sorting. Implies sort.
-  bool dedupe = false;
 };
 
 class Csr {
@@ -98,16 +106,10 @@ class Csr {
                         std::vector<std::int64_t> index,
                         std::vector<Vertex> values);
 
-  friend Csr build_csr_filtered(const EdgeList& edges, VertexRange sources,
-                                VertexRange destinations,
+  friend Csr build_csr_filtered(Vertex vertex_count, const EdgeStream& stream,
+                                VertexRange sources, VertexRange destinations,
                                 const CsrBuildOptions& options,
                                 ThreadPool& pool);
-  friend Csr build_csr_filtered_stream(
-      Vertex vertex_count,
-      const std::function<
-          void(const std::function<void(std::span<const Edge>)>&)>& stream,
-      VertexRange sources, VertexRange destinations,
-      const CsrBuildOptions& options, ThreadPool& pool);
 
  private:
   Vertex n_ = 0;
@@ -118,29 +120,27 @@ class Csr {
 };
 
 /// Builds a CSR over `sources`, keeping only adjacency entries whose
-/// destination lies in `destinations`.
-Csr build_csr_filtered(const EdgeList& edges, VertexRange sources,
-                       VertexRange destinations,
+/// destination lies in `destinations` — the paper's Step 2 ("construct the
+/// forward graph on DRAM by directly reading the edge list from NVM").
+/// Streams the edges twice (count pass, fill pass); only O(vertices +
+/// output) DRAM is used beyond the batches.
+Csr build_csr_filtered(Vertex vertex_count, const EdgeStream& stream,
+                       VertexRange sources, VertexRange destinations,
                        const CsrBuildOptions& options, ThreadPool& pool);
 
-/// Whole-graph CSR.
-Csr build_csr(const EdgeList& edges, const CsrBuildOptions& options,
-              ThreadPool& pool);
-
-/// An edge source that can be streamed multiple times: each call to the
-/// outer function must deliver every edge of the graph (in batches) to the
-/// provided sink exactly once. ExternalEdgeList::for_each_batch wraps
-/// naturally.
-using EdgeStream =
-    std::function<void(const std::function<void(std::span<const Edge>)>&)>;
-
-/// Streaming variant of build_csr_filtered for NVM-resident edge lists —
-/// the paper's Step 2 ("construct the forward graph on DRAM by directly
-/// reading the edge list from NVM"). Streams the edges twice (count pass,
-/// fill pass); only O(vertices + output) DRAM is used beyond the batches.
-Csr build_csr_filtered_stream(Vertex vertex_count, const EdgeStream& stream,
-                              VertexRange sources, VertexRange destinations,
+inline Csr build_csr_filtered(const EdgeList& edges, VertexRange sources,
+                              VertexRange destinations,
                               const CsrBuildOptions& options,
-                              ThreadPool& pool);
+                              ThreadPool& pool) {
+  return build_csr_filtered(edges.vertex_count(), one_batch_stream(edges),
+                            sources, destinations, options, pool);
+}
+
+/// Whole-graph CSR.
+inline Csr build_csr(const EdgeList& edges, const CsrBuildOptions& options,
+                     ThreadPool& pool) {
+  const VertexRange all{0, edges.vertex_count()};
+  return build_csr_filtered(edges, all, all, options, pool);
+}
 
 }  // namespace sembfs

@@ -10,8 +10,8 @@
 // on (u, v) affects both endpoints' adjacency.
 //
 // Tombstone semantics (the contract the mutation differential sweep pins):
-//  - remove(u, v) kills *every* base copy of the pair — the base CSRs are
-//    built without dedupe, so Kronecker multi-edges are removed as a unit —
+//  - remove(u, v) kills *every* base copy of the pair — the base CSRs
+//    keep multi-edges, so Kronecker multi-edges are removed as a unit —
 //    and cancels any insert of the pair earlier in the same op sequence.
 //  - insert(u, v) adds one adjacency copy per op (multi-edges allowed,
 //    matching the base representation).

@@ -2,44 +2,19 @@
 
 namespace sembfs {
 
-ForwardGraph ForwardGraph::build(const EdgeList& edges,
+ForwardGraph ForwardGraph::build(Vertex vertex_count,
+                                 const EdgeStream& stream,
                                  const VertexPartition& partition,
                                  const CsrBuildOptions& options,
                                  ThreadPool& pool) {
   ForwardGraph fg;
   fg.vertex_partition_ = partition;
-  const VertexRange all{0, edges.vertex_count()};
-  fg.partitions_.reserve(partition.node_count());
-  for (std::size_t k = 0; k < partition.node_count(); ++k) {
-    fg.partitions_.push_back(build_csr_filtered(
-        edges, all, partition.range_of(k), options, pool));
-  }
-  return fg;
-}
-
-ForwardGraph ForwardGraph::build_stream(Vertex vertex_count,
-                                        const EdgeStream& stream,
-                                        const VertexPartition& partition,
-                                        const CsrBuildOptions& options,
-                                        ThreadPool& pool) {
-  ForwardGraph fg;
-  fg.vertex_partition_ = partition;
   const VertexRange all{0, vertex_count};
   fg.partitions_.reserve(partition.node_count());
   for (std::size_t k = 0; k < partition.node_count(); ++k) {
-    fg.partitions_.push_back(build_csr_filtered_stream(
+    fg.partitions_.push_back(build_csr_filtered(
         vertex_count, stream, all, partition.range_of(k), options, pool));
   }
-  return fg;
-}
-
-ForwardGraph ForwardGraph::wrap_whole(Csr csr) {
-  const Vertex n = csr.global_vertex_count();
-  SEMBFS_EXPECTS(csr.source_range() == (VertexRange{0, n}) &&
-                 csr.destination_range() == (VertexRange{0, n}));
-  ForwardGraph fg;
-  fg.vertex_partition_ = VertexPartition{n, 1};
-  fg.partitions_.push_back(std::move(csr));
   return fg;
 }
 

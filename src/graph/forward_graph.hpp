@@ -20,23 +20,18 @@ class ForwardGraph {
  public:
   ForwardGraph() = default;
 
-  /// Builds one destination-filtered CSR per partition node.
-  static ForwardGraph build(const EdgeList& edges,
+  /// Builds one destination-filtered CSR per partition node, streaming
+  /// the edges twice per node (paper Step 2).
+  static ForwardGraph build(Vertex vertex_count, const EdgeStream& stream,
                             const VertexPartition& partition,
                             const CsrBuildOptions& options, ThreadPool& pool);
 
-  /// Streaming build from an NVM-resident edge list (paper Step 2).
-  static ForwardGraph build_stream(Vertex vertex_count,
-                                   const EdgeStream& stream,
-                                   const VertexPartition& partition,
-                                   const CsrBuildOptions& options,
-                                   ThreadPool& pool);
-
-  /// Wraps an already-built whole-graph CSR (sources = destinations = all
-  /// vertices) as a single-partition forward graph — the degenerate
-  /// one-node topology the analytics helpers run the vertex-program
-  /// engine under.
-  static ForwardGraph wrap_whole(Csr csr);
+  static ForwardGraph build(const EdgeList& edges,
+                            const VertexPartition& partition,
+                            const CsrBuildOptions& options, ThreadPool& pool) {
+    return build(edges.vertex_count(), one_batch_stream(edges), partition,
+                 options, pool);
+  }
 
   [[nodiscard]] std::size_t node_count() const noexcept {
     return partitions_.size();

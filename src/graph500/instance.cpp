@@ -12,13 +12,9 @@
 namespace sembfs {
 
 EdgeStream Graph500Instance::edge_stream() {
-  if (external_edges_ != nullptr) {
-    return [this](const std::function<void(std::span<const Edge>)>& sink) {
-      external_edges_->for_each_batch(1 << 18, sink);
-    };
-  }
+  if (external_edges_ == nullptr) return one_batch_stream(*edges_);
   return [this](const std::function<void(std::span<const Edge>)>& sink) {
-    sink(edges_->edges());
+    external_edges_->for_each_batch(1 << 18, sink);
   };
 }
 
@@ -48,25 +44,20 @@ Graph500Instance::Graph500Instance(InstanceConfig config, ThreadPool& pool)
   }
   generation_seconds_ = gen_timer.seconds();
 
-  // Step 2: graph construction (+ offload per scenario). With an offloaded
-  // edge list, both graphs are built by streaming it back from NVM.
+  // Step 2: graph construction (+ offload per scenario). Both graphs are
+  // built from edge_stream(): streamed back from NVM when the edge list is
+  // offloaded, one batch from DRAM otherwise.
   Timer build_timer;
   const VertexPartition partition{vertex_count_, config_.numa_nodes};
-  CsrBuildOptions options;  // undirected, self-loop-free (defaults)
-  if (config_.offload_edge_list) {
-    const EdgeStream stream = edge_stream();
-    forward_dram_.emplace(ForwardGraph::build_stream(
-        vertex_count_, stream, partition, options, pool_));
-    backward_ = BackwardGraph::build_stream(vertex_count_, stream,
-                                            partition, options, pool_);
-  } else {
-    forward_dram_.emplace(
-        ForwardGraph::build(*edges_, partition, options, pool_));
-    backward_ = BackwardGraph::build(*edges_, partition, options, pool_);
-  }
+  const CsrBuildOptions options;  // unsorted lists
+  const EdgeStream stream = edge_stream();
+  forward_dram_.emplace(
+      ForwardGraph::build(vertex_count_, stream, partition, options, pool_));
+  backward_dram_.emplace(
+      BackwardGraph::build(vertex_count_, stream, partition, options, pool_));
 
   storage_.forward = &*forward_dram_;
-  storage_.backward = &backward_;
+  storage_.backward = &*backward_dram_;
 
   const Scenario& scenario = config_.scenario;
   const bool needs_device =
@@ -89,8 +80,9 @@ Graph500Instance::Graph500Instance(InstanceConfig config, ThreadPool& pool)
   }
   if (scenario.backward_dram_edges >= 0) {
     hybrid_backward_ = std::make_unique<HybridBackwardGraph>(
-        backward_, scenario.backward_dram_edges, device_, config_.workdir,
-        config_.chunk_bytes, config_.chunk_format);
+        *backward_dram_, scenario.backward_dram_edges, device_,
+        config_.workdir, config_.chunk_bytes, config_.chunk_format);
+    backward_dram_.reset();  // the hybrid graph keeps its own DRAM prefix
     storage_.backward = hybrid_backward_.get();
   }
   construction_seconds_ = build_timer.seconds();
@@ -106,9 +98,10 @@ const EdgeList& Graph500Instance::edge_list() const {
 std::uint64_t Graph500Instance::graph_dram_bytes() const noexcept {
   // The backward CSR plus its hub array and degree-0 mask; a hybrid
   // backward graph replaces all three with its DRAM prefix and the mask.
-  std::uint64_t total = backward_.byte_size() + backward_.summary_byte_size();
-  if (hybrid_backward_ != nullptr)
-    total = hybrid_backward_->dram_byte_size();
+  std::uint64_t total =
+      backward_dram_.has_value()
+          ? backward_dram_->byte_size() + backward_dram_->summary_byte_size()
+          : hybrid_backward_->dram_byte_size();
   if (forward_dram_.has_value()) total += forward_dram_->byte_size();
   return total;
 }
@@ -142,11 +135,9 @@ ValidationResult Graph500Instance::validate(const BfsResult& result) {
 std::vector<Vertex> Graph500Instance::select_roots(int count,
                                                    std::uint64_t seed) const {
   SEMBFS_EXPECTS(count >= 1);
-  // Degree check without requiring the full CSR: backward graph covers
-  // every vertex exactly once.
-  const auto has_edges = [&](Vertex v) {
-    return backward_.neighbors(v).size() > 0;
-  };
+  // Degree check without requiring the full CSR: either backward graph
+  // answers a degree from DRAM.
+  const auto has_edges = [&](Vertex v) { return storage_.degree(v) > 0; };
   std::vector<Vertex> roots;
   std::unordered_set<Vertex> chosen;
   Xoroshiro128 rng{derive_seed(seed, 0x526f6f74)};  // "Root"
@@ -167,14 +158,9 @@ std::vector<Vertex> Graph500Instance::select_roots(int count,
 
 const Csr& Graph500Instance::full_csr() {
   if (!full_csr_.has_value()) {
-    CsrBuildOptions options;
-    if (external_edges_ != nullptr) {
-      full_csr_.emplace(build_csr_filtered_stream(
-          vertex_count_, edge_stream(), VertexRange{0, vertex_count_},
-          VertexRange{0, vertex_count_}, options, pool_));
-    } else {
-      full_csr_.emplace(build_csr(*edges_, options, pool_));
-    }
+    const VertexRange all{0, vertex_count_};
+    full_csr_.emplace(build_csr_filtered(vertex_count_, edge_stream(), all,
+                                         all, CsrBuildOptions{}, pool_));
   }
   return *full_csr_;
 }

@@ -114,8 +114,10 @@ class Graph500Instance {
   [[nodiscard]] ExternalForwardGraph* external_forward() noexcept {
     return external_forward_.get();
   }
-  [[nodiscard]] const BackwardGraph& backward() const noexcept {
-    return backward_;
+  /// Backward graph in DRAM; null under a hybrid scenario (the DRAM graph
+  /// is released once the hybrid one is built from it).
+  [[nodiscard]] const BackwardGraph* backward() const noexcept {
+    return backward_dram_ ? &*backward_dram_ : nullptr;
   }
   /// Forward graph in DRAM; null after offload (the DRAM copy is released,
   /// which is the point of the technique).
@@ -134,7 +136,7 @@ class Graph500Instance {
   std::shared_ptr<NvmDevice> edge_device_;
   std::unique_ptr<ExternalEdgeList> external_edges_;
   std::optional<ForwardGraph> forward_dram_;
-  BackwardGraph backward_;
+  std::optional<BackwardGraph> backward_dram_;
   std::shared_ptr<NvmDevice> device_;
   std::unique_ptr<ExternalForwardGraph> external_forward_;
   std::unique_ptr<HybridBackwardGraph> hybrid_backward_;

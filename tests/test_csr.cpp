@@ -46,32 +46,6 @@ TEST(Csr, SelfLoopsRemovedByDefault) {
   EXPECT_EQ(neighbor_set(csr, 0), (std::set<Vertex>{1}));
 }
 
-TEST(Csr, SelfLoopsKeptWhenAsked) {
-  ThreadPool pool{2};
-  EdgeList edges{3};
-  edges.add(0, 0);
-  edges.add(0, 1);
-  CsrBuildOptions opts;
-  opts.remove_self_loops = false;
-  const Csr csr = build_csr(edges, opts, pool);
-  // A self loop inserts once (u==v collapses the two directions).
-  EXPECT_EQ(neighbor_set(csr, 0), (std::set<Vertex>{0, 1}));
-  EXPECT_EQ(csr.entry_count(), 3);
-}
-
-TEST(Csr, DirectedWhenUndirectedDisabled) {
-  ThreadPool pool{2};
-  EdgeList edges{3};
-  edges.add(0, 1);
-  edges.add(1, 2);
-  CsrBuildOptions opts;
-  opts.undirected = false;
-  const Csr csr = build_csr(edges, opts, pool);
-  EXPECT_EQ(neighbor_set(csr, 0), (std::set<Vertex>{1}));
-  EXPECT_EQ(neighbor_set(csr, 1), (std::set<Vertex>{2}));
-  EXPECT_EQ(neighbor_set(csr, 2), (std::set<Vertex>{}));
-}
-
 TEST(Csr, SortNeighbors) {
   ThreadPool pool{2};
   EdgeList edges{5};
@@ -84,22 +58,6 @@ TEST(Csr, SortNeighbors) {
   const Csr csr = build_csr(edges, opts, pool);
   const auto adj = csr.neighbors(0);
   EXPECT_TRUE(std::is_sorted(adj.begin(), adj.end()));
-}
-
-TEST(Csr, DedupeCollapsesMultiEdges) {
-  ThreadPool pool{2};
-  EdgeList edges{3};
-  edges.add(0, 1);
-  edges.add(0, 1);
-  edges.add(1, 0);
-  edges.add(1, 2);
-  CsrBuildOptions opts;
-  opts.dedupe = true;
-  const Csr csr = build_csr(edges, opts, pool);
-  EXPECT_EQ(neighbor_set(csr, 0), (std::set<Vertex>{1}));
-  EXPECT_EQ(csr.degree(0), 1);
-  EXPECT_EQ(csr.degree(1), 2);  // {0, 2}
-  EXPECT_EQ(csr.entry_count(), 4);
 }
 
 TEST(Csr, SourceFilteredBuild) {

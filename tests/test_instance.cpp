@@ -108,8 +108,9 @@ TEST_F(InstanceTest, SelectRootsDistinctNonzeroDegreeDeterministic) {
   EXPECT_EQ(roots.size(), 16u);
   const std::set<Vertex> unique(roots.begin(), roots.end());
   EXPECT_EQ(unique.size(), roots.size());
+  ASSERT_NE(inst.backward(), nullptr);
   for (const Vertex r : roots)
-    EXPECT_GT(inst.backward().neighbors(r).size(), 0u);
+    EXPECT_GT(inst.backward()->neighbors(r).size(), 0u);
   EXPECT_EQ(inst.select_roots(16, 123), roots);       // deterministic
   EXPECT_NE(inst.select_roots(16, 124), roots);       // seed-sensitive
 }
@@ -119,9 +120,22 @@ TEST_F(InstanceTest, BackwardHybridScenario) {
   scenario.backward_dram_edges = 4;
   Graph500Instance inst{base_config(scenario), pool_};
   ASSERT_NE(inst.hybrid_backward(), nullptr);
-  const Vertex root = inst.select_roots(1, 3)[0];
-  const BfsResult result = inst.run_bfs(root, BfsConfig{});
-  EXPECT_TRUE(inst.validate(result).ok);
+  // The DRAM backward graph is released once the hybrid one is built.
+  EXPECT_EQ(inst.backward(), nullptr);
+
+  // Root selection reads degrees, which the hybrid graph answers without
+  // the DRAM graph; the trees and TEPS counts match a DRAM instance's.
+  Graph500Instance dram{base_config(Scenario::dram_only()), pool_};
+  const std::vector<Vertex> roots = inst.select_roots(16, 3);
+  EXPECT_EQ(roots, dram.select_roots(16, 3));
+  for (const Vertex root : roots) {
+    const BfsResult result = inst.run_bfs(root, BfsConfig{});
+    const BfsResult expected = dram.run_bfs(root, BfsConfig{});
+    EXPECT_EQ(result.level, expected.level) << "root " << root;
+    EXPECT_EQ(result.teps_edge_count, expected.teps_edge_count)
+        << "root " << root;
+    EXPECT_TRUE(inst.validate(result).ok) << "root " << root;
+  }
 }
 
 TEST_F(InstanceTest, FullCsrMatchesReferenceExpectations) {
