@@ -44,22 +44,6 @@ void BM_BitmapCount(benchmark::State& state) {
 }
 BENCHMARK(BM_BitmapCount);
 
-void BM_BitmapOrMerge(benchmark::State& state) {
-  // The word-wise merge underneath BfsStatus::advance() in bitmap mode:
-  // one destination word per 64 vertices, OR-accumulated from a source.
-  constexpr std::size_t kBits = 1 << 24;
-  Bitmap dst{kBits};
-  Bitmap src{kBits};
-  for (std::size_t i = 0; i < kBits; i += 5) src.set(i);
-  for (auto _ : state) {
-    dst.or_with(src);
-    benchmark::DoNotOptimize(dst.words().data());
-  }
-  state.SetBytesProcessed(state.iterations() *
-                          static_cast<std::int64_t>(kBits / 8));
-}
-BENCHMARK(BM_BitmapOrMerge);
-
 void BM_Xoroshiro(benchmark::State& state) {
   Xoroshiro128 rng{42};
   for (auto _ : state) benchmark::DoNotOptimize(rng.next());
@@ -135,7 +119,7 @@ void BM_TopDownFirstLevels(benchmark::State& state) {
       scanned += top_down_step(fx.storage(), fx.status, level, fx.topology,
                                fx.pool)
                      .scanned_edges;
-      fx.status.advance();
+      fx.status.advance(fx.pool);
     }
     benchmark::DoNotOptimize(scanned);
   }
@@ -151,7 +135,7 @@ void BM_BottomUpSweep(benchmark::State& state) {
     fx.status.reset(fx.root);
     // One top-down level to seed a frontier, then one bottom-up sweep.
     top_down_step(fx.storage(), fx.status, 1, fx.topology, fx.pool);
-    fx.status.advance();
+    fx.status.advance(fx.pool);
     benchmark::DoNotOptimize(
         bottom_up_step(&fx.backward, fx.status, 2, fx.topology, fx.pool,
                        1024)
@@ -159,28 +143,6 @@ void BM_BottomUpSweep(benchmark::State& state) {
   }
 }
 BENCHMARK(BM_BottomUpSweep)
-    ->Arg(14)
-    ->Arg(16)
-    ->Unit(benchmark::kMillisecond)
-    ->UseRealTime();
-
-void BM_BottomUpSweepBitmap(benchmark::State& state) {
-  // Same sweep with bitmap frontier output. The Queue variant pays its
-  // per-worker queue merge inside the step; the bitmap variant defers the
-  // word-wise OR-merge to advance(), so it is timed here too.
-  StepFixtureState fx{static_cast<int>(state.range(0))};
-  for (auto _ : state) {
-    fx.status.reset(fx.root);
-    top_down_step(fx.storage(), fx.status, 1, fx.topology, fx.pool);
-    fx.status.advance();
-    benchmark::DoNotOptimize(
-        bottom_up_step(&fx.backward, fx.status, 2, fx.topology, fx.pool,
-                       1024, BottomUpOutput::Bitmap)
-            .scanned_edges);
-    fx.status.advance(fx.pool);
-  }
-}
-BENCHMARK(BM_BottomUpSweepBitmap)
     ->Arg(14)
     ->Arg(16)
     ->Unit(benchmark::kMillisecond)
@@ -197,7 +159,7 @@ void BM_BottomUpLateLevel(benchmark::State& state) {
     for (int level = 1; level <= 3 && fx.status.frontier_size() > 0;
          ++level) {
       top_down_step(fx.storage(), fx.status, level, fx.topology, fx.pool);
-      fx.status.advance();
+      fx.status.advance(fx.pool);
     }
     state.ResumeTiming();
     benchmark::DoNotOptimize(

@@ -83,57 +83,5 @@ int main() {
       "\nreading: offloading the edge list makes Step 2 slower (it streams "
       "from the device twice per graph) but leaves Step 3 untouched — the "
       "64-iteration total is dominated by BFS+validation either way.\n");
-
-  // Frontier-representation comparison (docs/KERNELS.md): the same Step 3
-  // under the three FrontierMode settings. Bitmap output skips the queue
-  // round-trip on the wide bottom-up levels; Auto should track the winner.
-  {
-    InstanceConfig ic;
-    ic.kronecker.scale = config.env.scale;
-    ic.kronecker.edge_factor = config.env.edge_factor;
-    ic.kronecker.seed = config.env.seed;
-    ic.scenario = Scenario::dram_only();
-    ic.scenario.time_scale = config.time_scale;
-    ic.numa_nodes = static_cast<std::size_t>(config.env.numa_nodes);
-    ic.workdir = config.env.workdir + "/steps";
-    Graph500Instance instance{ic, pool};
-
-    AsciiTable rep_table({"frontier rep", "BFS median (s)", "validated"});
-    struct RepCase {
-      const char* name;
-      FrontierMode mode;
-    };
-    const RepCase rep_cases[] = {
-        {"queue (forced)", FrontierMode::ForceQueue},
-        {"bitmap (forced)", FrontierMode::ForceBitmap},
-        {"auto", FrontierMode::Auto},
-    };
-    const auto roots =
-        instance.select_roots(std::max(2, config.env.roots / 2), 0xbf5);
-    for (const RepCase& rc : rep_cases) {
-      BfsConfig bfs;
-      bfs.policy.alpha = 1e4;
-      bfs.policy.beta = 1e5;
-      bfs.frontier_mode = rc.mode;
-      std::vector<double> bfs_seconds;
-      bool all_ok = true;
-      for (const Vertex root : roots) {
-        const BfsResult result = instance.run_bfs(root, bfs);
-        bfs_seconds.push_back(result.seconds);
-        const ValidationResult v = instance.validate(result);
-        if (!v.ok) {
-          std::fprintf(stderr, "validation failed (%s): %s\n", rc.name,
-                       v.error.c_str());
-          all_ok = false;
-        }
-      }
-      if (!all_ok) return 1;
-      rep_table.add_row({rc.name,
-                         format_fixed(compute_stats(bfs_seconds).median, 4),
-                         "yes"});
-    }
-    std::printf("\nbottom-up next-frontier representation (dram scenario):\n");
-    rep_table.print();
-  }
   return 0;
 }

@@ -46,9 +46,6 @@ int main(int argc, char** argv) {
   options.add_double("beta", 1e5, "bottom-up -> top-down threshold");
   options.add_string("mode", "hybrid",
                      "BFS mode: hybrid | top-down | bottom-up");
-  options.add_string("frontier-rep", "auto",
-                     "bottom-up next-frontier representation: "
-                     "auto | queue | bitmap");
   options.add_int("shards", 0,
                   "emulated multi-node mode: run the BFS across this many "
                   "shards, each with its own NVM stack (0 = single node)");
@@ -210,18 +207,6 @@ int main(int argc, char** argv) {
     config.bfs.mode = BfsMode::BottomUpOnly;
   else {
     std::fprintf(stderr, "unknown --mode '%s'\n", mode.c_str());
-    return 1;
-  }
-
-  const std::string frontier_rep = options.get_string("frontier-rep");
-  if (frontier_rep == "auto")
-    config.bfs.frontier_mode = FrontierMode::Auto;
-  else if (frontier_rep == "queue")
-    config.bfs.frontier_mode = FrontierMode::ForceQueue;
-  else if (frontier_rep == "bitmap")
-    config.bfs.frontier_mode = FrontierMode::ForceBitmap;
-  else {
-    std::fprintf(stderr, "unknown --frontier-rep '%s'\n", frontier_rep.c_str());
     return 1;
   }
 

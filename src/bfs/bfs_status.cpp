@@ -40,7 +40,7 @@ std::uint64_t BfsStatus::byte_size() const noexcept {
   return n * sizeof(Vertex)          // parent
          + n * sizeof(std::int32_t)  // level
          + (n + 7) / 8               // visited bitmap
-         + active_.byte_size();      // frontier (queue/bitmap dual rep)
+         + active_.byte_size();      // frontier bitmaps and queue
 }
 
 }  // namespace sembfs

@@ -6,25 +6,10 @@
 //  - visited bitmap: fast unvisited sweep for the bottom-up step, which
 //    claims a word's vertices together (claim_bottom_up_word).
 //  - frontier: an engine::ActiveSet — the current level's membership
-//    bitmap (always valid; it answers bottom-up's "v in frontier?") plus,
-//    on demand, the vertex queue that drives top-down dequeueing.
-//
-// ## Dual frontier representation
-//
-// The dual queue/bitmap frontier introduced in PR 4 now lives in
-// engine/active_set.hpp as the reusable ActiveSet (every vertex-centric
-// program needs the same machinery, not just BFS). BfsStatus composes one
-// and forwards its legacy frontier API, so the kernels are unchanged
-// clients; see active_set.hpp for the representation contract.
-//
-//  - Queue:  `frontier()` vector and `frontier_bitmap()` both valid —
-//    what top-down steps need. Produced by set_next()/set_next_merged()
-//    followed by advance().
-//  - Bitmap: only `frontier_bitmap()` is valid; the queue is materialized
-//    lazily by ensure_frontier_queue() when (and only when) a direction
-//    switch back to top-down needs it. Produced by per-worker next
-//    bitmaps (begin_bitmap_next() + worker_next()) merged word-wise by
-//    advance().
+//    bitmap (it answers bottom-up's "v in frontier?"), the next level's
+//    bitmap that every step ORs its claims into, and, on demand, the
+//    ascending vertex queue that drives top-down dequeueing (see
+//    engine/active_set.hpp).
 //
 // ## Claim memory-ordering contract
 //
@@ -58,10 +43,6 @@
 namespace sembfs {
 
 class ThreadPool;
-
-/// Which structure currently holds the frontier — the BFS-era name for the
-/// ActiveSet representation (see engine/active_set.hpp).
-using FrontierRep = engine::ActiveSetRep;
 
 // ## Status-slot reuse contract
 //
@@ -139,20 +120,18 @@ class BfsStatus {
     return active_;
   }
 
-  /// Current representation of the frontier.
-  [[nodiscard]] FrontierRep frontier_rep() const noexcept {
-    return active_.rep();
+  /// The frontier as an ascending vertex queue — what top-down steps
+  /// dequeue. Extracted from the frontier bitmap at most once per level.
+  [[nodiscard]] const std::vector<Vertex>& frontier_queue(ThreadPool& pool) {
+    return active_.queue(pool);
   }
-
-  /// The frontier vertex queue. Only valid in FrontierRep::Queue — call
-  /// ensure_frontier_queue() first after a bitmap-producing level.
-  [[nodiscard]] const std::vector<Vertex>& frontier() const noexcept {
-    return active_.queue();
-  }
-  /// Frontier membership bitmap. Valid in BOTH representations.
+  /// Frontier membership bitmap.
   [[nodiscard]] const Bitmap& frontier_bitmap() const noexcept {
     return active_.bitmap();
   }
+  /// The next frontier: each step sets its claims here with
+  /// Bitmap::set_atomic or Bitmap::or_word_atomic.
+  [[nodiscard]] Bitmap& next_frontier() noexcept { return active_.next_bitmap(); }
   /// The visited bitmap, exposed for the word-skip sweep (word() loads).
   [[nodiscard]] const AtomicBitmap& visited_bitmap() const noexcept {
     return visited_;
@@ -161,49 +140,7 @@ class BfsStatus {
     return active_.size();
   }
 
-  /// Materializes the frontier queue from the bitmap (no-op in Queue
-  /// rep). The queue comes out sorted by vertex id. Returns true iff a
-  /// conversion actually happened.
-  bool ensure_frontier_queue(ThreadPool& pool) {
-    return active_.ensure_queue(pool);
-  }
-  /// Serial variant for pool-free callers (tests, small graphs).
-  bool ensure_frontier_queue() { return active_.ensure_queue(); }
-
-  /// Appends the merged next-frontier vertices (driver-side, serial).
-  void set_next(std::vector<Vertex> next) {
-    active_.set_next(std::move(next));
-  }
-  [[nodiscard]] std::vector<Vertex>& next() noexcept {
-    return active_.next();
-  }
-
-  /// Parallel concat of per-worker next buffers: serial prefix-sum of the
-  /// buffer sizes, then the pool scatters each buffer at its offset.
-  /// Replaces the serial driver-thread insert loop the steps used to run.
-  void set_next_merged(std::vector<std::vector<Vertex>>& buffers,
-                       ThreadPool& pool) {
-    active_.set_next_merged(buffers, pool);
-  }
-
-  /// Declares that this level's next frontier will be produced as
-  /// per-worker bitmaps (bottom-up bitmap mode). Allocates/readies
-  /// `workers` bitmaps of vertex_count() bits; bits are cleared lazily by
-  /// advance()'s merge, so this is O(1) after the first level.
-  void begin_bitmap_next(std::size_t workers) {
-    active_.begin_bitmap_next(workers);
-  }
-  /// Worker w's private next-frontier bitmap (plain set(), no atomics —
-  /// single writer by construction).
-  [[nodiscard]] Bitmap& worker_next(std::size_t w) noexcept {
-    return active_.worker_next(w);
-  }
-
-  /// Promotes next -> frontier. Queue-pending levels swap the queue and
-  /// rebuild the membership bitmap; bitmap-pending levels OR-merge the
-  /// per-worker bitmaps word-wise (clearing them for reuse) and leave the
-  /// queue unmaterialized. The pool overload parallelizes both paths.
-  void advance() { active_.advance(); }
+  /// Promotes next -> frontier and empties the next frontier.
   void advance(ThreadPool& pool) { active_.advance(pool); }
 
   /// Copies the parent array into a plain vector.

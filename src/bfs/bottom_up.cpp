@@ -40,8 +40,6 @@ struct BfsTotals {
 struct BfsWords {
   BfsStatus& status;
   std::int32_t level;
-  std::vector<Vertex>* queue;  // Queue output
-  Bitmap* out_bits;            // Bitmap output
   BfsTotals& totals;
   std::array<Vertex, 64> parents{};  // this word's claims, by bit
   std::int64_t degrees = 0;
@@ -102,12 +100,11 @@ struct BfsWords {
     // Single-writer per vertex: each unvisited vertex is swept by exactly
     // one worker per level, so the word claim needs no CAS.
     status.claim_bottom_up_word(word, claims, parents, level);
-    if (out_bits != nullptr) out_bits->words()[word] |= claims;
+    status.next_frontier().or_word_atomic(word, claims);
     // The claimed vertices' full degrees (for TEPS) come from the
     // partition's index.
     for_each_set_in_word(claims, 0, [&](std::size_t b) {
       const Vertex v = base + static_cast<Vertex>(b);
-      if (out_bits == nullptr) queue->push_back(v);
       degrees += read.partition.degree(v);
       if (delta != nullptr) degrees += delta->degree_adjustment(v);
     });
@@ -130,25 +127,13 @@ struct BfsWords {
 StepResult bottom_up_step(const BackwardStorage& backward, BfsStatus& status,
                           std::int32_t level, const NumaTopology& topology,
                           ThreadPool& pool, std::int64_t chunk,
-                          BottomUpOutput output, const DeltaBuffer* delta) {
-  const std::size_t workers =
-      std::min<std::size_t>(pool.size(), topology.total_threads());
-  std::vector<std::vector<Vertex>> queues(workers);  // Queue output only
-  if (output == BottomUpOutput::Bitmap) status.begin_bitmap_next(workers);
+                          const DeltaBuffer* delta) {
   BfsTotals totals;
-
   const PullResult pull = pull_sweep(
       backward, delta, status.visited_bitmap(), topology, pool, chunk,
-      [&](std::size_t w) {
-        if (output == BottomUpOutput::Bitmap)
-          return BfsWords{status, level, nullptr, &status.worker_next(w),
-                          totals};
-        return BfsWords{status, level, &queues[w], nullptr, totals};
+      [&](std::size_t /*worker*/) {
+        return BfsWords{status, level, totals};
       });
-
-  if (output == BottomUpOutput::Queue) status.set_next_merged(queues, pool);
-  // Bitmap output: the claims are already in the per-worker bitmaps that
-  // begin_bitmap_next() registered; advance() merges them word-wise.
 
   if (obs::enabled()) {
     static obs::Counter* const swept =

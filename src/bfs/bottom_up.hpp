@@ -47,12 +47,9 @@
 // partition's index. The counter bfs.bottom_up.hub_claims counts the
 // claims the probe decided.
 //
-// It emits the next frontier in either representation (see
-// bfs_status.hpp): Queue (per-worker vectors, merged) or Bitmap
-// (per-worker bitmaps, one OR per claimed word, OR-merged word-wise by
-// advance()). The session picks per level; Bitmap avoids the queue
-// round-trip entirely on the wide steady-state levels that dominate
-// hybrid BFS time.
+// The word's claims also go into the next frontier bitmap with one relaxed
+// Bitmap::or_word_atomic: a chunk or node boundary inside a word leaves
+// that word to two workers.
 #pragma once
 
 #include <algorithm>
@@ -214,18 +211,12 @@ PullResult pull_sweep(const BackwardStorage& backward,
   });
 }
 
-/// How a bottom-up step writes the next frontier into BfsStatus.
-enum class BottomUpOutput {
-  Queue,   ///< per-worker vectors -> set_next_merged (legacy shape)
-  Bitmap,  ///< per-worker bitmaps -> word-wise merge in advance()
-};
-
 /// One bottom-up BFS level: pull_sweep over the unvisited vertices with
-/// the BFS word kernel. `chunk` is the sweep's work-stealing slice.
+/// the BFS word kernel, which ORs its claims into the next frontier bitmap.
+/// `chunk` is the sweep's work-stealing slice.
 StepResult bottom_up_step(const BackwardStorage& backward, BfsStatus& status,
                           std::int32_t level, const NumaTopology& topology,
                           ThreadPool& pool, std::int64_t chunk = kPullChunk,
-                          BottomUpOutput output = BottomUpOutput::Queue,
                           const DeltaBuffer* delta = nullptr);
 
 }  // namespace sembfs

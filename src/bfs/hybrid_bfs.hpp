@@ -41,26 +41,9 @@ enum class BfsMode {
   BottomUpOnly,  ///< baseline: bottom-up every level
 };
 
-/// How bottom-up levels emit the next frontier (docs/KERNELS.md). Top-down
-/// levels always emit the queue representation — their output is sparse by
-/// construction.
-enum class FrontierMode {
-  /// Density-driven: a bottom-up level whose *current* frontier holds at
-  /// least 1 vertex per visited-bitmap word (n/64) emits a bitmap,
-  /// sparser levels emit a queue. The word-wise merge costs O(n/64) per
-  /// participating worker, so it only pays off on dense levels.
-  Auto,
-  /// Always the per-worker queue path (the pre-bitmap behavior).
-  ForceQueue,
-  /// Every bottom-up level emits a bitmap, regardless of density.
-  ForceBitmap,
-};
-
 struct BfsConfig {
   SwitchPolicy policy;
   BfsMode mode = BfsMode::Hybrid;
-  /// Next-frontier representation for bottom-up levels.
-  FrontierMode frontier_mode = FrontierMode::Auto;
   int batch_size = 64;              ///< top-down frontier dequeue batch
   /// Semi-external only: when nonzero, ensures the external forward graph
   /// carries a DRAM chunk cache serving repeated 4 KiB chunks (hub

@@ -5,33 +5,33 @@ namespace sembfs {
 StepResult top_down_step(const GraphStorage& storage, BfsStatus& status,
                          std::int32_t level, const NumaTopology& topology,
                          ThreadPool& pool, const PushOptions& options) {
-  // One output buffer (merged on the pool) and one claimed-degree sum per
-  // participating worker.
+  // One claim count and claimed-degree sum per participating worker.
   const std::size_t workers =
       std::min<std::size_t>(pool.size(), topology.total_threads());
-  std::vector<std::vector<Vertex>> buffers(workers);
-  struct alignas(64) DegreeSum {
-    std::int64_t value = 0;
+  struct alignas(64) Claims {
+    std::int64_t vertices = 0;
+    std::int64_t degrees = 0;
   };
-  std::vector<DegreeSum> degrees(workers);
+  std::vector<Claims> claims(workers);
+  Bitmap& next = status.next_frontier();
   StepResult result = with_degree(storage, [&](const auto& degree_of) {
     return scatter_active(
-        storage.forward, status.frontier(), topology, pool, options,
-        [&](std::size_t w, Vertex v, std::span<const Vertex> adj) {
-          std::vector<Vertex>& out = buffers[w];
+        storage.forward, status.frontier_queue(pool), topology, pool,
+        options, [&](std::size_t w, Vertex v, std::span<const Vertex> adj) {
+          Claims& mine = claims[w];
           for (const Vertex dst : adj) {
             if (!status.is_visited(dst) && status.claim(dst, v, level)) {
-              out.push_back(dst);
-              degrees[w].value += degree_of(dst);
+              next.set_atomic(static_cast<std::size_t>(dst));
+              ++mine.vertices;
+              mine.degrees += degree_of(dst);
             }
           }
         });
   });
-  for (std::size_t w = 0; w < workers; ++w) {
-    result.claimed += static_cast<std::int64_t>(buffers[w].size());
-    result.claimed_degrees += degrees[w].value;
+  for (const Claims& c : claims) {
+    result.claimed += c.vertices;
+    result.claimed_degrees += c.degrees;
   }
-  status.set_next_merged(buffers, pool);
   return result;
 }
 

@@ -177,10 +177,10 @@ StepResult scatter_active(const ForwardStorage& forward,
   });
 }
 
-/// One top-down level: scatter_active over the frontier of
-/// storage.forward with the BFS claim visitor; the claims become the next
-/// frontier (queue representation). The visitor reads each claimed
-/// vertex's degree through with_degree(storage).
+/// One top-down level: scatter_active over the frontier queue of
+/// storage.forward with the BFS claim visitor, which sets each won claim in
+/// the next frontier bitmap. The visitor reads each claimed vertex's degree
+/// through with_degree(storage).
 StepResult top_down_step(const GraphStorage& storage, BfsStatus& status,
                          std::int32_t level, const NumaTopology& topology,
                          ThreadPool& pool, const PushOptions& options = {});

@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <bit>
-#include <numeric>
 
 #include "parallel/parallel_for.hpp"
 #include "parallel/thread_pool.hpp"
@@ -11,186 +10,76 @@
 namespace sembfs::engine {
 
 namespace {
-// Below these sizes a fork/join costs more than the work it spreads.
-constexpr std::size_t kSerialScatterItems = 1 << 14;
+// Below this size a fork/join costs more than the work it spreads.
 constexpr std::size_t kSerialWords = 1 << 13;  // 64 KiB of bitmap
 }  // namespace
 
 ActiveSet::ActiveSet(Vertex vertex_count)
-    : n_(vertex_count), bits_(static_cast<std::size_t>(vertex_count)) {
+    : n_(vertex_count),
+      bits_(static_cast<std::size_t>(vertex_count)),
+      next_(static_cast<std::size_t>(vertex_count)) {
   SEMBFS_EXPECTS(vertex_count >= 1);
 }
 
 void ActiveSet::clear() {
   bits_.clear();
-  queue_.clear();
   next_.clear();
-  // Defensive: a run abandoned mid-superstep can leave worker bits set.
-  for (Bitmap& b : worker_next_bits_) b.clear();
-  rep_ = ActiveSetRep::Queue;
-  pending_ = ActiveSetRep::Queue;
+  queue_.clear();
+  queue_valid_ = false;
   count_ = 0;
 }
 
 void ActiveSet::seed(Vertex v) {
   SEMBFS_EXPECTS(v >= 0 && v < n_);
   clear();
-  queue_.push_back(v);
   bits_.set(static_cast<std::size_t>(v));
   count_ = 1;
 }
 
 void ActiveSet::seed_all() {
   clear();
-  queue_.resize(static_cast<std::size_t>(n_));
-  std::iota(queue_.begin(), queue_.end(), Vertex{0});
   for (Vertex v = 0; v < n_; ++v) bits_.set(static_cast<std::size_t>(v));
   count_ = n_;
 }
 
-void ActiveSet::set_next_merged(std::vector<std::vector<Vertex>>& buffers,
-                                ThreadPool& pool) {
-  std::vector<std::size_t> offsets(buffers.size() + 1, 0);
-  for (std::size_t b = 0; b < buffers.size(); ++b)
-    offsets[b + 1] = offsets[b] + buffers[b].size();
-  const std::size_t total = offsets.back();
-  next_.resize(total);
-  pending_ = ActiveSetRep::Queue;
-  if (total == 0) return;
-
-  Vertex* const dst = next_.data();
-  if (total < kSerialScatterItems || pool.size() <= 1) {
-    for (std::size_t b = 0; b < buffers.size(); ++b)
-      std::copy(buffers[b].begin(), buffers[b].end(), dst + offsets[b]);
+void ActiveSet::advance(ThreadPool& pool) {
+  bits_.swap(next_);
+  queue_valid_ = false;
+  // One pass counts the new current set and clears the old one.
+  const std::span<const std::uint64_t> current = bits_.words();
+  const std::span<std::uint64_t> stale = next_.words();
+  const auto count_and_clear = [&](std::int64_t& acc, std::int64_t w) {
+    const auto i = static_cast<std::size_t>(w);
+    acc += std::popcount(current[i]);
+    stale[i] = 0;
+  };
+  const auto words = static_cast<std::int64_t>(current.size());
+  if (pool.size() <= 1 || current.size() < kSerialWords) {
+    std::int64_t count = 0;
+    for (std::int64_t w = 0; w < words; ++w) count_and_clear(count, w);
+    count_ = count;
     return;
   }
-  // One scatter task per buffer: buffers are per-worker, so their count
-  // matches the pool's parallelism and their sizes are roughly balanced
-  // (the step's dynamic chunk cursor load-balanced the claims).
-  const std::size_t tasks = buffers.size();
-  pool.run(std::min(pool.size(), tasks), [&](std::size_t w) {
-    for (std::size_t b = w; b < tasks; b += pool.size())
-      std::copy(buffers[b].begin(), buffers[b].end(), dst + offsets[b]);
-  });
+  count_ = parallel_reduce<std::int64_t>(
+      pool, 0, words, 0, count_and_clear,
+      [](std::int64_t a, std::int64_t b) { return a + b; });
 }
 
-void ActiveSet::begin_bitmap_next(std::size_t workers) {
-  SEMBFS_EXPECTS(workers >= 1);
-  while (worker_next_bits_.size() < workers)
-    worker_next_bits_.emplace_back(static_cast<std::size_t>(n_));
-  pending_ = ActiveSetRep::Bitmap;
-}
-
-void ActiveSet::advance_queue_serial() {
-  queue_.swap(next_);
-  next_.clear();
-  bits_.clear();
-  for (const Vertex v : queue_) bits_.set(static_cast<std::size_t>(v));
-  rep_ = ActiveSetRep::Queue;
-  count_ = static_cast<std::int64_t>(queue_.size());
-}
-
-void ActiveSet::advance_bitmap_serial() {
-  const std::size_t words = bits_.word_count();
-  const std::span<std::uint64_t> out = bits_.words();
-  std::int64_t count = 0;
-  for (std::size_t w = 0; w < words; ++w) {
-    std::uint64_t acc = 0;
-    for (Bitmap& b : worker_next_bits_) {
-      const std::uint64_t word = b.words()[w];
-      if (word != 0) {
-        acc |= word;
-        b.words()[w] = 0;  // restore the all-zero invariant for reuse
-      }
-    }
-    out[w] = acc;
-    count += std::popcount(acc);
-  }
+const std::vector<Vertex>& ActiveSet::queue(ThreadPool& pool) {
+  if (queue_valid_) return queue_;
   queue_.clear();
-  next_.clear();
-  rep_ = ActiveSetRep::Bitmap;
-  count_ = count;
-}
-
-void ActiveSet::advance() {
-  if (pending_ == ActiveSetRep::Bitmap) {
-    advance_bitmap_serial();
-  } else {
-    advance_queue_serial();
-  }
-  pending_ = ActiveSetRep::Queue;
-}
-
-void ActiveSet::advance(ThreadPool& pool) {
   const std::size_t words = bits_.word_count();
   if (pool.size() <= 1 || words < kSerialWords) {
-    advance();
-    return;
+    queue_.reserve(static_cast<std::size_t>(count_));
+    bits_.for_each_set(
+        [&](std::size_t v) { queue_.push_back(static_cast<Vertex>(v)); });
+    queue_valid_ = true;
+    return queue_;
   }
-  if (pending_ == ActiveSetRep::Bitmap) {
-    // Word-parallel OR-merge of the per-worker bitmaps, counting as we go
-    // and clearing the sources for the next bitmap superstep.
-    const std::span<std::uint64_t> out = bits_.words();
-    std::vector<Bitmap>& sources = worker_next_bits_;
-    count_ = parallel_reduce<std::int64_t>(
-        pool, 0, static_cast<std::int64_t>(words), 0,
-        [&](std::int64_t& acc, std::int64_t w) {
-          const auto wi = static_cast<std::size_t>(w);
-          std::uint64_t merged = 0;
-          for (Bitmap& b : sources) {
-            const std::uint64_t word = b.words()[wi];
-            if (word != 0) {
-              merged |= word;
-              b.words()[wi] = 0;
-            }
-          }
-          out[wi] = merged;
-          acc += std::popcount(merged);
-        },
-        [](std::int64_t a, std::int64_t b) { return a + b; });
-    queue_.clear();
-    next_.clear();
-    rep_ = ActiveSetRep::Bitmap;
-  } else {
-    queue_.swap(next_);
-    next_.clear();
-    bits_.clear_parallel(pool);
-    const auto queue_n = static_cast<std::int64_t>(queue_.size());
-    if (queue_n < static_cast<std::int64_t>(kSerialScatterItems)) {
-      for (const Vertex v : queue_) bits_.set(static_cast<std::size_t>(v));
-    } else {
-      // Arbitrary vertices share words, so the parallel rebuild needs the
-      // atomic (relaxed fetch_or) bit sets.
-      parallel_for(pool, 0, queue_n, [&](std::int64_t i) {
-        bits_.set_atomic(
-            static_cast<std::size_t>(queue_[static_cast<std::size_t>(i)]));
-      });
-    }
-    rep_ = ActiveSetRep::Queue;
-    count_ = queue_n;
-  }
-  pending_ = ActiveSetRep::Queue;
-}
-
-bool ActiveSet::ensure_queue() {
-  if (rep_ == ActiveSetRep::Queue) return false;
-  queue_.clear();
-  queue_.reserve(static_cast<std::size_t>(count_));
-  bits_.for_each_set(
-      [&](std::size_t v) { queue_.push_back(static_cast<Vertex>(v)); });
-  rep_ = ActiveSetRep::Queue;
-  return true;
-}
-
-bool ActiveSet::ensure_queue(ThreadPool& pool) {
-  if (rep_ == ActiveSetRep::Queue) return false;
-  const std::size_t words = bits_.word_count();
-  if (pool.size() <= 1 || words < kSerialWords) return ensure_queue();
 
   // Three passes over word blocks: popcount per block, serial exclusive
   // prefix over the (few) blocks, then scatter each block's set bits at
-  // its offset. The queue comes out sorted by vertex id, which also gives
-  // the next push superstep a cache-friendly dequeue order.
+  // its offset, so the queue comes out ascending.
   constexpr std::size_t kBlockWords = 2048;  // 128 Ki vertices per block
   const std::size_t blocks = (words + kBlockWords - 1) / kBlockWords;
   std::vector<std::size_t> offsets(blocks + 1, 0);
@@ -220,15 +109,14 @@ bool ActiveSet::ensure_queue(ThreadPool& pool) {
                      dst[at++] = static_cast<Vertex>(v);
                    });
                });
-  rep_ = ActiveSetRep::Queue;
-  return true;
+  queue_valid_ = true;
+  return queue_;
 }
 
 std::uint64_t ActiveSet::byte_size() const noexcept {
   const auto n = static_cast<std::uint64_t>(n_);
-  return (n + 7) / 8                                  // membership bitmap
-         + worker_next_bits_.size() * ((n + 7) / 8)   // bitmap-mode next
-         + (queue_.capacity() + next_.capacity()) * sizeof(Vertex);
+  return 2 * ((n + 7) / 8)  // current and next bitmaps
+         + queue_.capacity() * sizeof(Vertex);
 }
 
 }  // namespace sembfs::engine

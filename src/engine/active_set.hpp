@@ -1,31 +1,21 @@
-// ActiveSet: the dual queue/bitmap vertex set that drives one superstep of
-// any vertex-centric program — extracted from the PR-4 BFS frontier so the
-// same machinery serves BFS, label propagation, and every future program.
+// ActiveSet: the vertex set that drives one superstep of any vertex-centric
+// program — the BFS frontier, generalized so the same machinery serves
+// BFS, label propagation, and every future program.
 //
-// ## Dual representation
+// ## One representation
 //
-// A steady-state pull (bottom-up) superstep activates a large fraction of
-// all vertices, so funnelling them through per-worker vectors, a serial
-// concat, and a bit-by-bit bitmap rebuild is pure overhead: the natural
-// output of a dense sweep is a bitmap. The set therefore tracks which
-// representation currently holds the membership (ActiveSetRep):
+// The set is a pair of n-bit bitmaps: the CURRENT set, which pull
+// (bottom-up) steps test with contains(), and the NEXT set, into which
+// every push and pull step ORs its activations with relaxed atomic ORs
+// (Bitmap::set_atomic, or Bitmap::or_word_atomic for a word of claims).
+// advance() swaps the two, popcounts the new current set and clears the
+// old one for reuse, so the set costs 2n bits whatever the worker count.
 //
-//  - Queue:  `queue()` vector and `bitmap()` both valid — what scatter
-//    (push) steps need for dequeueing. Produced by set_next() /
-//    set_next_merged() followed by advance().
-//  - Bitmap: only `bitmap()` is valid; the queue is materialized lazily by
-//    ensure_queue() when (and only when) a direction switch back to push
-//    needs it. Produced by per-worker next bitmaps (begin_bitmap_next() +
-//    worker_next()) merged word-wise by advance().
+// Push (top-down) steps dequeue a vertex list. queue(pool) extracts it from
+// the current bitmap on demand, ascending by vertex id, at most once per
+// superstep.
 //
-// Writers fill a *next* set during a superstep (either per-worker queues
-// merged by set_next_merged, or per-worker bitmaps); advance() promotes
-// next -> current. The membership bitmap of the CURRENT set is always
-// valid in both representations, so gather (pull) steps can test
-// `contains()` cheaply regardless of how the previous superstep wrote it.
-//
-// BfsStatus composes an ActiveSet as its frontier and forwards its legacy
-// frontier API to it, so the PR-4 kernels are unchanged clients.
+// BfsStatus composes an ActiveSet as its frontier.
 #pragma once
 
 #include <cstdint>
@@ -40,103 +30,54 @@ class ThreadPool;
 
 namespace sembfs::engine {
 
-/// Which structure currently holds the active set (see file comment).
-enum class ActiveSetRep {
-  Queue,   ///< vertex vector + membership bitmap
-  Bitmap,  ///< membership bitmap only; queue materialized on demand
-};
-
 class ActiveSet {
  public:
   explicit ActiveSet(Vertex vertex_count);
 
   [[nodiscard]] Vertex vertex_count() const noexcept { return n_; }
 
-  /// Empties the set (current and next) and restores the Queue rep. Worker
-  /// next bitmaps are re-zeroed defensively (a run abandoned mid-superstep
-  /// can leave bits set).
-  void clear();
-  /// clear() + activate exactly `v`.
+  /// Empties both sets (a run abandoned mid-superstep can leave the next
+  /// one populated) and activates exactly `v`.
   void seed(Vertex v);
-  /// clear() + activate every vertex in [0, vertex_count()) — the common
-  /// seeding of fixpoint programs (label propagation starts everywhere).
-  /// The set comes up in Queue rep with a sorted queue.
+  /// Empties both sets and activates every vertex in [0, vertex_count()) —
+  /// the common seeding of fixpoint programs (label propagation starts
+  /// everywhere).
   void seed_all();
 
-  [[nodiscard]] ActiveSetRep rep() const noexcept { return rep_; }
-  /// Membership test against the CURRENT set; valid in both reps.
+  /// Membership test against the CURRENT set.
   [[nodiscard]] bool contains(Vertex v) const noexcept {
     return bits_.test(static_cast<std::size_t>(v));
   }
-  /// The active vertex queue. Only valid in Queue rep — call
-  /// ensure_queue() first after a bitmap-producing superstep.
-  [[nodiscard]] const std::vector<Vertex>& queue() const noexcept {
-    SEMBFS_ASSERT(rep_ == ActiveSetRep::Queue);
-    return queue_;
-  }
-  /// Membership bitmap of the current set. Valid in BOTH reps.
+  /// Membership bitmap of the current set.
   [[nodiscard]] const Bitmap& bitmap() const noexcept { return bits_; }
-  [[nodiscard]] std::int64_t size() const noexcept {
-    return rep_ == ActiveSetRep::Queue
-               ? static_cast<std::int64_t>(queue_.size())
-               : count_;
-  }
+  [[nodiscard]] std::int64_t size() const noexcept { return count_; }
 
-  /// Materializes the queue from the bitmap (no-op in Queue rep). The
-  /// queue comes out sorted by vertex id. Returns true iff a conversion
-  /// actually happened.
-  bool ensure_queue(ThreadPool& pool);
-  /// Serial variant for pool-free callers (tests, small graphs).
-  bool ensure_queue();
+  /// The current set as a vertex list sorted ascending — what push steps
+  /// dequeue. Extracted from the bitmap on the first call of a superstep
+  /// (in parallel on `pool` above a small size) and reused until advance().
+  [[nodiscard]] const std::vector<Vertex>& queue(ThreadPool& pool);
 
-  /// Replaces the pending next set (driver-side, serial).
-  void set_next(std::vector<Vertex> next) {
-    next_ = std::move(next);
-    pending_ = ActiveSetRep::Queue;
-  }
-  [[nodiscard]] std::vector<Vertex>& next() noexcept { return next_; }
+  /// The next set. Step writers may race on a word, so they write only
+  /// through Bitmap::set_atomic and Bitmap::or_word_atomic; nothing reads it
+  /// before the step's parallel region has joined.
+  [[nodiscard]] Bitmap& next_bitmap() noexcept { return next_; }
 
-  /// Parallel concat of per-worker next buffers: serial prefix-sum of the
-  /// buffer sizes, then the pool scatters each buffer at its offset.
-  void set_next_merged(std::vector<std::vector<Vertex>>& buffers,
-                       ThreadPool& pool);
-
-  /// Declares that this superstep's next set will be produced as
-  /// per-worker bitmaps. Allocates/readies `workers` bitmaps of
-  /// vertex_count() bits; bits are cleared lazily by advance()'s merge, so
-  /// this is O(1) after the first superstep.
-  void begin_bitmap_next(std::size_t workers);
-  /// Worker w's private next bitmap (plain set(), no atomics — single
-  /// writer by construction).
-  [[nodiscard]] Bitmap& worker_next(std::size_t w) noexcept {
-    return worker_next_bits_[w];
-  }
-
-  /// Promotes next -> current. Queue-pending supersteps swap the queue and
-  /// rebuild the membership bitmap; bitmap-pending supersteps OR-merge the
-  /// per-worker bitmaps word-wise (clearing them for reuse) and leave the
-  /// queue unmaterialized. The pool overload parallelizes both paths.
-  void advance();
+  /// Promotes next -> current: swaps the bitmaps, counts the new current
+  /// set and clears the old one, which becomes the (empty) next set.
   void advance(ThreadPool& pool);
 
   /// DRAM footprint of the set's structures, in bytes.
   [[nodiscard]] std::uint64_t byte_size() const noexcept;
 
  private:
-  void advance_queue_serial();
-  void advance_bitmap_serial();
+  void clear();
 
   Vertex n_ = 0;
   Bitmap bits_;
+  Bitmap next_;
   std::vector<Vertex> queue_;
-  std::vector<Vertex> next_;
-  /// Per-worker next bitmaps (bitmap mode only; empty until the first
-  /// begin_bitmap_next). Invariant: all-zero outside a superstep.
-  std::vector<Bitmap> worker_next_bits_;
-  ActiveSetRep rep_ = ActiveSetRep::Queue;
-  ActiveSetRep pending_ = ActiveSetRep::Queue;
-  /// Set-bit count of bits_ (maintained in Bitmap rep, where the queue's
-  /// size() is unavailable).
+  /// queue_ lists the current set (false until queue() extracts it).
+  bool queue_valid_ = false;
   std::int64_t count_ = 0;
 };
 

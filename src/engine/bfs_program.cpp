@@ -1,7 +1,6 @@
 #include "engine/bfs_program.hpp"
 
 #include <string>
-#include <utility>
 
 #include "engine/program_session.hpp"
 #include "util/contracts.hpp"
@@ -24,7 +23,7 @@ StepResult BfsProgram::step(EngineContext& ctx, Direction direction) {
   }
   return bottom_up_step(ctx.storage.backward, *status_, ctx.superstep,
                         *ctx.topology, *ctx.pool, kPullChunk,
-                        ctx.pull_output, ctx.storage.delta);
+                        ctx.storage.delta);
 }
 
 bool BfsProgram::converged(const EngineContext& ctx) const {
@@ -40,19 +39,12 @@ StepResult BfsProgram::degrade(EngineContext& ctx) {
         "for a degraded bottom-up retry");
   }
   // The partial top-down claims are valid (each vertex was CAS-claimed
-  // with a correct parent at this level); the bottom-up sweep skips them
-  // via the visited bitmap and claims the rest. The redo stays on Queue
-  // output (regardless of frontier_mode) so its next list can be merged
-  // with the partial top-down list saved here.
-  std::vector<Vertex> partial = std::move(status_->next());
-  status_->set_next({});
-  const StepResult redo = bottom_up_step(
-      ctx.storage.backward, *status_, ctx.superstep, *ctx.topology,
-      *ctx.pool, kPullChunk, BottomUpOutput::Queue,
-      ctx.storage.delta);
-  std::vector<Vertex>& next = status_->next();
-  next.insert(next.end(), partial.begin(), partial.end());
-  return redo;
+  // with a correct parent at this level) and already in the next frontier;
+  // the bottom-up sweep skips them via the visited bitmap and ORs the rest
+  // into the same next frontier.
+  return bottom_up_step(ctx.storage.backward, *status_, ctx.superstep,
+                        *ctx.topology, *ctx.pool, kPullChunk,
+                        ctx.storage.delta);
 }
 
 BfsResult BfsProgram::snapshot_result(const ProgramSession& session) const {

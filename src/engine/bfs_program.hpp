@@ -5,7 +5,7 @@
 // delegates every superstep to the two level kernels — top_down_step over
 // the forward storage, bottom_up_step over the backward storage — on a
 // caller-owned BfsStatus; the loop around the kernels (cancel polls,
-// frontier conversion, I/O prep, degradation, the switch policy,
+// frontier advance, I/O prep, degradation, the switch policy,
 // LevelStats, metrics and trace spans) is the session's. HybridBfsRunner
 // below is the whole-traversal convenience: one reused status, one
 // program + session per root.

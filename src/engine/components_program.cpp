@@ -40,22 +40,21 @@ StepResult ComponentsProgram::step(EngineContext& ctx, Direction direction) {
   if (direction == Direction::BottomUp) return pull_step(ctx);
 
   ThreadPool& pool = *ctx.pool;
-  active_->begin_bitmap_next(pool.size());
   std::vector<std::int64_t> improved(pool.size(), 0);
+  Bitmap& next = active_->next_bitmap();
 
   StepResult result = scatter_active(
-      ctx.storage.forward, active_->queue(), *ctx.topology, pool,
+      ctx.storage.forward, active_->queue(pool), *ctx.topology, pool,
       push_options(*ctx.config, ctx.storage),
       [&](std::size_t w, Vertex u, std::span<const Vertex> adj) {
         const Vertex lu = labels_[static_cast<std::size_t>(u)].load(
             std::memory_order_relaxed);
-        Bitmap& next = active_->worker_next(w);
         for (const Vertex dst : adj) {
           if (labels_[static_cast<std::size_t>(dst)].load(
                   std::memory_order_relaxed) <= lu)
             continue;
           if (atomic_fetch_min(labels_[static_cast<std::size_t>(dst)], lu)) {
-            next.set(static_cast<std::size_t>(dst));
+            next.set_atomic(static_cast<std::size_t>(dst));
             ++improved[w];
           }
         }
@@ -70,8 +69,7 @@ StepResult ComponentsProgram::pull_step(EngineContext& ctx) {
         "components pull superstep " + std::to_string(ctx.superstep) +
         " requires a backward graph and none is attached");
   }
-  ThreadPool& pool = *ctx.pool;
-  active_->begin_bitmap_next(pool.size());
+  Bitmap& next = active_->next_bitmap();
   const auto label = [&](std::size_t v) {
     return labels_[v].load(std::memory_order_relaxed);
   };
@@ -83,9 +81,8 @@ StepResult ComponentsProgram::pull_step(EngineContext& ctx) {
   // whose labels cannot change. Device faults on a hybrid backward graph
   // propagate as NvmIoError, exactly like the BFS degrade path's backward
   // reads.
-  const auto min_label = [&](std::size_t w) {
-    return [&, &next = active_->worker_next(w)](
-               auto& read, std::size_t word, std::uint64_t pending) {
+  const auto min_label = [&](std::size_t /*worker*/) {
+    return [&](auto& read, std::size_t word, std::uint64_t pending) {
       std::int64_t improved = 0;
       for_each_set_in_word(pending, word * 64, [&](std::size_t v) {
         Vertex best = label(v);
@@ -95,7 +92,7 @@ StepResult ComponentsProgram::pull_step(EngineContext& ctx) {
         });
         if (best < label(v)) {
           labels_[v].store(best, std::memory_order_relaxed);
-          next.set(v);
+          next.set_atomic(v);
           ++improved;
         }
       });
@@ -103,7 +100,7 @@ StepResult ComponentsProgram::pull_step(EngineContext& ctx) {
     };
   };
   return pull_sweep(ctx.storage.backward, ctx.storage.delta, NothingDone{},
-                    *ctx.topology, pool, kPullChunk, min_label)
+                    *ctx.topology, *ctx.pool, kPullChunk, min_label)
       .step;
 }
 

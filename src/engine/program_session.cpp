@@ -38,10 +38,6 @@ ProgramSession::ProgramSession(VertexProgram& program, GraphStorage storage,
           metric(program.metric_prefix(), "direction_switches"))),
       obs_io_failures_(&obs::metrics().counter(
           metric(program.metric_prefix(), "io_failures"))),
-      obs_frontier_conversions_(&obs::metrics().counter(
-          metric(program.metric_prefix(), "frontier_conversions"))),
-      obs_bitmap_levels_(&obs::metrics().counter(
-          metric(program.metric_prefix(), "bitmap_frontier_levels"))),
       obs_level_us_(&obs::metrics().histogram(
           metric(program.metric_prefix(), "level_us"))),
       obs_engine_runs_(&obs::metrics().counter("engine.runs")),
@@ -99,44 +95,18 @@ std::int64_t ProgramSession::active_edge_sum() const {
       for (Vertex v = 0; v < ctx_.vertex_count(); ++v) total += degree_of(v);
       return total;
     }
-    if (active->rep() == ActiveSetRep::Bitmap) {
-      const std::span<const std::uint64_t> words = active->bitmap().words();
-      return parallel_reduce<std::int64_t>(
-          pool_, 0, static_cast<std::int64_t>(words.size()), 0,
-          [&](std::int64_t& acc, std::int64_t w) {
-            for_each_set_in_word(
-                words[static_cast<std::size_t>(w)],
-                static_cast<std::size_t>(w) * 64, [&](std::size_t v) {
-                  acc += degree_of(static_cast<Vertex>(v));
-                });
-          },
-          [](std::int64_t a, std::int64_t b) { return a + b; });
-    }
-    const auto& queue = active->queue();
+    const std::span<const std::uint64_t> words = active->bitmap().words();
     return parallel_reduce<std::int64_t>(
-        pool_, 0, static_cast<std::int64_t>(queue.size()), 0,
-        [&](std::int64_t& acc, std::int64_t i) {
-          acc += degree_of(queue[static_cast<std::size_t>(i)]);
+        pool_, 0, static_cast<std::int64_t>(words.size()), 0,
+        [&](std::int64_t& acc, std::int64_t w) {
+          for_each_set_in_word(
+              words[static_cast<std::size_t>(w)],
+              static_cast<std::size_t>(w) * 64, [&](std::size_t v) {
+                acc += degree_of(static_cast<Vertex>(v));
+              });
         },
         [](std::int64_t a, std::int64_t b) { return a + b; });
   });
-}
-
-BottomUpOutput ProgramSession::pull_output(
-    std::int64_t cur_active) const noexcept {
-  switch (config_.frontier_mode) {
-    case FrontierMode::ForceQueue:
-      return BottomUpOutput::Queue;
-    case FrontierMode::ForceBitmap:
-      return BottomUpOutput::Bitmap;
-    case FrontierMode::Auto:
-      break;
-  }
-  // Density proxy: the current set averages >= 1 vertex per bitmap word,
-  // so the next one (typically wider or comparable mid-search) is worth
-  // the O(n/64)-per-worker merge.
-  return cur_active >= ctx_.vertex_count() / 64 ? BottomUpOutput::Bitmap
-                                                : BottomUpOutput::Queue;
 }
 
 bool ProgramSession::step() {
@@ -169,11 +139,6 @@ bool ProgramSession::step() {
   StepResult step_result;
   bool degraded = false;
   if (direction_ == Direction::TopDown) {
-    // Pull supersteps may have produced a bitmap active set; push steps
-    // dequeue, so materialize the queue now (the conversion point sits on
-    // a direction switch, where the set has already thinned).
-    if (active != nullptr && active->ensure_queue(pool_) && obs::enabled())
-      obs_frontier_conversions_->add(1);
     if (auto* const* external =
             std::get_if<ExternalForwardGraph*>(&ctx_.storage.forward))
       prepare_external_storage(**external, config_);
@@ -200,10 +165,6 @@ bool ProgramSession::step() {
       degraded = true;
     }
   } else {
-    ctx_.pull_output = pull_output(cur_active);
-    if (active != nullptr && ctx_.pull_output == BottomUpOutput::Bitmap &&
-        obs::enabled())
-      obs_bitmap_levels_->add(1);
     step_result = program_->step(ctx_, Direction::BottomUp);
     scanned_pull_ += step_result.scanned_edges;
     io_failures_ += step_result.io_failures;

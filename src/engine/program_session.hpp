@@ -5,12 +5,11 @@
 //
 //   - cancel/deadline poll at superstep granularity (the preemption point
 //     the serving engine relies on),
-//   - bitmap->queue conversion of the active set before push supersteps,
 //   - semi-external storage prep (chunk cache, checksums, I/O scheduler
 //     with a fresh error budget) before push supersteps,
 //   - graceful degradation when a push superstep exceeds its I/O error
 //     budget and the program can redo it from the backward graph,
-//   - density-driven pull output selection (FrontierMode),
+//   - advancing the program's active set after each superstep,
 //   - per-superstep LevelStats, switch-policy evaluation, obs metrics
 //     under the program's prefix plus engine-wide aggregates, and trace
 //     spans.
@@ -83,8 +82,6 @@ class ProgramSession {
   [[nodiscard]] const EngineContext& context() const noexcept { return ctx_; }
 
  private:
-  [[nodiscard]] BottomUpOutput pull_output(
-      std::int64_t cur_active) const noexcept;
   /// Degree sum over the current active set (EdgeRatio policy bookkeeping).
   [[nodiscard]] std::int64_t active_edge_sum() const;
 
@@ -119,8 +116,6 @@ class ProgramSession {
   obs::Counter* obs_degraded_levels_;
   obs::Counter* obs_direction_switches_;
   obs::Counter* obs_io_failures_;
-  obs::Counter* obs_frontier_conversions_;
-  obs::Counter* obs_bitmap_levels_;
   obs::Histogram* obs_level_us_;
   // Engine-wide aggregates across all programs.
   obs::Counter* obs_engine_runs_;

@@ -10,7 +10,7 @@
 // program supplies the per-superstep work:
 //
 //   init()              sizes and seeds per-vertex state
-//   active_set()        the frontier (dual queue/bitmap ActiveSet), or
+//   active_set()        the frontier (a current/next bitmap ActiveSet), or
 //                       nullptr for always-all-active programs (PageRank,
 //                       triangle counting)
 //   step(ctx, dir)      one superstep in the given direction; push
@@ -61,10 +61,6 @@ struct EngineContext {
   const BfsConfig* config = nullptr;
   /// 1-based superstep the next step() executes (the BFS level number).
   std::int32_t superstep = 1;
-  /// Next-set representation a pull superstep should emit, resolved by
-  /// the session from config->frontier_mode and the current density
-  /// (meaningless for programs without an active set).
-  BottomUpOutput pull_output = BottomUpOutput::Queue;
 
   [[nodiscard]] Vertex vertex_count() const noexcept {
     return storage.vertex_count();
@@ -91,9 +87,8 @@ class VertexProgram {
   virtual void init(EngineContext& ctx) = 0;
 
   /// The program's frontier, or nullptr when every vertex is (implicitly)
-  /// active each superstep. The session converts the set to its queue
-  /// representation before push supersteps and advances it after each
-  /// step.
+  /// active each superstep. Steps write the next set; the session advances
+  /// it after each step.
   [[nodiscard]] virtual ActiveSet* active_set() noexcept = 0;
 
   /// Whether the program implements the pull (BottomUp) direction.

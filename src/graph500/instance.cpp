@@ -46,19 +46,13 @@ Graph500Instance::Graph500Instance(InstanceConfig config, ThreadPool& pool)
 
   // Step 2: graph construction (+ offload per scenario). Both graphs are
   // built from edge_stream(): streamed back from NVM when the edge list is
-  // offloaded, one batch from DRAM otherwise.
+  // offloaded, one batch from DRAM otherwise. The forward graph is built,
+  // offloaded and released before the backward graph is built, so the two
+  // DRAM CSRs never coexist when the forward side goes to NVM.
   Timer build_timer;
   const VertexPartition partition{vertex_count_, config_.numa_nodes};
   const CsrBuildOptions options;  // unsorted lists
   const EdgeStream stream = edge_stream();
-  forward_dram_.emplace(
-      ForwardGraph::build(vertex_count_, stream, partition, options, pool_));
-  backward_dram_.emplace(
-      BackwardGraph::build(vertex_count_, stream, partition, options, pool_));
-
-  storage_.forward = &*forward_dram_;
-  storage_.backward = &*backward_dram_;
-
   const Scenario& scenario = config_.scenario;
   const bool needs_device =
       scenario.offload_forward || scenario.backward_dram_edges >= 0;
@@ -66,6 +60,10 @@ Graph500Instance::Graph500Instance(InstanceConfig config, ThreadPool& pool)
     ensure_directory(config_.workdir);
     device_ = std::make_shared<NvmDevice>(scenario.effective_profile());
   }
+
+  forward_dram_.emplace(
+      ForwardGraph::build(vertex_count_, stream, partition, options, pool_));
+  storage_.forward = &*forward_dram_;
   if (scenario.offload_forward) {
     external_forward_ = std::make_unique<ExternalForwardGraph>(
         *forward_dram_, device_, config_.workdir, config_.chunk_bytes,
@@ -78,6 +76,10 @@ Graph500Instance::Graph500Instance(InstanceConfig config, ThreadPool& pool)
                         external_forward_->nvm_byte_size()),
                     std::string(to_string(config_.chunk_format)).c_str());
   }
+
+  backward_dram_.emplace(
+      BackwardGraph::build(vertex_count_, stream, partition, options, pool_));
+  storage_.backward = &*backward_dram_;
   if (scenario.backward_dram_edges >= 0) {
     hybrid_backward_ = std::make_unique<HybridBackwardGraph>(
         *backward_dram_, scenario.backward_dram_edges, device_,

@@ -22,12 +22,6 @@ std::size_t Bitmap::count() const noexcept {
   return total;
 }
 
-void Bitmap::or_with(const Bitmap& other) noexcept {
-  SEMBFS_ASSERT(bits_ == other.bits_);
-  for (std::size_t i = 0; i < words_.size(); ++i)
-    words_[i] |= other.words_[i];
-}
-
 void Bitmap::swap(Bitmap& other) noexcept {
   words_.swap(other.words_);
   std::swap(bits_, other.bits_);

@@ -9,8 +9,8 @@
 // Both store 64 bits per word; sizes are in bits. Beyond the per-bit
 // operations, both expose their word arrays directly: the bottom-up BFS
 // kernels work 64 vertices at a time (load one visited word, skip it when
-// saturated, iterate survivors via countr_zero) and merge per-worker
-// frontier bitmaps word-wise, so word access is part of the contract, not
+// saturated, iterate survivors via countr_zero, OR the word's claims into
+// the next frontier at once), so word access is part of the contract, not
 // an implementation leak. Bits at positions >= size() within the last
 // word are always zero (set() rejects them), so whole-word reads never
 // see garbage in the partial tail word.
@@ -55,7 +55,7 @@ void for_each_set_in_word(std::uint64_t word, std::size_t base, Fn&& fn) {
 }
 
 /// Plain (non-atomic) bitmap. Not safe for concurrent writers, except for
-/// set_atomic() which may race with other set_atomic() calls.
+/// set_atomic() and or_word_atomic(), which may race with each other.
 class Bitmap {
  public:
   Bitmap() = default;
@@ -74,13 +74,24 @@ class Bitmap {
     words_[i >> 6] |= std::uint64_t{1} << (i & 63);
   }
   /// Sets bit i with a relaxed atomic OR, safe against concurrent
-  /// set_atomic() on the same word (parallel frontier-bitmap rebuilds
-  /// scatter arbitrary vertices, so two workers may share a word). Not
-  /// ordered against plain reads in the same parallel region.
+  /// set_atomic() and or_word_atomic() on the same word (the BFS steps
+  /// write the next frontier from every worker, and two workers may share
+  /// a word). Not ordered against plain reads in the same parallel region.
   void set_atomic(std::size_t i) noexcept {
     SEMBFS_ASSERT(i < bits_);
     std::atomic_ref<std::uint64_t>{words_[i >> 6]}.fetch_or(
         std::uint64_t{1} << (i & 63), std::memory_order_relaxed);
+  }
+  /// Sets the `bits` of word w with one relaxed atomic OR, under the same
+  /// contract as set_atomic() — a kernel that claims several vertices of
+  /// one word publishes them together. Bits at positions >= size() must be
+  /// zero.
+  void or_word_atomic(std::size_t w, std::uint64_t bits) noexcept {
+    SEMBFS_ASSERT(w < words_.size());
+    SEMBFS_ASSERT(w + 1 < words_.size() ||
+                  (bits & ~bitmap_tail_mask(bits_ - w * 64)) == 0);
+    std::atomic_ref<std::uint64_t>{words_[w]}.fetch_or(
+        bits, std::memory_order_relaxed);
   }
   void reset(std::size_t i) noexcept {
     SEMBFS_ASSERT(i < bits_);
@@ -110,9 +121,6 @@ class Bitmap {
     return words_;
   }
   [[nodiscard]] std::span<std::uint64_t> words() noexcept { return words_; }
-
-  /// Word-wise OR-merge: this |= other. Sizes must match.
-  void or_with(const Bitmap& other) noexcept;
 
   /// Clears via `pool` (anything with ThreadPool's run(n, fn)/size()
   /// shape), partitioning the word array statically. Serial below a small

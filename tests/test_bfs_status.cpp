@@ -7,12 +7,14 @@
 #include <thread>
 #include <vector>
 
+#include "parallel/parallel_for.hpp"
 #include "parallel/thread_pool.hpp"
 
 namespace sembfs {
 namespace {
 
 TEST(BfsStatus, ResetSeedsRoot) {
+  ThreadPool pool{1};
   BfsStatus status{10};
   status.reset(3);
   EXPECT_EQ(status.parent(3), 3);
@@ -20,7 +22,8 @@ TEST(BfsStatus, ResetSeedsRoot) {
   EXPECT_TRUE(status.is_visited(3));
   EXPECT_TRUE(status.in_frontier(3));
   EXPECT_EQ(status.frontier_size(), 1);
-  EXPECT_EQ(status.frontier()[0], 3);
+  EXPECT_EQ(status.frontier_queue(pool), (std::vector<Vertex>{3}));
+  EXPECT_EQ(status.next_frontier().count(), 0u);
   EXPECT_EQ(status.visited_count(), 1);
 }
 
@@ -45,23 +48,28 @@ TEST(BfsStatus, ClaimWinsOnce) {
 }
 
 TEST(BfsStatus, AdvancePromotesNext) {
+  ThreadPool pool{2};
   BfsStatus status{10};
   status.reset(0);
   status.claim(4, 0, 1);
   status.claim(7, 0, 1);
-  status.set_next({4, 7});
-  status.advance();
+  status.next_frontier().set_atomic(7);
+  status.next_frontier().set_atomic(4);
+  status.advance(pool);
   EXPECT_EQ(status.frontier_size(), 2);
   EXPECT_TRUE(status.in_frontier(4));
   EXPECT_TRUE(status.in_frontier(7));
   EXPECT_FALSE(status.in_frontier(0));  // old frontier gone
+  EXPECT_EQ(status.frontier_queue(pool), (std::vector<Vertex>{4, 7}));
 }
 
 TEST(BfsStatus, AdvanceOnEmptyNextEmptiesFrontier) {
+  ThreadPool pool{1};
   BfsStatus status{4};
   status.reset(0);
-  status.advance();
+  status.advance(pool);
   EXPECT_EQ(status.frontier_size(), 0);
+  EXPECT_TRUE(status.frontier_queue(pool).empty());
 }
 
 TEST(BfsStatus, ResetClearsPreviousSearch) {
@@ -165,92 +173,85 @@ TEST(BfsStatus, ClaimBottomUpWordSharedWordAcrossThreads) {
   for (Vertex v = 1; v < 64; ++v) EXPECT_EQ(status.parent(v), 0) << v;
 }
 
-TEST(BfsStatus, SetNextMergedConcatsPerWorkerBuffers) {
-  ThreadPool pool{4};
-  BfsStatus status{16};
-  status.reset(0);
-  std::vector<std::vector<Vertex>> buffers = {{1, 2}, {}, {3}, {4, 5}};
-  status.set_next_merged(buffers, pool);
-  status.advance();
-  ASSERT_EQ(status.frontier_rep(), FrontierRep::Queue);
-  EXPECT_EQ(status.frontier(), (std::vector<Vertex>{1, 2, 3, 4, 5}));
-  for (const Vertex v : {1, 2, 3, 4, 5}) EXPECT_TRUE(status.in_frontier(v));
-}
-
 TEST(BfsStatus, BitmapAdvanceMergesAndClearsWorkerBitmaps) {
+  // Two threads OR claims into the one next frontier, one of them a word
+  // at a time as the bottom-up kernel does; advance() promotes both and
+  // leaves the next frontier empty for the following level.
+  ThreadPool pool{2};
   BfsStatus status{256};
   status.reset(0);
-  status.begin_bitmap_next(2);
   claim_one(status, 10, 0, 1);
-  status.worker_next(0).set(10);
   claim_one(status, 70, 0, 1);
-  status.worker_next(1).set(70);
-  status.advance();
-  EXPECT_EQ(status.frontier_rep(), FrontierRep::Bitmap);
-  EXPECT_EQ(status.frontier_size(), 2);
+  claim_one(status, 71, 0, 1);
+  std::thread a([&] { status.next_frontier().set_atomic(10); });
+  std::thread b([&] {
+    status.next_frontier().or_word_atomic(1, std::uint64_t{0b11} << 6);
+  });
+  a.join();
+  b.join();
+  status.advance(pool);
+  EXPECT_EQ(status.frontier_size(), 3);
   EXPECT_TRUE(status.in_frontier(10));
   EXPECT_TRUE(status.in_frontier(70));
+  EXPECT_TRUE(status.in_frontier(71));
   EXPECT_FALSE(status.in_frontier(0));  // old frontier gone
-  // The merge must restore the all-zero invariant so the next bitmap
-  // level starts clean.
-  EXPECT_EQ(status.worker_next(0).count(), 0u);
-  EXPECT_EQ(status.worker_next(1).count(), 0u);
+  EXPECT_EQ(status.next_frontier().count(), 0u);
+  // The next level starts from a clean next frontier.
+  status.advance(pool);
+  EXPECT_EQ(status.frontier_size(), 0);
 }
 
 TEST(BfsStatus, EnsureFrontierQueueMaterializesSortedOnce) {
+  ThreadPool pool{4};
   BfsStatus status{256};
   status.reset(0);
-  status.begin_bitmap_next(1);
   for (const Vertex v : {200, 3, 64, 63}) {
     claim_one(status, v, 0, 1);
-    status.worker_next(0).set(static_cast<std::size_t>(v));
+    status.next_frontier().set_atomic(static_cast<std::size_t>(v));
   }
-  status.advance();
-  ASSERT_EQ(status.frontier_rep(), FrontierRep::Bitmap);
-  EXPECT_TRUE(status.ensure_frontier_queue());
-  EXPECT_EQ(status.frontier_rep(), FrontierRep::Queue);
-  EXPECT_EQ(status.frontier(), (std::vector<Vertex>{3, 63, 64, 200}));
-  EXPECT_FALSE(status.ensure_frontier_queue());  // already a queue
+  status.advance(pool);
+  EXPECT_EQ(status.frontier_queue(pool),
+            (std::vector<Vertex>{3, 63, 64, 200}));
+  // Later calls in the same level list the same frontier, whatever claims
+  // are already landing in the next one...
+  status.next_frontier().set_atomic(100);
+  EXPECT_EQ(status.frontier_queue(pool),
+            (std::vector<Vertex>{3, 63, 64, 200}));
+  // ...and after advance() the call lists the new frontier.
+  status.advance(pool);
+  EXPECT_EQ(status.frontier_queue(pool), (std::vector<Vertex>{100}));
 }
 
 TEST(BfsStatus, ParallelPathsMatchSerialOnLargeFrontiers) {
-  // Drive both advance(pool) paths and the parallel queue materialization
-  // above their serial-fallback thresholds and check against ground truth.
-  constexpr Vertex kN = 1 << 20;
-  ThreadPool pool{4};
-  BfsStatus status{kN};
-  status.reset(0);
-
-  // Queue-pending path: a big next list -> parallel bitmap rebuild.
-  std::vector<Vertex> next;
-  for (Vertex v = 1; v < kN; v += 3) next.push_back(v);
-  const auto expected = next;
-  status.set_next(std::move(next));
-  status.advance(pool);
-  ASSERT_EQ(status.frontier_rep(), FrontierRep::Queue);
-  EXPECT_EQ(status.frontier_size(),
-            static_cast<std::int64_t>(expected.size()));
-  EXPECT_TRUE(status.in_frontier(1));
-  EXPECT_FALSE(status.in_frontier(2));
-  EXPECT_FALSE(status.in_frontier(0));
-
-  // Bitmap-pending path: per-worker bitmaps -> parallel word merge.
-  status.begin_bitmap_next(2);
-  for (Vertex v = 2; v < kN; v += 7)
-    status.worker_next(v % 2 == 0 ? 0 : 1).set(static_cast<std::size_t>(v));
-  status.advance(pool);
-  ASSERT_EQ(status.frontier_rep(), FrontierRep::Bitmap);
-  const std::int64_t bitmap_count = status.frontier_size();
-  EXPECT_EQ(bitmap_count, (kN - 2 + 6) / 7);
-
-  // Parallel queue materialization must agree with the bitmap.
-  EXPECT_TRUE(status.ensure_frontier_queue(pool));
-  ASSERT_EQ(status.frontier_size(), bitmap_count);
-  const auto& frontier = status.frontier();
-  EXPECT_TRUE(std::is_sorted(frontier.begin(), frontier.end()));
-  EXPECT_EQ(frontier.front(), 2);
-  for (const Vertex v : {Vertex{2}, Vertex{9}, Vertex{16}})
-    EXPECT_TRUE(status.in_frontier(v));
+  // advance() and the queue extraction below and above their serial
+  // thresholds, on one worker and on four: every path counts the same
+  // frontier and lists it ascending.
+  for (const Vertex n : {Vertex{1} << 12, Vertex{1} << 20}) {
+    for (const std::size_t workers : {std::size_t{1}, std::size_t{4}}) {
+      SCOPED_TRACE(::testing::Message() << "n=" << n << " workers="
+                                        << workers);
+      ThreadPool pool{workers};
+      BfsStatus status{n};
+      status.reset(0);
+      for (const Vertex stride : {3, 7}) {
+        std::vector<Vertex> expected;
+        for (Vertex v = stride - 2; v < n; v += stride) expected.push_back(v);
+        Bitmap& next = status.next_frontier();
+        parallel_for(pool, 0, static_cast<std::int64_t>(expected.size()),
+                     [&](std::int64_t i) {
+                       next.set_atomic(static_cast<std::size_t>(
+                           expected[static_cast<std::size_t>(i)]));
+                     });
+        status.advance(pool);
+        ASSERT_EQ(status.frontier_size(),
+                  static_cast<std::int64_t>(expected.size()));
+        ASSERT_EQ(status.frontier_queue(pool), expected);
+        EXPECT_EQ(status.next_frontier().count(), 0u);
+      }
+      EXPECT_TRUE(status.in_frontier(5));   // stride 7, from 5
+      EXPECT_FALSE(status.in_frontier(1));  // stride 3's frontier gone
+    }
+  }
 }
 
 TEST(BfsStatus, ByteSizeScalesWithVertices) {

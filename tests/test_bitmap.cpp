@@ -125,39 +125,36 @@ TEST(Bitmap, CountOnPartialTailWord) {
   EXPECT_EQ(b.count(), 3u);
 }
 
-TEST(Bitmap, OrWithMergesAcrossWordsAndTail) {
-  Bitmap a{130};
-  Bitmap b{130};
-  a.set(0);
-  a.set(64);
-  b.set(63);
-  b.set(64);
-  b.set(129);
-  a.or_with(b);
-  EXPECT_EQ(a.count(), 4u);
-  EXPECT_TRUE(a.test(0));
-  EXPECT_TRUE(a.test(63));
-  EXPECT_TRUE(a.test(64));
-  EXPECT_TRUE(a.test(129));
-  EXPECT_EQ(b.count(), 3u);  // source untouched
-}
-
 TEST(Bitmap, SetAtomicRacesOnSharedWordsLoseNoBits) {
+  // Both atomic writers — set_atomic per bit and or_word_atomic per word —
+  // in every mix: the BFS steps use both on one next-frontier bitmap.
   constexpr std::size_t kBits = 1 << 12;
   constexpr int kThreads = 8;
-  Bitmap b{kBits};
-  std::vector<std::thread> threads;
-  for (int t = 0; t < kThreads; ++t) {
-    threads.emplace_back([&b, t] {
-      // Every thread writes a distinct residue class mod kThreads, so all
-      // threads hammer every word concurrently.
-      for (std::size_t i = static_cast<std::size_t>(t); i < kBits;
-           i += kThreads)
-        b.set_atomic(i);
-    });
+  for (const int word_writers : {0, kThreads / 2, kThreads}) {
+    SCOPED_TRACE(word_writers);
+    Bitmap b{kBits};
+    std::vector<std::thread> threads;
+    for (int t = 0; t < kThreads; ++t) {
+      threads.emplace_back([&b, t, word_writers] {
+        // Every thread writes a distinct residue class mod kThreads, so all
+        // threads hammer every word concurrently.
+        if (t < word_writers) {
+          std::uint64_t mask = 0;
+          for (std::size_t i = static_cast<std::size_t>(t); i < 64;
+               i += kThreads)
+            mask |= std::uint64_t{1} << i;
+          for (std::size_t w = 0; w < kBits / 64; ++w)
+            b.or_word_atomic(w, mask);
+          return;
+        }
+        for (std::size_t i = static_cast<std::size_t>(t); i < kBits;
+             i += kThreads)
+          b.set_atomic(i);
+      });
+    }
+    for (auto& t : threads) t.join();
+    EXPECT_EQ(b.count(), kBits);
   }
-  for (auto& t : threads) t.join();
-  EXPECT_EQ(b.count(), kBits);
 }
 
 TEST(Bitmap, ClearParallelZeroesLargeBitmap) {

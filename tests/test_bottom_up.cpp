@@ -99,7 +99,9 @@ TEST_F(BottomUpTest, ClaimsSameFrontierAsTopDownWould) {
     const StepResult r =
         bottom_up_step(backward, status, 1, topology_, pool_, 2);
     EXPECT_EQ(r.claimed, 2);  // 1 and 3 find 0 in the frontier
-    const std::set<Vertex> next(status.next().begin(), status.next().end());
+    std::set<Vertex> next;
+    status.next_frontier().for_each_set(
+        [&](std::size_t v) { next.insert(static_cast<Vertex>(v)); });
     EXPECT_EQ(next, (std::set<Vertex>{1, 3}));
     EXPECT_EQ(status.parent(1), 0);
     EXPECT_EQ(status.parent(3), 0);
@@ -112,7 +114,7 @@ TEST_F(BottomUpTest, ParentIsAlwaysFrontierMember) {
     BfsStatus status{8};
     status.reset(0);
     bottom_up_step(backward, status, 1, topology_, pool_, 2);
-    status.advance();  // frontier = {1, 3}
+    status.advance(pool_);  // frontier = {1, 3}
     bottom_up_step(backward, status, 2, topology_, pool_, 2);
     EXPECT_TRUE(status.is_visited(2));
     EXPECT_TRUE(status.is_visited(4));
@@ -155,7 +157,7 @@ TEST_F(BottomUpTest, UnreachableComponentNeverClaimed) {
     status.reset(0);
     for (int level = 1; level <= 4; ++level) {
       bottom_up_step(backward, status, level, topology_, pool_, 2);
-      status.advance();
+      status.advance(pool_);
     }
     EXPECT_EQ(status.parent(5), kNoVertex);
     EXPECT_EQ(status.parent(6), kNoVertex);
@@ -169,68 +171,26 @@ TEST_F(BottomUpTest, EmptyFrontierClaimsNothing) {
     SCOPED_TRACE(name);
     BfsStatus status{8};
     status.reset(0);
-    status.advance();  // frontier empty
+    status.advance(pool_);  // frontier empty
     const StepResult r =
         bottom_up_step(backward, status, 1, topology_, pool_, 2);
     EXPECT_EQ(r.claimed, 0);
   }
 }
 
-TEST_F(BottomUpTest, BitmapOutputMatchesQueueOutput) {
-  // The same search run once per backward source and output
-  // representation must build identical trees — only the storage and the
-  // next-frontier container differ. The DRAM queue run is the reference.
-  BfsStatus reference{8};
-  reference.reset(0);
-  std::vector<std::int64_t> claimed;
-  std::vector<std::int64_t> frontier;
-  for (int level = 1; level <= 4; ++level) {
-    claimed.push_back(bottom_up_step(&backward_, reference, level, topology_,
-                                     pool_, 2, BottomUpOutput::Queue)
-                          .claimed);
-    reference.advance();
-    frontier.push_back(reference.frontier_size());
-  }
-  for (const auto& [name, backward] : sources()) {
-    for (const BottomUpOutput output :
-         {BottomUpOutput::Queue, BottomUpOutput::Bitmap}) {
-      SCOPED_TRACE(name + (output == BottomUpOutput::Queue ? " queue"
-                                                           : " bitmap"));
-      BfsStatus status{8};
-      status.reset(0);
-      for (int level = 1; level <= 4; ++level) {
-        const StepResult r = bottom_up_step(backward, status, level,
-                                            topology_, pool_, 2, output);
-        EXPECT_EQ(r.claimed, claimed[level - 1]) << "level " << level;
-        status.advance();
-        EXPECT_EQ(status.frontier_size(), frontier[level - 1])
-            << "level " << level;
-      }
-      for (Vertex v = 0; v < 8; ++v) {
-        EXPECT_EQ(status.level(v), reference.level(v)) << "v=" << v;
-        EXPECT_EQ(status.parent(v) == kNoVertex,
-                  reference.parent(v) == kNoVertex)
-            << "v=" << v;
-      }
-    }
-  }
-}
-
 TEST_F(BottomUpTest, BitmapOutputFrontierSupportsNextSweep) {
-  // A bitmap-rep frontier must drive the following bottom-up level without
-  // any queue materialization: in_frontier reads the bitmap directly.
+  // The next frontier a bottom-up level ORs into drives the following
+  // level once advanced: in_frontier reads the bitmap directly.
   for (const auto& [name, backward] : sources()) {
     SCOPED_TRACE(name);
     BfsStatus status{8};
     status.reset(0);
-    bottom_up_step(backward, status, 1, topology_, pool_, 2,
-                   BottomUpOutput::Bitmap);
-    status.advance();
-    ASSERT_EQ(status.frontier_rep(), FrontierRep::Bitmap);
+    bottom_up_step(backward, status, 1, topology_, pool_, 2);
+    status.advance(pool_);
     EXPECT_EQ(status.frontier_size(), 2);  // {1, 3}
-    bottom_up_step(backward, status, 2, topology_, pool_, 2,
-                   BottomUpOutput::Bitmap);
-    status.advance();
+    EXPECT_EQ(status.frontier_bitmap().word(0), 0b1010u);
+    bottom_up_step(backward, status, 2, topology_, pool_, 2);
+    status.advance(pool_);
     EXPECT_TRUE(status.is_visited(2));
     EXPECT_TRUE(status.is_visited(4));
     EXPECT_EQ(status.parent(2), 1);
@@ -238,16 +198,20 @@ TEST_F(BottomUpTest, BitmapOutputFrontierSupportsNextSweep) {
 }
 
 TEST_F(BottomUpTest, HybridBitmapOutputMatchesDramQueue) {
+  // Level by level, the hybrid graph's sweep leaves the same frontier
+  // bitmap as the DRAM graph's.
   BfsStatus dram_status{8};
   BfsStatus hybrid_status{8};
   dram_status.reset(0);
   hybrid_status.reset(0);
   for (int level = 1; level <= 3; ++level) {
     bottom_up_step(&backward_, dram_status, level, topology_, pool_, 2);
-    bottom_up_step(hybrid_.get(), hybrid_status, level, topology_, pool_, 2,
-                   BottomUpOutput::Bitmap);
-    dram_status.advance();
-    hybrid_status.advance();
+    bottom_up_step(hybrid_.get(), hybrid_status, level, topology_, pool_, 2);
+    dram_status.advance(pool_);
+    hybrid_status.advance(pool_);
+    EXPECT_EQ(dram_status.frontier_bitmap().word(0),
+              hybrid_status.frontier_bitmap().word(0))
+        << "level " << level;
   }
   for (Vertex v = 0; v < 8; ++v)
     EXPECT_EQ(dram_status.level(v), hybrid_status.level(v)) << "v=" << v;
@@ -261,8 +225,8 @@ TEST_F(BottomUpTest, HybridVariantMatchesDram) {
   for (int level = 1; level <= 3; ++level) {
     bottom_up_step(&backward_, dram_status, level, topology_, pool_, 2);
     bottom_up_step(hybrid_.get(), hybrid_status, level, topology_, pool_, 2);
-    dram_status.advance();
-    hybrid_status.advance();
+    dram_status.advance(pool_);
+    hybrid_status.advance(pool_);
   }
   for (Vertex v = 0; v < 8; ++v)
     EXPECT_EQ(dram_status.level(v), hybrid_status.level(v)) << "v=" << v;
@@ -304,7 +268,7 @@ TEST_F(BottomUpTest, MaskedSweepMatchesReferencePerLevel) {
       }
       EXPECT_EQ(r.claimed, claimed) << "level " << level;
       EXPECT_EQ(r.claimed_degrees, degrees) << "level " << level;
-      status.advance();
+      status.advance(pool_);
       for (Vertex v = 0; v < edges.vertex_count(); ++v)
         ASSERT_EQ(status.is_visited(v),
                   ref.level[v] >= 0 && ref.level[v] <= level)
@@ -335,8 +299,8 @@ TEST_F(BottomUpTest, DeltaInsertReachesDegreeZeroBaseVertex) {
     StepResult last;
     for (int level = 1; level <= 3; ++level) {
       last = bottom_up_step(backward, status, level, topology_, pool_, 2,
-                            BottomUpOutput::Queue, &delta);
-      status.advance();
+                            &delta);
+      status.advance(pool_);
     }
     EXPECT_EQ(last.claimed, 1);
     EXPECT_EQ(last.claimed_degrees, 1);
@@ -347,7 +311,7 @@ TEST_F(BottomUpTest, DeltaInsertReachesDegreeZeroBaseVertex) {
 
 TEST_F(BottomUpTest, WordKernelMatchesSerialFirstHitScan) {
   // Every level of a bottom-up-only search, on DRAM and on hybrid storage
-  // with k = 0, 1 and 2, with either output: the claims, their degree sum,
+  // with k = 0, 1 and 2: the claims, their degree sum,
   // the scanned edges and every parent equal a serial first-hit scan over
   // the same frontier. 3 nodes and 100-vertex chunks put chunk and node
   // boundaries inside words, so two workers share visited words.
@@ -370,32 +334,28 @@ TEST_F(BottomUpTest, WordKernelMatchesSerialFirstHitScan) {
   }
 
   for (const auto& [name, storage] : storages) {
-    for (const BottomUpOutput output :
-         {BottomUpOutput::Queue, BottomUpOutput::Bitmap}) {
-      SCOPED_TRACE(name + (output == BottomUpOutput::Queue ? " queue"
-                                                           : " bitmap"));
-      BfsStatus status{1000};
-      status.reset(root);
-      std::int32_t level = 1;
-      for (; status.frontier_size() > 0; ++level) {
-        const SerialLevel expected = serial_first_hit(backward, status);
-        const StepResult r = bottom_up_step(storage, status, level, topology,
-                                            pool_, 100, output);
-        EXPECT_EQ(r.claimed, expected.claimed) << "level " << level;
-        EXPECT_EQ(r.claimed_degrees, expected.claimed_degrees)
-            << "level " << level;
-        EXPECT_EQ(r.scanned_edges, expected.scanned) << "level " << level;
-        for (Vertex v = 0; v < 1000; ++v) {
-          const Vertex want = expected.parent[static_cast<std::size_t>(v)];
-          if (want == kNoVertex) continue;
-          ASSERT_EQ(status.parent(v), want) << "level " << level << " v=" << v;
-          ASSERT_EQ(status.level(v), level) << "v=" << v;
-        }
-        status.advance(pool_);
-        EXPECT_EQ(status.frontier_size(), expected.claimed);
+    SCOPED_TRACE(name);
+    BfsStatus status{1000};
+    status.reset(root);
+    std::int32_t level = 1;
+    for (; status.frontier_size() > 0; ++level) {
+      const SerialLevel expected = serial_first_hit(backward, status);
+      const StepResult r =
+          bottom_up_step(storage, status, level, topology, pool_, 100);
+      EXPECT_EQ(r.claimed, expected.claimed) << "level " << level;
+      EXPECT_EQ(r.claimed_degrees, expected.claimed_degrees)
+          << "level " << level;
+      EXPECT_EQ(r.scanned_edges, expected.scanned) << "level " << level;
+      for (Vertex v = 0; v < 1000; ++v) {
+        const Vertex want = expected.parent[static_cast<std::size_t>(v)];
+        if (want == kNoVertex) continue;
+        ASSERT_EQ(status.parent(v), want) << "level " << level << " v=" << v;
+        ASSERT_EQ(status.level(v), level) << "v=" << v;
       }
-      EXPECT_GT(level, 3);  // the search ran several levels
+      status.advance(pool_);
+      EXPECT_EQ(status.frontier_size(), expected.claimed);
     }
+    EXPECT_GT(level, 3);  // the search ran several levels
   }
 }
 
@@ -431,7 +391,7 @@ TEST_F(BottomUpTest, HubProbeCountsAsOneScannedDramEdge) {
           bottom_up_step(storage, status, level, topology, pool_, 100);
       scanned += r.scanned_edges;
       claimed += r.claimed;
-      status.advance();
+      status.advance(pool_);
     }
     obs::set_enabled(false);
     const std::uint64_t hub_claims =
@@ -463,21 +423,17 @@ TEST_F(BottomUpTest, DeltaTombstonedHubIsNeverParent) {
         return std::ranges::count(backward_.neighbors(u), w);
       });
   for (const auto& [name, backward] : sources()) {
-    for (const BottomUpOutput output :
-         {BottomUpOutput::Queue, BottomUpOutput::Bitmap}) {
-      SCOPED_TRACE(name);
-      BfsStatus status{8};
-      status.reset(0);
-      bottom_up_step(backward, status, 1, topology_, pool_, 2, output,
-                     &delta);
-      status.advance();
-      const StepResult r = bottom_up_step(backward, status, 2, topology_,
-                                          pool_, 2, output, &delta);
-      EXPECT_EQ(status.parent(4), 3);
-      EXPECT_EQ(status.parent(2), 1);
-      EXPECT_EQ(r.claimed, 2);
-      EXPECT_EQ(r.claimed_degrees, 2);  // 2: {1}, 4: {3}
-    }
+    SCOPED_TRACE(name);
+    BfsStatus status{8};
+    status.reset(0);
+    bottom_up_step(backward, status, 1, topology_, pool_, 2, &delta);
+    status.advance(pool_);
+    const StepResult r =
+        bottom_up_step(backward, status, 2, topology_, pool_, 2, &delta);
+    EXPECT_EQ(status.parent(4), 3);
+    EXPECT_EQ(status.parent(2), 1);
+    EXPECT_EQ(r.claimed, 2);
+    EXPECT_EQ(r.claimed_degrees, 2);  // 2: {1}, 4: {3}
   }
 }
 
@@ -491,12 +447,10 @@ TEST_F(BottomUpTest, DeltaInsertIsScannedBeforeTheHub) {
     SCOPED_TRACE(name);
     BfsStatus status{8};
     status.reset(0);
-    bottom_up_step(backward, status, 1, topology_, pool_, 2,
-                   BottomUpOutput::Queue, &delta);
-    status.advance();
-    const StepResult r = bottom_up_step(backward, status, 2, topology_,
-                                        pool_, 2, BottomUpOutput::Queue,
-                                        &delta);
+    bottom_up_step(backward, status, 1, topology_, pool_, 2, &delta);
+    status.advance(pool_);
+    const StepResult r =
+        bottom_up_step(backward, status, 2, topology_, pool_, 2, &delta);
     EXPECT_EQ(status.parent(4), 3);
     EXPECT_EQ(r.claimed, 2);
     EXPECT_EQ(r.claimed_degrees, 1 + 3);  // 4: base {1, 3} plus the insert
@@ -536,9 +490,8 @@ TEST_F(BottomUpTest, DeltaKeepsTheMaskForVerticesWithoutInserts) {
     BfsStatus status{edges.vertex_count()};
     status.reset(root);
     for (std::int32_t level = 1; status.frontier_size() > 0; ++level) {
-      bottom_up_step(storage, status, level, topology_, pool_, 64,
-                     BottomUpOutput::Queue, &delta);
-      status.advance();
+      bottom_up_step(storage, status, level, topology_, pool_, 64, &delta);
+      status.advance(pool_);
     }
     obs::set_enabled(false);
     EXPECT_GT(obs::metrics().counter("bfs.bottom_up.words_skipped").value(),

@@ -48,19 +48,16 @@ struct DiffCase {
   // Hybrid cells leave NVM quickly (wide levels go bottom-up in DRAM);
   // TopDownOnly keeps every level on the device for fault-heavy cells.
   BfsMode mode = BfsMode::Hybrid;
-  // Next-frontier representation for bottom-up levels: both forced
-  // representations must produce the same tree as Auto (and the serial
-  // reference).
-  FrontierMode frontier = FrontierMode::Auto;
   // On-NVM adjacency layout for external/tiered storage: the compressed
   // backends must be reference-exact across the same policy/fault matrix.
   ChunkFormat chunk_format = ChunkFormat::kRaw;
 
+  // "_rep0" names the one frontier representation left of a retired
+  // dimension; it stays so that existing case names do not change.
   friend std::ostream& operator<<(std::ostream& os, const DiffCase& c) {
     return os << c.generator << "_" << c.storage << "_policy"
               << static_cast<int>(c.policy) << "_mode"
-              << static_cast<int>(c.mode) << "_rep"
-              << static_cast<int>(c.frontier) << "_fmt"
+              << static_cast<int>(c.mode) << "_rep0_fmt"
               << to_string(c.chunk_format) << "_a" << c.alpha << "_b"
               << c.beta << "_err" << c.read_error_rate << "_corr"
               << c.corruption_rate << "_seed" << kSeed;
@@ -111,7 +108,6 @@ TEST_P(DifferentialSweep, LevelsMatchReferenceAndTreeValidates) {
 
   BfsConfig config;
   config.mode = c.mode;
-  config.frontier_mode = c.frontier;
   config.policy.kind = c.policy;
   config.policy.alpha = c.alpha;
   config.policy.beta = c.beta;
@@ -211,80 +207,42 @@ INSTANTIATE_TEST_SUITE_P(
         // Errors and corruption together.
         DiffCase{"kron", "external", PolicyKind::FrontierRatio, kA, kB, 1e-3,
                  1e-3},
-        // Frontier-representation dimension: the forced bitmap output must
-        // reproduce the reference tree in every generator x storage cell
-        // (the Auto cells above already cover mixed queue/bitmap levels).
+        // Every level bottom-up: the push queue is never extracted.
         DiffCase{"kron", "dram", PolicyKind::FrontierRatio, kA, kB, 0, 0,
-                 false, BfsMode::Hybrid, FrontierMode::ForceBitmap},
-        DiffCase{"kron", "external", PolicyKind::FrontierRatio, kA, kB, 0, 0,
-                 false, BfsMode::Hybrid, FrontierMode::ForceBitmap},
-        DiffCase{"kron", "tiered", PolicyKind::FrontierRatio, kA, kB, 0, 0,
-                 false, BfsMode::Hybrid, FrontierMode::ForceBitmap},
-        DiffCase{"uniform", "dram", PolicyKind::FrontierRatio, kA, kB, 0, 0,
-                 false, BfsMode::Hybrid, FrontierMode::ForceBitmap},
-        DiffCase{"uniform", "external", PolicyKind::FrontierRatio, kA, kB, 0,
-                 0, false, BfsMode::Hybrid, FrontierMode::ForceBitmap},
-        DiffCase{"uniform", "tiered", PolicyKind::FrontierRatio, kA, kB, 0, 0,
-                 false, BfsMode::Hybrid, FrontierMode::ForceBitmap},
-        // Forced queue pins the legacy representation end-to-end.
-        DiffCase{"kron", "dram", PolicyKind::FrontierRatio, kA, kB, 0, 0,
-                 false, BfsMode::Hybrid, FrontierMode::ForceQueue},
-        DiffCase{"uniform", "external", PolicyKind::FrontierRatio, kA, kB, 0,
-                 0, false, BfsMode::Hybrid, FrontierMode::ForceQueue},
-        // Every level bottom-up in bitmap mode: queue materialization never
-        // runs except for validation snapshots.
-        DiffCase{"kron", "dram", PolicyKind::FrontierRatio, kA, kB, 0, 0,
-                 false, BfsMode::BottomUpOnly, FrontierMode::ForceBitmap},
-        // Degradation under forced bitmap: the bottom-up redo of a failed
-        // top-down level must stay on queue output so the partial top-down
-        // next list merges in.
-        DiffCase{"kron", "external", PolicyKind::FrontierRatio, kA, kB, 3e-2,
-                 0, true, BfsMode::TopDownOnly, FrontierMode::ForceBitmap},
+                 false, BfsMode::BottomUpOnly},
         // Chunk-format dimension: the varint-compressed external and tiered
         // backends must be reference-exact in the same policy cells...
         DiffCase{"kron", "external", PolicyKind::FrontierRatio, kA, kB, 0, 0,
-                 false, BfsMode::Hybrid, FrontierMode::Auto,
-                 ChunkFormat::kVarint},
+                 false, BfsMode::Hybrid, ChunkFormat::kVarint},
         DiffCase{"kron", "tiered", PolicyKind::FrontierRatio, kA, kB, 0, 0,
-                 false, BfsMode::Hybrid, FrontierMode::Auto,
-                 ChunkFormat::kVarint},
+                 false, BfsMode::Hybrid, ChunkFormat::kVarint},
         DiffCase{"uniform", "external", PolicyKind::EdgeRatio, 14, 24, 0, 0,
-                 false, BfsMode::Hybrid, FrontierMode::Auto,
-                 ChunkFormat::kVarint},
+                 false, BfsMode::Hybrid, ChunkFormat::kVarint},
         DiffCase{"uniform", "tiered", PolicyKind::EdgeRatio, 14, 24, 0, 0,
-                 false, BfsMode::Hybrid, FrontierMode::Auto,
-                 ChunkFormat::kVarint},
+                 false, BfsMode::Hybrid, ChunkFormat::kVarint},
         // ...under injected read errors (containment + degraded retry over
         // compressed blobs)...
         DiffCase{"kron", "external", PolicyKind::FrontierRatio, kA, kB, 1e-3,
-                 0, false, BfsMode::Hybrid, FrontierMode::Auto,
-                 ChunkFormat::kVarint},
+                 0, false, BfsMode::Hybrid, ChunkFormat::kVarint},
         DiffCase{"uniform", "tiered", PolicyKind::FrontierRatio, kA, kB, 1e-3,
-                 0, false, BfsMode::Hybrid, FrontierMode::Auto,
-                 ChunkFormat::kVarint},
+                 0, false, BfsMode::Hybrid, ChunkFormat::kVarint},
         // ...and under injected bit corruption: a flipped compressed blob
         // fails its own CRC inside CompressedBlockFile and heals via
         // re-fetch (the cache+registry protect the raw index file).
         DiffCase{"kron", "external", PolicyKind::FrontierRatio, kA, kB, 0,
-                 1e-3, false, BfsMode::Hybrid, FrontierMode::Auto,
-                 ChunkFormat::kVarint},
+                 1e-3, false, BfsMode::Hybrid, ChunkFormat::kVarint},
         DiffCase{"kron", "tiered", PolicyKind::FrontierRatio, kA, kB, 0,
-                 1e-3, false, BfsMode::Hybrid, FrontierMode::Auto,
-                 ChunkFormat::kVarint},
+                 1e-3, false, BfsMode::Hybrid, ChunkFormat::kVarint},
         DiffCase{"uniform", "external", PolicyKind::FrontierRatio, kA, kB, 0,
-                 1e-3, false, BfsMode::Hybrid, FrontierMode::Auto,
-                 ChunkFormat::kVarint},
+                 1e-3, false, BfsMode::Hybrid, ChunkFormat::kVarint},
         DiffCase{"uniform", "tiered", PolicyKind::FrontierRatio, kA, kB, 0,
-                 1e-3, false, BfsMode::Hybrid, FrontierMode::Auto,
-                 ChunkFormat::kVarint},
+                 1e-3, false, BfsMode::Hybrid, ChunkFormat::kVarint},
         // ...and with errors and corruption together on the heavy-error
         // top-down path, where degradation must still fire and contain.
         DiffCase{"kron", "external", PolicyKind::FrontierRatio, kA, kB, 1e-3,
-                 1e-3, false, BfsMode::Hybrid, FrontierMode::Auto,
-                 ChunkFormat::kVarint},
+                 1e-3, false, BfsMode::Hybrid, ChunkFormat::kVarint},
         DiffCase{"kron", "external", PolicyKind::FrontierRatio, kA, kB, 3e-2,
-                 0, true, BfsMode::TopDownOnly, FrontierMode::Auto,
-                 ChunkFormat::kVarint}));
+                 0, true, BfsMode::TopDownOnly, ChunkFormat::kVarint}));
 
 // ---------------------------------------------------------------------------
 // Analytics dimension: the engine's components, PageRank, and triangle

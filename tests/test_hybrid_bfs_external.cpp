@@ -149,8 +149,9 @@ TEST_F(ExternalBfsTest, BackwardOffloadAccessRatioDropsWithBiggerCap) {
   auto device = std::make_shared<NvmDevice>(fast_profile("dram"));
   double prev_ratio = 1.1;
   for (const std::int64_t cap : {2, 8, 32}) {
+    const std::string name = std::string{"r"}.append(std::to_string(cap));
     HybridBackwardGraph hybrid_backward{backward_, cap, device,
-                                        dir_.aux("r" + std::to_string(cap))};
+                                        dir_.aux(name)};
     GraphStorage storage;
     storage.forward = &forward_;
     storage.backward = &hybrid_backward;
@@ -333,8 +334,8 @@ TEST_F(ExternalBfsTest, ConcurrentTraversalsShareOneGraph) {
 
   for (int round = 0; round < kRounds; ++round) {
     auto device = std::make_shared<NvmDevice>(fast_profile("pcie_flash"));
-    ExternalForwardGraph external{forward_, device,
-                                  dir_.aux("c" + std::to_string(round))};
+    const std::string name = std::string{"c"}.append(std::to_string(round));
+    ExternalForwardGraph external{forward_, device, dir_.aux(name)};
     GraphStorage storage;
     storage.forward = &external;
     storage.backward = &backward_;

@@ -69,7 +69,8 @@ TEST(MetricsRegistry, ConcurrentRegistrationAndUpdates) {
     threads.emplace_back([&reg, t] {
       // Half the threads intern a private name, all hammer a shared one.
       Counter& shared = reg.counter("shared");
-      Counter& mine = reg.counter("t" + std::to_string(t % 4));
+      Counter& mine =
+          reg.counter(std::string{"t"}.append(std::to_string(t % 4)));
       Histogram& h = reg.histogram("lat");
       for (int i = 0; i < kIters; ++i) {
         shared.add();
@@ -85,7 +86,8 @@ TEST(MetricsRegistry, ConcurrentRegistrationAndUpdates) {
             static_cast<std::uint64_t>(kThreads) * kIters);
   std::uint64_t private_total = 0;
   for (int t = 0; t < 4; ++t)
-    private_total += reg.counter("t" + std::to_string(t)).value();
+    private_total +=
+        reg.counter(std::string{"t"}.append(std::to_string(t))).value();
   EXPECT_EQ(private_total, static_cast<std::uint64_t>(kThreads) * kIters);
 }
 

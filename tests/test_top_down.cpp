@@ -78,7 +78,9 @@ TEST_F(TopDownTest, FirstLevelClaimsRootNeighbors) {
     EXPECT_EQ(status.parent(1), 0);
     EXPECT_EQ(status.parent(3), 0);
     EXPECT_EQ(status.level(1), 1);
-    const std::set<Vertex> next(status.next().begin(), status.next().end());
+    std::set<Vertex> next;
+    status.next_frontier().for_each_set(
+        [&](std::size_t v) { next.insert(static_cast<Vertex>(v)); });
     EXPECT_EQ(next, (std::set<Vertex>{1, 3}));
   }
 }
@@ -89,7 +91,7 @@ TEST_F(TopDownTest, SecondLevelContinues) {
     BfsStatus status{8};
     status.reset(0);
     step(forward, status, 1, topology_, pool_, 64);
-    status.advance();
+    status.advance(pool_);
     const StepResult r = step(forward, status, 2, topology_, pool_, 64);
     // From {1,3}: neighbors are 0,2,4 (0 visited) -> claims 2 and 4.
     EXPECT_EQ(r.claimed, 2);
@@ -126,9 +128,9 @@ TEST_F(TopDownTest, NoRevisits) {
     BfsStatus status{8};
     status.reset(0);
     step(forward, status, 1, topology_, pool_, 64);
-    status.advance();
+    status.advance(pool_);
     step(forward, status, 2, topology_, pool_, 64);
-    status.advance();
+    status.advance(pool_);
     const StepResult r = step(forward, status, 3, topology_, pool_, 64);
     EXPECT_EQ(r.claimed, 0);  // component exhausted
     EXPECT_EQ(status.parent(5), kNoVertex);
@@ -141,7 +143,7 @@ TEST_F(TopDownTest, EmptyFrontierIsNoop) {
     SCOPED_TRACE(name);
     BfsStatus status{8};
     status.reset(0);
-    status.advance();  // empty next -> empty frontier
+    status.advance(pool_);  // empty next -> empty frontier
     const StepResult r = step(forward, status, 1, topology_, pool_, 64);
     EXPECT_EQ(r.claimed, 0);
     EXPECT_EQ(r.scanned_edges, 0);
@@ -161,6 +163,36 @@ TEST_F(TopDownTest, ManyNodePartitionsCoverEverything) {
     status.reset(0);
     const StepResult r = step(forward, status, 1, topo, pool_, 64);
     EXPECT_EQ(r.claimed, 2);
+  }
+}
+
+TEST_F(TopDownTest, PushQueueAscendsAfterMultiWorkerLevel) {
+  // Four workers claim each level's vertices in whatever order they meet
+  // them; the next level's push queue still lists exactly that level's
+  // vertices, ascending.
+  const EdgeList edges =
+      generate_kronecker(fixtures::small_kronecker(10, 8, 3), pool_);
+  const VertexPartition partition{edges.vertex_count(), 2};
+  const ForwardGraph forward =
+      ForwardGraph::build(edges, partition, CsrBuildOptions{}, pool_);
+  ForwardSources sources{forward, dir_.aux("_kron")};
+  const Csr full = build_csr(edges, CsrBuildOptions{}, pool_);
+  Vertex root = 0;
+  while (full.degree(root) == 0) ++root;
+  for (const auto& [name, storage] : sources.all()) {
+    SCOPED_TRACE(name);
+    BfsStatus status{edges.vertex_count()};
+    status.reset(root);
+    std::int32_t level = 1;
+    for (; status.frontier_size() > 0; ++level) {
+      step(storage, status, level, topology_, pool_, 1);
+      status.advance(pool_);
+      std::vector<Vertex> expected;
+      for (Vertex v = 0; v < edges.vertex_count(); ++v)
+        if (status.level(v) == level) expected.push_back(v);
+      ASSERT_EQ(status.frontier_queue(pool_), expected) << "level " << level;
+    }
+    EXPECT_GT(level, 3);  // several levels, most with many claims
   }
 }
 
