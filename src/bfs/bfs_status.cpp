@@ -1,14 +1,12 @@
 #include "bfs/bfs_status.hpp"
 
-#include <algorithm>
-
 #include "util/contracts.hpp"
 
 namespace sembfs {
 
 BfsStatus::BfsStatus(Vertex vertex_count)
     : n_(vertex_count),
-      parent_(static_cast<std::size_t>(vertex_count)),
+      parent_(static_cast<std::size_t>(vertex_count), kNoVertex),
       level_(static_cast<std::size_t>(vertex_count), -1),
       visited_(static_cast<std::size_t>(vertex_count)),
       active_(vertex_count) {
@@ -17,22 +15,17 @@ BfsStatus::BfsStatus(Vertex vertex_count)
 
 void BfsStatus::reset(Vertex root) {
   SEMBFS_EXPECTS(root >= 0 && root < n_);
-  for (auto& p : parent_) p.store(kNoVertex, std::memory_order_relaxed);
-  std::fill(level_.begin(), level_.end(), -1);
+  // After a hand-off the arrays are empty and assign() re-creates them;
+  // otherwise it refills them in place.
+  const auto n = static_cast<std::size_t>(n_);
+  parent_.assign(n, kNoVertex);
+  level_.assign(n, -1);
   visited_.clear();
   active_.seed(root);
 
-  parent_[static_cast<std::size_t>(root)].store(root,
-                                                std::memory_order_relaxed);
+  parent_[static_cast<std::size_t>(root)] = root;
   level_[static_cast<std::size_t>(root)] = 0;
   visited_.set(static_cast<std::size_t>(root));
-}
-
-std::vector<Vertex> BfsStatus::parent_snapshot() const {
-  std::vector<Vertex> out(parent_.size());
-  for (std::size_t i = 0; i < parent_.size(); ++i)
-    out[i] = parent_[i].load(std::memory_order_relaxed);
-  return out;
 }
 
 std::uint64_t BfsStatus::byte_size() const noexcept {

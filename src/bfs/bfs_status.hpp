@@ -13,6 +13,13 @@
 //
 // ## Claim memory-ordering contract
 //
+// The parent array is plain Vertex storage. Inside a parallel region every
+// access to it goes through std::atomic_ref<Vertex>. Plain accesses —
+// reset(), the hand-off (take_tree) and the mid-search copy
+// (parent_snapshot) — happen only outside parallel regions, ordered
+// against the kernels' atomic ones by the ThreadPool::run() join that ends
+// each region.
+//
 //  - claim(): multi-writer CAS (acq_rel). Top-down workers race for the
 //    same destination vertex; exactly one wins, and the level/visited
 //    writes of the winner are ordered behind the CAS.
@@ -34,6 +41,7 @@
 #include <atomic>
 #include <cstdint>
 #include <span>
+#include <utility>
 #include <vector>
 
 #include "engine/active_set.hpp"
@@ -49,19 +57,24 @@ class ThreadPool;
 // A BfsStatus is sized once (the parent/level arrays and bitmaps are the
 // dominant per-search allocation) and reused across searches: reset(root)
 // restores every field to its post-construction state for a new root, so
-// a pool of BfsStatus "slots" can serve an unbounded query stream with
-// zero steady-state allocation (src/serve's StatusSlotPool). Reuse is
-// only valid strictly one search at a time per slot — reset() is not
-// thread-safe against a session still stepping on the same status, and a
-// released slot must not be read again (its parent/level data belongs to
-// the next query). The serving engine copies whatever it needs into the
-// QueryResult before releasing the slot.
+// a pool of BfsStatus "slots" can serve an unbounded query stream
+// (src/serve's StatusSlotPool). Reuse is only valid strictly one search at
+// a time per slot — reset() is not thread-safe against a session still
+// stepping on the same status, and a released slot must not be read again
+// (its parent/level data belongs to the next query).
+//
+// A finished search hands its parent and level arrays over whole
+// (take_tree: two vector moves, no copy) to its BfsResult, and the next
+// reset() re-creates them with one assign each. The bitmaps stay. In
+// steady state the allocator hands the re-created arrays the blocks of a
+// result freed since, so the hand-off costs no page faults either.
 class BfsStatus {
  public:
   explicit BfsStatus(Vertex vertex_count);
 
   /// Re-initializes all state and seeds the frontier with `root` (see the
-  /// status-slot reuse contract above).
+  /// status-slot reuse contract above), re-creating the parent and level
+  /// arrays if a hand-off took them.
   void reset(Vertex root);
 
   [[nodiscard]] Vertex vertex_count() const noexcept { return n_; }
@@ -70,9 +83,9 @@ class BfsStatus {
   /// Multi-writer safe (top-down workers race per destination).
   bool claim(Vertex w, Vertex v, std::int32_t level) noexcept {
     Vertex expected = kNoVertex;
-    if (parent_[static_cast<std::size_t>(w)].compare_exchange_strong(
-            expected, v, std::memory_order_acq_rel,
-            std::memory_order_relaxed)) {
+    if (std::atomic_ref<Vertex>{parent_[static_cast<std::size_t>(w)]}
+            .compare_exchange_strong(expected, v, std::memory_order_acq_rel,
+                                     std::memory_order_relaxed)) {
       level_[static_cast<std::size_t>(w)] = level;
       visited_.set(static_cast<std::size_t>(w));
       return true;
@@ -91,9 +104,10 @@ class BfsStatus {
                             std::int32_t level) noexcept {
     for_each_set_in_word(claims, 0, [&](std::size_t b) {
       const std::size_t w = word * 64 + b;
-      SEMBFS_ASSERT(parent_[w].load(std::memory_order_relaxed) == kNoVertex);
+      const std::atomic_ref<Vertex> parent{parent_[w]};
+      SEMBFS_ASSERT(parent.load(std::memory_order_relaxed) == kNoVertex);
       level_[w] = level;
-      parent_[w].store(parents[b], std::memory_order_release);
+      parent.store(parents[b], std::memory_order_release);
     });
     visited_.or_word(word, claims);
   }
@@ -106,8 +120,10 @@ class BfsStatus {
   }
 
   [[nodiscard]] Vertex parent(Vertex w) const noexcept {
-    return parent_[static_cast<std::size_t>(w)].load(
-        std::memory_order_relaxed);
+    // atomic_ref needs a non-const object (C++20); the load writes nothing.
+    return std::atomic_ref<Vertex>{
+        const_cast<Vertex&>(parent_[static_cast<std::size_t>(w)])}
+        .load(std::memory_order_relaxed);
   }
   [[nodiscard]] std::int32_t level(Vertex w) const noexcept {
     return level_[static_cast<std::size_t>(w)];
@@ -143,12 +159,25 @@ class BfsStatus {
   /// Promotes next -> frontier and empties the next frontier.
   void advance(ThreadPool& pool) { active_.advance(pool); }
 
-  /// Copies the parent array into a plain vector.
-  [[nodiscard]] std::vector<Vertex> parent_snapshot() const;
-  /// Copies the level array.
+  /// Copies the parent array (a mid-search snapshot).
+  [[nodiscard]] std::vector<Vertex> parent_snapshot() const {
+    return parent_;
+  }
+  /// The level array (copy it for a mid-search snapshot).
   [[nodiscard]] const std::vector<std::int32_t>& levels() const noexcept {
     return level_;
   }
+
+  /// The hand-off of a finished search's tree: moves the parent and level
+  /// arrays into `parent` and `level`, leaving the status without them
+  /// until the next reset(). Call outside parallel regions only.
+  void take_tree(std::vector<Vertex>& parent,
+                 std::vector<std::int32_t>& level) noexcept {
+    parent = std::exchange(parent_, {});
+    level = std::exchange(level_, {});
+  }
+  /// False between take_tree() and the next reset().
+  [[nodiscard]] bool holds_tree() const noexcept { return !parent_.empty(); }
 
   [[nodiscard]] std::int64_t visited_count() const noexcept {
     return static_cast<std::int64_t>(visited_.count());
@@ -158,8 +187,11 @@ class BfsStatus {
   [[nodiscard]] std::uint64_t byte_size() const noexcept;
 
  private:
+  static_assert(std::atomic_ref<Vertex>::required_alignment <=
+                alignof(Vertex));
+
   Vertex n_ = 0;
-  std::vector<std::atomic<Vertex>> parent_;
+  std::vector<Vertex> parent_;
   std::vector<std::int32_t> level_;
   AtomicBitmap visited_;
   engine::ActiveSet active_;

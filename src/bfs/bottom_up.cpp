@@ -142,8 +142,11 @@ StepResult bottom_up_step(const BackwardStorage& backward, BfsStatus& status,
         &obs::metrics().counter("bfs.bottom_up.words_skipped");
     static obs::Counter* const hub_claims =
         &obs::metrics().counter("bfs.bottom_up.hub_claims");
+    static obs::Counter* const stolen =
+        &obs::metrics().counter("bfs.bottom_up.chunks_stolen");
     swept->add(pull.words_swept);
     skipped->add(pull.words_skipped);
+    stolen->add(pull.chunks_stolen);
     hub_claims->add(totals.hub_claims.load(std::memory_order_relaxed));
   }
 

@@ -5,7 +5,11 @@
 // a visitor, as scatter_active (top_down.hpp) is for push. Each emulated
 // NUMA node's team sweeps its own vertex range against its backward
 // partition (complete adjacency lists), taking chunk-sized slices from a
-// per-partition work-stealing cursor. The word-skip sweep (bfs/sweep.hpp)
+// per-partition work-stealing cursor. A worker that has drained its home
+// partition then takes chunks from the other partitions' cursors, in
+// order from the one after its home, so a sweep ends when the whole range
+// is swept rather than when the slowest node's team finishes; each chunk
+// still goes to exactly one worker. The word-skip sweep (bfs/sweep.hpp)
 // loads 64 vertices' done bits at a time and masks out the backward
 // graph's degree-0 vertices (no in-neighbor reaches them), less any a
 // delta gives inserted in-neighbors; words with no survivors are skipped
@@ -45,7 +49,8 @@
 // vertex is swept by exactly one worker per level. Each claim also adds
 // the vertex's full degree to StepResult::claimed_degrees, read from the
 // partition's index. The counter bfs.bottom_up.hub_claims counts the
-// claims the probe decided.
+// claims the probe decided, and bfs.bottom_up.chunks_stolen the chunks
+// swept outside a worker's home partition.
 //
 // The word's claims also go into the next frontier bitmap with one relaxed
 // Bitmap::or_word_atomic: a chunk or node boundary inside a word leaves
@@ -74,10 +79,13 @@ inline constexpr std::int64_t kPullChunk = 1024;
 
 /// What one pull sweep did. In `step`, `claimed` sums the visitor's
 /// returns, and `scanned_edges` and `nvm_requests` are the readers' counts.
+/// `chunks_stolen` counts the chunks workers took outside their home
+/// partitions; it depends on scheduling, everything else does not.
 struct PullResult {
   StepResult step;
   std::uint64_t words_swept = 0;
   std::uint64_t words_skipped = 0;
+  std::uint64_t chunks_stolen = 0;
 };
 
 /// One worker's merged-view reader over the backward partition it is
@@ -141,12 +149,15 @@ PullResult pull_over(Backward& backward, const DeltaBuffer* delta,
     auto visit = make_visitor(w);
     std::vector<Vertex> scratch;
     PullResult local;
-    for_each_assigned_node(w, workers, nodes, [&](std::size_t node) {
+    // Takes chunks of partition `node` until its cursor runs past the end;
+    // returns how many this worker took.
+    const auto sweep_partition = [&](std::size_t node) {
       PullReader<Backward> read{backward, backward.partition(node), delta,
                                 scratch};
       const VertexRange range = read.partition.source_range();
       auto& cursor = cursors[node];
-      for (;;) {
+      std::uint64_t chunks = 0;
+      for (;; ++chunks) {
         const std::int64_t lo =
             cursor.fetch_add(chunk, std::memory_order_relaxed);
         if (lo >= range.size()) break;
@@ -161,11 +172,23 @@ PullResult pull_over(Backward& backward, const DeltaBuffer* delta,
         local.words_swept += swept;
         local.words_skipped += skipped;
       }
+      if (chunks == 0) return chunks;
       if constexpr (requires { visit.end_partition(read); })
         visit.end_partition(read);
       local.step.scanned_edges += read.scanned;
       local.step.nvm_requests += read.requests;
+      return chunks;
+    };
+    // Home first, then help: every other partition, round from the one
+    // after home. Home partitions are drained by then, so every chunk the
+    // round takes is stolen.
+    std::size_t home = 0;
+    for_each_assigned_node(w, workers, nodes, [&](std::size_t node) {
+      home = node;
+      sweep_partition(node);
     });
+    for (std::size_t i = 1; i < nodes; ++i)
+      local.chunks_stolen += sweep_partition((home + i) % nodes);
     folded[w] = local;
   });
 
@@ -176,6 +199,7 @@ PullResult pull_over(Backward& backward, const DeltaBuffer* delta,
     result.step.nvm_requests += local.step.nvm_requests;
     result.words_swept += local.words_swept;
     result.words_skipped += local.words_skipped;
+    result.chunks_stolen += local.chunks_stolen;
   }
   return result;
 }
@@ -194,8 +218,9 @@ PullResult pull_over(Backward& backward, const DeltaBuffer* delta,
 ///       sweep, so V writes per-vertex state with plain stores; a bitmap
 ///       word that two chunks share still needs an atomic OR.
 ///   V.end_partition(read)
-///       once after each partition the worker swept, when V declares it;
-///       the place to fold the visitor's own counters.
+///       once after each partition the worker took chunks of, its home
+///       or another it helped with, when V declares it; the place to fold
+///       the visitor's own counters.
 /// `read` is that worker's PullReader. Each worker folds its counts into
 /// the result once. Device faults on a hybrid backward graph propagate as
 /// exceptions.

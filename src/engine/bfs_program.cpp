@@ -47,7 +47,8 @@ StepResult BfsProgram::degrade(EngineContext& ctx) {
                         ctx.storage.delta);
 }
 
-BfsResult BfsProgram::snapshot_result(const ProgramSession& session) const {
+BfsResult BfsProgram::snapshot_result(const ProgramSession& session) {
+  SEMBFS_EXPECTS(status_->holds_tree());
   const GraphStorage& storage = session.context().storage;
   BfsResult result;
   result.root = root_;
@@ -61,8 +62,12 @@ BfsResult BfsProgram::snapshot_result(const ProgramSession& session) const {
   result.degraded_levels = session.degraded_supersteps();
   result.degraded = result.degraded_levels > 0;
   result.levels = session.supersteps();
-  result.parent = status_->parent_snapshot();
-  result.level = status_->levels();
+  if (session.done()) {
+    status_->take_tree(result.parent, result.level);
+  } else {
+    result.parent = status_->parent_snapshot();
+    result.level = status_->levels();
+  }
 
   // Every visited vertex but the root was claimed by a kernel, which
   // added its degree.

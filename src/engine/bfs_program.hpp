@@ -47,7 +47,11 @@ class BfsProgram final : public VertexProgram {
   /// Assembles the BfsResult for whatever `session` (the session driving
   /// this program) has traversed so far — valid both after completion and
   /// mid-search (k-hop truncation). `seconds` covers step() work only.
-  [[nodiscard]] BfsResult snapshot_result(const ProgramSession& session) const;
+  /// Once session.done(), the status hands its parent and level arrays
+  /// over to the result (BfsStatus::take_tree) instead of copying them, so
+  /// a second call on a done session fails a precondition; mid-search the
+  /// arrays are copied and the session may go on.
+  [[nodiscard]] BfsResult snapshot_result(const ProgramSession& session);
 
  private:
   BfsStatus* status_;

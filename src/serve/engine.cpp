@@ -583,6 +583,8 @@ void QueryEngine::step_programs(std::vector<ActiveProgram>& programs) {
       result.degraded = result.degraded_levels > 0;
       switch (kind) {
         case QueryKind::Bfs: {
+          // A done session hands the slot's arrays over whole; a
+          // max_levels cut copies them. Either way they move on here.
           BfsResult bfs =
               static_cast<engine::BfsProgram&>(*active.program)
                   .snapshot_result(*active.session);

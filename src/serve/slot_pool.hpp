@@ -7,7 +7,9 @@
 // single-query session borrows a slot for its lifetime and returns it on
 // finalize, relying on the status-slot reuse contract in bfs_status.hpp
 // (reset() restores post-construction state; one search at a time per
-// slot; copy out what you need before release).
+// slot; take what you need before release). A finished query's result
+// takes the slot's parent and level arrays, and the slot's next reset()
+// re-creates them.
 //
 // The pool's capacity is the engine's single-query concurrency limit:
 // try_acquire() returning nullptr is the "all slots busy" signal the

@@ -3,9 +3,13 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <atomic>
+#include <bit>
+#include <chrono>
 #include <memory>
 #include <set>
 #include <string>
+#include <thread>
 #include <utility>
 #include <vector>
 
@@ -500,6 +504,113 @@ TEST_F(BottomUpTest, DeltaKeepsTheMaskForVerticesWithoutInserts) {
     for (Vertex v = 0; v < edges.vertex_count(); ++v)
       ASSERT_EQ(status.level(v), ref.level[v]) << "v=" << v;
   }
+}
+
+TEST_F(BottomUpTest, IdleWorkersSweepAStalledWorkersPartition) {
+  // Four partitions on four workers, 64-vertex chunks. Partition 0 starts
+  // at vertex 0, so each of its chunks is one visit of one word. Worker 0
+  // holds its first word of partition 0 until every other survivor has
+  // been visited: only workers that leave their home partition can sweep
+  // the rest of partition 0. The wait is bounded, so a sweep without
+  // stealing fails here instead of hanging.
+  const EdgeList edges = thousand_vertex_graph(pool_);
+  const VertexPartition partition{1000, 4};
+  const BackwardGraph backward =
+      BackwardGraph::build(edges, partition, CsrBuildOptions{}, pool_);
+  const NumaTopology topology{4, 1};
+  const Vertex home_begin = partition.range_of(0).begin;
+
+  std::int64_t survivors = 0;  // the sweep masks the degree-0 vertices
+  for (Vertex v = 0; v < 1000; ++v)
+    survivors += backward.neighbors(v).empty() ? 0 : 1;
+  std::vector<std::atomic<int>> visits(1000);
+  std::atomic<std::int64_t> visited{0};
+  std::atomic<std::uint64_t> helped_words{0};  // partition 0, worker != 0
+  std::atomic<bool> timed_out{false};
+
+  const PullResult pull = pull_sweep(
+      &backward, nullptr, NothingDone{}, topology, pool_, 64,
+      [&](std::size_t w) {
+        return [&, w, held = false](auto& read, std::size_t word,
+                                    std::uint64_t pending) mutable {
+          const int count = std::popcount(pending);
+          for_each_set_in_word(pending, word * 64, [&](std::size_t v) {
+            visits[v].fetch_add(1, std::memory_order_relaxed);
+          });
+          const bool in_home =
+              read.partition.source_range().begin == home_begin;
+          if (w == 0 && in_home && !held) {
+            held = true;
+            const auto deadline =
+                std::chrono::steady_clock::now() + std::chrono::seconds(20);
+            while (visited.load() + count < survivors) {
+              if (std::chrono::steady_clock::now() > deadline) {
+                timed_out.store(true);
+                break;
+              }
+              std::this_thread::yield();
+            }
+          }
+          if (w != 0 && in_home) helped_words.fetch_add(1);
+          visited.fetch_add(count);
+          return std::int64_t{0};
+        };
+      });
+
+  EXPECT_FALSE(timed_out.load())
+      << "no other worker swept the rest of the stalled partition";
+  for (Vertex v = 0; v < 1000; ++v)
+    ASSERT_EQ(visits[static_cast<std::size_t>(v)].load(),
+              backward.neighbors(v).empty() ? 0 : 1)
+        << "v=" << v;
+  EXPECT_EQ(visited.load(), survivors);
+  EXPECT_GT(helped_words.load(), 0U);
+  EXPECT_GT(pull.chunks_stolen, 0U);
+
+  // Stealing moves work between workers, never the work itself: a
+  // bottom-up BFS on four workers claims, scans and probes exactly what a
+  // one-worker sweep of the same partitions does, with the same tree.
+  Vertex root = 0;
+  while (backward.neighbors(root).empty()) ++root;
+  struct Run {
+    std::vector<StepResult> steps;
+    std::uint64_t hub_claims = 0;
+    std::vector<Vertex> parent;
+    std::vector<std::int32_t> level;
+  };
+  const auto run = [&](ThreadPool& pool) {
+    Run out;
+    obs::metrics().reset();
+    obs::set_enabled(true);
+    BfsStatus status{1000};
+    status.reset(root);
+    for (std::int32_t level = 1; status.frontier_size() > 0; ++level) {
+      out.steps.push_back(
+          bottom_up_step(&backward, status, level, topology, pool, 64));
+      status.advance(pool);
+    }
+    obs::set_enabled(false);
+    out.hub_claims =
+        obs::metrics().counter("bfs.bottom_up.hub_claims").value();
+    out.parent = status.parent_snapshot();
+    out.level = status.levels();
+    return out;
+  };
+  ThreadPool one{1};
+  const Run serial = run(one);
+  const Run stealing = run(pool_);
+  ASSERT_EQ(stealing.steps.size(), serial.steps.size());
+  for (std::size_t i = 0; i < serial.steps.size(); ++i) {
+    SCOPED_TRACE("level " + std::to_string(i + 1));
+    EXPECT_EQ(stealing.steps[i].claimed, serial.steps[i].claimed);
+    EXPECT_EQ(stealing.steps[i].claimed_degrees,
+              serial.steps[i].claimed_degrees);
+    EXPECT_EQ(stealing.steps[i].scanned_edges, serial.steps[i].scanned_edges);
+  }
+  EXPECT_EQ(stealing.hub_claims, serial.hub_claims);
+  EXPECT_GT(serial.hub_claims, 0U);
+  EXPECT_EQ(stealing.level, serial.level);
+  EXPECT_EQ(stealing.parent, serial.parent);
 }
 
 TEST_F(BottomUpTest, HybridCountsNvmWork) {

@@ -91,6 +91,35 @@ TEST_F(ServeEngineTest, SessionQueriesMatchReference) {
   EXPECT_EQ(engine.stats().session_queries, 8u);
 }
 
+TEST_F(ServeEngineTest, OneSlotAnswersAgainAfterAResultTookItsArrays) {
+  // A finished session query's result takes the slot's parent and level
+  // arrays; the slot's next query re-creates them and answers correctly,
+  // and the first answer is left as it was.
+  EngineConfig config;
+  config.session_slots = 1;
+  QueryEngine engine{storage_, topology_, pool_, config};
+  QueryOptions options;
+  options.batchable = false;
+  Vertex a = 0;
+  while (full_.degree(a) == 0) ++a;
+  Vertex b = a + 1;
+  while (full_.degree(b) == 0) ++b;
+  const QueryRef first = engine.submit(a, options);
+  first->wait();
+  ASSERT_EQ(first->state(), QueryState::Done) << first->result().error;
+  const std::vector<std::int32_t> first_level = first->result().level;
+  const std::vector<Vertex> first_parent = first->result().parent;
+  const QueryRef second = engine.submit(b, options);
+  second->wait();
+  ASSERT_EQ(second->state(), QueryState::Done) << second->result().error;
+  expect_matches_reference(first->result());
+  expect_matches_reference(second->result());
+  EXPECT_EQ(first->result().level, first_level);
+  EXPECT_EQ(first->result().parent, first_parent);
+  EXPECT_EQ(second->result().parent[static_cast<std::size_t>(b)], b);
+  EXPECT_EQ(engine.stats().session_queries, 2u);
+}
+
 TEST_F(ServeEngineTest, MixedPathsAgreeOnResults) {
   QueryEngine engine{storage_, topology_, pool_, EngineConfig{}};
   QueryOptions session;

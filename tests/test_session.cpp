@@ -219,5 +219,59 @@ TEST_F(SessionTest, SnapshotMidSearchCountsOnlyElapsedWork) {
   EXPECT_GE(full.seconds, after_one.seconds);
 }
 
+TEST_F(SessionTest, RunnerResultsKeepTheirArraysAcrossRuns) {
+  // Each finished traversal hands the status's arrays to its result, and
+  // the next run re-creates them: the first result is not aliased.
+  Vertex other = root_ + 1;
+  while (full_.degree(other) == 0) ++other;
+  HybridBfsRunner runner{storage_, topology_, pool_};
+  const BfsResult first = runner.run(root_, BfsConfig{});
+  const std::vector<Vertex> first_parent = first.parent;
+  const std::vector<std::int32_t> first_level = first.level;
+  const BfsResult second = runner.run(other, BfsConfig{});
+  EXPECT_EQ(first.parent, first_parent);
+  EXPECT_EQ(first.level, first_level);
+  EXPECT_EQ(first.level, reference_bfs(full_, root_).level);
+  EXPECT_EQ(second.level, reference_bfs(full_, other).level);
+  EXPECT_EQ(second.parent[static_cast<std::size_t>(other)], other);
+}
+
+TEST_F(SessionTest, MidSearchSnapshotIsACopyTheSessionLeavesAlone) {
+  BfsStatus status{edges_.vertex_count()};
+  BfsProgram program{status, root_};
+  ProgramSession session{program, storage_, topology_, pool_, BfsConfig{}};
+  ASSERT_TRUE(session.step());
+  const BfsResult mid = program.snapshot_result(session);
+  const std::vector<Vertex> mid_parent = mid.parent;
+  const std::vector<std::int32_t> mid_level = mid.level;
+  while (session.step()) {
+  }
+  EXPECT_EQ(mid.parent, mid_parent);
+  EXPECT_EQ(mid.level, mid_level);
+  const BfsResult done = program.snapshot_result(session);
+  EXPECT_FALSE(status.holds_tree());
+
+  HybridBfsRunner runner{storage_, topology_, pool_};
+  const BfsResult direct = runner.run(root_, BfsConfig{});
+  EXPECT_EQ(done.parent, direct.parent);
+  EXPECT_EQ(done.level, direct.level);
+  EXPECT_EQ(done.visited, direct.visited);
+  EXPECT_EQ(done.depth, direct.depth);
+  EXPECT_EQ(done.teps_edge_count, direct.teps_edge_count);
+}
+
+TEST_F(SessionTest, SecondSnapshotAfterTheHandOffFailsAPrecondition) {
+  // The session's pool threads are alive: re-run the test in a fresh
+  // process rather than forking this one.
+  ::testing::GTEST_FLAG(death_test_style) = "threadsafe";
+  BfsStatus status{edges_.vertex_count()};
+  BfsProgram program{status, root_};
+  ProgramSession session{program, storage_, topology_, pool_, BfsConfig{}};
+  session.run();
+  const BfsResult result = program.snapshot_result(session);
+  EXPECT_EQ(result.level, reference_bfs(full_, root_).level);
+  EXPECT_DEATH((void)program.snapshot_result(session), "holds_tree");
+}
+
 }  // namespace
 }  // namespace sembfs
