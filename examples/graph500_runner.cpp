@@ -712,7 +712,16 @@ int main(int argc, char** argv) {
     return accounted && serve_exports_ok ? 0 : 1;
   }
 
-  const BenchmarkRun run = run_graph500(config, pool);
+  BenchmarkRun run;
+  try {
+    run = run_graph500(config, pool);
+  } catch (const NvmIoError& e) {
+    // A read failure no traversal contains (the backward graph's NVM tail
+    // has no DRAM copy to redo a level from) ends the run with a typed
+    // error, as in the analytics mode.
+    std::printf("graph500_error: %s\n", e.what());
+    return 1;
+  }
 
   std::fputs(render_graph500_output(run.output).c_str(), stdout);
   std::printf("graph_dram_bytes: %s\ngraph_nvm_bytes: %s\n",

@@ -5,10 +5,11 @@
 //
 //   - cancel/deadline poll at superstep granularity (the preemption point
 //     the serving engine relies on),
-//   - semi-external storage prep (chunk cache, checksums, I/O scheduler
-//     with a fresh error budget) before push supersteps,
-//   - graceful degradation when a push superstep exceeds its I/O error
-//     budget and the program can redo it from the backward graph,
+//   - semi-external storage prep (chunk cache, checksum verification,
+//     the graph's I/O scheduler) before push supersteps,
+//   - graceful degradation when a push superstep's failed reads exceed
+//     the per-level error budget (BfsConfig::io_error_budget, enforced by
+//     the push team) and the program can redo it from the backward graph,
 //   - advancing the program's active set after each superstep,
 //   - per-superstep LevelStats, switch-policy evaluation, obs metrics
 //     under the program's prefix plus engine-wide aggregates, and trace

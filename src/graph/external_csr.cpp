@@ -54,7 +54,6 @@ ExternalCsrPartition::ExternalCsrPartition(const Csr& csr,
                                            const std::string& dir,
                                            std::size_t node_id,
                                            std::uint32_t chunk_bytes,
-                                           ChunkChecksums* checksums,
                                            ChunkFormat format,
                                            std::int64_t tier_limit)
     : sources_(csr.source_range()),
@@ -62,8 +61,7 @@ ExternalCsrPartition::ExternalCsrPartition(const Csr& csr,
       entry_count_(csr.entry_count()),
       chunk_bytes_(chunk_bytes),
       format_(format),
-      tier_limit_(tier_limit),
-      checksums_(checksums) {
+      tier_limit_(tier_limit) {
   SEMBFS_EXPECTS(device != nullptr);
   ensure_directory(dir);
   const std::string stem = dir + "/fg_node" + std::to_string(node_id);
@@ -75,14 +73,13 @@ ExternalCsrPartition::ExternalCsrPartition(const Csr& csr,
 ExternalCsrPartition::ExternalCsrPartition(
     const Csr& csr, std::vector<std::shared_ptr<NvmDevice>> devices,
     const std::string& dir, std::size_t node_id, std::uint32_t chunk_bytes,
-    ChunkChecksums* checksums, ChunkFormat format, std::int64_t tier_limit)
+    ChunkFormat format, std::int64_t tier_limit)
     : sources_(csr.source_range()),
       destinations_(csr.destination_range()),
       entry_count_(csr.entry_count()),
       chunk_bytes_(chunk_bytes),
       format_(format),
-      tier_limit_(tier_limit),
-      checksums_(checksums) {
+      tier_limit_(tier_limit) {
   SEMBFS_EXPECTS(!devices.empty());
   ensure_directory(dir);
   const std::string stem = dir + "/fg_node" + std::to_string(node_id);
@@ -99,8 +96,8 @@ void ExternalCsrPartition::compress_values(const Csr& csr,
   // value_file_ every downstream reader (ExternalArray, merged fetches,
   // the IoScheduler jobs) sees: they keep addressing decoded bytes while
   // the device stores varint blobs. Its per-blob CRCs make the value path
-  // self-verifying, so nothing is recorded in the shared chunk registry
-  // (the ChunkCache skips chunks without a recorded checksum).
+  // self-verifying, so it records no chunk CRCs (the ChunkCache skips
+  // chunks without one).
   auto compressed = std::make_unique<CompressedBlockFile>(
       std::move(value_file_), std::span<const Vertex>{csr.values()},
       chunk_bytes);
@@ -124,11 +121,6 @@ void ExternalCsrPartition::offload(const Csr& full,
         in_dram_.set(static_cast<std::size_t>(v - sources_.begin));
   }
   const Csr& csr = *on_device;
-  if (checksums_ == nullptr) {
-    owned_checksums_ = std::make_unique<ChunkChecksums>(chunk_bytes);
-    checksums_ = owned_checksums_.get();
-  }
-  SEMBFS_EXPECTS(checksums_->chunk_bytes() == chunk_bytes);
   index_ = std::make_unique<ExternalArray<std::int64_t>>(
       *index_file_, 0, csr.index().size(), chunk_bytes);
   write_array(*index_, csr.index());
@@ -142,12 +134,13 @@ void ExternalCsrPartition::offload(const Csr& full,
   }
   // Checksum the offloaded bytes from the DRAM source (no device reads):
   // these CRCs are the ground truth the read path verifies against. The
-  // compressed value store carries its own per-blob CRCs instead.
-  checksums_->record_buffer(*index_file_, index_->base_offset(),
-                            std::as_bytes(std::span{csr.index()}));
+  // compressed value store carries its own per-blob CRCs instead. Both
+  // arrays start at offset 0 of their files.
+  index_file_->record_chunk_crcs(std::as_bytes(std::span{csr.index()}),
+                                 chunk_bytes);
   if (format_ == ChunkFormat::kRaw) {
-    checksums_->record_buffer(*value_file_, values_->base_offset(),
-                              std::as_bytes(std::span{csr.values()}));
+    value_file_->record_chunk_crcs(std::as_bytes(std::span{csr.values()}),
+                                   chunk_bytes);
   }
 }
 
@@ -263,7 +256,7 @@ std::vector<ScheduledRead> post_reads(NvmBackingFile& file,
                                       IoScheduler& scheduler,
                                       ChunkCache* cache,
                                       std::uint32_t max_request_bytes,
-                                      const RetryPolicy* retry) {
+                                      const RetryPolicy& retry) {
   std::vector<ScheduledRead> reads;
   reads.reserve(ranges.size());
   for (const MergedRange& range : ranges) {
@@ -273,7 +266,7 @@ std::vector<ScheduledRead> post_reads(NvmBackingFile& file,
     read.staging.resize(range.end - range.begin);
     read.done = scheduler.submit_read(file, base + range.begin,
                                       std::span<std::byte>{read.staging},
-                                      cache, max_request_bytes, retry);
+                                      retry, cache, max_request_bytes);
   }
   return reads;
 }
@@ -319,7 +312,7 @@ void deliver_values(std::span<const SlotBounds> bounds, std::size_t& cursor,
 std::vector<SlotBounds> ExternalCsrPartition::batch_bounds(
     std::span<const Vertex> batch, std::uint32_t merge_gap_bytes,
     std::uint32_t max_request_bytes, IoScheduler& scheduler,
-    const RetryPolicy* retry, std::uint64_t& requests) {
+    const RetryPolicy& retry, std::uint64_t& requests) {
   // Sort batch slots by vertex so index reads for nearby vertices merge.
   std::vector<std::size_t> sorted_slots(batch.size());
   for (std::size_t i = 0; i < sorted_slots.size(); ++i) sorted_slots[i] = i;
@@ -370,8 +363,8 @@ std::vector<SlotBounds> ExternalCsrPartition::batch_bounds(
 
 PendingNeighborsBatch ExternalCsrPartition::start_fetch_neighbors_batch(
     std::span<const Vertex> batch, IoScheduler& scheduler,
-    std::uint32_t merge_gap_bytes, std::uint32_t max_request_bytes,
-    const RetryPolicy* retry) {
+    const RetryPolicy& retry, std::uint32_t merge_gap_bytes,
+    std::uint32_t max_request_bytes) {
   PendingNeighborsBatch pending;
   pending.valid_ = true;
   pending.batch_size_ = batch.size();
@@ -418,15 +411,14 @@ ExternalForwardGraph::ExternalForwardGraph(const ForwardGraph& forward,
     : vertex_partition_(forward.vertex_partition()),
       device_(device),
       chunk_bytes_(chunk_bytes),
-      format_(format),
-      checksums_(std::make_unique<ChunkChecksums>(chunk_bytes)) {
+      format_(format) {
   SEMBFS_EXPECTS(device_ != nullptr);
   device_channels_ = device_->profile().channels;
   partitions_.reserve(forward.node_count());
   for (std::size_t k = 0; k < forward.node_count(); ++k) {
     partitions_.push_back(std::make_unique<ExternalCsrPartition>(
-        forward.partition(k), device_, dir, k, chunk_bytes,
-        checksums_.get(), format, tier_limit));
+        forward.partition(k), device_, dir, k, chunk_bytes, format,
+        tier_limit));
   }
 }
 
@@ -437,8 +429,7 @@ ExternalForwardGraph::ExternalForwardGraph(
     : vertex_partition_(forward.vertex_partition()),
       device_(devices.empty() ? nullptr : devices.front()),
       chunk_bytes_(chunk_bytes),
-      format_(format),
-      checksums_(std::make_unique<ChunkChecksums>(chunk_bytes)) {
+      format_(format) {
   SEMBFS_EXPECTS(!devices.empty());
   std::vector<NvmDevice*> distinct;
   for (const auto& d : devices) distinct.push_back(d.get());
@@ -449,8 +440,8 @@ ExternalForwardGraph::ExternalForwardGraph(
   partitions_.reserve(forward.node_count());
   for (std::size_t k = 0; k < forward.node_count(); ++k) {
     partitions_.push_back(std::make_unique<ExternalCsrPartition>(
-        forward.partition(k), devices, dir, k, chunk_bytes,
-        checksums_.get(), format, tier_limit));
+        forward.partition(k), devices, dir, k, chunk_bytes, format,
+        tier_limit));
   }
 }
 
@@ -484,8 +475,8 @@ ChunkCache& ExternalForwardGraph::enable_chunk_cache(
   const std::lock_guard<std::mutex> lock{mutex_};
   if (cache_ == nullptr) {
     cache_ = std::make_unique<ChunkCache>(capacity_bytes, chunk_bytes_);
-    if (verify_checksums_)
-      cache_->set_checksums(checksums_.get(), checksum_max_refetches_);
+    cache_->set_verify_checksums(verify_checksums_,
+                                 checksum_max_refetches_);
     for (auto& p : partitions_) p->attach_cache(cache_.get());
   }
   return *cache_;
@@ -508,7 +499,7 @@ void ExternalForwardGraph::enable_checksum_verification(int max_refetches) {
   if (verify_checksums_ && checksum_max_refetches_ == max_refetches) return;
   verify_checksums_ = true;
   checksum_max_refetches_ = max_refetches;
-  cache_->set_checksums(checksums_.get(), max_refetches);
+  cache_->set_verify_checksums(true, max_refetches);
   // Compressed value stores verify on their own CRCs; align their heal
   // allowance with the cache's.
   for (auto& p : partitions_) p->set_compressed_max_refetches(max_refetches);
@@ -517,7 +508,7 @@ void ExternalForwardGraph::enable_checksum_verification(int max_refetches) {
 void ExternalForwardGraph::disable_checksum_verification() {
   const std::lock_guard<std::mutex> lock{mutex_};
   verify_checksums_ = false;
-  if (cache_ != nullptr) cache_->set_checksums(nullptr);
+  if (cache_ != nullptr) cache_->set_verify_checksums(false);
 }
 
 IoScheduler& ExternalForwardGraph::io_scheduler(std::size_t compute_workers) {

@@ -45,7 +45,6 @@
 #include "graph/csr.hpp"
 #include "graph/forward_graph.hpp"
 #include "nvm/chunk_cache.hpp"
-#include "nvm/chunk_checksums.hpp"
 #include "nvm/chunk_format.hpp"
 #include "nvm/compressed_file.hpp"
 #include "nvm/external_array.hpp"
@@ -117,10 +116,9 @@ class PendingNeighborsBatch {
 class ExternalCsrPartition {
  public:
   /// Offloads `csr` (one forward partition) to two files under `dir` on
-  /// `device`. Existing files are overwritten. Per-chunk CRC32s of the
-  /// offloaded bytes are recorded into `checksums` when given (so several
-  /// partitions can share one registry), else into a private registry.
-  /// With ChunkFormat::kVarint the value file is wrapped in a
+  /// `device`. Existing files are overwritten. Each raw file keeps the
+  /// CRC32 of every chunk it stores (NvmBackingFile::chunk_crc). With
+  /// ChunkFormat::kVarint the value file is wrapped in a
   /// CompressedBlockFile: the device stores delta/varint blobs (its own
   /// per-blob CRCs, always verified) while every reader above still sees
   /// plain Vertex bytes; the index file stays raw either way. Lists of at
@@ -128,7 +126,6 @@ class ExternalCsrPartition {
   ExternalCsrPartition(const Csr& csr, std::shared_ptr<NvmDevice> device,
                        const std::string& dir, std::size_t node_id,
                        std::uint32_t chunk_bytes = 4096,
-                       ChunkChecksums* checksums = nullptr,
                        ChunkFormat format = ChunkFormat::kRaw,
                        std::int64_t tier_limit = 0);
 
@@ -138,7 +135,6 @@ class ExternalCsrPartition {
                        std::vector<std::shared_ptr<NvmDevice>> devices,
                        const std::string& dir, std::size_t node_id,
                        std::uint32_t chunk_bytes = 4096,
-                       ChunkChecksums* checksums = nullptr,
                        ChunkFormat format = ChunkFormat::kRaw,
                        std::int64_t tier_limit = 0);
 
@@ -188,12 +184,6 @@ class ExternalCsrPartition {
     return cache_.load(std::memory_order_acquire);
   }
 
-  /// The registry holding this partition's offload-time chunk CRC32s
-  /// (shared or private — see the constructors).
-  [[nodiscard]] const ChunkChecksums& checksums() const noexcept {
-    return *checksums_;
-  }
-
   /// Degree of global vertex v — one index-file request, or none when the
   /// list is held in DRAM.
   std::int64_t degree(Vertex v);
@@ -222,14 +212,13 @@ class ExternalCsrPartition {
   /// then posts the merged value-range reads and returns without waiting.
   /// The caller overlaps edge processing with the in-flight reads and
   /// collects out[i] for batch[i] via PendingNeighborsBatch::wait. `retry`
-  /// governs every read posted (nullptr: the scheduler's own policy). An
-  /// index-phase failure throws NvmIoError once all of the batch's index
-  /// reads have landed.
+  /// governs every read posted. An index-phase failure throws NvmIoError
+  /// once all of the batch's index reads have landed.
   PendingNeighborsBatch start_fetch_neighbors_batch(
       std::span<const Vertex> batch, IoScheduler& scheduler,
+      const RetryPolicy& retry,
       std::uint32_t merge_gap_bytes = kMergeGapBytes,
-      std::uint32_t max_request_bytes = kMaxRequestBytes,
-      const RetryPolicy* retry = nullptr);
+      std::uint32_t max_request_bytes = kMaxRequestBytes);
 
   /// The semi-external top-down read loop that the BFS step, the engine's
   /// scatter and the shards share. Pulls dequeue batches from
@@ -259,7 +248,7 @@ class ExternalCsrPartition {
   std::vector<PendingNeighborsBatch::SlotBounds> batch_bounds(
       std::span<const Vertex> batch, std::uint32_t merge_gap_bytes,
       std::uint32_t max_request_bytes, IoScheduler& scheduler,
-      const RetryPolicy* retry, std::uint64_t& requests);
+      const RetryPolicy& retry, std::uint64_t& requests);
 
   VertexRange sources_;
   VertexRange destinations_;
@@ -279,8 +268,6 @@ class ExternalCsrPartition {
   CompressedBlockFile* compressed_ = nullptr;
   std::unique_ptr<ExternalArray<std::int64_t>> index_;
   std::unique_ptr<ExternalArray<Vertex>> values_;
-  std::unique_ptr<ChunkChecksums> owned_checksums_;  // when none was shared
-  ChunkChecksums* checksums_ = nullptr;
   // Published atomically: a cache may be attached while another traversal
   // reads (ExternalForwardGraph::enable_chunk_cache).
   std::atomic<ChunkCache*> cache_{nullptr};
@@ -309,8 +296,8 @@ std::uint64_t ExternalCsrPartition::fetch_batches_pipelined(
     }
     if (!on_device[s].empty()) {
       try {
-        pending[s] = start_fetch_neighbors_batch(
-            on_device[s], scheduler, kMergeGapBytes, kMaxRequestBytes, &retry);
+        pending[s] =
+            start_fetch_neighbors_batch(on_device[s], scheduler, retry);
       } catch (const std::exception&) {
         on_failure();
       }
@@ -413,14 +400,9 @@ class ExternalForwardGraph {
   /// The scheduler, or nullptr before the first top-down level.
   [[nodiscard]] IoScheduler* io_scheduler() noexcept;
 
-  /// The shared registry of offload-time chunk CRC32s covering every
-  /// partition's index and value file.
-  [[nodiscard]] const ChunkChecksums& checksums() const noexcept {
-    return *checksums_;
-  }
-
   /// Turns end-to-end corruption detection on: every chunk the cache
-  /// fetches from the device is verified against the offload-time CRC32s,
+  /// fetches from the device is verified against the offload-time CRC32s
+  /// its file keeps,
   /// with up to `max_refetches` corrective re-reads per bad chunk.
   /// Requires an enabled chunk cache (verification lives on the miss
   /// path). Off by default — the no-fault benchmark path stays untouched.
@@ -434,7 +416,6 @@ class ExternalForwardGraph {
   std::size_t device_channels_ = 0;
   std::uint32_t chunk_bytes_ = 4096;
   ChunkFormat format_ = ChunkFormat::kRaw;
-  std::unique_ptr<ChunkChecksums> checksums_;  // before partitions_: they record into it
   std::vector<std::unique_ptr<ExternalCsrPartition>> partitions_;
   std::mutex mutex_;  // guards the four members below
   std::unique_ptr<ChunkCache> cache_;

@@ -11,6 +11,7 @@ HybridBackwardPartition::HybridBackwardPartition(
     std::shared_ptr<NvmDevice> device, const std::string& dir,
     std::size_t node_id, std::uint32_t chunk_bytes, ChunkFormat format)
     : sources_(csr.source_range()),
+      vertex_count_(csr.global_vertex_count()),
       dram_cap_(dram_edges_per_vertex),
       chunk_bytes_(chunk_bytes),
       format_(format) {

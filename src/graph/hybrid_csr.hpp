@@ -17,6 +17,7 @@
 // graph's degree-0 mask.
 #pragma once
 
+#include <algorithm>
 #include <atomic>
 #include <cstdint>
 #include <memory>
@@ -88,7 +89,8 @@ class HybridBackwardPartition {
   /// chunk-wise. `fn(Vertex)` returns false to stop early (bottom-up
   /// parent found). `scratch` is the caller's staging buffer for NVM
   /// chunks (reused across calls). Edge-examination counters are updated
-  /// per tier. Returns the device requests issued.
+  /// per tier. Returns the device requests issued. Throws NvmIoError when
+  /// a read fails or streams an entry outside [0, n).
   template <typename Fn>
   std::uint64_t visit_neighbors(Vertex v, std::vector<Vertex>& scratch,
                                 Fn&& fn, std::int64_t start = 0) {
@@ -128,6 +130,17 @@ class HybridBackwardPartition {
         scratch.resize(len);
         requests += nvm_values_->read(static_cast<std::uint64_t>(pos),
                                       std::span<Vertex>{scratch});
+        // Raw tails carry no CRCs, so a corrupted read can deliver any
+        // bits; an entry outside [0, n) must end in a typed error before
+        // the caller indexes a bitmap with it.
+        const auto bad = std::find_if(
+            scratch.begin(), scratch.end(),
+            [n = vertex_count_](Vertex w) { return w < 0 || w >= n; });
+        if (bad != scratch.end())
+          throw NvmIoError("backward tail entry " + std::to_string(*bad) +
+                           " out of range [0, " +
+                           std::to_string(vertex_count_) + ") at tail index " +
+                           std::to_string(pos + (bad - scratch.begin())));
         for (std::size_t i = 0; i < len; ++i) {
           ++nvm_seen;
           if (!fn(scratch[i])) {
@@ -166,6 +179,7 @@ class HybridBackwardPartition {
 
  private:
   VertexRange sources_;
+  Vertex vertex_count_ = 0;  // n: every streamed entry must lie in [0, n)
   std::int64_t dram_cap_ = 0;
   std::uint32_t chunk_bytes_ = 4096;
 

@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <cstring>
 
+#include "nvm/crc32.hpp"
 #include "util/contracts.hpp"
 
 namespace sembfs {
@@ -86,12 +87,9 @@ void ChunkCache::insert(const Key& key, std::span<const std::byte> chunk) {
   if (obs::enabled()) obs_insertions_->add(1);
 }
 
-void ChunkCache::set_checksums(const ChunkChecksums* checksums,
-                               int max_refetches) {
-  SEMBFS_EXPECTS(checksums == nullptr ||
-                 checksums->chunk_bytes() == chunk_bytes_);
+void ChunkCache::set_verify_checksums(bool verify, int max_refetches) {
   SEMBFS_EXPECTS(max_refetches >= 0);
-  checksums_ = checksums;
+  verify_ = verify;
   max_refetches_ = max_refetches;
 }
 
@@ -100,9 +98,9 @@ std::span<const std::byte> ChunkCache::verify_chunk(
     std::uint64_t chunk_begin, std::span<const std::byte> chunk,
     std::vector<std::byte>& refetch_buf, std::uint64_t& requests) {
   const std::optional<std::uint32_t> want =
-      checksums_->expected(file, chunk_index);
+      file.chunk_crc(chunk_index, chunk_bytes_);
   if (!want.has_value()) return chunk;  // unrecorded chunk: trust it
-  if (ChunkChecksums::crc32(chunk) == *want) return chunk;
+  if (crc32(chunk) == *want) return chunk;
   checksum_failures_.fetch_add(1, std::memory_order_relaxed);
   if (obs::enabled()) obs_checksum_failures_->add(1);
   // Corrective re-read of just this chunk. A transient device-injected
@@ -115,7 +113,7 @@ std::span<const std::byte> ChunkCache::verify_chunk(
     refetches_.fetch_add(1, std::memory_order_relaxed);
     if (obs::enabled()) obs_refetches_->add(1);
     chunk = std::span<const std::byte>{refetch_buf};
-    if (ChunkChecksums::crc32(chunk) == *want) return chunk;
+    if (crc32(chunk) == *want) return chunk;
     checksum_failures_.fetch_add(1, std::memory_order_relaxed);
     if (obs::enabled()) obs_checksum_failures_->add(1);
   }
@@ -185,7 +183,7 @@ std::uint64_t ChunkCache::read(NvmBackingFile& file, std::uint64_t offset,
       const std::uint64_t chunk_end = std::min(chunk_begin + cb, file_size);
       std::span<const std::byte> chunk{
           staging.data() + (chunk_begin - run_begin), chunk_end - chunk_begin};
-      if (checksums_ != nullptr) {
+      if (verify_) {
         chunk = verify_chunk(file, missing[k], chunk_begin, chunk,
                              refetch_buf, requests);
       }

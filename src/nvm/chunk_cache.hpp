@@ -22,6 +22,12 @@
 //  - Files are assumed immutable while cached (the BFS read path never
 //    writes the offloaded CSR); clear() drops everything if a caller does
 //    rewrite a file.
+//  - With verification on, every chunk filled from the device is checked
+//    against the CRC table of its own file (NvmBackingFile::chunk_crc),
+//    recorded at offload from the DRAM source. A raw chunk can only be
+//    checked whole, so this is the one place raw chunks are verified;
+//    varint blobs are verified inside CompressedBlockFile, before they
+//    are decoded.
 //
 // Hit/miss/eviction counters feed the Figure 11-13 analysis: every hit is
 // one device request (and its queue residence) that no longer happens.
@@ -35,7 +41,6 @@
 #include <unordered_map>
 #include <vector>
 
-#include "nvm/chunk_checksums.hpp"
 #include "nvm/nvm_device.hpp"
 #include "obs/metrics.hpp"
 
@@ -87,17 +92,14 @@ class ChunkCache {
                      std::span<std::byte> out,
                      std::uint64_t max_miss_request_bytes = 0);
 
-  /// Attaches a checksum registry (nullptr detaches). While attached,
-  /// every chunk fetched from the device is verified before insertion; on
-  /// a CRC mismatch the chunk alone is re-fetched up to `max_refetches`
-  /// times (healing transient device corruption) and NvmIoError is thrown
-  /// if it still mismatches (persistent backing-store damage). Chunks the
-  /// registry does not know are delivered unverified. The registry must
-  /// outlive the cache; set before reads begin.
-  void set_checksums(const ChunkChecksums* checksums, int max_refetches = 1);
-  [[nodiscard]] const ChunkChecksums* checksums() const noexcept {
-    return checksums_;
-  }
+  /// Turns verification on or off; set before reads begin. While on,
+  /// every chunk fetched from the device is checked against its file's
+  /// recorded CRC32 before insertion; on a mismatch the chunk alone is
+  /// re-fetched up to `max_refetches` times (healing transient device
+  /// corruption) and NvmIoError is thrown if it still mismatches
+  /// (persistent backing-store damage). Chunks of a file that recorded no
+  /// CRCs are delivered unverified.
+  void set_verify_checksums(bool verify, int max_refetches = 1);
 
   [[nodiscard]] ChunkCacheStats stats() const noexcept;
   void reset_stats() noexcept;
@@ -140,11 +142,12 @@ class ChunkCache {
   bool lookup(const Key& key, std::uint64_t skip, std::span<std::byte> dst);
   /// Inserts one chunk (evicting via the clock if the shard is full).
   void insert(const Key& key, std::span<const std::byte> chunk);
-  /// Verifies one fetched chunk against the attached registry, re-fetching
-  /// it from `file` on mismatch. Returns the (possibly replaced) chunk
-  /// bytes — `refetch_buf` provides storage for the replacement — and adds
-  /// re-fetch device requests to `requests`. Throws NvmIoError when the
-  /// chunk still mismatches after max_refetches_ re-reads.
+  /// Verifies one fetched chunk against its file's recorded CRC,
+  /// re-fetching it from `file` on mismatch. Returns the (possibly
+  /// replaced) chunk bytes — `refetch_buf` provides storage for the
+  /// replacement — and adds re-fetch device requests to `requests`.
+  /// Throws NvmIoError when the chunk still mismatches after
+  /// max_refetches_ re-reads.
   std::span<const std::byte> verify_chunk(
       NvmBackingFile& file, std::uint64_t chunk_index,
       std::uint64_t chunk_begin, std::span<const std::byte> chunk,
@@ -152,7 +155,7 @@ class ChunkCache {
 
   std::uint32_t chunk_bytes_;
   std::size_t capacity_bytes_;
-  const ChunkChecksums* checksums_ = nullptr;
+  bool verify_ = false;
   int max_refetches_ = 1;
   std::vector<std::unique_ptr<Shard>> shards_;
 

@@ -4,7 +4,7 @@
 #include <chrono>
 #include <cstring>
 
-#include "nvm/chunk_checksums.hpp"
+#include "nvm/crc32.hpp"
 #include "nvm/varint.hpp"
 #include "util/contracts.hpp"
 
@@ -81,7 +81,7 @@ CompressedBlockFile::CompressedBlockFile(
     const std::span<const std::byte> blob{encoded.data() + blob_begin,
                                           encoded.size() - blob_begin};
     blob_lengths_.push_back(static_cast<std::uint32_t>(blob.size()));
-    blob_crcs_.push_back(ChunkChecksums::crc32(blob));
+    blob_crcs_.push_back(crc32(blob));
     blob_offsets_.push_back(encoded.size());
   }
 
@@ -123,7 +123,7 @@ std::uint64_t CompressedBlockFile::block_decoded_bytes(
 void CompressedBlockFile::verify_blob(std::uint64_t block,
                                       std::span<std::byte> blob) {
   const auto i = static_cast<std::size_t>(block);
-  if (ChunkChecksums::crc32(blob) == blob_crcs_[i]) return;
+  if (crc32(blob) == blob_crcs_[i]) return;
   // Detected device-side corruption (or a torn delivery): heal with
   // targeted per-blob re-reads before giving up, mirroring the raw path's
   // ChunkCache CRC heal.
@@ -133,7 +133,7 @@ void CompressedBlockFile::verify_blob(std::uint64_t block,
     inner_->record_retry();
     if (obs::enabled()) obs_refetches_->add(1);
     inner_->read(device_offset, blob);
-    if (ChunkChecksums::crc32(blob) == blob_crcs_[i]) return;
+    if (crc32(blob) == blob_crcs_[i]) return;
     if (obs::enabled()) obs_checksum_failures_->add(1);
   }
   throw NvmIoError("compressed blob " + std::to_string(block) +

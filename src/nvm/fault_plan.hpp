@@ -17,9 +17,8 @@
 //  - bit corruption: one deterministic byte of the destination is flipped
 //  - latency spike: the modeled service time is extended by latency_spike_us
 //
-// The legacy NvmDevice::inject_failure_after(n) one-shot is folded in via
-// fail_after_requests: sequence index n-1 (the n-th read from arming)
-// errors exactly once, with none of the old countdown's decrement races.
+// fail_after_requests = n adds a one-shot: sequence index n-1 (the n-th
+// read from arming) errors exactly once.
 #pragma once
 
 #include <cstdint>
@@ -66,8 +65,7 @@ struct FaultPlan {
   double latency_spike_us = 1000.0;
   /// One-shot deterministic failure: when nonzero, the read request with
   /// sequence index fail_after_requests-1 (i.e. the n-th read after the
-  /// plan is armed) raises a read error exactly once. This subsumes the
-  /// legacy NvmDevice::inject_failure_after hook.
+  /// plan is armed) raises a read error exactly once.
   std::uint64_t fail_after_requests = 0;
 
   /// True when any fault can ever fire.

@@ -7,20 +7,16 @@
 
 namespace sembfs {
 
-IoScheduler::IoScheduler(std::size_t queue_depth, IoSchedulerConfig config)
-    : config_(config),
-      obs_queue_wait_us_(
+IoScheduler::IoScheduler(std::size_t queue_depth)
+    : obs_queue_wait_us_(
           &obs::metrics().histogram("io_sched.queue_wait_us")),
       obs_service_us_(&obs::metrics().histogram("io_sched.service_us")),
       obs_completed_(&obs::metrics().counter("io_sched.completed")),
       obs_retries_(&obs::metrics().counter("io_sched.retries")),
       obs_failures_(&obs::metrics().counter("io_sched.failures")),
       obs_deadline_expired_(
-          &obs::metrics().counter("io_sched.deadline_expired")),
-      obs_budget_rejected_(
-          &obs::metrics().counter("io_sched.budget_rejected")) {
+          &obs::metrics().counter("io_sched.deadline_expired")) {
   SEMBFS_EXPECTS(queue_depth >= 1);
-  SEMBFS_EXPECTS(config_.retry.max_attempts >= 1);
   grow(queue_depth);
 }
 
@@ -48,47 +44,20 @@ IoScheduler::~IoScheduler() {
   SEMBFS_ASSERT(queue_.empty() && in_service_ == 0);
 }
 
-IoScheduler::Job IoScheduler::make_job(NvmBackingFile& file,
-                                       std::uint64_t offset,
-                                       std::span<std::byte> dst,
-                                       ChunkCache* cache,
-                                       std::uint64_t max_miss_request_bytes,
-                                       const RetryPolicy* retry) const {
+std::future<IoResult> IoScheduler::submit_read(
+    NvmBackingFile& file, std::uint64_t offset, std::span<std::byte> dst,
+    const RetryPolicy& retry, ChunkCache* cache,
+    std::uint64_t max_miss_request_bytes) {
+  SEMBFS_EXPECTS(retry.max_attempts >= 1);
   Job job;
   job.file = &file;
   job.offset = offset;
   job.dst = dst;
   job.cache = cache;
   job.max_miss_request_bytes = max_miss_request_bytes;
-  job.retry = retry != nullptr ? *retry : config_.retry;
-  SEMBFS_EXPECTS(job.retry.max_attempts >= 1);
+  job.retry = retry;
   job.submitted_at = std::chrono::steady_clock::now();
-  return job;
-}
-
-std::future<IoResult> IoScheduler::submit_read(
-    NvmBackingFile& file, std::uint64_t offset, std::span<std::byte> dst,
-    ChunkCache* cache, std::uint64_t max_miss_request_bytes,
-    const RetryPolicy* retry) {
-  Job job =
-      make_job(file, offset, dst, cache, max_miss_request_bytes, retry);
   std::future<IoResult> future = job.promise.get_future();
-  enqueue(std::move(job));
-  return future;
-}
-
-void IoScheduler::submit_read(
-    NvmBackingFile& file, std::uint64_t offset, std::span<std::byte> dst,
-    std::function<void(const IoResult&)> done, ChunkCache* cache,
-    std::uint64_t max_miss_request_bytes, const RetryPolicy* retry) {
-  SEMBFS_EXPECTS(done != nullptr);
-  Job job =
-      make_job(file, offset, dst, cache, max_miss_request_bytes, retry);
-  job.callback = std::move(done);
-  enqueue(std::move(job));
-}
-
-void IoScheduler::enqueue(Job job) {
   {
     std::lock_guard<std::mutex> lock(mutex_);
     SEMBFS_EXPECTS(!shutdown_);
@@ -97,6 +66,7 @@ void IoScheduler::enqueue(Job job) {
     peak_pending_ = std::max(peak_pending_, queue_.size() + in_service_);
   }
   work_cv_.notify_one();
+  return future;
 }
 
 std::uint64_t IoScheduler::execute(Job& job) {
@@ -122,6 +92,18 @@ std::uint64_t IoScheduler::execute(Job& job) {
   return requests;
 }
 
+void IoScheduler::count_failure(bool deadline_expired) {
+  {
+    std::lock_guard<std::mutex> lock(mutex_);
+    ++failures_;
+    if (deadline_expired) ++deadline_expired_;
+  }
+  if (obs::enabled()) {
+    obs_failures_->add(1);
+    if (deadline_expired) obs_deadline_expired_->add(1);
+  }
+}
+
 IoResult IoScheduler::run_job(Job& job) {
   IoResult result;
   const RetryPolicy& retry = job.retry;
@@ -133,33 +115,9 @@ IoResult IoScheduler::run_job(Job& job) {
     return elapsed.count() > retry.deadline_seconds;
   };
 
-  // Fail fast while the error budget is spent: completing the request with
-  // ok=false immediately (no device traffic, no retries) keeps a dying
-  // device from stalling every in-flight consumer at full retry cost.
-  if (error_budget_exhausted()) {
-    result.message = "scheduled read rejected: error budget exhausted";
-    {
-      std::lock_guard<std::mutex> lock(mutex_);
-      ++budget_rejected_;
-      ++failures_;
-    }
-    if (obs::enabled()) {
-      obs_budget_rejected_->add(1);
-      obs_failures_->add(1);
-    }
-    return result;
-  }
   if (deadline_passed()) {
     result.message = "scheduled read deadline expired before first attempt";
-    {
-      std::lock_guard<std::mutex> lock(mutex_);
-      ++deadline_expired_;
-      ++failures_;
-    }
-    if (obs::enabled()) {
-      obs_deadline_expired_->add(1);
-      obs_failures_->add(1);
-    }
+    count_failure(/*deadline_expired=*/true);
     return result;
   }
 
@@ -189,15 +147,7 @@ IoResult IoScheduler::run_job(Job& job) {
       result.message = "scheduled read deadline expired after " +
                        std::to_string(attempt) + " attempt(s): " +
                        result.message;
-      {
-        std::lock_guard<std::mutex> lock(mutex_);
-        ++deadline_expired_;
-        ++failures_;
-      }
-      if (obs::enabled()) {
-        obs_deadline_expired_->add(1);
-        obs_failures_->add(1);
-      }
+      count_failure(/*deadline_expired=*/true);
       return result;
     }
     job.file->record_retry();
@@ -208,16 +158,10 @@ IoResult IoScheduler::run_job(Job& job) {
     if (obs::enabled()) obs_retries_->add(1);
   }
 
-  // Retries exhausted: charge the error budget.
   result.message = "scheduled read failed after " +
                    std::to_string(result.attempts) + " attempt(s): " +
                    result.message;
-  failed_requests_.fetch_add(1, std::memory_order_relaxed);
-  {
-    std::lock_guard<std::mutex> lock(mutex_);
-    ++failures_;
-  }
-  if (obs::enabled()) obs_failures_->add(1);
+  count_failure(/*deadline_expired=*/false);
   return result;
 }
 
@@ -257,11 +201,7 @@ void IoScheduler::worker_loop() {
       std::lock_guard<std::mutex> lock(mutex_);
       ++completed_;
     }
-    if (job.callback) {
-      job.callback(result);
-    } else {
-      job.promise.set_value(result);
-    }
+    job.promise.set_value(result);
     {
       std::lock_guard<std::mutex> lock(mutex_);
       --in_service_;
@@ -273,15 +213,6 @@ void IoScheduler::worker_loop() {
 void IoScheduler::drain() {
   std::unique_lock<std::mutex> lock(mutex_);
   idle_cv_.wait(lock, [this] { return queue_.empty() && in_service_ == 0; });
-}
-
-bool IoScheduler::error_budget_exhausted() const noexcept {
-  return failed_requests_.load(std::memory_order_relaxed) >=
-         config_.error_budget;
-}
-
-void IoScheduler::reset_error_budget() noexcept {
-  failed_requests_.store(0, std::memory_order_relaxed);
 }
 
 std::size_t IoScheduler::pending() const noexcept {
@@ -298,7 +229,6 @@ IoSchedulerStats IoScheduler::stats() const noexcept {
   s.retries = retries_;
   s.failures = failures_;
   s.deadline_expired = deadline_expired_;
-  s.budget_rejected = budget_rejected_;
   return s;
 }
 

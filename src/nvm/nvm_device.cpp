@@ -4,6 +4,7 @@
 #include <chrono>
 #include <thread>
 
+#include "nvm/crc32.hpp"
 #include "util/contracts.hpp"
 #include "util/timer.hpp"
 
@@ -143,6 +144,25 @@ double NvmDevice::serve(std::uint64_t bytes, double extra_seconds,
     }
   }
   return t.seconds();
+}
+
+void NvmBackingFile::record_chunk_crcs(std::span<const std::byte> contents,
+                                       std::uint32_t chunk_bytes) {
+  SEMBFS_EXPECTS(chunk_bytes > 0);
+  crc_chunk_bytes_ = chunk_bytes;
+  chunk_crcs_.clear();
+  chunk_crcs_.reserve((contents.size() + chunk_bytes - 1) / chunk_bytes);
+  for (std::size_t done = 0; done < contents.size(); done += chunk_bytes)
+    chunk_crcs_.push_back(crc32(contents.subspan(
+        done, std::min<std::size_t>(chunk_bytes, contents.size() - done))));
+}
+
+std::optional<std::uint32_t> NvmBackingFile::chunk_crc(
+    std::uint64_t chunk, std::uint32_t chunk_bytes) const {
+  if (chunk_crcs_.empty()) return std::nullopt;
+  SEMBFS_EXPECTS(chunk_bytes == crc_chunk_bytes_);
+  if (chunk >= chunk_crcs_.size()) return std::nullopt;
+  return chunk_crcs_[static_cast<std::size_t>(chunk)];
 }
 
 NvmFile::NvmFile(std::shared_ptr<NvmDevice> device, const std::string& path)

@@ -27,8 +27,10 @@
 #include <functional>
 #include <memory>
 #include <mutex>
+#include <optional>
 #include <span>
 #include <string>
+#include <vector>
 
 #include "nvm/device_profile.hpp"
 #include "nvm/fault_plan.hpp"
@@ -66,18 +68,6 @@ class NvmDevice {
   [[nodiscard]] std::uint64_t fault_sequence_index() const noexcept {
     return fault_sequence_.load(std::memory_order_relaxed);
   }
-
-  /// Legacy one-shot hook (tests / failure-handling validation), now a
-  /// thin wrapper over the FaultPlan: the READ request
-  /// `requests_from_now` submissions in the future throws NvmIoError
-  /// exactly once. Pass 1 to fail the very next read.
-  void inject_failure_after(std::uint64_t requests_from_now) {
-    FaultPlan plan;
-    plan.fail_after_requests = requests_from_now;
-    set_fault_plan(plan);
-  }
-  /// Cancels a pending injected failure.
-  void clear_injected_failure() { clear_fault_plan(); }
 
   /// One modeled request of `bytes` around the real I/O in `io` (write /
   /// opaque path: no fault injection). Exposed for NvmFile; not intended
@@ -216,6 +206,23 @@ class NvmBackingFile {
   /// Records one retry of a failed read against this store's device(s) —
   /// called by recovery layers (IoScheduler) so IoStats sees retry work.
   virtual void record_retry() noexcept {}
+
+  /// Keeps the CRC32 of every `chunk_bytes` chunk of `contents`, this
+  /// store's bytes from offset 0 as offloaded (the last chunk may be
+  /// short). Recorded once, from the DRAM source, before any read: these
+  /// are the ground truth a ChunkCache verifies the chunks it fills
+  /// against.
+  void record_chunk_crcs(std::span<const std::byte> contents,
+                         std::uint32_t chunk_bytes);
+  /// The recorded CRC32 of chunk `chunk` (of `chunk_bytes` bytes), or
+  /// nullopt when the store recorded none for it (a CompressedBlockFile's
+  /// blobs carry their own). A recorded table must have that chunk size.
+  [[nodiscard]] std::optional<std::uint32_t> chunk_crc(
+      std::uint64_t chunk, std::uint32_t chunk_bytes) const;
+
+ private:
+  std::uint32_t crc_chunk_bytes_ = 0;
+  std::vector<std::uint32_t> chunk_crcs_;
 };
 
 /// A file stored on a simulated NVM device. All I/O is routed through the

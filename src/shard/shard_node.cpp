@@ -15,23 +15,20 @@ ShardNode::ShardNode(Csr block, const DeviceProfile& profile,
   for (std::size_t d = 0; d < config.devices_per_shard; ++d)
     devices_.push_back(std::make_shared<NvmDevice>(profile));
 
-  checksums_ = std::make_unique<ChunkChecksums>(config.chunk_bytes);
   if (devices_.size() == 1) {
     external_ = std::make_unique<ExternalCsrPartition>(
         block_, devices_.front(), dir, shard_id, config.chunk_bytes,
-        checksums_.get(), config.format);
+        config.format);
   } else {
     external_ = std::make_unique<ExternalCsrPartition>(
-        block_, devices_, dir, shard_id, config.chunk_bytes,
-        checksums_.get(), config.format);
+        block_, devices_, dir, shard_id, config.chunk_bytes, config.format);
   }
 
   if (config.cache_bytes > 0) {
     cache_ = std::make_unique<ChunkCache>(config.cache_bytes,
                                           config.chunk_bytes);
-    if (config.verify_checksums)
-      cache_->set_checksums(checksums_.get(),
-                            config.retry.max_attempts);
+    cache_->set_verify_checksums(config.verify_checksums,
+                                 config.retry.max_attempts);
     external_->attach_cache(cache_.get());
   }
   external_->set_compressed_max_refetches(config.retry.max_attempts);

@@ -8,9 +8,9 @@
 //         devices are striped through StripedNvmFile via
 //         ExternalCsrPartition's striped constructor),
 //       - an ExternalCsrPartition of the block (raw or varint chunk
-//         format) with its own ChunkChecksums registry,
+//         format), whose files keep their own chunk CRCs,
 //       - optionally a private ChunkCache (with CRC verification against
-//         the shard's checksums),
+//         those files' CRCs),
 //       - a private IoScheduler with one worker per device, which the
 //         merged batch reads are posted to (one request in service per
 //         device, the concurrency a synchronous read would have),
@@ -31,8 +31,8 @@
 // Fault containment: every read request is retried under
 // ShardNodeConfig::retry (each retry consumes fresh fault-sequence
 // indices, so transient injected errors clear). When a read still fails,
-// ShardedBfs redoes that level's expansion from the DRAM copy if
-// ShardNodeConfig::dram_fallback is set, and raises NvmIoError otherwise.
+// ShardedBfs always redoes that level's expansion from the DRAM copy, as
+// a single-node BFS session redoes such a level from its backward graph.
 // The BFS result stays reference-exact, the shard sends exactly a clean
 // run's claims, and no other shard observes anything — degraded, not
 // poisoned.
@@ -48,7 +48,6 @@
 #include "graph/external_csr.hpp"
 #include "graph/graph_storage.hpp"
 #include "nvm/chunk_cache.hpp"
-#include "nvm/chunk_checksums.hpp"
 #include "nvm/chunk_format.hpp"
 #include "nvm/device_profile.hpp"
 #include "nvm/fault_plan.hpp"
@@ -68,10 +67,6 @@ struct ShardNodeConfig {
   bool verify_checksums = false;
   /// Attempts, backoff and deadline of every top-down read request.
   RetryPolicy retry;
-  /// Redo a top-down level whose reads still fail after the retries from
-  /// the DRAM copy (a degraded level). Without it the failure propagates
-  /// as NvmIoError. The DRAM copy is resident either way.
-  bool dram_fallback = true;
 };
 
 class ShardNode {
@@ -137,15 +132,11 @@ class ShardNode {
   [[nodiscard]] ForwardReads reads() noexcept {
     return {scheduler_.get(), config_.retry};
   }
-  [[nodiscard]] bool dram_fallback() const noexcept {
-    return config_.dram_fallback;
-  }
 
  private:
   std::size_t shard_id_;
   ShardNodeConfig config_;
   std::vector<std::shared_ptr<NvmDevice>> devices_;
-  std::unique_ptr<ChunkChecksums> checksums_;
   std::unique_ptr<ExternalCsrPartition> external_;
   std::unique_ptr<ChunkCache> cache_;
   // Declared after external_ and cache_, so it is joined before the files

@@ -2,8 +2,6 @@
 
 #include <algorithm>
 #include <atomic>
-#include <exception>
-#include <mutex>
 
 #include "bfs/sweep.hpp"
 #include "obs/metrics.hpp"
@@ -103,17 +101,9 @@ ShardedBfsResult ShardedBfs::run(Vertex root,
     std::atomic<std::uint64_t> nvm_requests{0};
     std::atomic<std::uint64_t> io_failures{0};
     std::atomic<std::uint64_t> degraded_shards{0};
-    std::atomic<bool> failed{false};
   } shared;
   shared.direction.store(
       config.mode == ShardedBfsConfig::Mode::BottomUpOnly ? 1 : 0);
-
-  // First unrecoverable shard error. A throwing rank must NOT unwind out
-  // of the parallel region — its peers would spin forever at the next
-  // barrier — so errors are parked here and rethrown on the main thread
-  // once the level completes.
-  std::exception_ptr error;
-  std::mutex error_mutex;
 
   // Per-shard run state. Each shard only ever touches its own entry;
   // owners additionally write their exclusive parent/level block.
@@ -212,7 +202,6 @@ ShardedBfsResult ShardedBfs::run(Vertex root,
       std::vector<Claim> claims;  // children non-decreasing when sent
       std::uint64_t requests = 0;
       std::uint64_t failures = 0;
-      bool fell_back = false;
       if (direction == Direction::TopDown) {
         // One claim per cut edge — the O(frontier edges) traffic the
         // direction switch exists to collapse. The only phase that reads
@@ -232,24 +221,12 @@ ShardedBfsResult ShardedBfs::run(Vertex root,
         };
         requests = read_batches(node.nvm_block(), node.reads(), next_batch,
                                 emit, [&] { ++failures; });
-        if (failures > 0 && node.dram_fallback()) {
+        if (failures > 0) {
           // Degraded level: redo the expansion from the DRAM copy, so the
           // shard sends exactly a clean run's claims; only its stats show
           // the failure.
-          fell_back = true;
           claims.clear();
           for (const Vertex v : row_frontier) emit(v, node.local_neighbors(v));
-        } else if (failures > 0) {
-          // Retries exhausted and no DRAM fallback: this shard stops
-          // expanding but keeps walking the barrier protocol so its
-          // peers finish the level; the error surfaces after the region.
-          const std::lock_guard<std::mutex> lock{error_mutex};
-          if (!error)
-            error = std::make_exception_ptr(NvmIoError(
-                "shard " + std::to_string(k) +
-                ": top-down read failed after retries (DRAM fallback "
-                "disabled)"));
-          shared.failed.store(true);
         }
         // Sorted by (child, parent): the run-flush below needs children
         // grouped by owner, and the first claim the owner sees for a
@@ -332,7 +309,7 @@ ShardedBfsResult ShardedBfs::run(Vertex root,
           static_cast<std::uint64_t>(compute_s * 1e9));
       shared.nvm_requests.fetch_add(requests);
       shared.io_failures.fetch_add(failures);
-      if (fell_back) shared.degraded_shards.fetch_add(1);
+      if (failures > 0) shared.degraded_shards.fetch_add(1);
       bus.barrier();  // all claims resolved, counters visible
 
       if (k == 0) {
@@ -373,7 +350,6 @@ ShardedBfsResult ShardedBfs::run(Vertex root,
       bus.barrier();  // stats recorded, decision published
     });
 
-    if (shared.failed.load()) std::rethrow_exception(error);
     cur_frontier_total = shared.next_total.load();
     for (std::size_t k = 0; k < ranks; ++k) frontier[k].swap(next[k]);
     ++level;

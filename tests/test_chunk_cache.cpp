@@ -3,9 +3,11 @@
 #include <gtest/gtest.h>
 
 #include <numeric>
+#include <string>
 #include <thread>
 #include <vector>
 
+#include "nvm/crc32.hpp"
 #include "nvm/storage_file.hpp"
 #include "test_util.hpp"
 
@@ -160,9 +162,8 @@ TEST_F(ChunkCacheTest, DistinguishesFiles) {
 }
 
 TEST_F(ChunkCacheTest, ChecksumDetectsPersistentCorruptionAndThrows) {
-  ChunkChecksums checksums;
-  checksums.record_buffer(*file_, 0,
-                          std::as_bytes(std::span<const char>{payload_}));
+  file_->record_chunk_crcs(std::as_bytes(std::span<const char>{payload_}),
+                           4096);
 
   // Damage the backing store itself (a torn write, not a transient device
   // glitch): every re-fetch sees the same wrong byte.
@@ -170,7 +171,7 @@ TEST_F(ChunkCacheTest, ChecksumDetectsPersistentCorruptionAndThrows) {
   file_->write(5000, std::as_bytes(std::span<const char>{&bad, 1}));
 
   ChunkCache cache{1 << 20};
-  cache.set_checksums(&checksums, /*max_refetches=*/2);
+  cache.set_verify_checksums(true, /*max_refetches=*/2);
   std::vector<std::byte> out(3 * 4096);  // chunks 0..2; byte 5000 is chunk 1
   EXPECT_THROW(cache.read(*file_, 0, out), NvmIoError);
 
@@ -180,9 +181,8 @@ TEST_F(ChunkCacheTest, ChecksumDetectsPersistentCorruptionAndThrows) {
 }
 
 TEST_F(ChunkCacheTest, ChecksumHealsTransientDeviceCorruption) {
-  ChunkChecksums checksums;
-  checksums.record_buffer(*file_, 0,
-                          std::as_bytes(std::span<const char>{payload_}));
+  file_->record_chunk_crcs(std::as_bytes(std::span<const char>{payload_}),
+                           4096);
 
   // A plan whose fault sequence corrupts read #0 but not read #1: the
   // cold fetch delivers a flipped byte, the corrective re-fetch is clean.
@@ -194,7 +194,7 @@ TEST_F(ChunkCacheTest, ChecksumHealsTransientDeviceCorruption) {
   device_->set_fault_plan(plan);
 
   ChunkCache cache{1 << 20};
-  cache.set_checksums(&checksums, /*max_refetches=*/1);
+  cache.set_verify_checksums(true, /*max_refetches=*/1);
   std::vector<std::byte> out(4096);  // one chunk = one faulted device read
   const std::uint64_t requests = cache.read(*file_, 0, out);
   expect_bytes(out, 0);  // healed: the caller never sees the flip
@@ -211,17 +211,22 @@ TEST_F(ChunkCacheTest, ChecksumHealsTransientDeviceCorruption) {
 }
 
 TEST_F(ChunkCacheTest, UnrecordedChunksAreDeliveredUnverified) {
-  // An attached but empty registry must not reject (or re-fetch) chunks it
-  // never recorded — verification is strictly opt-in per chunk.
-  ChunkChecksums checksums;
+  // A verifying cache must not reject (or re-fetch) chunks of a file that
+  // recorded no CRCs — a varint store's blobs carry their own.
   ChunkCache cache{1 << 20};
-  cache.set_checksums(&checksums);
+  cache.set_verify_checksums(true);
   std::vector<std::byte> out(8192);
   cache.read(*file_, 0, out);
   expect_bytes(out, 0);
   const ChunkCacheStats stats = cache.stats();
   EXPECT_EQ(stats.checksum_failures, 0u);
   EXPECT_EQ(stats.refetches, 0u);
+}
+
+TEST(Crc32, MatchesTheIeeeCheckValue) {
+  const std::string check = "123456789";
+  EXPECT_EQ(crc32(std::as_bytes(std::span<const char>{check})), 0xCBF43926u);
+  EXPECT_EQ(crc32({}), 0u);
 }
 
 TEST_F(ChunkCacheTest, ConcurrentReadersSeeConsistentData) {

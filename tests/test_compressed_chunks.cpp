@@ -277,10 +277,11 @@ TEST_F(CompressedExternalCsrTest, BatchedFetchMatchesRawFormat) {
   for (std::size_t k = 0; k < external_->node_count(); ++k) {
     std::vector<std::vector<Vertex>> varint_out, raw_out;
     external_->partition(k)
-        .start_fetch_neighbors_batch(batch, scheduler)
+        .start_fetch_neighbors_batch(batch, scheduler, RetryPolicy{})
         .wait(varint_out);
-    raw.partition(k).start_fetch_neighbors_batch(batch, scheduler).wait(
-        raw_out);
+    raw.partition(k)
+        .start_fetch_neighbors_batch(batch, scheduler, RetryPolicy{})
+        .wait(raw_out);
     EXPECT_EQ(varint_out, raw_out) << "partition " << k;
   }
 }

@@ -98,7 +98,8 @@ TEST_F(ConcurrentSharingTest, IoSchedulerAndCacheSharedBySubmitters) {
         buffers[i].resize(size);
         offsets.push_back(offset);
         pending.push_back(
-            scheduler.submit_read(*file_, offset, buffers[i], &cache));
+            scheduler.submit_read(*file_, offset, buffers[i], RetryPolicy{},
+                                  &cache));
       }
       for (int i = 0; i < kReadsPerThread; ++i) {
         const IoResult result = pending[i].get();

@@ -16,6 +16,13 @@
 namespace sembfs {
 namespace {
 
+/// A plan whose one fault is a read error on the n-th read after arming.
+FaultPlan fail_read(std::uint64_t n) {
+  FaultPlan plan;
+  plan.fail_after_requests = n;
+  return plan;
+}
+
 class FaultInjectionTest : public ::testing::Test {
  protected:
   void SetUp() override {
@@ -31,7 +38,7 @@ TEST_F(FaultInjectionTest, NextRequestFails) {
   const char payload[8] = "1234567";
   file.write(0, std::as_bytes(std::span<const char>{payload}));
 
-  device_->inject_failure_after(1);
+  device_->set_fault_plan(fail_read(1));
   char buf[4];
   EXPECT_THROW(file.read(0, std::as_writable_bytes(std::span<char>{buf})),
                std::runtime_error);
@@ -45,7 +52,8 @@ TEST_F(FaultInjectionTest, CountdownSkipsEarlierRequests) {
   const char payload[8] = "abcdefg";
   file.write(0, std::as_bytes(std::span<const char>{payload}));
 
-  device_->inject_failure_after(3);  // write consumed nothing: reads 1,2 ok
+  // The write consumed no fault index: reads 1 and 2 succeed.
+  device_->set_fault_plan(fail_read(3));
   char c;
   file.read(0, std::as_writable_bytes(std::span<char>{&c, 1}));
   file.read(1, std::as_writable_bytes(std::span<char>{&c, 1}));
@@ -57,8 +65,8 @@ TEST_F(FaultInjectionTest, ClearCancelsInjection) {
   NvmFile file{device_, dir_.path() + "/c.bin"};
   const char payload[4] = "xyz";
   file.write(0, std::as_bytes(std::span<const char>{payload}));
-  device_->inject_failure_after(1);
-  device_->clear_injected_failure();
+  device_->set_fault_plan(fail_read(1));
+  device_->clear_fault_plan();
   char c;
   file.read(0, std::as_writable_bytes(std::span<char>{&c, 1}));
   EXPECT_EQ(c, 'x');
@@ -69,7 +77,7 @@ TEST_F(FaultInjectionTest, ExternalArrayReadPropagates) {
   ExternalArray<std::int64_t> arr{file, 0, 16};
   std::vector<std::int64_t> data(16, 7);
   arr.write(0, data);
-  device_->inject_failure_after(1);
+  device_->set_fault_plan(fail_read(1));
   std::vector<std::int64_t> out(16);
   EXPECT_THROW(arr.read(0, out), std::runtime_error);
 }
@@ -103,7 +111,7 @@ TEST_F(FaultInjectionTest, ParallelBfsDegradesOnDeviceErrorAndRecovers) {
   // step contains it, the level is completed via the DRAM bottom-up
   // direction, and the run finishes with the degraded flag set. The
   // one-shot fails exactly one fetch, so exactly one level degrades.
-  device_->inject_failure_after(healthy.nvm_requests / 2);
+  device_->set_fault_plan(fail_read(healthy.nvm_requests / 2));
   const BfsResult degraded = runner.run(root, config);
   EXPECT_TRUE(degraded.degraded);
   EXPECT_EQ(degraded.degraded_levels, 1);
@@ -150,7 +158,7 @@ TEST_F(FaultInjectionTest, IoRetryHealsTopDownReadFailure) {
   ASSERT_FALSE(healthy.degraded);
 
   const std::uint64_t retries_before = device_->stats().retry_count();
-  device_->inject_failure_after(healthy.nvm_requests / 2);
+  device_->set_fault_plan(fail_read(healthy.nvm_requests / 2));
   const BfsResult retried = runner.run(root, config);
   EXPECT_FALSE(retried.degraded);
   EXPECT_EQ(retried.io_failures, 0u);
@@ -192,7 +200,7 @@ TEST_F(FaultInjectionTest, DegradationWithoutBackwardGraphThrows) {
       healthy_program.snapshot_result(healthy).nvm_requests;
   ASSERT_GT(requests, 20u);
 
-  device_->inject_failure_after(requests / 2);
+  device_->set_fault_plan(fail_read(requests / 2));
   BfsStatus faulted_status{edges.vertex_count()};
   engine::BfsProgram faulted_program{faulted_status, root};
   engine::ProgramSession faulted{faulted_program, storage, topology, pool_,
@@ -207,7 +215,7 @@ TEST_F(FaultInjectionTest, StatsNotCorruptedByFailure) {
   file.write(0, std::as_bytes(std::span<const char>{payload}));
   device_->stats().reset();
 
-  device_->inject_failure_after(1);
+  device_->set_fault_plan(fail_read(1));
   char c;
   EXPECT_THROW(file.read(0, std::as_writable_bytes(std::span<char>{&c, 1})),
                std::runtime_error);

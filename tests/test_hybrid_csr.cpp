@@ -5,7 +5,9 @@
 #include <algorithm>
 #include <filesystem>
 
+#include "engine/bfs_program.hpp"
 #include "graph_fixtures.hpp"
+#include "nvm/storage_file.hpp"
 
 namespace sembfs {
 namespace {
@@ -198,6 +200,40 @@ TEST_F(HybridCsrTest, DramSizeCountsDegreeZeroMask) {
   EXPECT_EQ(all.dram_byte_size(),
             backward_.byte_size() + nvm_index +
                 backward_.degree_zero().word_count() * sizeof(std::uint64_t));
+}
+
+TEST_F(HybridCsrTest, OutOfRangeTailEntryEndsTraversalInTypedError) {
+  // A raw tail carries no CRCs, so a corrupted entry reaches the bottom-up
+  // sweep. One outside [0, n) must end the traversal in NvmIoError, never
+  // index the frontier bitmap out of range.
+  HybridBackwardGraph hybrid = make(1);
+  const VertexRange sources = hybrid.partition(0).source_range();
+  Vertex first = sources.begin;  // owner of the file's first tail entry
+  while (first < sources.end && backward_.neighbors(first).size() < 2)
+    ++first;
+  ASSERT_LT(first, sources.end);
+  {
+    const Vertex bad = edges_.vertex_count() + 5;
+    const StorageFile file =
+        StorageFile::open_readwrite(dir_ + "/bg_node0.overflow");
+    file.pwrite_exact(0, std::as_bytes(std::span<const Vertex>{&bad, 1}));
+  }
+
+  const ForwardGraph forward =
+      ForwardGraph::build(edges_, partition_, CsrBuildOptions{}, pool_);
+  GraphStorage storage;
+  storage.forward = &forward;
+  storage.backward = &hybrid;
+  HybridBfsRunner runner{storage, NumaTopology{4, 1}, pool_};
+  BfsConfig config;
+  config.mode = BfsMode::BottomUpOnly;
+  // A root that neither is `first` nor is its hub, so the first level
+  // sweeps `first` past its DRAM prefix into the corrupted entry.
+  Vertex root = 0;
+  while (root == first || root == hybrid.partition(0).hub(first) ||
+         backward_.neighbors(root).empty())
+    ++root;
+  EXPECT_THROW(runner.run(root, config), NvmIoError);
 }
 
 TEST_F(HybridCsrTest, DramSizeShrinksAsCapDrops) {

@@ -31,8 +31,8 @@ class IoAggregationTest : public ::testing::Test {
       std::uint32_t merge_gap_bytes = kMergeGapBytes,
       std::uint32_t max_request_bytes = kMaxRequestBytes) {
     return part
-        .start_fetch_neighbors_batch(batch, scheduler_, merge_gap_bytes,
-                                     max_request_bytes)
+        .start_fetch_neighbors_batch(batch, scheduler_, RetryPolicy{},
+                                     merge_gap_bytes, max_request_bytes)
         .wait(out);
   }
 
@@ -254,7 +254,8 @@ TEST_F(IoAggregationTest, ManyPendingBatchesInFlightAtOnce) {
     for (Vertex v = static_cast<Vertex>(b); v < edges_.vertex_count();
          v += kBatches)
       batches[b].push_back(v);
-    pending.push_back(part.start_fetch_neighbors_batch(batches[b], scheduler));
+    pending.push_back(
+        part.start_fetch_neighbors_batch(batches[b], scheduler, RetryPolicy{}));
   }
   std::vector<std::vector<Vertex>> out;
   std::vector<Vertex> single;

@@ -2,7 +2,6 @@
 
 #include <gtest/gtest.h>
 
-#include <atomic>
 #include <numeric>
 #include <vector>
 
@@ -39,12 +38,13 @@ class IoSchedulerTest : public ::testing::Test {
   std::shared_ptr<NvmDevice> device_;
   std::unique_ptr<NvmFile> file_;
   std::vector<char> payload_;
+  const RetryPolicy retry_;  // the default policy, carried by each read
 };
 
 TEST_F(IoSchedulerTest, SingleReadCompletesViaFuture) {
   IoScheduler scheduler{4};
   std::vector<std::byte> out(1000);
-  auto done = scheduler.submit_read(*file_, 123, out);
+  auto done = scheduler.submit_read(*file_, 123, out, retry_);
   const IoResult result = done.get();
   EXPECT_TRUE(result.ok);
   EXPECT_EQ(result.attempts, 1);
@@ -61,8 +61,8 @@ TEST_F(IoSchedulerTest, ManyReadsEachLandInTheirOwnBuffer) {
   futures.reserve(kReads);
   for (std::size_t i = 0; i < kReads; ++i) {
     bufs[i].resize(512 + i * 8);
-    futures.push_back(scheduler.submit_read(*file_, i * 1024,
-                                            std::span<std::byte>{bufs[i]}));
+    futures.push_back(scheduler.submit_read(
+        *file_, i * 1024, std::span<std::byte>{bufs[i]}, retry_));
   }
   // Completion order is the scheduler's business; results must not be.
   for (std::size_t i = 0; i < kReads; ++i) {
@@ -78,28 +78,13 @@ TEST_F(IoSchedulerTest, ManyReadsEachLandInTheirOwnBuffer) {
   EXPECT_EQ(stats.retries, 0u);
 }
 
-TEST_F(IoSchedulerTest, CallbackVariantRunsOnCompletion) {
-  IoScheduler scheduler{2};
-  std::vector<std::byte> out(256);
-  std::atomic<std::uint64_t> requests{0};
-  std::atomic<bool> failed{false};
-  scheduler.submit_read(*file_, 0, out, [&](const IoResult& result) {
-    requests.store(result.requests);
-    failed.store(!result.ok);
-  });
-  scheduler.drain();
-  EXPECT_EQ(requests.load(), 1u);
-  EXPECT_FALSE(failed.load());
-  expect_bytes(out, 0);
-}
-
 TEST_F(IoSchedulerTest, DrainBlocksUntilQueueEmpty) {
   IoScheduler scheduler{2};
   std::vector<std::vector<std::byte>> bufs(32, std::vector<std::byte>(4096));
   std::vector<std::future<IoResult>> futures;
   for (std::size_t i = 0; i < bufs.size(); ++i)
-    futures.push_back(
-        scheduler.submit_read(*file_, i * 4096, std::span<std::byte>{bufs[i]}));
+    futures.push_back(scheduler.submit_read(
+        *file_, i * 4096, std::span<std::byte>{bufs[i]}, retry_));
   scheduler.drain();
   EXPECT_EQ(scheduler.pending(), 0u);
   for (auto& f : futures) EXPECT_EQ(f.get().value_or_throw(), 1u);
@@ -112,7 +97,7 @@ TEST_F(IoSchedulerTest, DestructorDrainsInFlightRequests) {
     IoScheduler scheduler{3};
     for (std::size_t i = 0; i < bufs.size(); ++i)
       futures.push_back(scheduler.submit_read(
-          *file_, i * 4096, std::span<std::byte>{bufs[i]}));
+          *file_, i * 4096, std::span<std::byte>{bufs[i]}, retry_));
     // Destroy with most requests still queued or in flight.
   }
   for (std::size_t i = 0; i < bufs.size(); ++i) {
@@ -126,10 +111,11 @@ TEST_F(IoSchedulerTest, ReadErrorSurfacesAsFailedResult) {
   std::vector<std::byte> out(128);
   // Reading past EOF makes the backing file throw on the I/O worker. The
   // error arrives as a value, never as an exception across the boundary.
-  auto done = scheduler.submit_read(*file_, payload_.size() + 4096, out);
+  auto done =
+      scheduler.submit_read(*file_, payload_.size() + 4096, out, retry_);
   const IoResult result = done.get();
   EXPECT_FALSE(result.ok);
-  EXPECT_EQ(result.attempts, scheduler.config().retry.max_attempts);
+  EXPECT_EQ(result.attempts, retry_.max_attempts);
   EXPECT_NE(result.error, nullptr);
   EXPECT_THROW(result.value_or_throw(), std::exception);
   scheduler.drain();  // the counters update after the future resolves
@@ -138,19 +124,18 @@ TEST_F(IoSchedulerTest, ReadErrorSurfacesAsFailedResult) {
   EXPECT_EQ(stats.failures, 1u);
   // max_attempts - 1 backoff retries were burned on a permanent error.
   EXPECT_EQ(stats.retries,
-            static_cast<std::uint64_t>(scheduler.config().retry.max_attempts) -
-                1);
+            static_cast<std::uint64_t>(retry_.max_attempts) - 1);
 }
 
 TEST_F(IoSchedulerTest, ReadsThroughCachePopulateIt) {
   IoScheduler scheduler{4};
   ChunkCache cache{1 << 20};
   std::vector<std::byte> out(3 * 4096);
-  auto cold = scheduler.submit_read(*file_, 0, out, &cache, 1 << 20);
+  auto cold = scheduler.submit_read(*file_, 0, out, retry_, &cache, 1 << 20);
   EXPECT_EQ(cold.get().value_or_throw(), 1u);  // one merged miss run
   expect_bytes(out, 0);
 
-  auto warm = scheduler.submit_read(*file_, 0, out, &cache);
+  auto warm = scheduler.submit_read(*file_, 0, out, retry_, &cache);
   EXPECT_EQ(warm.get().value_or_throw(), 0u);  // full hit: no device requests
   EXPECT_EQ(cache.stats().hits, 3u);
 }
@@ -162,8 +147,8 @@ TEST_F(IoSchedulerTest, QueueDepthBoundsConcurrentService) {
   std::vector<std::vector<std::byte>> bufs(16, std::vector<std::byte>(2048));
   std::vector<std::future<IoResult>> futures;
   for (std::size_t i = 0; i < bufs.size(); ++i)
-    futures.push_back(
-        scheduler.submit_read(*file_, i * 2048, std::span<std::byte>{bufs[i]}));
+    futures.push_back(scheduler.submit_read(
+        *file_, i * 2048, std::span<std::byte>{bufs[i]}, retry_));
   for (std::size_t i = 0; i < bufs.size(); ++i) {
     EXPECT_EQ(futures[i].get().value_or_throw(), 1u);
     expect_bytes(bufs[i], i * 2048);
@@ -181,7 +166,7 @@ TEST_F(IoSchedulerTest, RetryRecoversFromTransientFault) {
 
   IoScheduler scheduler{1};
   std::vector<std::byte> out(512);
-  const IoResult result = scheduler.submit_read(*file_, 64, out).get();
+  const IoResult result = scheduler.submit_read(*file_, 64, out, retry_).get();
   EXPECT_TRUE(result.ok);
   EXPECT_EQ(result.attempts, 2);
   expect_bytes(out, 64);
@@ -198,12 +183,12 @@ TEST_F(IoSchedulerTest, AttemptsExhaustedOnPersistentFault) {
   plan.read_error_rate = 1.0;  // every read errors, forever
   device_->set_fault_plan(plan);
 
-  IoSchedulerConfig config;
-  config.retry.max_attempts = 4;
-  config.retry.initial_backoff_us = 1.0;  // keep the test fast
-  IoScheduler scheduler{2, config};
+  RetryPolicy retry;
+  retry.max_attempts = 4;
+  retry.initial_backoff_us = 1.0;  // keep the test fast
+  IoScheduler scheduler{2};
   std::vector<std::byte> out(512);
-  const IoResult result = scheduler.submit_read(*file_, 0, out).get();
+  const IoResult result = scheduler.submit_read(*file_, 0, out, retry).get();
   EXPECT_FALSE(result.ok);
   EXPECT_EQ(result.attempts, 4);
   EXPECT_THROW(result.value_or_throw(), NvmIoError);
@@ -213,25 +198,24 @@ TEST_F(IoSchedulerTest, AttemptsExhaustedOnPersistentFault) {
 
 TEST_F(IoSchedulerTest, RequestRetryPolicyOverridesConfig) {
   // Traversals sharing one scheduler carry their own policy per request:
-  // the same one-shot fault is retried under the configured default, and
-  // fails at once under a single-attempt request policy.
+  // the same one-shot fault fails at once under a single-attempt policy,
+  // and is retried under the default one.
   FaultPlan plan;
   plan.fail_after_requests = 1;
   device_->set_fault_plan(plan);
 
   IoScheduler scheduler{1};
-  ASSERT_EQ(scheduler.config().retry.max_attempts, 3);
+  ASSERT_EQ(retry_.max_attempts, 3);
   RetryPolicy single;
   single.max_attempts = 1;
   std::vector<std::byte> out(512);
-  const IoResult failed =
-      scheduler.submit_read(*file_, 0, out, nullptr, 0, &single).get();
+  const IoResult failed = scheduler.submit_read(*file_, 0, out, single).get();
   EXPECT_FALSE(failed.ok);
   EXPECT_EQ(failed.attempts, 1);
   EXPECT_EQ(scheduler.stats().retries, 0u);
 
   device_->set_fault_plan(plan);  // re-arm the one-shot fault
-  const IoResult healed = scheduler.submit_read(*file_, 0, out).get();
+  const IoResult healed = scheduler.submit_read(*file_, 0, out, retry_).get();
   EXPECT_TRUE(healed.ok);
   EXPECT_EQ(healed.attempts, 2);
   expect_bytes(out, 0);
@@ -240,7 +224,7 @@ TEST_F(IoSchedulerTest, RequestRetryPolicyOverridesConfig) {
 TEST_F(IoSchedulerTest, GrowAddsWorkersAndNeverShrinks) {
   IoScheduler scheduler{2};
   std::vector<std::byte> out(4096);
-  auto in_flight = scheduler.submit_read(*file_, 0, out);
+  auto in_flight = scheduler.submit_read(*file_, 0, out, retry_);
   scheduler.grow(6);
   EXPECT_EQ(scheduler.queue_depth(), 6u);
   scheduler.grow(3);
@@ -265,52 +249,19 @@ TEST_F(IoSchedulerTest, DeadlineExpiryFailsTheRequest) {
   plan.read_error_rate = 1.0;
   device_->set_fault_plan(plan);
 
-  IoSchedulerConfig config;
-  config.retry.max_attempts = 1000;        // deadline must fire first
-  config.retry.initial_backoff_us = 2000;  // 2 ms per backoff
-  config.retry.backoff_multiplier = 1.0;
-  config.retry.deadline_seconds = 0.01;    // 10 ms budget
-  IoScheduler scheduler{1, config};
+  RetryPolicy retry;
+  retry.max_attempts = 1000;        // deadline must fire first
+  retry.initial_backoff_us = 2000;  // 2 ms per backoff
+  retry.backoff_multiplier = 1.0;
+  retry.deadline_seconds = 0.01;    // 10 ms budget
+  IoScheduler scheduler{1};
   std::vector<std::byte> out(256);
-  const IoResult result = scheduler.submit_read(*file_, 0, out).get();
+  const IoResult result = scheduler.submit_read(*file_, 0, out, retry).get();
   EXPECT_FALSE(result.ok);
   EXPECT_LT(result.attempts, 1000);
   EXPECT_NE(result.message.find("deadline"), std::string::npos)
       << result.message;
   EXPECT_EQ(scheduler.stats().deadline_expired, 1u);
-}
-
-TEST_F(IoSchedulerTest, ErrorBudgetFailsFastAndResets) {
-  FaultPlan plan;
-  plan.read_error_rate = 1.0;
-  device_->set_fault_plan(plan);
-
-  IoSchedulerConfig config;
-  config.retry.max_attempts = 2;
-  config.retry.initial_backoff_us = 1.0;
-  config.error_budget = 1;  // one exhausted request trips the gate
-  IoScheduler scheduler{1, config};
-  std::vector<std::byte> out(256);
-
-  const IoResult first = scheduler.submit_read(*file_, 0, out).get();
-  EXPECT_FALSE(first.ok);
-  EXPECT_EQ(first.attempts, 2);  // the budget-charging failure tried fully
-  EXPECT_TRUE(scheduler.error_budget_exhausted());
-
-  const std::uint64_t requests_before = device_->stats().request_count();
-  const IoResult rejected = scheduler.submit_read(*file_, 0, out).get();
-  EXPECT_FALSE(rejected.ok);
-  EXPECT_EQ(rejected.attempts, 0);  // failed fast, no attempts
-  EXPECT_NE(rejected.message.find("budget"), std::string::npos);
-  // Fail-fast means no device traffic at all.
-  EXPECT_EQ(device_->stats().request_count(), requests_before);
-  EXPECT_EQ(scheduler.stats().budget_rejected, 1u);
-
-  // A new level re-opens the gate; with the faults cleared, reads succeed.
-  device_->clear_fault_plan();
-  scheduler.reset_error_budget();
-  EXPECT_FALSE(scheduler.error_budget_exhausted());
-  EXPECT_TRUE(scheduler.submit_read(*file_, 0, out).get().ok);
 }
 
 TEST_F(IoSchedulerTest, ShutdownUnderFaultsDoesNotDeadlock) {
@@ -321,16 +272,16 @@ TEST_F(IoSchedulerTest, ShutdownUnderFaultsDoesNotDeadlock) {
   plan.read_error_rate = 0.5;
   device_->set_fault_plan(plan);
 
-  IoSchedulerConfig config;
-  config.retry.max_attempts = 2;
-  config.retry.initial_backoff_us = 1.0;
+  RetryPolicy retry;
+  retry.max_attempts = 2;
+  retry.initial_backoff_us = 1.0;
   std::vector<std::vector<std::byte>> bufs(64, std::vector<std::byte>(1024));
   std::vector<std::future<IoResult>> futures;
   {
-    IoScheduler scheduler{4, config};
+    IoScheduler scheduler{4};
     for (std::size_t i = 0; i < bufs.size(); ++i)
       futures.push_back(scheduler.submit_read(
-          *file_, i * 1024, std::span<std::byte>{bufs[i]}));
+          *file_, i * 1024, std::span<std::byte>{bufs[i]}, retry));
   }
   std::size_t succeeded = 0;
   for (std::size_t i = 0; i < bufs.size(); ++i) {

@@ -374,17 +374,14 @@ TEST(ShardedBfsFaults, DegradedShardSendsCleanClaims) {
 
 TEST(ShardedBfsFaults, BottomUpNeverTouchesDevice) {
   // Bottom-up sweeps the DRAM copy of each block, so certain read errors
-  // on every shard — with no fallback to catch them — change nothing.
+  // on every shard change nothing: no read fails, and no level degrades.
   ScopedTestDir dir{"shardbu"};
   ThreadPool pool{4};
   const EdgeList edges =
       generate_kronecker(fixtures::small_kronecker(10, 8, kSeed), pool);
   const Csr full = build_csr(edges, CsrBuildOptions{}, pool);
 
-  ShardNodeConfig node_config;
-  node_config.dram_fallback = false;
-  ShardedBfs bfs{edges, 4, pool, DeviceProfile::dram(), dir.path(),
-                 node_config};
+  ShardedBfs bfs{edges, 4, pool, DeviceProfile::dram(), dir.path()};
   FaultPlan plan;
   plan.seed = kSeed;
   plan.read_error_rate = 1.0;
@@ -421,23 +418,6 @@ TEST(ShardedBfsFaults, ArmedPlansStayExactAndDeterministic) {
   const ShardedBfsResult result = bfs.run(root, ShardedBfsConfig{});
   const ReferenceBfsResult ref = reference_bfs(full, root);
   expect_reference_exact(edges, bfs, result, ref, root);
-}
-
-TEST(ShardedBfsFaults, NoFallbackThrowsAfterRetriesExhausted) {
-  ScopedTestDir dir{"shardhard"};
-  ThreadPool pool{4};
-  const EdgeList edges = fixtures::small_graph();
-
-  ShardNodeConfig node_config;
-  node_config.dram_fallback = false;
-  node_config.retry.max_attempts = 2;
-  ShardedBfs bfs{edges, 2, pool, DeviceProfile::dram(), dir.path(),
-                 node_config};
-  FaultPlan plan;
-  plan.seed = kSeed;
-  plan.read_error_rate = 1.0;
-  bfs.arm_fault_plans(plan);
-  EXPECT_THROW(bfs.run(0, ShardedBfsConfig{}), NvmIoError);
 }
 
 // --- communication profile ------------------------------------------------

@@ -9,7 +9,6 @@
 #include "engine/bfs_program.hpp"
 #include "graph/external_csr.hpp"
 #include "graph_fixtures.hpp"
-#include "util/timer.hpp"
 
 namespace sembfs {
 namespace {
@@ -127,35 +126,48 @@ TEST_F(StripedFileTest, StripedForwardGraphBfsCorrect) {
 
 TEST_F(StripedFileTest, StripingReducesQueueingOnSlowDevices) {
   // Same concurrent workload through 1 vs 4 single-channel devices: with
-  // one device every request serializes; the stripe set multiplies service
-  // capacity fourfold, so wall time must drop decisively.
+  // one device every request waits behind the others; the stripe set
+  // multiplies service capacity fourfold, so the time requests spend
+  // queued (IoStats wait minus service, summed over the devices) must
+  // drop decisively. Queue wait, not wall time: it is what striping
+  // changes, and it leaves out building the pool and the readers' own
+  // time between requests.
   DeviceProfile slow;
   slow.name = "slow";
-  slow.read_latency_us = 400.0;
+  // Well above the scheduling delays of a loaded host (up to about a
+  // millisecond), which also land in the measured queue wait.
+  slow.read_latency_us = 2000.0;
   slow.channels = 1;  // fully serialized per device
 
-  const auto run_with = [&](std::size_t device_count) {
+  const auto queue_wait_with = [&](std::size_t device_count) {
     std::vector<std::shared_ptr<NvmDevice>> devices;
     for (std::size_t i = 0; i < device_count; ++i)
       devices.push_back(std::make_shared<NvmDevice>(slow));
     StripedNvmFile file{devices,
                         dir_ + "/q" + std::to_string(device_count), 4096};
     file.write(0, pattern(64 * 4096));
-    Timer t;
     ThreadPool pool{8};
+    for (const auto& device : devices) device->stats().reset();
+    // Reader w reads stripes w, w + 8, ..., w + 56, all on device w % 4
+    // of four: each device serves the same two readers, whatever the
+    // threads' timing.
     pool.run([&](std::size_t w) {
       std::vector<std::byte> buffer(4096);
-      for (int i = 0; i < 8; ++i)
-        file.read(((w * 8 + static_cast<std::size_t>(i)) % 64) * 4096,
-                  buffer);
+      for (std::size_t i = 0; i < 8; ++i) file.read((i * 8 + w) * 4096, buffer);
     });
-    return t.seconds();
+    double queued = 0.0;
+    for (const auto& device : devices) {
+      const IoStatsSnapshot io = device->stats().snapshot();
+      queued += io.wait_seconds - io.busy_seconds;
+    }
+    return queued;
   };
 
-  // 64 serialized 400us reads ~ 25.6 ms on one device vs ~6.4 ms across
-  // four; require a 1.5x margin to stay robust on a noisy machine.
-  const double one = run_with(1);
-  const double four = run_with(4);
+  // 8 readers on one device: each read waits behind up to 7 others; on
+  // four devices behind at most one. Require a 1.5x margin to stay robust
+  // on a noisy machine.
+  const double one = queue_wait_with(1);
+  const double four = queue_wait_with(4);
   EXPECT_LT(four * 1.5, one);
 }
 
