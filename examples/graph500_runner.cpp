@@ -343,18 +343,21 @@ int main(int argc, char** argv) {
               static_cast<unsigned long long>(ls.nvm_requests));
         double exchange_s = 0.0;
         double compute_s = 0.0;
+        std::uint64_t bu_edges = 0;
         for (const shard::ShardLevelStats& ls : result.levels) {
           exchange_s += ls.exchange_seconds;
           compute_s += ls.compute_seconds;
+          bu_edges += ls.scanned_edges;
         }
         std::printf(
             "dist_depth: %d\ndist_visited: %lld\n"
             "dist_remote_bytes: %llu\ndist_remote_messages: %llu\n"
-            "dist_exchange_seconds: %.6f\ndist_compute_seconds: %.6f\n",
+            "dist_exchange_seconds: %.6f\ndist_compute_seconds: %.6f\n"
+            "dist_bu_edges: %llu\n",
             result.depth, static_cast<long long>(result.visited),
             static_cast<unsigned long long>(result.total_remote_bytes),
             static_cast<unsigned long long>(result.total_remote_messages),
-            exchange_s, compute_s);
+            exchange_s, compute_s, static_cast<unsigned long long>(bu_edges));
       }
     }
     const SampleStats stats = compute_stats(std::move(teps));

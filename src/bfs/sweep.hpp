@@ -90,9 +90,9 @@ std::pair<std::uint64_t, std::uint64_t> sweep_unvisited_words(
 
 /// sweep_unvisited_words, calling scan(vtx) for each survivor in
 /// ascending order.
-template <typename ScanFn, typename SkipFn = NoSkip>
+template <typename Done, typename ScanFn, typename SkipFn = NoSkip>
 std::pair<std::uint64_t, std::uint64_t> sweep_unvisited(
-    const AtomicBitmap& done, std::int64_t abs_lo, std::int64_t abs_hi,
+    const Done& done, std::int64_t abs_lo, std::int64_t abs_hi,
     ScanFn&& scan, SkipFn skip = {}) {
   return sweep_unvisited_words(
       done, abs_lo, abs_hi,

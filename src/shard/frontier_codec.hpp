@@ -29,13 +29,18 @@
 // EncodingChoice::kAuto picks per message by encoded size: the vertex set
 // is varint-encoded first and replaced by the bitmap when that payload
 // would not be larger (deterministic — depends only on the message
-// contents, never on timing). Claims are always kPairList; the bitmap
-// cannot carry parents.
+// contents, never on timing). Every varint takes at least one byte, so a
+// set with at least as many members as the bitmap payload has bytes goes
+// straight to the bitmap. Claims are always kPairList; the bitmap cannot
+// carry parents.
 //
 // Decoding is bounds-checked end to end (reusing the nvm varint decoder's
 // NvmIoError discipline): truncated payloads, out-of-range members, or
 // unsorted lists throw rather than ingest garbage — a faulted shard must
 // not be able to poison its peers' BFS state with a malformed message.
+// or_vertex_set is the receiver's bulk decode: it ORs a kBitmap payload
+// into a bitmap 64 vertices at a time, at any bit offset of the window,
+// and first checks that the window lies inside the receiver's range.
 #pragma once
 
 #include <bit>
@@ -49,6 +54,7 @@
 #include "graph/types.hpp"
 #include "numa/partition.hpp"
 #include "nvm/varint.hpp"
+#include "util/bitmap.hpp"
 
 namespace sembfs::shard {
 
@@ -100,6 +106,15 @@ struct Claim {
 template <typename Fn>
 void decode_vertex_set(std::span<const std::byte> data, Fn&& fn);
 
+/// ORs the members of a vertex-set message into `out` (bit v is vertex
+/// v). The message's window must lie inside `receiver`, which must lie
+/// inside `out`. A kBitmap payload is checked whole (size, tail bits,
+/// count) and then ORed a 64-bit word at a time; a kVarintList is decoded
+/// member by member. Throws NvmIoError on a malformed message or a window
+/// outside `receiver`.
+void or_vertex_set(std::span<const std::byte> data, VertexRange receiver,
+                   Bitmap& out);
+
 /// Decodes a kPairList message, calling fn(child, parent) in message
 /// order (children non-decreasing). Throws NvmIoError on a malformed
 /// message.
@@ -119,7 +134,13 @@ struct Header {
   std::size_t pos;  ///< payload start
 };
 
+/// Reads and checks a header: a known tag, and a window [range_begin,
+/// range_begin + range_len) with no negative bound and no overflow.
 [[nodiscard]] Header decode_header(std::span<const std::byte> data);
+
+[[nodiscard]] inline std::size_t bitmap_payload_bytes(const Header& h) {
+  return static_cast<std::size_t>(h.range_len / 8 + (h.range_len % 8 != 0));
+}
 
 void check(bool ok, const char* what);
 
@@ -132,15 +153,15 @@ void decode_vertex_set(std::span<const std::byte> data, Fn&& fn) {
   std::size_t pos = h.pos;
   const std::int64_t range_end = h.range_begin + h.range_len;
   if (h.encoding == FrontierEncoding::kVarintList) {
-    std::int64_t prev = h.range_begin - 1;
+    std::int64_t prev = h.range_begin;
     for (std::uint64_t i = 0; i < h.count; ++i) {
       const std::uint64_t gap = decode_varint(data, pos);
       codec_detail::check(i > 0 ? gap > 0 : true,
                           "frontier decode: unsorted varint list");
-      const std::int64_t v =
-          prev + static_cast<std::int64_t>(gap) + (i == 0 ? 1 : 0);
-      codec_detail::check(v >= h.range_begin && v < range_end,
+      // Checked before the add, which a huge gap would overflow.
+      codec_detail::check(gap < static_cast<std::uint64_t>(range_end - prev),
                           "frontier decode: vertex out of range");
+      const std::int64_t v = prev + static_cast<std::int64_t>(gap);
       fn(static_cast<Vertex>(v));
       prev = v;
     }
@@ -149,8 +170,7 @@ void decode_vertex_set(std::span<const std::byte> data, Fn&& fn) {
   } else {
     codec_detail::check(h.encoding == FrontierEncoding::kBitmap,
                         "frontier decode: vertex set expected");
-    const std::size_t payload =
-        static_cast<std::size_t>((h.range_len + 7) / 8);
+    const std::size_t payload = codec_detail::bitmap_payload_bytes(h);
     codec_detail::check(data.size() - pos == payload,
                         "frontier decode: bitmap payload size mismatch");
     std::uint64_t seen = 0;
@@ -182,11 +202,15 @@ void decode_claims(std::span<const std::byte> data, Fn&& fn) {
   const std::int64_t range_end = h.range_begin + h.range_len;
   std::int64_t child = h.range_begin;
   for (std::uint64_t i = 0; i < h.count; ++i) {
-    child += static_cast<std::int64_t>(decode_varint(data, pos));
-    codec_detail::check(child >= h.range_begin && child < range_end,
+    const std::uint64_t gap = decode_varint(data, pos);
+    // Checked before the add, which a huge gap would overflow.
+    codec_detail::check(gap < static_cast<std::uint64_t>(range_end - child),
                         "claim decode: child out of range");
-    const std::int64_t parent =
-        child + zigzag_decode(decode_varint(data, pos));
+    child += static_cast<std::int64_t>(gap);
+    // Parents are unconstrained: the delta wraps instead of overflowing.
+    const auto parent = static_cast<std::int64_t>(
+        static_cast<std::uint64_t>(child) +
+        static_cast<std::uint64_t>(zigzag_decode(decode_varint(data, pos))));
     fn(static_cast<Vertex>(child), static_cast<Vertex>(parent));
   }
   codec_detail::check(pos == data.size(), "claim decode: trailing bytes");

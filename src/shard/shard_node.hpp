@@ -20,11 +20,13 @@
 //     loop the single-node top-down step runs over the offloaded forward
 //     graph.
 //   - the DRAM copy, always resident, as the single-node backward graph
-//     is: the bottom-up sweep probes it directly (local_neighbors), and
-//     has_local_edges()/local_degree() read its index, so top-down
-//     expansion skips sources with no edges in this block without a
-//     device round-trip (2D blocks are sparse — most vertices have no
-//     edges in any given block).
+//     is: the bottom-up sweep probes it directly (local_neighbors). A
+//     bitmap of the sources with no edge in the block, built from its
+//     index, lets top-down expansion skip them without a device
+//     round-trip (has_local_edges) and the bottom-up sweep skip them a
+//     word at a time (degree_zero), as the single-node sweep skips
+//     BackwardGraph::degree_zero; 2D blocks are sparse — most vertices
+//     have no edges in any given block.
 // Within the semi-external model a shard's DRAM therefore holds O(n)
 // vertex state plus its block, and its NVM holds the block.
 //
@@ -53,6 +55,7 @@
 #include "nvm/fault_plan.hpp"
 #include "nvm/io_scheduler.hpp"
 #include "nvm/nvm_device.hpp"
+#include "util/bitmap.hpp"
 
 namespace sembfs::shard {
 
@@ -63,7 +66,8 @@ struct ShardNodeConfig {
   std::size_t devices_per_shard = 1;
   /// Private chunk-cache capacity; 0 disables the cache.
   std::size_t cache_bytes = 0;
-  /// Verify cached chunks against the shard's CRC registry (needs cache).
+  /// Verify each chunk the cache fills against the CRC its file keeps
+  /// (needs cache).
   bool verify_checksums = false;
   /// Attempts, backoff and deadline of every top-down read request.
   RetryPolicy retry;
@@ -97,14 +101,11 @@ class ShardNode {
     return block_.byte_size();
   }
 
-  /// Degree of source v within this block (DRAM, no device traffic).
-  [[nodiscard]] std::int64_t local_degree(Vertex v) const noexcept {
-    SEMBFS_ASSERT(block_.covers_source(v));
-    return block_.degree(v);
-  }
-  /// True iff source v has at least one edge in this block.
+  /// True iff source v has at least one edge in this block (DRAM, no
+  /// device traffic).
   [[nodiscard]] bool has_local_edges(Vertex v) const noexcept {
-    return local_degree(v) > 0;
+    SEMBFS_ASSERT(block_.covers_source(v));
+    return !degree_zero_.test(static_cast<std::size_t>(v));
   }
   /// Block adjacency of source v from the DRAM copy (no device traffic).
   [[nodiscard]] std::span<const Vertex> local_neighbors(
@@ -112,6 +113,15 @@ class ShardNode {
     SEMBFS_ASSERT(block_.covers_source(v));
     return block_.neighbors(v);
   }
+  /// The sources with no edge in this block, over all n vertices (bit v
+  /// is vertex v): the bottom-up sweep's skip mask.
+  [[nodiscard]] const Bitmap& degree_zero() const noexcept {
+    return degree_zero_;
+  }
+  /// Sum of the block degrees of the sources set in `visited` (bit v is
+  /// vertex v; bits outside the source range are ignored). A word whose
+  /// sources with edges are all set costs two index reads.
+  [[nodiscard]] std::int64_t degree_sum(const Bitmap& visited) const;
 
   /// Arms `plan` on every device of this shard (and resets their fault
   /// sequences). The caller derives per-shard seeds so shard failure
@@ -143,6 +153,7 @@ class ShardNode {
   // and cache its requests reference go away.
   std::unique_ptr<IoScheduler> scheduler_;
   Csr block_;  ///< the DRAM copy
+  Bitmap degree_zero_;
 };
 
 }  // namespace sembfs::shard

@@ -1,7 +1,6 @@
 #include "shard/sharded_bfs.hpp"
 
 #include <algorithm>
-#include <atomic>
 
 #include "bfs/sweep.hpp"
 #include "obs/metrics.hpp"
@@ -81,61 +80,47 @@ ShardedBfsResult ShardedBfs::run(Vertex root,
   const Vertex n = grid_.vertex_count();
   SEMBFS_EXPECTS(root >= 0 && root < n);
   const std::size_t ranks = grid_.shard_count();
+  const auto bits = static_cast<std::size_t>(n);
 
   ShardedBfsResult result;
   result.root = root;
-  result.parent.assign(static_cast<std::size_t>(n), kNoVertex);
-  result.level.assign(static_cast<std::size_t>(n), -1);
+  result.parent.assign(bits, kNoVertex);
+  result.level.assign(bits, -1);
 
   MessageBus bus{ranks};
 
-  // Shared per-level coordination state (the "allreduce" side channel).
-  struct Shared {
-    std::atomic<std::int64_t> next_total{0};
-    std::atomic<int> direction{0};  // 0 = top-down, 1 = bottom-up
-    std::atomic<bool> done{false};
-    std::atomic<std::int64_t> degree_sum{0};
-    std::atomic<std::int64_t> visited{0};
-    std::atomic<std::uint64_t> exchange_ns{0};
-    std::atomic<std::uint64_t> compute_ns{0};
-    std::atomic<std::uint64_t> nvm_requests{0};
-    std::atomic<std::uint64_t> io_failures{0};
-    std::atomic<std::uint64_t> degraded_shards{0};
-  } shared;
-  shared.direction.store(
-      config.mode == ShardedBfsConfig::Mode::BottomUpOnly ? 1 : 0);
-
   // Per-shard run state. Each shard only ever touches its own entry;
-  // owners additionally write their exclusive parent/level block.
-  std::vector<std::vector<Vertex>> frontier(ranks);  // owned, ascending
-  std::vector<std::vector<Vertex>> next(ranks);
-  std::vector<AtomicBitmap> replica;  // visited over the source range
-  replica.reserve(ranks);
-  for (std::size_t k = 0; k < ranks; ++k)
-    replica.emplace_back(static_cast<std::size_t>(n));
-  std::vector<Bitmap> membership(ranks);  // frontier over the dest range
-  for (auto& m : membership) m.resize(static_cast<std::size_t>(n));
-
-  {
-    const std::size_t owner = grid_.owner_of(root);
-    frontier[owner].push_back(root);
-    result.parent[static_cast<std::size_t>(root)] = root;
-    result.level[static_cast<std::size_t>(root)] = 0;
+  // owners additionally write their exclusive parent/level block. The
+  // calling thread reads the level's tallies after the join.
+  struct ShardState {
+    std::vector<Vertex> frontier;  // owned, ascending
+    Bitmap replica;     // visited, over the source range
+    Bitmap membership;  // frontier, over the destination range
+    Bitmap claimed;     // this level's claims, over the owner block
+    double exchange_s = 0.0;
+    double compute_s = 0.0;
+    std::uint64_t requests = 0;
+    std::uint64_t failures = 0;
+    std::uint64_t scanned_edges = 0;
+  };
+  std::vector<ShardState> shards(ranks);
+  for (ShardState& s : shards) {
+    s.replica.resize(bits);
+    s.membership.resize(bits);
+    s.claimed.resize(bits);
   }
-  std::int64_t cur_frontier_total = 1;
+
+  shards[grid_.owner_of(root)].frontier.push_back(root);
+  result.parent[static_cast<std::size_t>(root)] = root;
+  result.level[static_cast<std::size_t>(root)] = 0;
+  std::int64_t frontier_total = 1;
+  Direction direction = config.mode == ShardedBfsConfig::Mode::BottomUpOnly
+                            ? Direction::BottomUp
+                            : Direction::TopDown;
 
   Timer timer;
   std::int32_t level = 1;
-  while (cur_frontier_total > 0 && level <= n) {
-    shared.next_total.store(0);
-    shared.exchange_ns.store(0);
-    shared.compute_ns.store(0);
-    shared.nvm_requests.store(0);
-    shared.io_failures.store(0);
-    shared.degraded_shards.store(0);
-    const Direction direction = shared.direction.load() == 0
-                                    ? Direction::TopDown
-                                    : Direction::BottomUp;
+  for (; frontier_total > 0 && level <= n; ++level) {
     // Per-level byte deltas: snapshot the phase totals before the level
     // (no sends are in flight between levels).
     const std::uint64_t frontier_bytes0 =
@@ -146,62 +131,56 @@ ShardedBfsResult ShardedBfs::run(Vertex root,
     const std::uint64_t messages0 = bus.total_messages();
 
     pool_.run(ranks, [&](std::size_t k) {
+      ShardState& s = shards[k];
       ShardNode& node = *nodes_[k];
       const VertexRange owner_range = grid_.owner_block(k);
       const VertexRange source_range = grid_.source_range(k);
-      auto& my_next = next[k];
-      my_next.clear();
-      double exchange_s = 0.0;
-      double compute_s = 0.0;
+      s.requests = 0;
+      s.failures = 0;
+      s.scanned_edges = 0;
       Timer phase_timer;
 
-      // Phase A — frontier publish: one encode, multicast to the grid
-      // row holding this owner's vertices as sources. Receivers fold the
-      // messages into their visited replica; on top-down levels the same
-      // messages are the expansion input.
+      // Frontier exchange: one encode, multicast to the grid row holding
+      // this owner's vertices as sources and, on bottom-up levels, down
+      // the owner's grid column. Row receivers fold the messages into
+      // their visited replica; on top-down levels the same messages are
+      // the expansion input. Column receivers build the destination-block
+      // membership bitmap the sweep probes.
       {
         const std::vector<std::byte> encoded = encode_vertex_set(
-            frontier[k], owner_range, config.frontier_encoding);
+            s.frontier, owner_range, config.frontier_encoding);
         for (const std::size_t to :
              grid_.row_members(grid_.publish_row(k)))
           bus.send(k, to, Phase::kFrontier, encoded);
+        if (direction == Direction::BottomUp)
+          for (const std::size_t to : grid_.col_members(grid_.col_of(k)))
+            bus.send(k, to, Phase::kMembership, encoded);
       }
-      bus.barrier();  // all publishes delivered
+      bus.barrier();  // (1) all frontier and membership messages delivered
       std::vector<Vertex> row_frontier;
-      for (const auto& msg : bus.drain_all(k, Phase::kFrontier)) {
-        decode_vertex_set(msg.payload, [&](Vertex v) {
-          SEMBFS_ASSERT(source_range.contains(v));
-          replica[k].set(static_cast<std::size_t>(v));
-          if (direction == Direction::TopDown && node.has_local_edges(v))
-            row_frontier.push_back(v);
-        });
-      }
-      exchange_s += phase_timer.seconds();
-
-      // Phase B — bottom-up membership: owners multicast their frontier
-      // down their own grid column, giving every shard the frontier
-      // restricted to its destination block.
-      if (direction == Direction::BottomUp) {
-        phase_timer.reset();
-        const std::vector<std::byte> encoded = encode_vertex_set(
-            frontier[k], owner_range, config.frontier_encoding);
-        for (const std::size_t to : grid_.col_members(grid_.col_of(k)))
-          bus.send(k, to, Phase::kMembership, encoded);
-        bus.barrier();  // all membership messages delivered
-        membership[k].clear();
-        for (const auto& msg : bus.drain_all(k, Phase::kMembership)) {
+      if (direction == Direction::TopDown) {
+        // Member by member: the expansion list keeps message order, which
+        // sets the merged reads and so the request count.
+        for (const auto& msg : bus.drain_all(k, Phase::kFrontier)) {
           decode_vertex_set(msg.payload, [&](Vertex v) {
-            membership[k].set(static_cast<std::size_t>(v));
+            SEMBFS_ASSERT(source_range.contains(v));
+            s.replica.set(static_cast<std::size_t>(v));
+            if (node.has_local_edges(v)) row_frontier.push_back(v);
           });
         }
-        exchange_s += phase_timer.seconds();
+      } else {
+        for (const auto& msg : bus.drain_all(k, Phase::kFrontier))
+          or_vertex_set(msg.payload, source_range, s.replica);
+        s.membership.clear();
+        for (const auto& msg : bus.drain_all(k, Phase::kMembership))
+          or_vertex_set(msg.payload, grid_.destination_range(k),
+                        s.membership);
       }
+      s.exchange_s = phase_timer.seconds();
 
-      // Phase C — claim generation against this shard's edge block.
+      // Claim generation against this shard's edge block.
       phase_timer.reset();
       std::vector<Claim> claims;  // children non-decreasing when sent
-      std::uint64_t requests = 0;
-      std::uint64_t failures = 0;
       if (direction == Direction::TopDown) {
         // One claim per cut edge — the O(frontier edges) traffic the
         // direction switch exists to collapse. The only phase that reads
@@ -213,15 +192,15 @@ ShardedBfsResult ShardedBfs::run(Vertex root,
         };
         std::size_t cursor = 0;
         const auto next_batch = [&]() -> std::span<const Vertex> {
-          if (failures > 0) return {};  // the level is redone below
+          if (s.failures > 0) return {};  // the level is redone below
           const std::size_t begin = cursor;
           cursor = std::min(cursor + kFetchBatch, row_frontier.size());
           return std::span<const Vertex>{row_frontier}.subspan(
               begin, cursor - begin);
         };
-        requests = read_batches(node.nvm_block(), node.reads(), next_batch,
-                                emit, [&] { ++failures; });
-        if (failures > 0) {
+        s.requests = read_batches(node.nvm_block(), node.reads(), next_batch,
+                                  emit, [&] { ++s.failures; });
+        if (s.failures > 0) {
           // Degraded level: redo the expansion from the DRAM copy, so the
           // shard sends exactly a clean run's claims; only its stats show
           // the failure.
@@ -240,20 +219,25 @@ ShardedBfsResult ShardedBfs::run(Vertex root,
                                               : a.parent < b.parent;
                   });
       } else {
-        // Word-skip sweep of this block's unvisited sources, probing the
-        // DRAM copy of the block against the membership bitmap with
-        // first-hit exit: at most one claim per source — O(new vertices)
-        // traffic — and no device I/O.
-        const Bitmap& member = membership[k];
-        sweep_unvisited(replica[k], source_range.begin, source_range.end,
-                        [&](Vertex w) {
-                          for (const Vertex v : node.local_neighbors(w)) {
-                            if (member.test(static_cast<std::size_t>(v))) {
-                              claims.push_back(Claim{w, v});
-                              break;
-                            }
-                          }
-                        });
+        // Word-skip sweep of this block's unvisited sources that have an
+        // edge in it, probing the DRAM copy of the block against the
+        // membership bitmap with first-hit exit: at most one claim per
+        // source — O(new vertices) traffic — and no device I/O.
+        const Bitmap& member = s.membership;
+        std::uint64_t scanned = 0;
+        sweep_unvisited(
+            s.replica, source_range.begin, source_range.end,
+            [&](Vertex w) {
+              for (const Vertex v : node.local_neighbors(w)) {
+                ++scanned;
+                if (member.test(static_cast<std::size_t>(v))) {
+                  claims.push_back(Claim{w, v});
+                  break;
+                }
+              }
+            },
+            degree_zero_skip(node.degree_zero(), nullptr));
+        s.scanned_edges = scanned;
       }
 
       // Claims are sorted by child and owner blocks are contiguous, so
@@ -278,8 +262,8 @@ ShardedBfsResult ShardedBfs::run(Vertex root,
         }
         flush();
       }
-      compute_s += phase_timer.seconds();
-      bus.barrier();  // all claims delivered
+      s.compute_s = phase_timer.seconds();
+      bus.barrier();  // (2) all claims delivered
 
       // Claim resolution — only the owner writes its block's BFS state,
       // draining in the bus's fixed sender order so the first claim per
@@ -292,100 +276,79 @@ ShardedBfsResult ShardedBfs::run(Vertex root,
           if (slot == kNoVertex) {
             slot = parent;
             result.level[static_cast<std::size_t>(child)] = level;
-            my_next.push_back(child);
+            s.claimed.set(static_cast<std::size_t>(child));
           }
         });
       }
-      // Per-sender runs are sorted but interleave across senders; the
-      // next publish requires ascending order.
-      std::sort(my_next.begin(), my_next.end());
-      compute_s += phase_timer.seconds();
-
-      shared.next_total.fetch_add(
-          static_cast<std::int64_t>(my_next.size()));
-      shared.exchange_ns.fetch_add(
-          static_cast<std::uint64_t>(exchange_s * 1e9));
-      shared.compute_ns.fetch_add(
-          static_cast<std::uint64_t>(compute_s * 1e9));
-      shared.nvm_requests.fetch_add(requests);
-      shared.io_failures.fetch_add(failures);
-      if (failures > 0) shared.degraded_shards.fetch_add(1);
-      bus.barrier();  // all claims resolved, counters visible
-
-      if (k == 0) {
-        const std::int64_t next_total = shared.next_total.load();
-        ShardLevelStats stats;
-        stats.level = level;
-        stats.direction = direction;
-        stats.frontier_vertices = cur_frontier_total;
-        stats.claimed_vertices = next_total;
-        stats.frontier_bytes =
-            bus.remote_bytes(Phase::kFrontier) - frontier_bytes0;
-        stats.membership_bytes =
-            bus.remote_bytes(Phase::kMembership) - membership_bytes0;
-        stats.claim_bytes = bus.remote_bytes(Phase::kClaims) - claim_bytes0;
-        stats.remote_bytes = stats.frontier_bytes +
-                             stats.membership_bytes + stats.claim_bytes;
-        stats.remote_messages = bus.total_messages() - messages0;
-        stats.exchange_seconds =
-            static_cast<double>(shared.exchange_ns.load()) * 1e-9;
-        stats.compute_seconds =
-            static_cast<double>(shared.compute_ns.load()) * 1e-9;
-        stats.nvm_requests = shared.nvm_requests.load();
-        stats.io_failures = shared.io_failures.load();
-        stats.degraded_shards = shared.degraded_shards.load();
-        result.levels.push_back(stats);
-
-        if (config.mode == ShardedBfsConfig::Mode::Hybrid) {
-          PolicyInput in;
-          in.current = direction;
-          in.n_all = n;
-          in.prev_frontier = cur_frontier_total;
-          in.cur_frontier = next_total;
-          shared.direction.store(
-              config.policy.decide(in) == Direction::TopDown ? 0 : 1);
-        }
-        shared.done.store(next_total == 0);
+      // The next frontier, ascending, read off the claim bitmap a word at
+      // a time; the words are cleared for the next level as they go.
+      s.frontier.clear();
+      const std::span<std::uint64_t> words = s.claimed.words();
+      for (auto w = static_cast<std::size_t>(owner_range.begin) / 64;
+           w < (static_cast<std::size_t>(owner_range.end) + 63) / 64; ++w) {
+        for_each_set_in_word(words[w], w * 64, [&](std::size_t v) {
+          s.frontier.push_back(static_cast<Vertex>(v));
+        });
+        words[w] = 0;
       }
-      bus.barrier();  // stats recorded, decision published
+      s.compute_s += phase_timer.seconds();
     });
 
-    cur_frontier_total = shared.next_total.load();
-    for (std::size_t k = 0; k < ranks; ++k) frontier[k].swap(next[k]);
-    ++level;
-    if (shared.done.load()) break;
+    ShardLevelStats stats;
+    stats.level = level;
+    stats.direction = direction;
+    stats.frontier_vertices = frontier_total;
+    for (const ShardState& s : shards) {
+      stats.claimed_vertices += static_cast<std::int64_t>(s.frontier.size());
+      stats.exchange_seconds += s.exchange_s;
+      stats.compute_seconds += s.compute_s;
+      stats.nvm_requests += s.requests;
+      stats.io_failures += s.failures;
+      stats.degraded_shards += s.failures > 0 ? 1 : 0;
+      stats.scanned_edges += s.scanned_edges;
+    }
+    stats.frontier_bytes = bus.remote_bytes(Phase::kFrontier) - frontier_bytes0;
+    stats.membership_bytes =
+        bus.remote_bytes(Phase::kMembership) - membership_bytes0;
+    stats.claim_bytes = bus.remote_bytes(Phase::kClaims) - claim_bytes0;
+    stats.remote_bytes =
+        stats.frontier_bytes + stats.membership_bytes + stats.claim_bytes;
+    stats.remote_messages = bus.total_messages() - messages0;
+    result.levels.push_back(stats);
+
+    if (config.mode == ShardedBfsConfig::Mode::Hybrid) {
+      PolicyInput in;
+      in.current = direction;
+      in.n_all = n;
+      in.prev_frontier = frontier_total;
+      in.cur_frontier = stats.claimed_vertices;
+      direction = config.policy.decide(in);
+    }
+    frontier_total = stats.claimed_vertices;
   }
   result.seconds = timer.seconds();
   result.depth = level - 1;
   result.total_remote_bytes = bus.total_remote_bytes();
   result.total_remote_messages = bus.total_messages();
+  // The root is seeded, every other visited vertex claimed at one level.
+  result.visited = 1;
+  std::uint64_t bu_edges = 0;
   for (const ShardLevelStats& stats : result.levels) {
+    result.visited += stats.claimed_vertices;
     result.io_failures += stats.io_failures;
     result.degraded = result.degraded || stats.degraded_shards > 0;
+    bu_edges += stats.scanned_edges;
   }
 
-  // Epilogue: visited count over owner blocks, TEPS numerator over the
-  // edge blocks (each shard holds one row-block x col-block slice of
-  // every source's adjacency, so summing local degrees across all shards
-  // counts every directed entry exactly once).
-  pool_.run(ranks, [&](std::size_t k) {
-    const VertexRange source_range = grid_.source_range(k);
-    std::int64_t degree_sum = 0;
-    for (Vertex v = source_range.begin; v < source_range.end; ++v) {
-      if (result.parent[static_cast<std::size_t>(v)] == kNoVertex) continue;
-      degree_sum += nodes_[k]->local_degree(v);
-    }
-    shared.degree_sum.fetch_add(degree_sum);
-
-    const VertexRange owner_range = grid_.owner_block(k);
-    std::int64_t visited = 0;
-    for (Vertex v = owner_range.begin; v < owner_range.end; ++v)
-      if (result.parent[static_cast<std::size_t>(v)] != kNoVertex)
-        ++visited;
-    shared.visited.fetch_add(visited);
-  });
-  result.visited = shared.visited.load();
-  result.teps_edge_count = shared.degree_sum.load() / 2;
+  // TEPS numerator: every frontier was published to its row, so each
+  // replica holds exactly the visited sources of its row block, and each
+  // shard holds one row-block x col-block slice of every source's
+  // adjacency; summing the blocks' degrees counts every directed entry
+  // exactly once.
+  std::int64_t degree_sum = 0;
+  for (std::size_t k = 0; k < ranks; ++k)
+    degree_sum += nodes_[k]->degree_sum(shards[k].replica);
+  result.teps_edge_count = degree_sum / 2;
   result.teps = result.seconds > 0.0
                     ? static_cast<double>(result.teps_edge_count) /
                           result.seconds
@@ -400,6 +363,7 @@ ShardedBfsResult ShardedBfs::run(Vertex root,
     obs::metrics()
         .counter("shard.bfs.remote_bytes")
         .add(result.total_remote_bytes);
+    obs::metrics().counter("shard.bfs.bu_edges").add(bu_edges);
   }
   return result;
 }

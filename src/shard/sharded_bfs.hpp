@@ -7,17 +7,18 @@
 // paper's semi-external split: a DRAM copy that the bottom-up sweep reads
 // and an NVM copy on the shard's private devices that only top-down
 // expansion reads. Shards exchange compressed frontier messages
-// (frontier_codec) over the shard::MessageBus. One BFS level runs in
-// three barriered phases on `ranks` pool workers, one worker per shard:
+// (frontier_codec) over the shard::MessageBus. One BFS level is one pool
+// region of `ranks` workers, one per shard, split by two barriers:
 //
-//   A. frontier publish — every owner encodes its current frontier once
-//      and multicasts it to the shards of its publish row. Receivers OR
-//      it into their visited replica (the word-skip sweep's "done"
-//      bitmap) and, on top-down levels, keep it as the expansion input.
-//   B. membership (bottom-up levels only) — every owner multicasts its
-//      frontier down its grid column; receivers build the
-//      destination-block membership bitmap the sweep probes.
-//   C. claims —
+//   1. frontier exchange — every owner encodes its current frontier once
+//      and multicasts it to the shards of its publish row and, on
+//      bottom-up levels, down its own grid column. After barrier (1) row
+//      receivers OR it into their visited replica (the word-skip sweep's
+//      "done" bitmap) and, on top-down levels, keep it as the expansion
+//      input; column receivers build the destination-block membership
+//      bitmap the sweep probes. On bottom-up levels bitmap payloads are
+//      ORed in 64 vertices at a time.
+//   2. claims —
 //      top-down:   shards expand the published row frontier through
 //                  their block (merged, pipelined reads of the NVM copy,
 //                  redone from the DRAM copy if a read fails) and
@@ -26,18 +27,20 @@
 //                  O(frontier edges), which is what the direction switch
 //                  collapses;
 //      bottom-up:  shards word-skip-sweep the unvisited sources of their
-//                  row block, probe the DRAM copy's adjacency against the
-//                  membership bitmap with first-hit exit, and propose at
-//                  most one claim per source — O(new vertices) traffic
-//                  and no device I/O, so only top-down levels can fail
-//                  over to a degraded read.
-//      Owners drain claims in the bus's fixed sender order, first claim
-//      per child wins, and write parent/level (single-writer: only the
-//      owner ever touches its block's BFS state).
+//                  row block that have an edge in the block, probe the
+//                  DRAM copy's adjacency against the membership bitmap
+//                  with first-hit exit, and propose at most one claim per
+//                  source — O(new vertices) traffic and no device I/O, so
+//                  only top-down levels can fail over to a degraded read.
+//      After barrier (2) owners drain claims in the bus's fixed sender
+//      order, first claim per child wins, and write parent/level
+//      (single-writer: only the owner ever touches its block's BFS
+//      state). Each claim it accepts also sets the child's bit in its claim
+//      bitmap, from which the next frontier is read in ascending order.
 //
-// Rank 0 aggregates frontier counts between barriers, snapshots the
-// per-phase byte deltas into ShardLevelStats, and runs the SwitchPolicy
-// on the same PolicyInput the single-node hybrid uses. Every step above
+// After the join, the calling thread sums the shards' tallies and the
+// per-phase byte deltas into ShardLevelStats and runs the SwitchPolicy on
+// the same PolicyInput the single-node hybrid uses. Every step above
 // is deterministic for a given (graph, root, config, fault seeds): the
 // blocks' adjacency is sorted, so message order, claim resolution and
 // the per-level stats replay bit-for-bit across runs, instances and
@@ -90,6 +93,9 @@ struct ShardLevelStats {
   double compute_seconds = 0.0;
   /// Device requests of the top-down fetches; 0 on bottom-up levels.
   std::uint64_t nvm_requests = 0;
+  /// Block entries the bottom-up sweep examined, up to each source's
+  /// first hit; 0 on top-down levels.
+  std::uint64_t scanned_edges = 0;
   std::uint64_t io_failures = 0;     ///< batches whose reads failed for good
   std::uint64_t degraded_shards = 0; ///< shards that redid the level from DRAM
 };

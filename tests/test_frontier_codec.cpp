@@ -3,11 +3,14 @@
 // message rejections that keep a faulted shard from poisoning its peers.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cstddef>
+#include <string>
 #include <vector>
 
 #include "nvm/fault_plan.hpp"
 #include "shard/frontier_codec.hpp"
+#include "util/bitmap.hpp"
 
 namespace sembfs::shard {
 namespace {
@@ -101,6 +104,33 @@ TEST(FrontierCodec, AutoNeverLargerThanEitherForcedEncoding) {
   EXPECT_LE(auto_size, bitmap_size);
 }
 
+TEST(FrontierCodec, AutoSkipsTheListOnlyWhenItCannotWin) {
+  // Every gap is under 128, so every varint is one byte and the list's
+  // payload is exactly the member count. The list must still win with one
+  // member fewer than the bitmap payload has bytes; the shortcut that
+  // skips it must not fire until the count reaches the payload.
+  const VertexRange range{1000, 2000};
+  const std::size_t payload = 125;  // ceil(1000 / 8)
+  for (const std::size_t count : {payload - 1, payload, payload + 1}) {
+    SCOPED_TRACE("members " + std::to_string(count));
+    std::vector<Vertex> vs;
+    Vertex v = range.begin + 3;
+    for (std::size_t i = 0; i < count; ++i) {
+      vs.push_back(v);
+      v += 1 + static_cast<Vertex>(i % 7);
+    }
+    ASSERT_LT(vs.back(), range.end);
+    const std::vector<std::byte> list =
+        encode_vertex_set(vs, range, EncodingChoice::kForceVarint);
+    const std::vector<std::byte> bitmap =
+        encode_vertex_set(vs, range, EncodingChoice::kForceBitmap);
+    const bool list_wins = list.size() < bitmap.size();
+    EXPECT_EQ(list_wins, count < payload);
+    EXPECT_EQ(encode_vertex_set(vs, range, EncodingChoice::kAuto),
+              list_wins ? list : bitmap);
+  }
+}
+
 TEST(FrontierCodec, BitmapSizeIndependentOfMemberCount) {
   const VertexRange range{0, 8192};
   const std::size_t one =
@@ -158,6 +188,29 @@ TEST(FrontierCodec, RejectsBitmapTailBitAndCountMismatch) {
   EXPECT_THROW(decode_set(count), NvmIoError);
 }
 
+TEST(FrontierCodec, RejectsWindowsAndGapsThatOverflow) {
+  // A window whose end is past INT64_MAX.
+  std::vector<std::byte> window{std::byte{1}, std::byte{1}};
+  append_varint(window, (std::uint64_t{1} << 62) + 5);
+  append_varint(window, std::uint64_t{1} << 62);
+  append_varint(window, 0);
+  EXPECT_THROW(decode_set(window), NvmIoError);
+
+  // Over [0, 100): member 5, then a gap that wraps back to member 3 in
+  // 64-bit arithmetic. The list would be unsorted, not out of range.
+  std::vector<std::byte> gap{std::byte{1}, std::byte{2}, std::byte{0},
+                             std::byte{100}, std::byte{5}};
+  append_varint(gap, ~std::uint64_t{1});
+  EXPECT_THROW(decode_set(gap), NvmIoError);
+
+  // The same wrap on a claim's child gap.
+  std::vector<std::byte> claim{std::byte{3}, std::byte{2}, std::byte{0},
+                               std::byte{100}, std::byte{5}, std::byte{0}};
+  append_varint(claim, ~std::uint64_t{1});
+  append_varint(claim, 0);
+  EXPECT_THROW(decode_pairs(claim), NvmIoError);
+}
+
 TEST(FrontierCodec, RejectsWrongEncodingForDecoder) {
   const VertexRange range{0, 100};
   const std::vector<std::byte> set = encode_vertex_set(
@@ -173,6 +226,95 @@ TEST(FrontierCodec, RejectsClaimChildOutOfRange) {
   const std::vector<std::byte> data{std::byte{3}, std::byte{1}, std::byte{0},
                                     std::byte{4}, std::byte{9}, std::byte{0}};
   EXPECT_THROW(decode_pairs(data), NvmIoError);
+}
+
+// --- word decode -------------------------------------------------------------
+
+/// A receiver bitmap with bits set on both sides of `window`, so a decode
+/// that overwrites words instead of ORing into them shows.
+Bitmap prefilled(std::size_t bits, VertexRange window) {
+  Bitmap out{bits};
+  for (std::size_t v = 0; v < bits; v += 5)
+    if (!window.contains(static_cast<Vertex>(v))) out.set(v);
+  return out;
+}
+
+TEST(FrontierCodec, WordDecodeMatchesPerVertexDecodeAtAnyOffset) {
+  for (const Vertex begin_mod : {0, 1, 37, 63}) {
+    for (const Vertex len_mod : {0, 1, 63}) {
+      const VertexRange window{128 + begin_mod, 128 + begin_mod + 192 + len_mod};
+      SCOPED_TRACE("window [" + std::to_string(window.begin) + ", " +
+                   std::to_string(window.end) + ")");
+      // Both window ends, a full run across word boundaries, and gaps.
+      std::vector<Vertex> vs;
+      for (Vertex v = window.begin; v < window.end; ++v)
+        if (v == window.begin || v == window.end - 1 || v % 7 < 3 ||
+            (v >= 250 && v < 330))
+          vs.push_back(v);
+      const std::size_t bits = static_cast<std::size_t>(window.end) + 100;
+      const VertexRange receiver{0, static_cast<Vertex>(bits)};
+      for (const EncodingChoice choice :
+           {EncodingChoice::kForceBitmap, EncodingChoice::kForceVarint}) {
+        const std::vector<std::byte> data =
+            encode_vertex_set(vs, window, choice);
+        Bitmap expected = prefilled(bits, window);
+        decode_vertex_set(data, [&](Vertex v) {
+          expected.set(static_cast<std::size_t>(v));
+        });
+        Bitmap words = prefilled(bits, window);
+        or_vertex_set(data, receiver, words);
+        EXPECT_TRUE(std::equal(words.words().begin(), words.words().end(),
+                               expected.words().begin()))
+            << encoding_choice_name(choice);
+      }
+    }
+  }
+}
+
+TEST(FrontierCodec, WordDecodeRejectsMalformedMessages) {
+  const VertexRange receiver{0, 256};
+  Bitmap out{256};
+  const std::vector<Vertex> vs{64, 65, 70, 100, 130};
+  const std::vector<std::byte> good = encode_vertex_set(
+      vs, VertexRange{64, 134}, EncodingChoice::kForceBitmap);
+
+  std::vector<std::byte> short_payload = good;
+  short_payload.pop_back();
+  EXPECT_THROW(or_vertex_set(short_payload, receiver, out), NvmIoError);
+  std::vector<std::byte> long_payload = good;
+  long_payload.push_back(std::byte{0});
+  EXPECT_THROW(or_vertex_set(long_payload, receiver, out), NvmIoError);
+
+  // Window [64, 134): 9 payload bytes, the last word holding 6 valid bits;
+  // bit 7 of the last byte is window bit 71.
+  std::vector<std::byte> tail_bit = good;
+  tail_bit.back() |= std::byte{0x80};
+  EXPECT_THROW(or_vertex_set(tail_bit, receiver, out), NvmIoError);
+
+  // Header says 2 members, payload has 1.
+  const std::vector<std::byte> count{std::byte{2}, std::byte{2}, std::byte{0},
+                                     std::byte{3}, std::byte{0x01}};
+  EXPECT_THROW(or_vertex_set(count, receiver, out), NvmIoError);
+
+  // Tag, then a member count whose varint never ends.
+  const std::vector<std::byte> header{std::byte{2}, std::byte{0x80}};
+  EXPECT_THROW(or_vertex_set(header, receiver, out), NvmIoError);
+
+  // A window reaching past either end of the receiver's range.
+  EXPECT_THROW(or_vertex_set(good, VertexRange{0, 100}, out),
+               NvmIoError);
+  EXPECT_THROW(or_vertex_set(good, VertexRange{65, 256}, out),
+               NvmIoError);
+
+  // Claims are not a vertex set.
+  const std::vector<std::byte> pairs =
+      encode_claims(std::vector<Claim>{{3, 4}}, receiver);
+  EXPECT_THROW(or_vertex_set(pairs, receiver, out), NvmIoError);
+
+  // A bitmap payload is checked whole before any word is written.
+  EXPECT_EQ(out.count(), 0u);
+  or_vertex_set(good, receiver, out);
+  EXPECT_EQ(out.count(), vs.size());
 }
 
 TEST(FrontierCodec, EncodingChoiceNames) {

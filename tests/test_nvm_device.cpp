@@ -2,6 +2,7 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cstring>
 #include <thread>
 #include <vector>
@@ -127,7 +128,14 @@ TEST_F(NvmDeviceTest, TimeScaleShortensSimulation) {
       file.read(0, std::as_writable_bytes(std::span<char>{&c, 1}));
     return t.seconds();
   };
-  EXPECT_LT(run(scaled), run(slow));
+  // A host stall can only lengthen a run, so the fastest of three runs
+  // per side is the one closest to the modelled time.
+  const auto fastest = [&](const DeviceProfile& p) {
+    double best = run(p);
+    for (int i = 1; i < 3; ++i) best = std::min(best, run(p));
+    return best;
+  };
+  EXPECT_LT(fastest(scaled), fastest(slow));
 }
 
 TEST_F(NvmDeviceTest, StatsSeeServiceTimes) {

@@ -8,6 +8,7 @@
 
 #include <algorithm>
 #include <cstdint>
+#include <memory>
 #include <ostream>
 #include <string>
 #include <vector>
@@ -184,9 +185,21 @@ TEST_P(ShardedBfsMatrix, MatchesReferenceBfs) {
                 return sum + 1;  // root is claimed by seeding, not a level
               }())
         << "per-level claims must add up to the visited count";
-    for (const ShardLevelStats& ls : result.levels)
+    for (const ShardLevelStats& ls : result.levels) {
       EXPECT_EQ(ls.remote_bytes,
                 ls.frontier_bytes + ls.membership_bytes + ls.claim_bytes);
+      // Each bottom-up claim is some source's first hit.
+      if (ls.direction == Direction::TopDown)
+        EXPECT_EQ(ls.scanned_edges, 0u);
+      else
+        EXPECT_GE(ls.scanned_edges,
+                  static_cast<std::uint64_t>(ls.claimed_vertices));
+    }
+    // The TEPS count is half the full degrees of the visited vertices.
+    std::int64_t degrees = 0;
+    for (Vertex v = 0; v < edges.vertex_count(); ++v)
+      if (ref.level[v] >= 0) degrees += full.degree(v);
+    EXPECT_EQ(result.teps_edge_count, degrees / 2);
 
     // Determinism: an identical re-run replays parents bit-for-bit, not
     // just levels.
@@ -254,6 +267,7 @@ void expect_same_level_stats(const ShardLevelStats& a,
   EXPECT_EQ(a.claim_bytes, b.claim_bytes);
   EXPECT_EQ(a.remote_messages, b.remote_messages);
   EXPECT_EQ(a.nvm_requests, b.nvm_requests);
+  EXPECT_EQ(a.scanned_edges, b.scanned_edges);
   EXPECT_EQ(a.io_failures, b.io_failures);
   EXPECT_EQ(a.degraded_shards, b.degraded_shards);
 }
@@ -289,6 +303,160 @@ TEST(ShardedBfsReplay, InstancesOnDifferentPoolsAgree) {
       expect_same_level_stats(ra.levels[i], rb.levels[i]);
   }
   EXPECT_EQ(roots, 16);
+}
+
+/// FNV-1a over the little-endian bytes of 64-bit values.
+class Fnv64 {
+ public:
+  void add(std::uint64_t x) noexcept {
+    for (int i = 0; i < 8; ++i) {
+      hash_ ^= (x >> (8 * i)) & 0xff;
+      hash_ *= 0x100000001b3ULL;
+    }
+  }
+  [[nodiscard]] std::uint64_t value() const noexcept { return hash_; }
+
+ private:
+  std::uint64_t hash_ = 0xcbf29ce484222325ULL;
+};
+
+struct GoldenCase {
+  std::size_t shards;
+  std::size_t grid_rows;
+  ShardedBfsConfig::Mode mode;
+  EncodingChoice encoding;
+  std::uint64_t tree_hash;  ///< parent, level, visited and TEPS edges
+  std::uint64_t wire_hash;  ///< every level's bytes, messages and requests
+};
+
+TEST(ShardedBfsReplay, GoldenWireAndTreesAcrossVersions) {
+  // Pins what a sharded run sends and builds to fixed values, so a rework
+  // of the level loop that changes any byte on the wire, any parent or
+  // any device request fails here even when it still matches the
+  // reference levels. The 1x3 grid's owner windows are not word-aligned.
+  // Both hashes cover two roots. Every case builds the same tree: each
+  // vertex's parent is its smallest-ID neighbour one level up.
+  using M = ShardedBfsConfig::Mode;
+  const GoldenCase cases[] = {
+      {4, 2, M::Hybrid, EncodingChoice::kAuto,
+       0xdee17d95be6deee3, 0xf6e77c3ea9a8313d},
+      {4, 2, M::Hybrid, EncodingChoice::kForceBitmap,
+       0xdee17d95be6deee3, 0x863db55b8c91fd10},
+      {4, 2, M::Hybrid, EncodingChoice::kForceVarint,
+       0xdee17d95be6deee3, 0x3769e0eb0c05a9c6},
+      {4, 2, M::TopDownOnly, EncodingChoice::kAuto,
+       0xdee17d95be6deee3, 0x4340436e2c08b374},
+      {4, 2, M::TopDownOnly, EncodingChoice::kForceBitmap,
+       0xdee17d95be6deee3, 0xf5e5b0211ef417d9},
+      {4, 2, M::TopDownOnly, EncodingChoice::kForceVarint,
+       0xdee17d95be6deee3, 0x3b87bb2b20717623},
+      {4, 2, M::BottomUpOnly, EncodingChoice::kAuto,
+       0xdee17d95be6deee3, 0x8dcc408e06d8f6c4},
+      {4, 2, M::BottomUpOnly, EncodingChoice::kForceBitmap,
+       0xdee17d95be6deee3, 0xb26e328431977935},
+      {4, 2, M::BottomUpOnly, EncodingChoice::kForceVarint,
+       0xdee17d95be6deee3, 0x2492ebbd8e09ad47},
+      {3, 1, M::Hybrid, EncodingChoice::kAuto,
+       0xdee17d95be6deee3, 0x61afeb1dd207ddbc},
+      {3, 1, M::Hybrid, EncodingChoice::kForceBitmap,
+       0xdee17d95be6deee3, 0x0afbac43ef1fa067},
+      {3, 1, M::Hybrid, EncodingChoice::kForceVarint,
+       0xdee17d95be6deee3, 0xb43ccf64601770fb},
+      {3, 1, M::TopDownOnly, EncodingChoice::kAuto,
+       0xdee17d95be6deee3, 0x6ca75fec2a41e384},
+      {3, 1, M::TopDownOnly, EncodingChoice::kForceBitmap,
+       0xdee17d95be6deee3, 0xa2d6ebe2a7951daf},
+      {3, 1, M::TopDownOnly, EncodingChoice::kForceVarint,
+       0xdee17d95be6deee3, 0xf9751ec4ec344bbf},
+      {3, 1, M::BottomUpOnly, EncodingChoice::kAuto,
+       0xdee17d95be6deee3, 0xb99cd3945e3f7a36},
+      {3, 1, M::BottomUpOnly, EncodingChoice::kForceBitmap,
+       0xdee17d95be6deee3, 0xd42a1dbf07622c35},
+      {3, 1, M::BottomUpOnly, EncodingChoice::kForceVarint,
+       0xdee17d95be6deee3, 0x9e45ff3a0b7e5309},
+      {8, 2, M::Hybrid, EncodingChoice::kAuto,
+       0xdee17d95be6deee3, 0x1943945a077f143c},
+      {8, 2, M::Hybrid, EncodingChoice::kForceBitmap,
+       0xdee17d95be6deee3, 0x6e3cd08f98c841c3},
+      {8, 2, M::Hybrid, EncodingChoice::kForceVarint,
+       0xdee17d95be6deee3, 0x7f68ac161ade94dd},
+      {8, 2, M::TopDownOnly, EncodingChoice::kAuto,
+       0xdee17d95be6deee3, 0x8335e4fc2a80c173},
+      {8, 2, M::TopDownOnly, EncodingChoice::kForceBitmap,
+       0xdee17d95be6deee3, 0xa96ac5eba4e5962b},
+      {8, 2, M::TopDownOnly, EncodingChoice::kForceVarint,
+       0xdee17d95be6deee3, 0x0a66c42b35a26c06},
+      {8, 2, M::BottomUpOnly, EncodingChoice::kAuto,
+       0xdee17d95be6deee3, 0xcd2865536031ec26},
+      {8, 2, M::BottomUpOnly, EncodingChoice::kForceBitmap,
+       0xdee17d95be6deee3, 0x00a59acab6d3704f},
+      {8, 2, M::BottomUpOnly, EncodingChoice::kForceVarint,
+       0xdee17d95be6deee3, 0x3db1d59671a28573},
+  };
+
+  ScopedTestDir dir{"shardgolden"};
+  ThreadPool pool{8};
+  const EdgeList edges =
+      generate_kronecker(fixtures::small_kronecker(10, 8, kSeed), pool);
+  const Csr full = build_csr(edges, CsrBuildOptions{}, pool);
+  Vertex root = 0;
+  while (full.degree(root) == 0) ++root;
+  Vertex second = edges.vertex_count() / 2;
+  while (full.degree(second) == 0) ++second;
+
+  ShardNodeConfig node_config;
+  node_config.chunk_bytes = 1024;
+  std::unique_ptr<ShardedBfs> bfs;
+  std::size_t built_shards = 0;
+  for (const GoldenCase& c : cases) {
+    if (c.shards != built_shards) {
+      bfs.reset();
+      bfs = std::make_unique<ShardedBfs>(
+          edges, c.shards, pool, DeviceProfile::dram(),
+          dir.path() + "/s" + std::to_string(c.shards), node_config,
+          c.grid_rows);
+      built_shards = c.shards;
+    }
+    ASSERT_EQ(bfs->grid().rows(), c.grid_rows);
+    ShardedBfsConfig config;
+    config.mode = c.mode;
+    config.frontier_encoding = c.encoding;
+    config.policy.alpha = 16;
+    config.policy.beta = 1e5;
+
+    Fnv64 tree;
+    Fnv64 wire;
+    for (const Vertex r : {root, second}) {
+      const ShardedBfsResult result = bfs->run(r, config);
+      for (const Vertex p : result.parent)
+        tree.add(static_cast<std::uint64_t>(p));
+      for (const std::int32_t l : result.level)
+        tree.add(static_cast<std::uint64_t>(l));
+      tree.add(static_cast<std::uint64_t>(result.visited));
+      tree.add(static_cast<std::uint64_t>(result.teps_edge_count));
+      wire.add(result.levels.size());
+      for (const ShardLevelStats& ls : result.levels) {
+        wire.add(static_cast<std::uint64_t>(ls.direction));
+        wire.add(static_cast<std::uint64_t>(ls.frontier_vertices));
+        wire.add(static_cast<std::uint64_t>(ls.claimed_vertices));
+        wire.add(ls.frontier_bytes);
+        wire.add(ls.membership_bytes);
+        wire.add(ls.claim_bytes);
+        wire.add(ls.remote_messages);
+        wire.add(ls.nvm_requests);
+      }
+    }
+    const std::string name = std::to_string(c.grid_rows) + "x" +
+                             std::to_string(c.shards / c.grid_rows) + " " +
+                             (c.mode == M::Hybrid        ? "hybrid"
+                              : c.mode == M::TopDownOnly ? "td"
+                                                         : "bu") +
+                             " " + encoding_choice_name(c.encoding);
+    EXPECT_EQ(tree.value(), c.tree_hash)
+        << name << ": tree 0x" << std::hex << tree.value();
+    EXPECT_EQ(wire.value(), c.wire_hash)
+        << name << ": wire 0x" << std::hex << wire.value();
+  }
 }
 
 // --- fault containment ----------------------------------------------------
